@@ -87,7 +87,6 @@ func PageRankIncremental(r *core.Runtime, seed *PRSeed, delta *graph.Delta, tol 
 	if seed == nil || len(seed.Ranks) == 0 || len(seed.Ranks[0]) != n || delta == nil {
 		panic("analytics: PageRankIncremental needs a prior trajectory for this graph and the update delta")
 	}
-	tol, maxRounds = prDefaults(tol, maxRounds)
 	w := startWindow(r.M)
 	s := newPRState(r)
 	// te owns the taint-propagation pushes with sparse worklists, so taint
@@ -189,16 +188,23 @@ func PageRankIncremental(r *core.Runtime, seed *PRSeed, delta *graph.Delta, tol 
 // vertex, in the same per-vertex neighbor order as a full pull round, so
 // the recomputed values are bitwise what fullPullRound would produce.
 func (s *prState) gatherTainted(T []graph.Node) {
+	in := s.r.InView()
 	s.r.ParallelItems(int64(len(T)), func(t *memsim.Thread, lo, hi int64) {
 		var edges int64
 		for _, v := range T[lo:hi] {
-			nbrs := s.r.InScan(t, v, false)
+			in.Offsets.ReadN(t, int64(v), 2)
+			in.ChargeScan(t, v, false)
 			acc := 0.0
-			for _, u := range nbrs {
+			c := in.Adj.Cursor(v)
+			for {
+				u, ok := c.Next()
+				if !ok {
+					break
+				}
 				acc += s.contrib[u]
 			}
 			s.next[v] = s.base + prDamping*acc
-			edges += int64(len(nbrs))
+			edges += in.Adj.Degree(v)
 		}
 		s.contribArr.RandomN(t, edges, false)
 		s.nextArr.RandomN(t, hi-lo, true)

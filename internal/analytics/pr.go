@@ -126,22 +126,12 @@ func (s *prState) residual() float64 {
 	return total
 }
 
-// prDefaults normalizes the tolerance and round-cap parameters.
-func prDefaults(tol float64, maxRounds int) (float64, int) {
-	if tol <= 0 {
-		tol = PRDefaultTolerance
-	}
-	if maxRounds <= 0 {
-		maxRounds = PRDefaultMaxRounds
-	}
-	return tol, maxRounds
-}
-
 // PageRank is the topology-driven pull pagerank every framework in the
 // paper shares ("all systems use the same algorithm for pr"): each round a
 // VertexMap publishes contributions (rank[v] / outDegree(v)), then a
 // full-frontier pull EdgeMap gathers in-neighbor contributions; the run
-// stops when the L1 residual falls below tol or after maxRounds rounds.
+// stops when the L1 residual falls below tol or after maxRounds rounds (both
+// taken literally; frameworks.Params substitutes the paper's defaults).
 // Requires in-edges.
 func PageRank(r *core.Runtime, tol float64, maxRounds int) *Result {
 	return pageRank(r, tol, maxRounds, nil)
@@ -157,7 +147,6 @@ func pageRank(r *core.Runtime, tol float64, maxRounds int, record func(round int
 	if r.InOffsets == nil {
 		panic("analytics: PageRank requires a runtime with in-edges (pull operator)")
 	}
-	tol, maxRounds = prDefaults(tol, maxRounds)
 	w := startWindow(r.M)
 	s := newPRState(r)
 	rounds := 0

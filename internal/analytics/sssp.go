@@ -74,6 +74,7 @@ func SSSPDeltaStep(r *core.Runtime, src graph.Node, delta uint32) *Result {
 		}
 	}
 
+	out := r.OutView()
 	buckets := map[int][]graph.Node{0: {src}}
 	dist[src].Store(0)
 	intents := make([][]relaxIntent, r.RegionThreads())
@@ -107,11 +108,18 @@ func SSSPDeltaStep(r *core.Runtime, src graph.Node, delta uint32) *Result {
 					if int(dv/delta) < p {
 						continue // stale entry, already settled
 					}
-					nbrs, ws := r.OutScanW(t, v)
-					distArr.RandomN(t, int64(len(nbrs)), true)
-					t.Op(len(nbrs))
-					for i, d := range nbrs {
-						nd := dv + ws[i]
+					out.Offsets.ReadN(t, int64(v), 2)
+					out.ChargeScan(t, v, true)
+					deg := out.Adj.Degree(v)
+					distArr.RandomN(t, deg, true)
+					t.Op(int(deg))
+					c := out.Adj.Cursor(v)
+					for {
+						d, ok := c.Next()
+						if !ok {
+							break
+						}
+						nd := dv + r.OutWeightAt(c.EI())
 						if nd < dv { // overflow guard
 							continue
 						}

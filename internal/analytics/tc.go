@@ -45,10 +45,16 @@ func TC(r *core.Runtime) *Result {
 
 	// Build the oriented adjacency: for each v keep neighbors with
 	// higher rank, sorted by rank.
+	outView := r.OutView()
 	dagOff := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		cnt := int64(0)
-		for _, d := range r.OutNeighbors(graph.Node(v)) {
+		c := outView.Adj.Cursor(graph.Node(v))
+		for {
+			d, ok := c.Next()
+			if !ok {
+				break
+			}
 			if rank[d] > rank[v] {
 				cnt++
 			}
@@ -57,8 +63,7 @@ func TC(r *core.Runtime) *Result {
 	}
 	dagEdges := make([]graph.Node, dagOff[n])
 	dagOffArr := r.ScratchArray("tc.dag.offsets", int64(n+1), 8)
-	dagEdgesArr := r.ScratchArray("tc.dag.edges", max64(dagOff[n], 1), 4)
-	outView := r.OutView()
+	dagEdgesArr := r.ScratchArray("tc.dag.edges", max(dagOff[n], 1), 4)
 	r.ParallelVerts(func(t *memsim.Thread, lo, hi graph.Node) {
 		r.Offsets.ReadRange(t, int64(lo), int64(hi)+1)
 		dagOffArr.WriteRange(t, int64(lo), int64(hi))
@@ -66,14 +71,19 @@ func TC(r *core.Runtime) *Result {
 			outView.ChargeScan(t, v, false)
 			rankArr.RandomN(t, r.OutDegree(v), false)
 			t.Op(int(r.OutDegree(v)))
-			c := dagOff[v]
-			for _, d := range r.OutNeighbors(v) {
+			end := dagOff[v]
+			c := outView.Adj.Cursor(v)
+			for {
+				d, ok := c.Next()
+				if !ok {
+					break
+				}
 				if rank[d] > rank[v] {
-					dagEdges[c] = d
-					c++
+					dagEdges[end] = d
+					end++
 				}
 			}
-			lo2, hi2 := dagOff[v], c
+			lo2, hi2 := dagOff[v], end
 			seg := dagEdges[lo2:hi2]
 			sort.Slice(seg, func(i, j int) bool { return rank[seg[i]] < rank[seg[j]] })
 			dagEdgesArr.WriteRange(t, lo2, hi2)
@@ -125,11 +135,4 @@ func intersectCount(rank []uint32, a, b []graph.Node, total *uint64) int64 {
 		}
 	}
 	return steps
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

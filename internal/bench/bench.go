@@ -19,7 +19,7 @@ import (
 // Options configures a harness run.
 type Options struct {
 	// Scale selects input/machine scale (gen.ScaleFull for the paper
-	// harness, gen.ScaleSmall for quick runs and `go test -bench`).
+	// harness, gen.ScaleSmall for quick runs: `pmembench -quick`, the tests).
 	Scale gen.Scale
 	// Quick trims sweeps (fewer apps/thread counts) for CI-speed runs.
 	Quick bool

@@ -14,9 +14,12 @@
 // graph's CSR arrays on the machine (raw or compressed backend) and
 // provides the parallel-execution and access-charging primitives the
 // engine and kernels build on — the layer between them and
-// graph/memsim. All adjacency charging funnels through the AdjView seam,
-// so traversal code is backend-agnostic and only the charged shape (element
-// ranges vs block bytes plus decode) differs. Parallel loops use static
+// graph/memsim. AdjView is the one way to walk adjacency: neighbors come
+// from its graph.Cursor (raw slices, compressed blocks or an overlay merge
+// behind one iterator) and every charge from its Charge* methods, so
+// traversal code is backend-agnostic and only the charged shape (element
+// ranges vs block bytes plus decode) differs. There is no slice-returning
+// scan API beside it. Parallel loops use static
 // chunk ownership (chunk i -> thread i mod T), which is what makes charge
 // attribution — and with it every simulated number — a pure function of
 // (n, threads), independent of GOMAXPROCS and goroutine interleaving.
@@ -140,16 +143,10 @@ type Runtime struct {
 	opts Options
 	node []*memsim.Array // node arrays allocated through the runtime
 
-	// outView/inView are built once at New: per-vertex scan helpers run
-	// in kernel hot loops, and constructing a view there would box the
-	// adjacency interface on every call.
+	// outView/inView are built once at New: kernels fetch them in hot
+	// loops, and constructing a view there would box the adjacency
+	// interface on every call.
 	outView, inView AdjView
-
-	// nbrBuf/inNbrBuf/wBuf are per-thread merge buffers (indexed by
-	// Thread.ID) backing OutScan/InScan/OutScanW on overlay runtimes,
-	// where no contiguous host slice of the merged adjacency exists.
-	nbrBuf, inNbrBuf [][]graph.Node
-	wBuf             [][]uint32
 }
 
 // New builds a Runtime: it allocates (and warms) the graph's topology
@@ -574,157 +571,6 @@ func (r *Runtime) InWeighted() bool {
 	return r.InWeights != nil
 }
 
-// fillNbrs drains a cursor into buf (merged adjacency for overlay views,
-// base order otherwise).
-func fillNbrs(av AdjView, v graph.Node, buf []graph.Node) []graph.Node {
-	c := av.Adj.Cursor(v)
-	for {
-		d, ok := c.Next()
-		if !ok {
-			return buf
-		}
-		buf = append(buf, d)
-	}
-}
-
-// OutScan charges the reads that visiting v's out-edges performs (offset
-// pair, adjacency block, and weights if requested) and returns the
-// neighbor slice: the raw alias on plain runtimes, a per-thread merged
-// buffer on overlay runtimes (valid until t's next OutScan).
-func (r *Runtime) OutScan(t *memsim.Thread, v graph.Node, weights bool) []graph.Node {
-	r.Offsets.ReadN(t, int64(v), 2)
-	r.OutView().ChargeScan(t, v, weights)
-	if r.Ov == nil {
-		return r.G.OutEdges[r.G.OutOffsets[v]:r.G.OutOffsets[v+1]]
-	}
-	buf := fillNbrs(r.outView, v, r.nbrBufFor(t)[:0])
-	r.nbrBuf[t.ID] = buf
-	return buf
-}
-
-// OutScanW is OutScan plus the parallel weight slice (weighted runtimes
-// only): aliases of the base arrays on plain runtimes, per-thread merged
-// buffers on overlay runtimes.
-func (r *Runtime) OutScanW(t *memsim.Thread, v graph.Node) ([]graph.Node, []uint32) {
-	r.Offsets.ReadN(t, int64(v), 2)
-	r.OutView().ChargeScan(t, v, true)
-	if r.Ov == nil {
-		lo, hi := r.G.OutOffsets[v], r.G.OutOffsets[v+1]
-		return r.G.OutEdges[lo:hi], r.G.OutWeights[lo:hi]
-	}
-	nbrs := r.nbrBufFor(t)[:0]
-	ws := r.wBuf[t.ID][:0]
-	c := r.outView.Adj.Cursor(v)
-	for {
-		d, ok := c.Next()
-		if !ok {
-			break
-		}
-		nbrs = append(nbrs, d)
-		ws = append(ws, r.Ov.OutWeight(c.EI()))
-	}
-	r.nbrBuf[t.ID], r.wBuf[t.ID] = nbrs, ws
-	return nbrs, ws
-}
-
-// InScan is OutScan for the in-direction; the transpose must be allocated.
-func (r *Runtime) InScan(t *memsim.Thread, v graph.Node, weights bool) []graph.Node {
-	r.InOffsets.ReadN(t, int64(v), 2)
-	r.InView().ChargeScan(t, v, weights)
-	if r.Ov == nil {
-		return r.G.InEdges[r.G.InOffsets[v]:r.G.InOffsets[v+1]]
-	}
-	if r.inNbrBuf == nil {
-		r.inNbrBuf = make([][]graph.Node, r.RegionThreads())
-	}
-	buf := fillNbrs(r.inView, v, r.inNbrBuf[t.ID][:0])
-	r.inNbrBuf[t.ID] = buf
-	return buf
-}
-
-// nbrBufFor returns t's out-direction merge buffer, sizing the shard set
-// lazily (overlay runtimes only).
-func (r *Runtime) nbrBufFor(t *memsim.Thread) []graph.Node {
-	if r.nbrBuf == nil {
-		r.nbrBuf = make([][]graph.Node, r.RegionThreads())
-		r.wBuf = make([][]uint32, r.RegionThreads())
-	}
-	return r.nbrBuf[t.ID]
-}
-
-// scanPrefix charges reads for only the first k neighbors of v in av's
-// direction. The compressed form charges the byte prefix those edges
-// decode from (proportional, rounded up — prefix byte extents are not
-// materialized) plus their decode cost.
-func scanPrefix(av AdjView, t *memsim.Thread, v graph.Node, k int64) {
-	deg := av.Adj.Degree(v)
-	if k > deg {
-		k = deg
-	}
-	lo, hi := av.Adj.Extent(v)
-	if !av.Z {
-		av.Edges.ReadRange(t, lo, lo+k)
-		return
-	}
-	consumed := hi - lo
-	if deg > 0 && k < deg {
-		consumed = (consumed*k + deg - 1) / deg
-	}
-	av.Edges.ReadRange(t, lo, lo+consumed)
-	t.Decode(1, k)
-}
-
-// prefixOverlay walks the first k merged neighbors of v through a cursor
-// and charges exactly the base elements and delta entries it consumed.
-func (r *Runtime) prefixOverlay(av AdjView, t *memsim.Thread, v graph.Node, k int64, buf []graph.Node) []graph.Node {
-	c := av.Adj.Cursor(v)
-	for int64(len(buf)) < k {
-		d, ok := c.Next()
-		if !ok {
-			break
-		}
-		buf = append(buf, d)
-	}
-	av.ChargePrefix(t, v, c.Consumed(), c.DeltaConsumed(), int64(len(buf)))
-	return buf
-}
-
-// OutScanPrefix charges reads for only the first k out-neighbors of v
-// (early-exit scans, e.g. direction-optimizing pull).
-func (r *Runtime) OutScanPrefix(t *memsim.Thread, v graph.Node, k int64) []graph.Node {
-	r.Offsets.ReadN(t, int64(v), 2)
-	if r.Ov != nil {
-		buf := r.prefixOverlay(r.outView, t, v, k, r.nbrBufFor(t)[:0])
-		r.nbrBuf[t.ID] = buf
-		return buf
-	}
-	scanPrefix(r.OutView(), t, v, k)
-	lo, hi := r.G.OutOffsets[v], r.G.OutOffsets[v+1]
-	if lo+k < hi {
-		hi = lo + k
-	}
-	return r.G.OutEdges[lo:hi]
-}
-
-// InScanPrefix charges reads for only the first k in-neighbors of v.
-func (r *Runtime) InScanPrefix(t *memsim.Thread, v graph.Node, k int64) []graph.Node {
-	r.InOffsets.ReadN(t, int64(v), 2)
-	if r.Ov != nil {
-		if r.inNbrBuf == nil {
-			r.inNbrBuf = make([][]graph.Node, r.RegionThreads())
-		}
-		buf := r.prefixOverlay(r.inView, t, v, k, r.inNbrBuf[t.ID][:0])
-		r.inNbrBuf[t.ID] = buf
-		return buf
-	}
-	scanPrefix(r.InView(), t, v, k)
-	lo, hi := r.G.InOffsets[v], r.G.InOffsets[v+1]
-	if lo+k < hi {
-		hi = lo + k
-	}
-	return r.G.InEdges[lo:hi]
-}
-
 // NumNodes dispatches the vertex count (identical on every epoch form).
 func (r *Runtime) NumNodes() int { return r.G.NumNodes() }
 
@@ -755,16 +601,6 @@ func (r *Runtime) InDegree(v graph.Node) int64 {
 	return r.G.InDegree(v)
 }
 
-// OutNeighbors returns v's merged out-adjacency without charging the
-// simulated machine (callers charge via ChargeScan etc.): the CSR alias on
-// plain runtimes, a freshly built slice on overlay runtimes.
-func (r *Runtime) OutNeighbors(v graph.Node) []graph.Node {
-	if r.Ov == nil {
-		return r.G.OutNeighbors(v)
-	}
-	return fillNbrs(r.outView, v, make([]graph.Node, 0, r.Ov.OutDegree(v)))
-}
-
 // OutWeightAt dispatches the weight of out-edge index ei (a Cursor.EI
 // value: base CSR index, or |E_base|+i for the i-th overlay insert).
 func (r *Runtime) OutWeightAt(ei int64) uint32 {
@@ -780,20 +616,6 @@ func (r *Runtime) InWeightAt(ei int64) uint32 {
 		return r.Ov.InWeight(ei)
 	}
 	return r.G.InWeights[ei]
-}
-
-// ChargeOutBlock charges one batched scan of the offsets and out-edge
-// (and optionally weight) arrays covering every vertex in the contiguous
-// range [lo, hi): the chunked equivalent of calling OutScan once per
-// vertex, in two sequential range reads instead of 2·(hi-lo) calls.
-func (r *Runtime) ChargeOutBlock(t *memsim.Thread, lo, hi graph.Node, weights bool) {
-	r.OutView().ChargeBlock(t, lo, hi, weights)
-}
-
-// ChargeInBlock is ChargeOutBlock for the in-direction; the transpose
-// must be allocated.
-func (r *Runtime) ChargeInBlock(t *memsim.Thread, lo, hi graph.Node, weights bool) {
-	r.InView().ChargeBlock(t, lo, hi, weights)
 }
 
 // TopologyReadBytes returns the simulated bytes read so far from the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pmemgraph/internal/gen"
+	"pmemgraph/internal/graph"
 	"pmemgraph/internal/memsim"
 )
 
@@ -112,69 +113,137 @@ func TestParallelItemsEmptyRange(t *testing.T) {
 	}
 }
 
-func TestOutScanChargesAndReturnsNeighbors(t *testing.T) {
-	g := gen.Star(10)
-	m := newTestMachine()
-	r, err := New(m, g, GaloisDefaults(1))
+// The three adjacency forms every traversal charges through AdjView: raw
+// slices, compressed blocks, and a delta overlay (here over the raw form,
+// with one deleted pair and one parallel insert on vertex 0, so its merged
+// degree equals the base degree and its delta holds two entries).
+var adjForms = []string{"raw", "compressed", "overlay"}
+
+func newFormRuntime(t *testing.T, m *memsim.Machine, g *graph.Graph, form string) *Runtime {
+	t.Helper()
+	opts := GaloisDefaults(1)
+	var r *Runtime
+	var err error
+	switch form {
+	case "compressed":
+		opts.Backend = BackendCompressed
+		r, err = New(m, g, opts)
+	case "overlay":
+		ov, _, oerr := graph.ApplyOverlay(g, []graph.EdgeUpdate{
+			{Op: graph.OpDelete, Src: 0, Dst: 3},
+			{Op: graph.OpInsert, Src: 0, Dst: 5},
+		})
+		if oerr != nil {
+			t.Fatal(oerr)
+		}
+		r, err = NewOverlay(m, ov, opts)
+	default:
+		r, err = New(m, g, opts)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	before := m.Counters().Reads
-	var n int
-	r.Parallel(func(th *memsim.Thread) {
-		n = len(r.OutScan(th, 0, false))
-	})
-	if n != 9 {
-		t.Errorf("star center neighbors = %d, want 9", n)
+	t.Cleanup(r.Close)
+	return r
+}
+
+// walk counts v's neighbors through the view's cursor, stopping after
+// limit edges, and returns the cursor for its consumption counters.
+func walk(av AdjView, v graph.Node, limit int64) (int64, graph.Cursor) {
+	c := av.Adj.Cursor(v)
+	n := int64(0)
+	for n < limit {
+		if _, ok := c.Next(); !ok {
+			break
+		}
+		n++
 	}
-	if m.Counters().Reads <= before {
-		t.Error("OutScan charged no reads")
+	return n, c
+}
+
+// scanBytes is what ChargeScan must stream for vertex 0's whole block: the
+// base extent in backing elements (4-byte edges, or block bytes) plus 8
+// bytes per overlay delta entry.
+func scanBytes(av AdjView) uint64 {
+	lo, hi := av.Adj.Extent(0)
+	bytes := uint64(hi - lo)
+	if !av.Z {
+		bytes *= 4
+	}
+	if av.Ov != nil {
+		dlo, dhi := av.Ov.DeltaExtent(0)
+		bytes += 8 * uint64(dhi-dlo)
+	}
+	return bytes
+}
+
+func TestChargeScanChargesWholeBlock(t *testing.T) {
+	for _, form := range adjForms {
+		m := newTestMachine()
+		r := newFormRuntime(t, m, gen.Star(10), form)
+		out := r.OutView()
+		if n, _ := walk(out, 0, 1<<30); n != 9 || out.Adj.Degree(0) != 9 {
+			t.Errorf("%s: star center walked %d neighbors (degree %d), want 9", form, n, out.Adj.Degree(0))
+		}
+		if form == "overlay" && scanBytes(out) != 9*4+2*8 {
+			t.Errorf("overlay: expected scan bytes %d, want base 36 + delta 16", scanBytes(out))
+		}
+		r.Parallel(func(th *memsim.Thread) { out.ChargeScan(th, 0, false) })
+		if got := m.Counters().BytesRead; got != scanBytes(out) {
+			t.Errorf("%s: ChargeScan streamed %d bytes, want %d", form, got, scanBytes(out))
+		}
 	}
 }
 
-func TestInScanRequiresTranspose(t *testing.T) {
+func TestInViewRequiresTranspose(t *testing.T) {
 	g := gen.Star(6)
-	opts := GaloisDefaults(1)
-	opts.BothDirections = true
-	r, err := New(newTestMachine(), g, opts)
+	r, err := New(newTestMachine(), g, GaloisDefaults(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	var n int
-	r.Parallel(func(th *memsim.Thread) {
-		n = len(r.InScan(th, 0, false))
-	})
-	if n != 5 {
+	if r.InView().Valid() {
+		t.Error("in-view valid without the transpose")
+	}
+	opts := GaloisDefaults(1)
+	opts.BothDirections = true
+	r2, err := New(newTestMachine(), g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if !r2.InView().Valid() {
+		t.Fatal("in-view missing with BothDirections")
+	}
+	if n, _ := walk(r2.InView(), 0, 1<<30); n != 5 {
 		t.Errorf("star center in-neighbors = %d, want 5", n)
 	}
 }
 
-func TestScanPrefixChargesLess(t *testing.T) {
-	g := gen.Star(1000)
-	m := newTestMachine()
-	r, err := New(m, g, GaloisDefaults(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	r.Parallel(func(th *memsim.Thread) {
-		full := r.OutScan(th, 0, false)
-		if len(full) != 999 {
-			t.Errorf("full scan = %d", len(full))
+func TestChargePrefixChargesLess(t *testing.T) {
+	for _, form := range adjForms {
+		m := newTestMachine()
+		r := newFormRuntime(t, m, gen.Star(1000), form)
+		out := r.OutView()
+		k, c := walk(out, 0, 10)
+		if k != 10 {
+			t.Fatalf("%s: prefix walk = %d edges", form, k)
 		}
-	})
-	fullBytes := m.Counters().BytesRead
-	m.ResetClock()
-	r.Parallel(func(th *memsim.Thread) {
-		pre := r.OutScanPrefix(th, 0, 10)
-		if len(pre) != 10 {
-			t.Errorf("prefix scan = %d", len(pre))
+		r.Parallel(func(th *memsim.Thread) {
+			out.ChargePrefix(th, 0, c.Consumed(), c.DeltaConsumed(), k)
+		})
+		want := uint64(c.Consumed()) // compressed: block bytes consumed
+		if !out.Z {
+			want *= 4
 		}
-	})
-	if m.Counters().BytesRead >= fullBytes {
-		t.Error("prefix scan charged as much as full scan")
+		want += 8 * uint64(c.DeltaConsumed())
+		got := m.Counters().BytesRead
+		if got != want {
+			t.Errorf("%s: ChargePrefix streamed %d bytes, want %d", form, got, want)
+		}
+		if got >= scanBytes(out) {
+			t.Errorf("%s: prefix scan charged %d bytes, as much as the full scan's %d", form, got, scanBytes(out))
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"math/bits"
 	"sync/atomic"
 
 	"pmemgraph/internal/graph"
@@ -51,11 +51,10 @@ func DenseFromVertices(n int, vs []graph.Node) *Dense {
 // returns the extended slice (the dense-to-sparse frontier conversion).
 func (d *Dense) Vertices(buf []graph.Node) []graph.Node {
 	for w := range d.words {
-		bits := d.words[w].Load()
-		for bits != 0 {
-			b := bits & (-bits)
-			buf = append(buf, graph.Node(w)<<6+graph.Node(trailingZeros(bits)))
-			bits ^= b
+		word := d.words[w].Load()
+		for word != 0 {
+			buf = append(buf, graph.Node(w)<<6+graph.Node(bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
 	return buf
@@ -105,7 +104,7 @@ func (d *Dense) Clear() {
 func (d *Dense) Count() int {
 	total := 0
 	for i := range d.words {
-		total += popcount(d.words[i].Load())
+		total += bits.OnesCount64(d.words[i].Load())
 	}
 	return total
 }
@@ -114,65 +113,13 @@ func (d *Dense) Count() int {
 // kernels to iterate a thread's share of the frontier.
 func (d *Dense) ForEachInRange(lo, hi graph.Node, fn func(v graph.Node)) {
 	for w := lo >> 6; w <= (hi-1)>>6 && int(w) < len(d.words); w++ {
-		bits := d.words[w].Load()
-		for bits != 0 {
-			b := bits & (-bits)
-			v := w<<6 + graph.Node(trailingZeros(bits))
-			bits ^= b
+		word := d.words[w].Load()
+		for word != 0 {
+			v := w<<6 + graph.Node(bits.TrailingZeros64(word))
+			word &= word - 1
 			if v >= lo && v < hi {
 				fn(v)
 			}
 		}
 	}
-}
-
-// MergeFragments merges per-shard claim fragments (each already sorted and
-// deduplicated, exactly as a superstep exchange ships them) into one
-// ID-sorted, deduplicated next frontier. Fragments are concatenated in
-// shard-index order before the final sort, so the result is a pure
-// function of the fragment contents — the cross-shard analogue of the
-// per-thread claim-buffer merge the engine performs at push-round
-// barriers.
-func MergeFragments(frags [][]graph.Node) []graph.Node {
-	total := 0
-	for _, f := range frags {
-		total += len(f)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]graph.Node, 0, total)
-	for _, f := range frags {
-		out = append(out, f...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[i-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
-func trailingZeros(x uint64) int {
-	if x == 0 {
-		return 64
-	}
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }

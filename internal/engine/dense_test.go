@@ -136,13 +136,22 @@ func TestUnsetClearsOnlyTargetBit(t *testing.T) {
 	}
 }
 
-func TestMergeFragments(t *testing.T) {
-	got := MergeFragments([][]graph.Node{
-		{2, 5, 9},
-		{1, 5, 7},
-		nil,
-		{2, 9, 11},
-	})
+// TestMergeClaimsAcrossFragments drives the merge the way a superstep
+// exchange does: bare (value-free) fragments, each already sorted and
+// deduplicated, one per shard.
+func TestMergeClaimsAcrossFragments(t *testing.T) {
+	seen := NewDense(12)
+	merge := func(frags ...[]graph.Node) []graph.Node {
+		got, vals := MergeClaims(seen, frags, nil, nil, nil)
+		if vals != nil {
+			t.Fatalf("bare merge returned values %v", vals)
+		}
+		if seen.Count() != 0 {
+			t.Fatal("merge left the dedup set dirty")
+		}
+		return got
+	}
+	got := merge([]graph.Node{2, 5, 9}, []graph.Node{1, 5, 7}, nil, []graph.Node{2, 9, 11})
 	want := []graph.Node{1, 2, 5, 7, 9, 11}
 	if len(got) != len(want) {
 		t.Fatalf("merged = %v, want %v", got, want)
@@ -152,11 +161,11 @@ func TestMergeFragments(t *testing.T) {
 			t.Fatalf("merged[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	if MergeFragments(nil) != nil {
+	if merge() != nil {
 		t.Error("empty merge should be nil")
 	}
 	// Shard order must not matter once fragments are sorted and deduped.
-	swapped := MergeFragments([][]graph.Node{{2, 9, 11}, {1, 5, 7}, {2, 5, 9}})
+	swapped := merge([]graph.Node{2, 9, 11}, []graph.Node{1, 5, 7}, []graph.Node{2, 5, 9})
 	for i := range want {
 		if swapped[i] != want[i] {
 			t.Fatalf("order-dependent merge: %v", swapped)

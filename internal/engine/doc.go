@@ -16,6 +16,12 @@
 //     (vertex slice) and dense (bit-vector) representations at a
 //     configurable |frontier|+out-edges threshold.
 //
+// Beside them sits MergeClaims, the one sorted-dedup claim merge in the
+// repository: push rounds and VertexFilter drain their per-thread buffers
+// through it, and internal/shard reuses it — with a min or sum reduction
+// operand per claim — for per-worker fragment collapse and the
+// coordinator's cross-shard merge.
+//
 // # Charging contract
 //
 // The engine owns all memsim charging for frontier management and
@@ -38,9 +44,9 @@
 // DESIGN.md "Concurrency model"): during the parallel scan, threads
 // record activation claims into private per-thread buffers — the scan
 // region's charges depend only on the frontier, never on claim outcomes —
-// then the engine merges the buffers at the barrier into a deduplicated,
-// ID-sorted next frontier and charges its writes in a follow-up parallel
-// region. Operators must make claims that are deterministic as a set
+// then MergeClaims turns the buffers at the barrier into a deduplicated,
+// ID-sorted next frontier and the engine charges its writes in a follow-up
+// parallel region. Operators must make claims that are deterministic as a set
 // (e.g. judged against round-start snapshots, or unique-claimant
 // transitions of commutative updates); the merge then erases any
 // nondeterminism in claim attribution or ordering.

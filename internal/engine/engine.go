@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"pmemgraph/internal/core"
@@ -313,33 +313,73 @@ func (e *Engine) EdgeMap(f *Frontier, args EdgeMapArgs) *Frontier {
 	return next
 }
 
-// mergeClaims is the sequential barrier phase of a push round: it drains
-// the per-thread claim buffers in thread-index order, deduplicates against
-// the reusable dedup set, and sorts the result by vertex ID. Sorting makes
-// the next frontier independent of claim attribution, so operators whose
-// claims race to a unique winner (kcore's degree crossings) are as
-// deterministic as snapshot-judged ones. The dedup set is cleared in
-// O(|activated|).
-func (e *Engine) mergeClaims(n int) *Frontier {
+// MergeClaims is the one sorted-dedup claim merge: the sequential barrier
+// phase that turns claim buffers — one per virtual thread of a region, or
+// one per shard fragment of a superstep — into an ID-sorted, duplicate-free
+// destination list. It drains the buffers in index order (truncating them,
+// capacity retained), deduplicates against seen, sorts the survivors, and
+// clears seen again in O(|merged|), so thousands of tiny-frontier rounds on
+// a high-diameter graph never pay an O(|V|) zeroing. seen must be empty on
+// entry and span the destination ID space.
+//
+// Sorting makes the result independent of claim attribution — which buffer
+// held a claim, how often, in what order — so operators whose claims race to
+// a unique winner are as deterministic as snapshot-judged ones.
+//
+// Bare activations pass vals == nil (acc and reduce are unused) and get a
+// nil value list back. Valued claims carry one reduction operand each
+// (vals[i][k] belongs to dsts[i][k]); duplicates of a destination fold
+// through reduce into acc, |V|-sized scratch, and the second result holds
+// the reduced operand of every merged destination. reduce must be
+// commutative and associative (min, sum) for the same independence to hold.
+func MergeClaims(seen *Dense, dsts [][]graph.Node, vals [][]uint64, acc []uint64, reduce func(a, b uint64) uint64) ([]graph.Node, []uint64) {
+	var merged []graph.Node
+	if vals == nil {
+		for i, buf := range dsts {
+			for _, d := range buf {
+				if seen.Set(d) {
+					merged = append(merged, d)
+				}
+			}
+			dsts[i] = buf[:0]
+		}
+	} else {
+		for i, buf := range dsts {
+			operands := vals[i]
+			for k, d := range buf {
+				if seen.Set(d) {
+					merged = append(merged, d)
+					acc[d] = operands[k]
+				} else {
+					acc[d] = reduce(acc[d], operands[k])
+				}
+			}
+			dsts[i], vals[i] = buf[:0], operands[:0]
+		}
+	}
+	slices.Sort(merged)
+	var reduced []uint64
+	if vals != nil {
+		reduced = make([]uint64, len(merged))
+	}
+	for i, d := range merged {
+		seen.Unset(d)
+		if reduced != nil {
+			reduced[i] = acc[d]
+		}
+	}
+	return merged, reduced
+}
+
+// mergeClaims drains the per-thread claim buffers into the next frontier
+// (sparse; callers convert per policy).
+func (e *Engine) mergeClaims() *Frontier {
+	n := e.R.NumNodes()
 	if e.dedup == nil {
 		e.dedup = NewDense(n)
 	}
-	var vs []graph.Node
-	for i := range e.claims {
-		for _, d := range e.claims[i] {
-			if e.dedup.Set(d) {
-				vs = append(vs, d)
-			}
-		}
-		e.claims[i] = e.claims[i][:0]
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	var outEdges int64
-	for _, v := range vs {
-		e.dedup.Unset(v)
-		outEdges += e.R.OutDegree(v)
-	}
-	return &Frontier{n: n, sparse: vs, count: int64(len(vs)), outEdges: outEdges}
+	vs, _ := MergeClaims(e.dedup, e.claims, nil, nil, nil)
+	return &Frontier{n: n, sparse: vs, count: int64(len(vs)), outEdges: sumOutDegrees(e.R, vs)}
 }
 
 // finishPush converts the merged claim frontier to the representation the
@@ -382,7 +422,7 @@ func (e *Engine) pushSparse(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Fron
 		e.chargePushChunk(t, args, chunkVerts, chunkEdges, true)
 	})
 	rs.Stats = stats
-	return e.finishPush(e.mergeClaims(f.n), rs)
+	return e.finishPush(e.mergeClaims(), rs)
 }
 
 // pushDense scatters from the bit-vector representation: every round scans
@@ -419,7 +459,7 @@ func (e *Engine) pushDense(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 		e.chargePushChunk(t, args, chunkVerts, chunkEdges, false)
 	})
 	rs.Stats = stats
-	return e.finishPush(e.mergeClaims(f.n), rs)
+	return e.finishPush(e.mergeClaims(), rs)
 }
 
 // scanPush visits u's out- (and with Symmetric, in-) neighborhood, charging
@@ -666,8 +706,7 @@ func (e *Engine) VertexMap(a VertexMapArgs) memsim.RegionStats {
 // VertexFilter is VertexMap plus a predicate: it returns the frontier of
 // vertices for which keep is true, charging the worklist writes. Each
 // thread buffers the vertices it keeps (every vertex has one owner, so the
-// kept set is deterministic); the merge concatenates the buffers in thread
-// order and sorts by ID.
+// kept set is deterministic) and the claim merge orders them by ID.
 func (e *Engine) VertexFilter(a VertexMapArgs, keep func(v graph.Node) bool) *Frontier {
 	e.R.ParallelVerts(func(t *memsim.Thread, lo, hi graph.Node) {
 		e.chargeVertexChunk(t, &a, lo, hi)
@@ -685,17 +724,7 @@ func (e *Engine) VertexFilter(a VertexMapArgs, keep func(v graph.Node) bool) *Fr
 		e.claims[t.ID] = buf
 		e.wl.WriteRange(t, 0, kept)
 	})
-	var vs []graph.Node
-	for i := range e.claims {
-		vs = append(vs, e.claims[i]...)
-		e.claims[i] = e.claims[i][:0]
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	var outEdges int64
-	for _, v := range vs {
-		outEdges += e.R.OutDegree(v)
-	}
-	f := &Frontier{n: e.R.NumNodes(), sparse: vs, count: int64(len(vs)), outEdges: outEdges}
+	f := e.mergeClaims()
 	if f.count > 0 && e.wantDense(f.count, f.outEdges) {
 		f.dense = DenseFromVertices(f.n, f.sparse)
 		f.isDense = true

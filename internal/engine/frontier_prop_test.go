@@ -177,7 +177,7 @@ func TestFrontierPropertyMergeClaims(t *testing.T) {
 				e.claims[tid] = append(e.claims[tid], v)
 			}
 		}
-		f := e.mergeClaims(g.NumNodes())
+		f := e.mergeClaims()
 		checkFrontierMatchesSet(t, g, f, want, "merged claims")
 		for i := 1; i < len(f.sparse); i++ {
 			if f.sparse[i-1] >= f.sparse[i] {
@@ -188,6 +188,101 @@ func TestFrontierPropertyMergeClaims(t *testing.T) {
 			if len(e.claims[i]) != 0 {
 				t.Fatalf("iter %d: claim buffer %d not drained", iter, i)
 			}
+		}
+	}
+}
+
+// TestMergeClaimsPropertyValued extends the permutation property to valued
+// claims under both reductions: the merged (destination, operand) list is
+// the per-destination reduction of the claim multiset in ascending ID order,
+// invariant under how claims are permuted across thread buffers and under
+// how they are split across shards (threads merged per shard first, the
+// fragments merged again by the coordinator).
+func TestMergeClaimsPropertyValued(t *testing.T) {
+	const n = 300
+	reductions := map[string]func(a, b uint64) uint64{
+		"min": func(a, b uint64) uint64 { return min(a, b) },
+		"sum": func(a, b uint64) uint64 { return a + b },
+	}
+	type claim struct {
+		d   graph.Node
+		val uint64
+	}
+	seen := NewDense(n)
+	acc := make([]uint64, n)
+	// scatter deals claims (in a random order) across a random number of
+	// buffers.
+	scatter := func(rng *rand.Rand, claims []claim) ([][]graph.Node, [][]uint64) {
+		bufs := 1 + rng.Intn(6)
+		dsts := make([][]graph.Node, bufs)
+		vals := make([][]uint64, bufs)
+		for _, k := range rng.Perm(len(claims)) {
+			b := rng.Intn(bufs)
+			dsts[b] = append(dsts[b], claims[k].d)
+			vals[b] = append(vals[b], claims[k].val)
+		}
+		return dsts, vals
+	}
+	for name, reduce := range reductions {
+		rng := rand.New(rand.NewSource(91))
+		for iter := 0; iter < 60; iter++ {
+			var claims []claim
+			want := map[graph.Node]uint64{}
+			for _, d := range randomVertexSet(rng, n) {
+				for c := 0; c < 1+rng.Intn(4); c++ {
+					val := uint64(rng.Intn(1000))
+					claims = append(claims, claim{d, val})
+					if old, ok := want[d]; ok {
+						want[d] = reduce(old, val)
+					} else {
+						want[d] = val
+					}
+				}
+			}
+			check := func(context string, ds []graph.Node, vs []uint64) {
+				t.Helper()
+				if len(ds) != len(want) || len(vs) != len(ds) {
+					t.Fatalf("%s iter %d %s: %d destinations / %d values, want %d", name, iter, context, len(ds), len(vs), len(want))
+				}
+				for i, d := range ds {
+					if i > 0 && ds[i-1] >= d {
+						t.Fatalf("%s iter %d %s: not strictly ascending at %d", name, iter, context, i)
+					}
+					if vs[i] != want[d] {
+						t.Fatalf("%s iter %d %s: value[%d] = %d, want %d", name, iter, context, d, vs[i], want[d])
+					}
+				}
+				if seen.Count() != 0 {
+					t.Fatalf("%s iter %d %s: dedup set left dirty", name, iter, context)
+				}
+			}
+
+			// One level: any permutation across thread buffers.
+			dsts, vals := scatter(rng, claims)
+			ds, vs := MergeClaims(seen, dsts, vals, acc, reduce)
+			check("threads", ds, vs)
+			for i := range dsts {
+				if len(dsts[i]) != 0 || len(vals[i]) != 0 {
+					t.Fatalf("%s iter %d: buffer %d not drained", name, iter, i)
+				}
+			}
+
+			// Two levels: claims split across shards, each shard's thread
+			// buffers collapsed to a fragment, fragments merged again.
+			shards := 1 + rng.Intn(5)
+			perShard := make([][]claim, shards)
+			for _, c := range claims {
+				s := rng.Intn(shards)
+				perShard[s] = append(perShard[s], c)
+			}
+			fragD := make([][]graph.Node, shards)
+			fragV := make([][]uint64, shards)
+			for s := range perShard {
+				dsts, vals := scatter(rng, perShard[s])
+				fragD[s], fragV[s] = MergeClaims(seen, dsts, vals, acc, reduce)
+			}
+			ds, vs = MergeClaims(seen, fragD, fragV, acc, reduce)
+			check("shards", ds, vs)
 		}
 	}
 }

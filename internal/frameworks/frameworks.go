@@ -195,16 +195,9 @@ func (p Profile) Options(app string, threads int) core.Options {
 	}
 	// Apps that structurally need the transpose regardless of framework.
 	switch app {
-	case "pr", "kcore":
+	case "pr", "kcore", "cc":
+		// cc: label propagation (plain or LP-shortcut) flows both ways.
 		opts.BothDirections = true
-	case "cc":
-		if !p.SparseWorklists {
-			// pointer-jump works on out-edges, but plain label
-			// propagation (GraphIt) needs both.
-			opts.BothDirections = true
-		} else {
-			opts.BothDirections = true // LP-shortcut propagates both ways
-		}
 	case "bfs":
 		if !p.SparseWorklists {
 			opts.BothDirections = true // direction-optimizing
@@ -231,6 +224,21 @@ type Params struct {
 	K      int64      // kcore threshold
 	Tol    float64    // pr tolerance
 	Rounds int        // pr max rounds
+}
+
+// prBounds returns the pr tolerance and round cap, the paper's defaults (§3)
+// standing in for non-positive values. Every pr path — single-runtime,
+// incremental, sharded — reads them here and the kernels take them
+// literally, so the same Params mean the same run on all three.
+func (p Params) prBounds() (tol float64, rounds int) {
+	tol, rounds = p.Tol, p.Rounds
+	if tol <= 0 {
+		tol = analytics.PRDefaultTolerance
+	}
+	if rounds <= 0 {
+		rounds = analytics.PRDefaultMaxRounds
+	}
+	return tol, rounds
 }
 
 // DefaultParams fills the paper's defaults (§3) adjusted for a given
@@ -305,7 +313,8 @@ func (p Profile) Run(r *core.Runtime, app string, params Params) (*analytics.Res
 			return analytics.CCLabelProp(r, cfg, false), nil
 		}
 	case "pr":
-		return analytics.PageRank(r, params.Tol, params.Rounds), nil
+		tol, rounds := params.prBounds()
+		return analytics.PageRank(r, tol, rounds), nil
 	case "bc":
 		return analytics.Brandes(r, cfg, params.Source), nil
 	case "kcore":
@@ -432,7 +441,7 @@ func RunShardedOnOpts(machine memsim.MachineConfig, part *graph.Partition, app s
 	case "cc":
 		return e.CC(), nil
 	case "pr":
-		return e.PR(params.Tol, params.Rounds), nil
+		return e.PR(params.prBounds()), nil
 	case "kcore":
 		return e.KCore(params.K), nil
 	default: // bc
@@ -525,12 +534,13 @@ func (p Profile) runIncremental(m *memsim.Machine, g *graph.Graph, ov *graph.Ove
 		res := analytics.CCIncremental(r, seed.CCLabels, delta)
 		return res, &Seed{CCLabels: res.Labels}, nil
 	default: // pr
+		tol, rounds := params.prBounds()
 		if largeDelta || seed == nil || seed.PR == nil ||
 			len(seed.PR.Ranks) == 0 || len(seed.PR.Ranks[0]) != g.NumNodes() {
-			res, prSeed := analytics.PageRankRecord(r, params.Tol, params.Rounds)
+			res, prSeed := analytics.PageRankRecord(r, tol, rounds)
 			return res, &Seed{PR: prSeed}, nil
 		}
-		res, prSeed := analytics.PageRankIncremental(r, seed.PR, delta, params.Tol, params.Rounds)
+		res, prSeed := analytics.PageRankIncremental(r, seed.PR, delta, tol, rounds)
 		return res, &Seed{PR: prSeed}, nil
 	}
 }

@@ -51,8 +51,8 @@ func PaperInput(name string) (PaperRow, error) {
 
 // Scale selects how aggressively inputs (and the matching memsim machine
 // capacities) are shrunk relative to the paper. ScaleFull is used by the
-// experiment harness (cmd/pmembench); ScaleSmall keeps `go test -bench`
-// runs quick. The divisor composes with the global GB->MB machine scaling
+// experiment harness (cmd/pmembench); ScaleSmall keeps tests and
+// `pmembench -quick` runs quick. The divisor composes with the global GB->MB machine scaling
 // (memsim.ScaledBytes): footprint ratios against near-memory are preserved
 // at either scale.
 type Scale int

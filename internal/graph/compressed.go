@@ -122,6 +122,14 @@ func (c *Cursor) baseNext() (Node, bool) {
 // Next returns the next neighbor, or ok=false at the end of the block.
 func (c *Cursor) Next() (Node, bool) {
 	if !c.ov {
+		// The raw step — what every kernel loop on the raw backend runs per
+		// edge — is taken here, without the call into baseNext.
+		if c.i < len(c.nbrs) {
+			d := c.nbrs[c.i]
+			c.ei = c.base + int64(c.i)
+			c.i++
+			return d, true
+		}
 		return c.baseNext()
 	}
 	// Refill the base lookahead, skipping every copy of deleted pairs.

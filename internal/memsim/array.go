@@ -82,6 +82,11 @@ type Array struct {
 	// segments describe Local placement spills: sorted by startPage.
 	segments []placeSegment
 
+	// frac[s] is the fraction of the bytes placed on socket s. Placement is
+	// final when Alloc returns, so it is derived there once: the cost model
+	// reads it on every charged access.
+	frac []float64
+
 	// touched tracks first-touch minor faults, one bit per page.
 	touched []atomic.Uint64
 
@@ -238,7 +243,10 @@ func (a *Array) WriteRange(t *Thread, i, j int64) {
 
 // fracOnSocket returns the fraction of the allocation's bytes placed on
 // socket s, used by the bandwidth-sharing model.
-func (a *Array) fracOnSocket(s int) float64 {
+func (a *Array) fracOnSocket(s int) float64 { return a.frac[s] }
+
+// placedFrac derives fracOnSocket from the placement.
+func (a *Array) placedFrac(s int) float64 {
 	sockets := a.m.cfg.Sockets
 	switch a.opts.Policy {
 	case Interleaved:

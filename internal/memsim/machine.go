@@ -139,6 +139,10 @@ func (m *Machine) Alloc(name string, n int64, elemSize int64, opts AllocOpts) (*
 	if err := m.place(a); err != nil {
 		return nil, err
 	}
+	a.frac = make([]float64, m.cfg.Sockets)
+	for s := range a.frac {
+		a.frac[s] = a.placedFrac(s)
+	}
 
 	l3 := float64(m.cfg.L3PerSocket * int64(m.cfg.Sockets))
 	if l3 > 0 {

@@ -136,7 +136,7 @@ func NewEngine(g *graph.Graph, cfg Config) (*Engine, error) {
 
 	// GridGraph stores edges as (src, dst) pairs, 8 bytes each, on the
 	// Optane media.
-	e.gridArr = e.m.MustAlloc("grid.edges", maxI64(g.NumEdges(), 1), 8, memsim.AllocOpts{
+	e.gridArr = e.m.MustAlloc("grid.edges", max(g.NumEdges(), 1), 8, memsim.AllocOpts{
 		Policy:    memsim.Interleaved,
 		AppDirect: true,
 	})
@@ -186,8 +186,8 @@ func (e *Engine) sweepOwned(reversed bool, mk func(ownLo, ownHi graph.Node) func
 		jlo := e.p * t.ID / threads
 		jhi := e.p * (t.ID + 1) / threads
 		nAll := int64(e.g.NumNodes())
-		ownLo := graph.Node(minI64(int64(jlo)*int64(e.stripe), nAll))
-		ownHi := graph.Node(minI64(int64(jhi)*int64(e.stripe), nAll))
+		ownLo := graph.Node(min(int64(jlo)*int64(e.stripe), nAll))
+		ownHi := graph.Node(min(int64(jhi)*int64(e.stripe), nAll))
 		fn := mk(ownLo, ownHi)
 		local := int64(0)
 		n := int64(e.g.NumNodes())
@@ -201,7 +201,7 @@ func (e *Engine) sweepOwned(reversed bool, mk func(ownLo, ownHi graph.Node) func
 			// streams its source chunk (GridGraph's vertex-chunk
 			// re-read amplification).
 			dlo := int64(j) * int64(e.stripe)
-			dhi := minI64(dlo+int64(e.stripe), n)
+			dhi := min(dlo+int64(e.stripe), n)
 			e.vertArr.ReadRange(t, dlo, dhi)
 			for i := 0; i < e.p; i++ {
 				b := j*e.p + i
@@ -209,7 +209,7 @@ func (e *Engine) sweepOwned(reversed bool, mk func(ownLo, ownHi graph.Node) func
 					continue
 				}
 				slo := int64(i) * int64(e.stripe)
-				shi := minI64(slo+int64(e.stripe), n)
+				shi := min(slo+int64(e.stripe), n)
 				e.vertArr.ReadRange(t, slo, shi)
 			}
 			e.vertArr.WriteRange(t, dlo, dhi)
@@ -371,18 +371,4 @@ func relaxMinLabel(a []atomic.Uint32, v graph.Node, x uint32) {
 			return
 		}
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

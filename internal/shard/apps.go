@@ -2,67 +2,88 @@ package shard
 
 import (
 	"math"
+	"slices"
 
 	"pmemgraph/internal/analytics"
 	"pmemgraph/internal/engine"
 	"pmemgraph/internal/graph"
-	"pmemgraph/internal/memsim"
 )
 
-// This file implements the round-based benchmark set (bfs, sssp as
-// data-driven Bellman-Ford, cc as label propagation, pr as topology-driven
-// pull, kcore as round-based peeling, bc as round-synchronous Brandes) as
-// scatter/gather BSP vertex programs over the shard fleet. These are the
+// This file declares the round-based benchmark set as programs over the two
+// superstep drivers (scatter and gather, shard.go). These are the
 // vertex-program formulations the paper's DM/DB/DS cluster configurations
 // run — deliberately NOT the more efficient asynchronous/non-vertex
 // algorithms, which BSP systems cannot express (§6.3).
 //
-// Every kernel follows the same shape: workers scan their owned range
-// against the round-start frontier, charge their own machines (adjacency
-// through the runtime's backend views, label traffic through the
-// replicated label array), and record claims; the coordinator merges the
-// shipped fragments and applies them sequentially between supersteps.
-// Shared label state is plain (non-atomic) memory that workers only read
-// during a superstep — the apply step is the only writer, and the
-// superstep barrier orders the two.
+//	kernel       driver   reduce  directions  label touches  emit (round-start state)    apply (coordinator)
+//	bfs          scatter  min     out         1 write        dist[v]+1, if it improves   lower dist[d]; activate if lowered
+//	sssp         scatter  min     out +wts    1 write        dist[v]+w, if it improves   lower dist[d]; activate if lowered
+//	cc           scatter  min     out + in    1 write        label[v], if it improves    lower label[d]; activate if lowered
+//	kcore        scatter  sum     out + in    1 write        1 per edge of a peeled v    deg[d] -= n; peel d once below k
+//	bc forward   scatter  sum     out         2 writes       sigma[v], if d unvisited    dist[d] = level; sigma[d] += n; activate
+//	bc backward  gather   sum     out         3 reads        dependency of a successor   delta[v] = sum (owner-only)
+//	pr           gather   sum     in          1 read         contrib[u]                  next/contrib/resid[v] (owner-only), then swap
+//
+// Each Engine method below is initial state, a program, the superstep loop
+// and the Result. Shared label state is plain (non-atomic) memory that
+// workers only read during a superstep (gather programs write owner-only
+// slots) — apply is the only other writer, and the superstep barrier orders
+// the two.
 
-// BFS runs sharded breadth-first search from src.
-func (e *Engine) BFS(src graph.Node) *analytics.Result {
-	e.resetClock()
-	n := e.part.NumNodes()
+// newDist returns an all-Infinity distance array with src at zero.
+func newDist(n int, src graph.Node) []uint32 {
 	dist := make([]uint32, n)
 	for i := range dist {
 		dist[i] = analytics.Infinity
 	}
 	dist[src] = 0
-	frontier := []graph.Node{src}
-	cur := engine.DenseFromVertices(n, frontier)
-	level := uint32(0)
-	for len(frontier) > 0 {
-		level++
-		lvl := level
-		frags := e.exchange(dedupMin, func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
-			for v := lo; v < hi; v++ {
-				if !cur.Test(v) {
-					continue
-				}
-				nbrs := w.rt.OutScan(t, v-w.lo, false)
-				w.labels.RandomN(t, int64(len(nbrs)), true)
-				t.Op(len(nbrs))
-				for _, d := range nbrs {
-					if dist[d] == analytics.Infinity {
-						w.claim(t, d, uint64(lvl))
-					}
-				}
+	return dist
+}
+
+// result stamps the engine's clocks onto a kernel's output.
+func (e *Engine) result(res *analytics.Result) *analytics.Result {
+	res.Algorithm, res.Rounds, res.Seconds = "shard-bsp", e.rounds, e.WallSeconds()
+	return res
+}
+
+// relax declares the min-propagation program bfs, sssp and cc share: v
+// offers every neighbor step(label[v], weight), claimed only where it beats
+// the neighbor's round-start label, and apply keeps the minimum — so a
+// vertex is activated exactly when its label drops.
+func relax(label []uint32, s scan, step func(lv, wt uint32) uint32) *scatterProgram {
+	return &scatterProgram{
+		scan:   s,
+		reduce: reduceMin,
+		emit: func(v, d graph.Node, wt uint32) (uint64, bool) {
+			nl := step(label[v], wt)
+			// nl < label[v] means the step overflowed.
+			return uint64(nl), nl >= label[v] && nl < label[d]
+		},
+		apply: func(d graph.Node, val uint64) bool {
+			if uint32(val) >= label[d] {
+				return false
 			}
-		})
-		frontier = fragmentDests(frags)
-		for _, d := range frontier {
-			dist[d] = lvl
-		}
-		cur = engine.DenseFromVertices(n, frontier)
+			label[d] = uint32(val)
+			return true
+		},
 	}
-	return &analytics.Result{App: "bfs", Algorithm: "shard-bsp", Rounds: e.rounds, Seconds: e.WallSeconds(), Dist: dist}
+}
+
+// propagate runs p's supersteps until the frontier drains.
+func (e *Engine) propagate(p *scatterProgram, frontier []graph.Node) {
+	for len(frontier) > 0 {
+		frontier = e.scatter(p, frontier)
+	}
+}
+
+// BFS runs sharded breadth-first search from src: relaxation with unit
+// steps, so superstep k settles exactly level k.
+func (e *Engine) BFS(src graph.Node) *analytics.Result {
+	e.resetClock()
+	dist := newDist(e.part.NumNodes(), src)
+	e.propagate(relax(dist, scan{walk: outEdges, touches: 1},
+		func(lv, _ uint32) uint32 { return lv + 1 }), []graph.Node{src})
+	return e.result(&analytics.Result{App: "bfs", Dist: dist})
 }
 
 // SSSP runs sharded data-driven Bellman-Ford from src. The partitioned
@@ -72,45 +93,10 @@ func (e *Engine) SSSP(src graph.Node) *analytics.Result {
 		panic("shard: sssp requires weights; seal them before NewPartition")
 	}
 	e.resetClock()
-	n := e.part.NumNodes()
-	dist := make([]uint32, n)
-	for i := range dist {
-		dist[i] = analytics.Infinity
-	}
-	dist[src] = 0
-	frontier := []graph.Node{src}
-	cur := engine.DenseFromVertices(n, frontier)
-	for len(frontier) > 0 {
-		frags := e.exchange(dedupMin, func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
-			for v := lo; v < hi; v++ {
-				if !cur.Test(v) {
-					continue
-				}
-				nbrs, ws := w.rt.OutScanW(t, v-w.lo)
-				w.labels.RandomN(t, int64(len(nbrs)), true)
-				t.Op(len(nbrs))
-				dv := dist[v]
-				for i, d := range nbrs {
-					nd := dv + ws[i]
-					if nd < dv {
-						continue // overflow
-					}
-					if nd < dist[d] {
-						w.claim(t, d, uint64(nd))
-					}
-				}
-			}
-		})
-		frontier = frontier[:0]
-		for _, c := range mergeClaims(frags, dedupMin) {
-			if nd := uint32(c.val); nd < dist[c.d] {
-				dist[c.d] = nd
-				frontier = append(frontier, c.d)
-			}
-		}
-		cur = engine.DenseFromVertices(n, frontier)
-	}
-	return &analytics.Result{App: "sssp", Algorithm: "shard-bsp", Rounds: e.rounds, Seconds: e.WallSeconds(), Dist: dist}
+	dist := newDist(e.part.NumNodes(), src)
+	e.propagate(relax(dist, scan{walk: outEdges, weighted: true, touches: 1},
+		func(lv, wt uint32) uint32 { return lv + wt }), []graph.Node{src})
+	return e.result(&analytics.Result{App: "sssp", Dist: dist})
 }
 
 // CC runs sharded label propagation. Labels must flow against edges too,
@@ -118,54 +104,24 @@ func (e *Engine) SSSP(src graph.Node) *analytics.Result {
 func (e *Engine) CC() *analytics.Result {
 	e.requireIn("cc")
 	e.resetClock()
-	n := e.part.NumNodes()
-	labels := make([]uint32, n)
-	frontier := make([]graph.Node, n)
+	labels := make([]uint32, e.part.NumNodes())
+	frontier := make([]graph.Node, len(labels))
 	for i := range labels {
 		labels[i] = uint32(i)
 		frontier[i] = graph.Node(i)
 	}
-	cur := engine.FullDense(n)
-	for len(frontier) > 0 {
-		frags := e.exchange(dedupMin, func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
-			for v := lo; v < hi; v++ {
-				if !cur.Test(v) {
-					continue
-				}
-				lv := labels[v]
-				outs := w.rt.OutScan(t, v-w.lo, false)
-				ins := w.rt.InScan(t, v-w.lo, false)
-				w.labels.RandomN(t, int64(len(outs)+len(ins)), true)
-				t.Op(len(outs) + len(ins))
-				for _, d := range outs {
-					if lv < labels[d] {
-						w.claim(t, d, uint64(lv))
-					}
-				}
-				for _, d := range ins {
-					if lv < labels[d] {
-						w.claim(t, d, uint64(lv))
-					}
-				}
-			}
-		})
-		frontier = frontier[:0]
-		for _, c := range mergeClaims(frags, dedupMin) {
-			if lv := uint32(c.val); lv < labels[c.d] {
-				labels[c.d] = lv
-				frontier = append(frontier, c.d)
-			}
-		}
-		cur = engine.DenseFromVertices(n, frontier)
-	}
-	return &analytics.Result{App: "cc", Algorithm: "shard-bsp", Rounds: e.rounds, Seconds: e.WallSeconds(), Labels: labels}
+	e.propagate(relax(labels, scan{walk: bothEdges, touches: 1},
+		func(lv, _ uint32) uint32 { return lv }), frontier)
+	return e.result(&analytics.Result{App: "cc", Labels: labels})
 }
 
-// PR runs sharded topology-driven pull pagerank. Per round every shard
-// recomputes its masters (gathering the frozen round-start contributions
-// of their in-neighbors) and broadcasts their fresh values; this benefits
-// from partitioned locality and aggregate memory bandwidth, which is why
-// the paper finds the cluster beating the single Optane machine on pr.
+// PR runs sharded topology-driven pull pagerank until the L1 residual drops
+// below tol or maxRounds supersteps ran (both taken literally; see
+// frameworks.Params for the defaults). Per round every shard recomputes its
+// masters (gathering the frozen round-start contributions of their
+// in-neighbors) and broadcasts their fresh values; this benefits from
+// partitioned locality and aggregate memory bandwidth, which is why the
+// paper finds the cluster beating the single Optane machine on pr.
 func (e *Engine) PR(tol float64, maxRounds int) *analytics.Result {
 	e.requireIn("pr")
 	e.resetClock()
@@ -187,39 +143,23 @@ func (e *Engine) PR(tol float64, maxRounds int) *analytics.Result {
 		}
 	}
 	base := (1 - 0.85) / float64(n)
-	rounds := 0
-	for rounds < maxRounds {
-		rounds++
-		compute := e.superstep(func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
-			w.labels.ReadRange(t, int64(lo), int64(hi))
-			t.Op(int(hi - lo))
-			for v := lo; v < hi; v++ {
-				ins := w.rt.InScan(t, v-w.lo, false)
-				w.labels.RandomN(t, int64(len(ins)), false)
-				t.Op(len(ins) + 1)
-				sum := 0.0
-				for _, u := range ins {
-					sum += contrib[u]
-				}
-				nv := base + 0.85*sum
-				resid[v] = math.Abs(nv - rank[v])
-				next[v] = nv
-				if d := w.rt.OutDegree(v - w.lo); d > 0 {
-					contribNext[v] = nv / float64(d)
-				} else {
-					contribNext[v] = 0
-				}
+	prog := &gatherProgram{
+		scan:        scan{walk: inEdges, touches: 1},
+		everyMaster: true,
+		edge:        func(v, u graph.Node) (float64, bool) { return contrib[u], true },
+		done: func(v graph.Node, sum float64) {
+			nv := base + 0.85*sum
+			resid[v] = math.Abs(nv - rank[v])
+			next[v] = nv
+			contribNext[v] = 0
+			if d := g.OutDegree(v); d > 0 {
+				contribNext[v] = nv / float64(d)
 			}
-		})
-		// Dense app: every master's new value is broadcast — unless the
-		// shard is alone, in which case nothing leaves the machine.
-		send := make([]int64, e.Shards())
-		if e.Shards() > 1 {
-			for i, w := range e.workers {
-				send[i] = int64(w.hi-w.lo) * 8
-			}
-		}
-		e.endRound(compute, send)
+		},
+	}
+	all := engine.FullDense(n)
+	for e.rounds < maxRounds {
+		e.gather(prog, all)
 		rank, next = next, rank
 		contrib, contribNext = contribNext, contrib
 		residual := 0.0
@@ -230,51 +170,45 @@ func (e *Engine) PR(tol float64, maxRounds int) *analytics.Result {
 			break
 		}
 	}
-	return &analytics.Result{App: "pr", Algorithm: "shard-bsp", Rounds: e.rounds, Seconds: e.WallSeconds(), Rank: append([]float64(nil), rank...)}
+	return e.result(&analytics.Result{App: "pr", Rank: rank})
 }
 
-// KCore runs sharded round-based peeling with threshold k.
+// KCore runs sharded round-based peeling with threshold k. Whether a vertex
+// peels is decided at the barrier, against degrees every decrement of the
+// round has already landed on, so it never depends on sibling decrements
+// landing early; the final, empty superstep is the convergence check.
 func (e *Engine) KCore(k int64) *analytics.Result {
 	e.requireIn("kcore")
 	e.resetClock()
 	g := e.part.Source()
 	n := e.part.NumNodes()
 	deg := make([]int64, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.OutDegree(graph.Node(v)) + g.InDegree(graph.Node(v))
-	}
 	removed := make([]bool, n)
-	for {
-		// Peeling is judged against the round-start degrees: decrements
-		// only land at the barrier, so whether v peels this round never
-		// depends on sibling decrements landing early.
-		frags := e.exchange(dedupSum, func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
-			w.labels.ReadRange(t, int64(lo), int64(hi))
-			for v := lo; v < hi; v++ {
-				if removed[v] || deg[v] >= k {
-					continue
-				}
-				removed[v] = true // owner-only write
-				w.counts[t.ID]++
-				outs := w.rt.OutScan(t, v-w.lo, false)
-				ins := w.rt.InScan(t, v-w.lo, false)
-				w.labels.RandomN(t, int64(len(outs)+len(ins)), true)
-				t.Op(len(outs) + len(ins))
-				for _, d := range outs {
-					w.claim(t, d, 1)
-				}
-				for _, d := range ins {
-					w.claim(t, d, 1)
-				}
+	var frontier []graph.Node
+	for v := range deg {
+		deg[v] = g.OutDegree(graph.Node(v)) + g.InDegree(graph.Node(v))
+		if deg[v] < k {
+			removed[v] = true
+			frontier = append(frontier, graph.Node(v))
+		}
+	}
+	prog := &scatterProgram{
+		scan:         scan{walk: bothEdges, touches: 1},
+		reduce:       reduceSum,
+		streamLabels: true,
+		emit:         func(v, d graph.Node, _ uint32) (uint64, bool) { return 1, true },
+		apply: func(d graph.Node, val uint64) bool {
+			deg[d] -= int64(val)
+			if removed[d] || deg[d] >= k {
+				return false
 			}
-		})
-		peeled := int64(0)
-		for _, w := range e.workers {
-			peeled += w.total()
-		}
-		for _, c := range mergeClaims(frags, dedupSum) {
-			deg[c.d] -= int64(c.val)
-		}
+			removed[d] = true
+			return true
+		},
+	}
+	for {
+		peeled := len(frontier)
+		frontier = e.scatter(prog, frontier)
 		if peeled == 0 {
 			break
 		}
@@ -283,97 +217,57 @@ func (e *Engine) KCore(k int64) *analytics.Result {
 	for v := range in {
 		in[v] = deg[v] >= k
 	}
-	return &analytics.Result{App: "kcore", Algorithm: "shard-bsp", Rounds: e.rounds, Seconds: e.WallSeconds(), InCore: in}
+	return e.result(&analytics.Result{App: "kcore", InCore: in})
 }
 
 // BC runs sharded round-synchronous Brandes betweenness centrality from
-// src: a forward BFS phase accumulating shortest-path counts (sigma
-// claims are commutative uint64 adds, collapsed per destination) and a
-// backward dependency phase with owner-only delta writes.
+// src: a forward BFS phase accumulating shortest-path counts (every path
+// count flowing into a newly reached vertex ships as one summed claim) and
+// a backward dependency phase over the recorded levels.
 func (e *Engine) BC(src graph.Node) *analytics.Result {
 	e.resetClock()
 	n := e.part.NumNodes()
-	dist := make([]uint32, n)
+	dist := newDist(n, src)
 	sigma := make([]uint64, n)
 	delta := make([]float64, n)
-	for i := range dist {
-		dist[i] = analytics.Infinity
-	}
-	dist[src] = 0
 	sigma[src] = 1
 
-	frontier := []graph.Node{src}
-	cur := engine.DenseFromVertices(n, frontier)
-	// levels holds copies: the frontier slice is recycled across rounds.
-	levels := [][]graph.Node{append([]graph.Node(nil), frontier...)}
 	level := uint32(0)
-	for len(frontier) > 0 {
+	forward := &scatterProgram{
+		scan:   scan{walk: outEdges, touches: 2},
+		reduce: reduceSum,
+		// d joins the next level iff it was unvisited at round start.
+		emit: func(v, d graph.Node, _ uint32) (uint64, bool) {
+			return sigma[v], dist[d] == analytics.Infinity
+		},
+		apply: func(d graph.Node, val uint64) bool {
+			dist[d] = level
+			sigma[d] += val
+			return true
+		},
+	}
+	var levels [][]graph.Node
+	for frontier := []graph.Node{src}; len(frontier) > 0; {
+		levels = append(levels, slices.Clone(frontier)) // scatter recycles frontier
 		level++
-		lvl := level
-		frags := e.exchange(dedupSum, func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
-			for v := lo; v < hi; v++ {
-				if !cur.Test(v) {
-					continue
-				}
-				nbrs := w.rt.OutScan(t, v-w.lo, false)
-				w.labels.RandomN(t, 2*int64(len(nbrs)), true)
-				t.Op(len(nbrs))
-				sv := sigma[v]
-				for _, d := range nbrs {
-					// d joins level lvl this round iff it was unvisited
-					// at round start; every path count flowing into it
-					// ships as one summed claim.
-					if dist[d] == analytics.Infinity {
-						w.claim(t, d, sv)
-					}
-				}
-			}
-		})
-		frontier = frontier[:0]
-		for _, c := range mergeClaims(frags, dedupSum) {
-			dist[c.d] = lvl
-			sigma[c.d] += c.val
-			frontier = append(frontier, c.d)
-		}
-		if len(frontier) > 0 {
-			levels = append(levels, append([]graph.Node(nil), frontier...))
-		}
-		cur = engine.DenseFromVertices(n, frontier)
+		frontier = e.scatter(forward, frontier)
 	}
 
-	for l := len(levels) - 1; l >= 0; l-- {
-		fr := engine.DenseFromVertices(n, levels[l])
-		compute := e.superstep(func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
-			for v := lo; v < hi; v++ {
-				if !fr.Test(v) {
-					continue
-				}
-				nbrs := w.rt.OutScan(t, v-w.lo, false)
-				w.labels.RandomN(t, 3*int64(len(nbrs)), false)
-				t.Op(len(nbrs))
-				dv := dist[v]
-				sv := float64(sigma[v])
-				acc := 0.0
-				for _, d := range nbrs {
-					if dist[d] == dv+1 {
-						if sd := float64(sigma[d]); sd > 0 {
-							acc += sv / sd * (1 + delta[d])
-							if d < w.lo || d >= w.hi {
-								w.counts[t.ID]++
-							}
-						}
-					}
-				}
-				delta[v] = acc // owner-only write
+	backward := &gatherProgram{
+		scan: scan{walk: outEdges, touches: 3},
+		edge: func(v, d graph.Node) (float64, bool) {
+			sd := float64(sigma[d])
+			if dist[d] != dist[v]+1 || sd == 0 {
+				return 0, false
 			}
-		})
-		send := make([]int64, e.Shards())
-		for i, w := range e.workers {
-			send[i] = w.total() * 8
-		}
-		e.endRound(compute, send)
+			return float64(sigma[v]) / sd * (1 + delta[d]), true
+		},
+		done: func(v graph.Node, sum float64) { delta[v] = sum },
 	}
-	return &analytics.Result{App: "bc", Algorithm: "shard-bsp", Rounds: e.rounds, Seconds: e.WallSeconds(), Dist: dist, Centrality: append([]float64(nil), delta...)}
+	for _, lvl := range slices.Backward(levels) {
+		e.gather(backward, engine.DenseFromVertices(n, lvl))
+	}
+	return e.result(&analytics.Result{App: "bc", Dist: dist, Centrality: delta})
 }
 
 // requireIn panics when a kernel needing the transpose runs over a

@@ -6,6 +6,19 @@
 // concurrently, exchanges their frontier fragments, and folds compute and
 // communication into the simulated clocks.
 //
+// A kernel is a declaration, not a loop. The superstep sequence — frontier
+// scan, charge, claim, fragment collapse, cross-shard count, endRound,
+// merge, apply — exists once per driver: scatter (bfs, sssp, cc, kcore,
+// bc forward) and its claim-free counterpart gather (pr, bc backward). A
+// scatterProgram names a reduction (min | sum), the directions walked, the
+// label touches per edge, an emit judged against round-start state and a
+// sequential coordinator apply; a gatherProgram names an edge contribution
+// and an owner-only done. apps.go holds the table. Adjacency is walked only
+// through core.AdjView + graph.Cursor, the frontier through engine.Dense,
+// and every claim list — per-worker fragment and cross-shard alike — goes
+// through engine.MergeClaims, the same merge the single-machine engine's
+// push rounds use.
+//
 // The package absorbs internal/distsim, which modeled the paper's §6.3
 // D-Galois cluster as a closed benchmark: the same vertex programs run
 // here, but on a runtime a server can actually fan a request out over
@@ -25,10 +38,12 @@
 //     cross-thread atomic in the kernels;
 //   - claims are judged against round-start snapshots, so the claim SET is
 //     a pure function of the round's input, not of interleaving;
-//   - each worker drains its thread buffers in thread-index order into a
-//     sorted, per-destination-collapsed fragment (min for shortest-path
+//   - each worker's thread buffers merge in thread-index order into a
+//     sorted, per-destination-reduced fragment (min for shortest-path
 //     reductions, sum for commutative adds), and the coordinator merges
-//     fragments in shard-index order and applies them sequentially.
+//     fragments in shard-index order and applies them sequentially; both
+//     reductions are commutative and associative, so the merged list is a
+//     pure function of the claim multiset.
 //
 // # Charging model
 //
@@ -47,7 +62,7 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync"
 
 	"pmemgraph/internal/core"
@@ -145,6 +160,11 @@ type Engine struct {
 	part    *graph.Partition
 	workers []*worker
 
+	// Coordinator-side scratch of the claim merge (engine.MergeClaims):
+	// the dedup set and reduction accumulators over the global ID space.
+	seen *engine.Dense
+	acc  []uint64
+
 	wallNs  float64
 	commNs  float64
 	sendTot int64
@@ -152,32 +172,23 @@ type Engine struct {
 }
 
 // worker is one shard: a vertex range, a machine, a runtime over the
-// shard-local CSR, and the replicated label array (masters plus proxies,
-// as D-Galois/Gluon replicates).
+// shard-local CSR (walked only through its adjacency views), and the
+// replicated label array (masters plus proxies, as D-Galois/Gluon
+// replicates).
 type worker struct {
-	id     int
 	lo, hi graph.Node
 	m      *memsim.Machine
 	rt     *core.Runtime
+	views  [2]core.AdjView // out, in
 	labels *memsim.Array
 
-	// Per-thread claim buffers and scratch counters, indexed by virtual
-	// thread ID within one superstep region.
-	claims [][]claim
-	counts []int64
+	// Per-thread claim buffers (destination and reduction operand, in
+	// parallel) and remote-read counters, indexed by virtual thread ID
+	// within one superstep region.
+	dst    [][]graph.Node
+	val    [][]uint64
+	remote []int64
 }
-
-// claim is one scatter intent: destination and reduction operand.
-type claim struct {
-	d   graph.Node
-	val uint64
-}
-
-// Fragment collapse modes.
-const (
-	dedupMin = iota // keep the minimum value per destination (min-reductions)
-	dedupSum        // sum values per destination (commutative adds/decrements)
-)
 
 // New builds the shard fleet over a partition. The partition's source
 // graph must already hold whatever the kernels will need (weights for
@@ -190,8 +201,8 @@ func New(part *graph.Partition, cfg Config) (*Engine, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	e := &Engine{cfg: cfg, part: part}
 	n := int64(part.NumNodes())
+	e := &Engine{cfg: cfg, part: part, seen: engine.NewDense(int(n)), acc: make([]uint64, n)}
 	for i := 0; i < part.Shards(); i++ {
 		local := part.Local(i)
 		opts := core.GaloisDefaults(cfg.Threads)
@@ -205,12 +216,13 @@ func New(part *graph.Partition, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		r := part.RangeOf(i)
-		w := &worker{id: i, lo: r.Lo, hi: r.Hi, m: m, rt: rt}
-		w.labels = rt.ScratchArray("shard.labels", max64(n, 1), 8)
+		w := &worker{lo: r.Lo, hi: r.Hi, m: m, rt: rt, views: [2]core.AdjView{rt.OutView(), rt.InView()}}
+		w.labels = rt.ScratchArray("shard.labels", max(n, 1), 8)
 		w.labels.Warm()
 		threads := rt.RegionThreads()
-		w.claims = make([][]claim, threads)
-		w.counts = make([]int64, threads)
+		w.dst = make([][]graph.Node, threads)
+		w.val = make([][]uint64, threads)
+		w.remote = make([]int64, threads)
 		e.workers = append(e.workers, w)
 	}
 	return e, nil
@@ -265,7 +277,7 @@ func (e *Engine) resetClock() {
 // commFactor scales per-shard communication volume by partition policy.
 func (e *Engine) commFactor() float64 {
 	if e.cfg.Policy == CVC && e.Shards() > 1 {
-		return 2.0 / float64(isqrt(e.Shards()))
+		return 2.0 / math.Floor(math.Sqrt(float64(e.Shards())))
 	}
 	return 1.0
 }
@@ -319,127 +331,193 @@ func (e *Engine) endRound(computeNs []float64, sendBytes []int64) {
 	}
 }
 
-// exchange runs one scatter superstep and ships the claims: fn records
-// per-thread claims via worker.claim; afterwards each worker drains its
-// buffers (thread-index order) into a sorted fragment collapsed per mode,
-// cross-shard bytes are charged (8 bytes per entry owned elsewhere), and
-// the round is folded into the clocks. The returned fragments are in
-// shard-index order, ready for the coordinator's sequential apply.
-func (e *Engine) exchange(mode int, fn func(w *worker, t *memsim.Thread, lo, hi graph.Node)) [][]claim {
-	compute := e.superstep(fn)
-	frags := make([][]claim, len(e.workers))
-	send := make([]int64, len(e.workers))
-	for i, w := range e.workers {
-		frag := w.drain(mode)
-		frags[i] = frag
-		cross := int64(0)
-		for _, c := range frag {
-			if c.d < w.lo || c.d >= w.hi {
-				cross++
-			}
-		}
-		send[i] = cross * 8
-	}
-	e.endRound(compute, send)
-	return frags
+// Reductions a scatterProgram folds duplicate claims with. Both are
+// commutative and associative, so a merged claim list is a pure function of
+// the claim multiset — never of which thread or shard held a claim.
+func reduceMin(a, b uint64) uint64 { return min(a, b) }
+func reduceSum(a, b uint64) uint64 { return a + b }
+
+// scan is the part of a program both drivers share: which blocks of an
+// active vertex are walked and what the walk charges.
+type scan struct {
+	// walk selects the directions, indexed like worker.views (out, in).
+	walk [2]bool
+	// weighted charges out-edge weights with the scan and hands them to
+	// the program.
+	weighted bool
+	// touches is the replicated-label accesses charged per visited edge.
+	touches int64
 }
 
-// claim records one scatter intent into t's private buffer.
-func (w *worker) claim(t *memsim.Thread, d graph.Node, val uint64) {
-	w.claims[t.ID] = append(w.claims[t.ID], claim{d: d, val: val})
+// The direction sets a scan can walk.
+var (
+	outEdges  = [2]bool{true, false}
+	inEdges   = [2]bool{false, true}
+	bothEdges = [2]bool{true, true}
+)
+
+// scatterProgram declares a push-style kernel: active vertices scatter
+// claims (destination, operand) along their edges, claims for one
+// destination fold through reduce, and the coordinator applies the merged
+// list between supersteps.
+type scatterProgram struct {
+	scan
+	// reduce is reduceMin or reduceSum.
+	reduce func(a, b uint64) uint64
+	// streamLabels streams each chunk's label range before its vertices
+	// scan (a per-master test such as kcore's degree check).
+	streamLabels bool
+	// emit judges edge (v, d) on a worker thread and returns the operand to
+	// claim for d. It may read only round-start state, so the claim SET is
+	// a pure function of the round's input, not of interleaving.
+	emit func(v, d graph.Node, wt uint32) (val uint64, ok bool)
+	// apply lands one merged claim on the coordinator (sequential, in
+	// destination order) and reports whether d joins the next frontier.
+	apply func(d graph.Node, val uint64) bool
 }
 
-// drain concatenates w's thread buffers in thread-index order, resets
-// them, and returns the sorted fragment collapsed per mode.
-func (w *worker) drain(mode int) []claim {
-	var all []claim
-	for i := range w.claims {
-		all = append(all, w.claims[i]...)
-		w.claims[i] = w.claims[i][:0]
-	}
-	return collapse(all, mode)
+// gatherProgram declares a pull-style kernel: each active master sums
+// edge's contributions over its neighborhood (in neighbor order, so the
+// float total is a pure function of the graph) and done publishes the sum
+// with owner-only writes.
+type gatherProgram struct {
+	scan
+	// everyMaster marks a topology-driven program: every master recomputes
+	// every round, so each chunk streams its label range (one op per
+	// master), finalization costs one more op per master, and every
+	// master's fresh value is broadcast. Frontier-driven programs ship one
+	// entry per remote neighbor that contributed instead.
+	everyMaster bool
+	// edge returns neighbor u's contribution to v, read from state the
+	// superstep does not write.
+	edge func(v, u graph.Node) (x float64, ok bool)
+	// done publishes v's gathered sum.
+	done func(v graph.Node, sum float64)
 }
 
-// total sums and resets w's per-thread counters in thread-index order.
-func (w *worker) total() int64 {
-	sum := int64(0)
-	for i := range w.counts {
-		sum += w.counts[i]
-		w.counts[i] = 0
-	}
-	return sum
-}
-
-// collapse sorts claims by (destination, value) and collapses duplicates
-// per mode: dedupMin keeps the first (minimum) value per destination,
-// dedupSum sums values per destination. Both are order-free reductions,
-// so the result is a pure function of the claim multiset.
-func collapse(cs []claim, mode int) []claim {
-	if len(cs) == 0 {
-		return nil
-	}
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].d != cs[j].d {
-			return cs[i].d < cs[j].d
-		}
-		return cs[i].val < cs[j].val
-	})
-	out := cs[:1]
-	for _, c := range cs[1:] {
-		last := &out[len(out)-1]
-		if c.d != last.d {
-			out = append(out, c)
+// charge charges the scan of active local vertex lv to t in the fixed order
+// every simulated clock depends on: per walked direction the offset pair
+// then the block, then the label accesses, then the operator applications.
+func (w *worker) charge(t *memsim.Thread, lv graph.Node, s *scan, write bool, extraOps int) {
+	deg := int64(0)
+	for i := range w.views {
+		if !s.walk[i] {
 			continue
 		}
-		if mode == dedupSum {
-			last.val += c.val
+		av := &w.views[i]
+		av.Offsets.ReadN(t, int64(lv), 2)
+		av.ChargeScan(t, lv, s.weighted && i == 0)
+		deg += av.Adj.Degree(lv)
+	}
+	w.labels.RandomN(t, s.touches*deg, write)
+	t.Op(int(deg) + extraOps)
+}
+
+// scatter runs one superstep of p over frontier and returns the next
+// frontier (reusing frontier's storage). Workers charge and walk their
+// share of the frontier, buffering claims per thread; then each worker's
+// buffers collapse into its fragment (thread-index order), cross-shard
+// bytes are charged (8 per fragment entry owned elsewhere), the round is
+// folded into the clocks, and the fragments merge (shard-index order) into
+// the list apply consumes.
+func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node {
+	active := engine.DenseFromVertices(e.part.NumNodes(), frontier)
+	compute := e.superstep(func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
+		if p.streamLabels {
+			w.labels.ReadRange(t, int64(lo), int64(hi))
+		}
+		dst, val := w.dst[t.ID], w.val[t.ID]
+		active.ForEachInRange(lo, hi, func(v graph.Node) {
+			w.charge(t, v-w.lo, &p.scan, true, 0)
+			for i := range w.views {
+				if !p.walk[i] {
+					continue
+				}
+				c := w.views[i].Adj.Cursor(v - w.lo)
+				for {
+					d, ok := c.Next()
+					if !ok {
+						break
+					}
+					var wt uint32
+					if p.weighted && i == 0 {
+						wt = w.rt.OutWeightAt(c.EI())
+					}
+					if x, ok := p.emit(v, d, wt); ok {
+						dst, val = append(dst, d), append(val, x)
+					}
+				}
+			}
+		})
+		w.dst[t.ID], w.val[t.ID] = dst, val
+	})
+	send := make([]int64, len(e.workers))
+	fragD := make([][]graph.Node, len(e.workers))
+	fragV := make([][]uint64, len(e.workers))
+	for i, w := range e.workers {
+		fragD[i], fragV[i] = engine.MergeClaims(e.seen, w.dst, w.val, e.acc, p.reduce)
+		for _, d := range fragD[i] {
+			if d < w.lo || d >= w.hi {
+				send[i] += 8
+			}
 		}
 	}
-	return out
-}
-
-// mergeClaims merges shard fragments (already collapsed per mode) into
-// one coordinator-side claim list, reapplying the same reduction across
-// shards.
-func mergeClaims(frags [][]claim, mode int) []claim {
-	var all []claim
-	for _, f := range frags {
-		all = append(all, f...)
-	}
-	return collapse(all, mode)
-}
-
-// fragmentDests projects fragments onto destination slices for
-// engine.MergeFragments (the destination-only merge bfs-style claims
-// need).
-func fragmentDests(frags [][]claim) []graph.Node {
-	dests := make([][]graph.Node, len(frags))
-	for i, f := range frags {
-		ds := make([]graph.Node, len(f))
-		for k, c := range f {
-			ds[k] = c.d
+	e.endRound(compute, send)
+	dsts, vals := engine.MergeClaims(e.seen, fragD, fragV, e.acc, p.reduce)
+	next := frontier[:0]
+	for i, d := range dsts {
+		if p.apply(d, vals[i]) {
+			next = append(next, d)
 		}
-		dests[i] = ds
 	}
-	return engine.MergeFragments(dests)
+	return next
 }
 
-func isqrt(n int) int {
-	x := n
-	y := (x + 1) / 2
-	for y < x {
-		x = y
-		y = (x + n/x) / 2
+// gather runs one superstep of p over the active masters and folds it into
+// the clocks. Nothing is merged: every write is owner-only.
+func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
+	compute := e.superstep(func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
+		finalizeOps := 0
+		if p.everyMaster {
+			w.labels.ReadRange(t, int64(lo), int64(hi))
+			t.Op(int(hi - lo))
+			finalizeOps = 1
+		}
+		active.ForEachInRange(lo, hi, func(v graph.Node) {
+			w.charge(t, v-w.lo, &p.scan, false, finalizeOps)
+			sum := 0.0
+			for i := range w.views {
+				if !p.walk[i] {
+					continue
+				}
+				c := w.views[i].Adj.Cursor(v - w.lo)
+				for {
+					u, ok := c.Next()
+					if !ok {
+						break
+					}
+					if x, ok := p.edge(v, u); ok {
+						sum += x
+						if !p.everyMaster && (u < w.lo || u >= w.hi) {
+							w.remote[t.ID]++
+						}
+					}
+				}
+			}
+			p.done(v, sum)
+		})
+	})
+	send := make([]int64, len(e.workers))
+	for i, w := range e.workers {
+		for k, n := range w.remote {
+			send[i] += 8 * n
+			w.remote[k] = 0
+		}
+		if p.everyMaster && e.Shards() > 1 {
+			// Every master's value ships (a lone shard's never leave the
+			// machine).
+			send[i] = 8 * int64(w.hi-w.lo)
+		}
 	}
-	if x < 1 {
-		x = 1
-	}
-	return x
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	e.endRound(compute, send)
 }
