@@ -24,24 +24,31 @@
 // Usage:
 //
 //	pmemserved [-addr :8097] [-machine optane|dram|entropy]
-//	           [-scale small|full] [-workers 4] [-queue 256]
+//	           [-scale small|full] [-workers 4]
 //	           [-classes interactive:4:256,batch:1:512]
-//	           [-cache 1024] [-seed-mb 256] [-preload clueweb12,kron30]
+//	           [-cache-mb 256] [-seed-mb 256] [-preload clueweb12,kron30]
 //	           [-data-dir /var/lib/pmemserved] [-compact-div 20]
 //	           [-shards 16]
 //
 // Jobs submitted with "shards": N run as scatter/gather BSP supersteps
 // over N in-process shard workers (bitwise-identical outputs to an
 // unsharded run of the same round-based kernel); -shards caps the
-// accepted width.
+// accepted width. SIGINT/SIGTERM stop the listener, let in-flight requests
+// (including ?wait=1 waiters) finish, drain the scheduler and exit 0;
+// SIGKILL is the crash path -data-dir recovery exists for.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
+	"time"
 
 	"pmemgraph/internal/gen"
 	"pmemgraph/internal/memsim"
@@ -53,11 +60,10 @@ func main() {
 	machine := flag.String("machine", "optane", "simulated platform: optane, dram or entropy")
 	scaleFlag := flag.String("scale", "small", "input/machine scale: full or small")
 	workers := flag.Int("workers", server.DefaultWorkers, "max concurrent kernel executions")
-	queue := flag.Int("queue", 0, "override every class's queue cap (0 = per-class defaults)")
 	classesFlag := flag.String("classes", "",
 		"admission classes as name[:weight[:queuecap]],... (default interactive:4:256,batch:1:512)")
-	cacheEntries := flag.Int("cache", server.DefaultCacheEntries, "max cached results")
-	seedMB := flag.Int64("seed-mb", server.DefaultSeedBytes>>20, "max megabytes of retained incremental seeds")
+	cacheMB := flag.Int64("cache-mb", server.DefaultStoreBytes>>20, "max megabytes of cached results")
+	seedMB := flag.Int64("seed-mb", server.DefaultStoreBytes>>20, "max megabytes of retained incremental seeds")
 	preload := flag.String("preload", "", "comma-separated Table 3 inputs to load at startup")
 	dataDir := flag.String("data-dir", "", "directory for durable graph state (WAL + snapshots); empty = in-memory only")
 	compactDiv := flag.Int64("compact-div", server.DefaultCompactDiv,
@@ -100,17 +106,15 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Machine:      cfg,
-		Workers:      *workers,
-		QueueCap:     *queue,
-		Classes:      classes,
-		CacheEntries: *cacheEntries,
-		SeedBytes:    *seedMB << 20,
-		DataDir:      *dataDir,
-		CompactDiv:   *compactDiv,
-		MaxShards:    *maxShards,
+		Machine:    cfg,
+		Workers:    *workers,
+		Classes:    classes,
+		CacheBytes: *cacheMB << 20,
+		SeedBytes:  *seedMB << 20,
+		DataDir:    *dataDir,
+		CompactDiv: *compactDiv,
+		MaxShards:  *maxShards,
 	})
-	defer srv.Close()
 
 	if *dataDir != "" {
 		recovered, err := srv.Recover()
@@ -140,10 +144,24 @@ func main() {
 		}
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	listenErr := make(chan error, 1)
+	go func() { listenErr <- httpSrv.ListenAndServe() }()
 	fmt.Printf("pmemserved: serving %s (scale %s) on %s with %d workers\n",
 		cfg.Name, *scaleFlag, *addr, *workers)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	select {
+	case err := <-listenErr:
 		fmt.Fprintf(os.Stderr, "pmemserved: %v\n", err)
 		os.Exit(1)
+	case <-ctx.Done():
+		stop() // a second signal kills outright instead of waiting out the drain
 	}
+	// Stop accepting, then let in-flight requests finish: ?wait=1 waiters
+	// hold their connections until their jobs complete, and queued and
+	// running jobs keep draining on the scheduler's workers meanwhile.
+	if err := httpSrv.Shutdown(context.Background()); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		fmt.Fprintf(os.Stderr, "pmemserved: shutdown: %v\n", err)
+	}
+	srv.Close()
 }

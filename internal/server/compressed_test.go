@@ -41,13 +41,12 @@ func TestServingCompressedBackendByteIdentical(t *testing.T) {
 	// only exits the calling goroutine); it reports and returns nil instead.
 	direct := func(req JobRequest, backend core.Backend) []byte {
 		p, _ := frameworks.ByName(req.Framework)
-		g, _, ok := srv.Registry().Get(req.Graph)
+		ep, ok := srv.Registry().Resolve(req.Graph)
 		if !ok {
 			t.Errorf("graph %q not registered", req.Graph)
 			return nil
 		}
-		params, _ := srv.Registry().Defaults(req.Graph)
-		res, err := p.RunOnBackend(memsim.NewMachine(srv.cfg.Machine), g, req.App, req.Threads, params, backend)
+		res, err := p.RunOnBackend(memsim.NewMachine(srv.cfg.Machine), ep.Base, req.App, req.Threads, ep.Params, backend)
 		if err != nil {
 			t.Errorf("direct %+v: %v", req, err)
 			return nil
@@ -173,10 +172,11 @@ func TestRegistryLoadCSRZFile(t *testing.T) {
 	if info.Nodes != g.NumNodes() || info.Edges != g.NumEdges() {
 		t.Fatalf("loaded shape %d/%d, want %d/%d", info.Nodes, info.Edges, g.NumNodes(), g.NumEdges())
 	}
-	loaded, _, ok := reg.Get("webz")
+	ep, ok := reg.Resolve("webz")
 	if !ok {
 		t.Fatal("graph not resident after load")
 	}
+	loaded := ep.Base
 	if !loaded.HasWeights() || !loaded.HasIn() {
 		t.Fatal("csrz-loaded graph not sealed (weights/transpose missing)")
 	}

@@ -27,12 +27,14 @@
 // produce. Graphs are sealed (weights, transpose, compressed encodings
 // materialized) before becoming visible, making every concurrent runtime
 // over them read-only; mutation happens only through batched edge updates
-// (Registry.ApplyUpdates), each of which swaps in a NEW sealed graph under
-// a new epoch and invalidates exactly that graph's cache entries — jobs
-// racing an update either run on the immutable old epoch under the old
-// key or see the new epoch, never a stale mix. Incremental jobs
-// (JobRequest.Incremental) are seeded from retained prior-epoch artifacts
-// (seedStore) and compute outputs bitwise identical to a full recompute;
+// (Registry.ApplyUpdates), each of which swaps in a NEW immutable Epoch
+// handle and invalidates exactly that graph's cache entries. A job
+// resolves its graph once (Registry.Resolve) and reads everything off that
+// one handle, so jobs racing an update either run on the immutable old
+// epoch under the old key or see the new epoch, never a stale mix.
+// Incremental jobs (JobRequest.Incremental) are seeded from retained
+// prior-epoch artifacts and compute outputs bitwise identical to a full
+// recompute;
 // their charging metadata reflects the incremental path, which is why
 // they live in their own cache-key namespace.
 package server

@@ -17,7 +17,7 @@ import (
 // CURRENT state of name (materialized, so overlay epochs validate too).
 func regBatch(t *testing.T, reg *Registry, name string, size int, seed uint64, withDeletes bool) []graph.EdgeUpdate {
 	t.Helper()
-	g, _, ok := reg.Snapshot(name)
+	g, _, ok := snapshot(reg, name)
 	if !ok {
 		t.Fatalf("graph %q not registered", name)
 	}
@@ -43,7 +43,7 @@ func TestRegistryPersistAndRecover(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	want, wantInfo, _ := reg.Snapshot("g")
+	want, wantInfo, _ := snapshot(reg, "g")
 
 	reg2 := NewRegistryAt(dir, -1)
 	infos, err := reg2.Recover()
@@ -56,7 +56,7 @@ func TestRegistryPersistAndRecover(t *testing.T) {
 	if infos[0].Form != formOverlay {
 		t.Fatalf("recovered form %q, want overlay (log replayed, not compacted)", infos[0].Form)
 	}
-	got, gotInfo, ok := reg2.Snapshot("g")
+	got, gotInfo, ok := snapshot(reg2, "g")
 	if !ok {
 		t.Fatal("recovered graph not resident")
 	}
@@ -97,7 +97,7 @@ func TestRecoverDropsTornTail(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		if i == 1 {
-			want2, _, _ = reg.Snapshot("g")
+			want2, _, _ = snapshot(reg, "g")
 		}
 	}
 
@@ -118,7 +118,7 @@ func TestRecoverDropsTornTail(t *testing.T) {
 	if len(infos) != 1 || infos[0].Updates != 2 {
 		t.Fatalf("recovered %+v, want exactly the 2 complete batches", infos)
 	}
-	got, _, _ := reg2.Snapshot("g")
+	got, _, _ := snapshot(reg2, "g")
 	if !reflect.DeepEqual(got, want2) {
 		t.Fatal("recovered state differs from the state after the surviving batches")
 	}
@@ -158,7 +158,7 @@ func TestCheckpointEndpointCompactsSameEpoch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update: %d %s", resp.StatusCode, body)
 	}
-	_, info1, _ := srv.Registry().Get("web")
+	info1 := currentInfo(srv.Registry(), "web")
 	if info1.Form != formOverlay {
 		t.Fatalf("post-update form %q, want overlay", info1.Form)
 	}
@@ -231,7 +231,7 @@ func TestAutoCompactionMergesAndTruncates(t *testing.T) {
 	}
 	reg.Quiesce()
 
-	_, cur, _ := reg.Get("g")
+	cur := currentInfo(reg, "g")
 	if cur.Form != formCSR || cur.OverlayEntries != 0 {
 		t.Fatalf("compactor left %+v, want csr form", cur)
 	}
@@ -245,7 +245,7 @@ func TestAutoCompactionMergesAndTruncates(t *testing.T) {
 		t.Fatalf("WAL not truncated after compaction: %v (size %d)", err, st.Size())
 	}
 
-	want, _, _ := reg.Snapshot("g")
+	want, _, _ := snapshot(reg, "g")
 	reg2 := NewRegistryAt(dir, 1<<30)
 	infos, err := reg2.Recover()
 	if err != nil {
@@ -254,7 +254,7 @@ func TestAutoCompactionMergesAndTruncates(t *testing.T) {
 	if len(infos) != 1 || infos[0].Updates != 0 || infos[0].Form != formCSR {
 		t.Fatalf("recovery after compaction %+v, want snapshot-only csr load", infos)
 	}
-	got, _, _ := reg2.Snapshot("g")
+	got, _, _ := snapshot(reg2, "g")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("snapshot-recovered graph differs from the compacted resident graph")
 	}
@@ -267,7 +267,7 @@ func TestAutoCompactionMergesAndTruncates(t *testing.T) {
 func TestServerKillRestartRecoversEpochs(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() *Server {
-		return New(Config{Machine: testMachine(), Workers: 2, QueueCap: 64, DataDir: dir, CompactDiv: -1})
+		return New(Config{Machine: testMachine(), Workers: 2, DataDir: dir, CompactDiv: -1})
 	}
 	jobs := []JobRequest{
 		{Graph: "web", App: "cc", Threads: 8},
@@ -298,7 +298,7 @@ func TestServerKillRestartRecoversEpochs(t *testing.T) {
 		}
 	}
 	want := runAll(ts)
-	_, info, _ := srv.Registry().Get("web")
+	info := currentInfo(srv.Registry(), "web")
 	ts.Close()
 	srv.Close() // "kill": nothing is flushed here that the WAL hasn't already made durable
 
@@ -311,7 +311,7 @@ func TestServerKillRestartRecoversEpochs(t *testing.T) {
 	if len(infos) != 1 || infos[0].Updates != 3 {
 		t.Fatalf("restart recovered %+v, want web with all 3 acknowledged batches", infos)
 	}
-	_, info2, _ := srv2.Registry().Get("web")
+	info2 := currentInfo(srv2.Registry(), "web")
 	if info2.Edges != info.Edges || info2.Form != info.Form || info2.OverlayEntries != info.OverlayEntries {
 		t.Fatalf("recovered epoch %+v differs from pre-kill epoch %+v", info2, info)
 	}

@@ -61,7 +61,7 @@ const (
 // can fire mid-flight.
 type Registry struct {
 	mu     sync.RWMutex
-	graphs map[string]*residentGraph
+	graphs map[string]*Epoch
 	epoch  uint64
 	// dataDir, when set, roots the durable state: each graph persists a
 	// sealed base-<k>.csrz snapshot plus a WAL of the batches applied
@@ -76,25 +76,32 @@ type Registry struct {
 	wg         sync.WaitGroup
 }
 
-type residentGraph struct {
-	info GraphInfo
-	// g is the sealed base CSR. For csr-form epochs it IS the epoch; for
-	// overlay form it is the base ov overlays (ov.Base()).
-	g *graph.Graph
-	// ov is the delta-overlay epoch, non-nil exactly when info.Form is
-	// "overlay". Prior epochs are pinned only by in-flight jobs holding
-	// their references; once those return, the garbage collector reclaims
-	// them — the registry itself never retains more than one epoch.
-	ov *graph.Overlay
-	// params are the deterministic per-graph kernel defaults
-	// (frameworks.DefaultParams), computed once at registration: the
-	// source lookup is an O(V) degree scan that cache-hit-heavy serving
-	// must not repeat per request.
-	params frameworks.Params
-	// prevEpoch and delta record the last applied update batch (the
-	// transition prevEpoch -> info.Epoch); delta is nil for graphs whose
-	// current epoch came from a load. Incremental jobs use them to decide
-	// whether a retained seed is exactly one batch old.
+// Epoch is one immutable resident state of a graph: everything a job reads
+// about the graph it runs on. The registry publishes exactly one Epoch per
+// name and swaps the whole handle on every update batch, checkpoint, reload
+// or recovery; nothing reachable from a published handle is written again
+// (the partition cache fills lazily behind its own lock). A job therefore
+// resolves once and reads adjacency, parameters, transition and partition
+// off that one handle — no second lookup can observe a different epoch.
+// Prior epochs are pinned only by the in-flight jobs holding them; once
+// those return the garbage collector reclaims them.
+type Epoch struct {
+	Info GraphInfo
+	// Base is the sealed base CSR. For csr-form epochs it IS the epoch; for
+	// overlay form it is the base Overlay overlays (Overlay.Base()).
+	Base *graph.Graph
+	// Overlay is the delta-overlay epoch, non-nil exactly when Info.Form is
+	// "overlay".
+	Overlay *graph.Overlay
+	// Params are the deterministic per-graph kernel defaults
+	// (frameworks.DefaultParams), computed once per epoch: the source
+	// lookup is an O(V) degree scan that cache-hit-heavy serving must not
+	// repeat per request.
+	Params frameworks.Params
+	// delta is the update batch that produced this epoch and prevEpoch the
+	// epoch it was applied to, i.e. delta describes exactly the prevEpoch ->
+	// Info.Epoch transition. delta is nil (and prevEpoch meaningless) when
+	// the epoch came from a load; read them through TransitionFrom.
 	prevEpoch uint64
 	delta     *graph.Delta
 	// store is the graph's durable state (nil without a data dir); it is
@@ -103,10 +110,67 @@ type residentGraph struct {
 	// parts caches the epoch's partitioned forms by shard count, built on
 	// first use (partitioning is O(V) but the per-shard ghost tables are
 	// not free, and sharded serving is cache-hit-heavy). The cache lives
-	// on the epoch entry, so an update batch or checkpoint — which swaps
-	// the entry — naturally drops stale partitions.
+	// on the handle, so an update batch or checkpoint — which swaps the
+	// handle — naturally drops stale partitions.
 	partMu sync.Mutex
 	parts  map[int]*graph.Partition
+}
+
+// newEpoch is the one place a resident entry is assembled: everything
+// derivable from the adjacency (g alone for csr form, ov over g for overlay
+// form) is derived here, outside the registry lock — DefaultParams is an
+// O(V) degree scan. The caller fills in what only the registry knows (the
+// epoch number, the update count, the transition, the durable store) under
+// the lock, before the handle is published.
+func newEpoch(name, source string, g *graph.Graph, ov *graph.Overlay) *Epoch {
+	ep := &Epoch{
+		Info:    GraphInfo{Name: name, Source: source, Nodes: g.NumNodes(), Edges: g.NumEdges(), CSRBytes: g.CSRBytes(), Form: formCSR},
+		Base:    g,
+		Overlay: ov,
+	}
+	if ov == nil {
+		ep.Params = frameworks.DefaultParams(g)
+		return ep
+	}
+	// The overlay's footprint is the shared sealed base plus the two delta
+	// sides at 8 bytes per entry.
+	ep.Info.Edges, ep.Info.CSRBytes = ov.NumEdges(), g.CSRBytes()+ov.Entries()*16
+	ep.Info.Form, ep.Info.OverlayEntries = formOverlay, ov.Entries()
+	ep.Params = frameworks.DefaultParamsOverlay(ov)
+	return ep
+}
+
+// TransitionFrom returns the update batch that turned epoch from into this
+// one, or nil when this epoch is not exactly one batch ahead of from (it
+// came from a load, or batches intervened). Incremental jobs use it to
+// decide whether a retained seed is exactly one batch old.
+func (e *Epoch) TransitionFrom(from uint64) *graph.Delta {
+	if e.delta == nil || e.prevEpoch != from {
+		return nil
+	}
+	return e.delta
+}
+
+// Partition returns Base partitioned into the given shard count, building
+// and retaining it on first use. Shard-local graphs alias the sealed CSR
+// arrays, which an overlay epoch does not have in merged form, so only
+// csr-form epochs are meaningfully partitioned — job validation refuses
+// shards on an overlay-form handle before it gets here.
+func (e *Epoch) Partition(shards int) (*graph.Partition, error) {
+	e.partMu.Lock()
+	defer e.partMu.Unlock()
+	if p, ok := e.parts[shards]; ok {
+		return p, nil
+	}
+	p, err := graph.NewPartition(e.Base, shards)
+	if err != nil {
+		return nil, fmt.Errorf("server: partitioning %q: %w", e.Info.Name, err)
+	}
+	if e.parts == nil {
+		e.parts = make(map[int]*graph.Partition)
+	}
+	e.parts[shards] = p
+	return p, nil
 }
 
 // DefaultCompactDiv is the compaction threshold divisor when the config
@@ -127,7 +191,7 @@ func NewRegistryAt(dataDir string, compactDiv int64) *Registry {
 		compactDiv = DefaultCompactDiv
 	}
 	return &Registry{
-		graphs:     make(map[string]*residentGraph),
+		graphs:     make(map[string]*Epoch),
 		dataDir:    dataDir,
 		compactDiv: compactDiv,
 		compacting: make(map[string]bool),
@@ -174,32 +238,24 @@ func (r *Registry) Add(name, source string, g *graph.Graph) (GraphInfo, error) {
 		return GraphInfo{}, err
 	}
 	seal(g)
+	ep := newEpoch(name, source, g, nil)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := dup(); err != nil {
 		return GraphInfo{}, err
 	}
-	var store *graphStore
 	if r.dataDir != "" {
 		// The batch-zero snapshot is written under the registry lock: the
 		// name is only reserved by the map insert below, so a racing Add
 		// of the same name must not interleave directory writes.
-		if store, err = createGraphStore(r.dataDir, name, g); err != nil {
+		if ep.store, err = createGraphStore(r.dataDir, name, g); err != nil {
 			return GraphInfo{}, err
 		}
 	}
 	r.epoch++
-	info := GraphInfo{
-		Name:     name,
-		Source:   source,
-		Nodes:    g.NumNodes(),
-		Edges:    g.NumEdges(),
-		CSRBytes: g.CSRBytes(),
-		Epoch:    r.epoch,
-		Form:     formCSR,
-	}
-	r.graphs[name] = &residentGraph{info: info, g: g, params: frameworks.DefaultParams(g), store: store}
-	return info, nil
+	ep.Info.Epoch = r.epoch
+	r.graphs[name] = ep
+	return ep.Info, nil
 }
 
 // LoadInput generates one of the paper's Table 3 inputs (gen.Input) and
@@ -235,93 +291,15 @@ func (r *Registry) LoadCSRFile(name, path string) (GraphInfo, error) {
 	return r.Add(name, "file:"+path, g)
 }
 
-// Get returns the sealed base CSR registered under name: the epoch itself
-// for csr-form epochs, the overlay's base for overlay form (info.Form
-// tells them apart; View returns the overlay too). The returned graph
-// stays valid for the caller even if the name is evicted afterwards (jobs
-// in flight keep their reference; eviction only unregisters).
-func (r *Registry) Get(name string) (*graph.Graph, GraphInfo, bool) {
+// Resolve returns the named graph's current epoch handle. This is the one
+// resolver: a job runs on exactly the returned handle, and the handle stays
+// valid for the caller even if the name is updated or evicted afterwards
+// (eviction only unregisters).
+func (r *Registry) Resolve(name string) (*Epoch, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	rg, ok := r.graphs[name]
-	if !ok {
-		return nil, GraphInfo{}, false
-	}
-	return rg.g, rg.info, true
-}
-
-// View returns the current epoch in its resident form: the sealed base
-// CSR plus, for overlay-form epochs, the overlay over it (nil for csr
-// form). This is the job resolver — executions run on exactly the
-// returned form, and the cache key records which one it was.
-func (r *Registry) View(name string) (*graph.Graph, *graph.Overlay, GraphInfo, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rg, ok := r.graphs[name]
-	if !ok {
-		return nil, nil, GraphInfo{}, false
-	}
-	return rg.g, rg.ov, rg.info, true
-}
-
-// Snapshot returns the current epoch as a standalone sealed CSR graph:
-// the resident graph itself for csr form, a materialized + sealed copy
-// for overlay form. The copy is O(E) — this is for conformance checks,
-// export and update-batch generation, never the serving path.
-func (r *Registry) Snapshot(name string) (*graph.Graph, GraphInfo, bool) {
-	g, ov, info, ok := r.View(name)
-	if !ok {
-		return nil, GraphInfo{}, false
-	}
-	if ov != nil {
-		g = ov.Materialize()
-		seal(g)
-	}
-	return g, info, true
-}
-
-// PartitionView returns the named graph's partitioned form for the given
-// shard count, building and retaining it on first use (per epoch — epoch
-// swaps drop the cache with the entry). Only csr-form epochs can be
-// partitioned: shard-local graphs alias the sealed CSR arrays, which an
-// overlay epoch does not have in merged form. The returned info is the
-// epoch the partition belongs to, so callers resolving the graph
-// separately can detect a concurrent swap.
-func (r *Registry) PartitionView(name string, shards int) (*graph.Partition, GraphInfo, error) {
-	r.mu.RLock()
-	rg, ok := r.graphs[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, GraphInfo{}, fmt.Errorf("server: graph %q %w", name, ErrNotLoaded)
-	}
-	if rg.ov != nil {
-		return nil, GraphInfo{}, fmt.Errorf("server: graph %q is overlay-form; checkpoint it before sharded jobs", name)
-	}
-	rg.partMu.Lock()
-	defer rg.partMu.Unlock()
-	if p, ok := rg.parts[shards]; ok {
-		return p, rg.info, nil
-	}
-	p, err := graph.NewPartition(rg.g, shards)
-	if err != nil {
-		return nil, GraphInfo{}, fmt.Errorf("server: partitioning %q: %w", name, err)
-	}
-	if rg.parts == nil {
-		rg.parts = make(map[int]*graph.Partition)
-	}
-	rg.parts[shards] = p
-	return p, rg.info, nil
-}
-
-// Defaults returns the graph's precomputed kernel parameter defaults.
-func (r *Registry) Defaults(name string) (frameworks.Params, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rg, ok := r.graphs[name]
-	if !ok {
-		return frameworks.Params{}, false
-	}
-	return rg.params, true
+	ep, ok := r.graphs[name]
+	return ep, ok
 }
 
 // ErrUpdateConflict is returned by ApplyUpdates when the named graph
@@ -339,32 +317,33 @@ var ErrNotLoaded = errors.New("not loaded")
 // into the current epoch's delta overlay (graph.Overlay.Apply — O(|delta|
 // + batch·log d), never an O(E) rebuild; the resident epoch is immutable
 // and in-flight jobs keep reading it), appended durably to the graph's WAL,
-// and the registry entry is swapped under the next epoch. The fold runs
-// outside the registry lock; if the entry changed meanwhile the swap fails
+// and the registry entry is swapped under the next epoch. The fold and the
+// new handle's derivation (newEpoch's O(V) default-parameter scan) run
+// outside the registry lock, which every reader's Resolve on every graph
+// contends for; if the entry changed meanwhile the swap fails
 // with ErrUpdateConflict rather than silently dropping the concurrent
 // change. The WAL append happens under the lock, after the conflict check
 // and before the swap — an epoch is never visible before its batch is on
 // disk, and a logged batch that fails to commit is at worst a subsumable
-// duplicate-free prefix record. The applied Delta is retained (see
-// UpdateState) for incremental jobs; an overlay that outgrows the
-// compaction threshold is merged into a fresh CSR snapshot in the
-// background (see Checkpoint).
+// duplicate-free prefix record. The applied Delta is retained on the new
+// handle (Epoch.TransitionFrom) for incremental jobs; an overlay that
+// outgrows the compaction threshold is merged into a fresh CSR snapshot in
+// the background (see Checkpoint).
 func (r *Registry) ApplyUpdates(name string, ups []graph.EdgeUpdate) (GraphInfo, error) {
-	r.mu.RLock()
-	rg, ok := r.graphs[name]
-	r.mu.RUnlock()
+	old, ok := r.Resolve(name)
 	if !ok {
 		return GraphInfo{}, fmt.Errorf("server: graph %q %w", name, ErrNotLoaded)
 	}
-	oldInfo := rg.info
-	base := rg.ov
+	base := old.Overlay
 	if base == nil {
-		base = graph.NewOverlay(rg.g)
+		base = graph.NewOverlay(old.Base)
 	}
 	nov, delta, err := base.Apply(ups)
 	if err != nil {
 		return GraphInfo{}, fmt.Errorf("server: updating %q: %w", name, err)
 	}
+	ep := newEpoch(name, old.Info.Source, nov.Base(), nov)
+	ep.Info.Updates, ep.prevEpoch, ep.delta = old.Info.Updates+1, old.Info.Epoch, &delta
 	r.mu.Lock()
 	cur, ok := r.graphs[name]
 	if !ok {
@@ -373,7 +352,7 @@ func (r *Registry) ApplyUpdates(name string, ups []graph.EdgeUpdate) (GraphInfo,
 		r.mu.Unlock()
 		return GraphInfo{}, fmt.Errorf("server: graph %q %w", name, ErrNotLoaded)
 	}
-	if cur.info.Epoch != oldInfo.Epoch {
+	if cur.Info.Epoch != old.Info.Epoch {
 		r.mu.Unlock()
 		return GraphInfo{}, ErrUpdateConflict
 	}
@@ -384,44 +363,20 @@ func (r *Registry) ApplyUpdates(name string, ups []graph.EdgeUpdate) (GraphInfo,
 		}
 	}
 	r.epoch++
-	info := GraphInfo{
-		Name:           name,
-		Source:         oldInfo.Source,
-		Nodes:          nov.NumNodes(),
-		Edges:          nov.NumEdges(),
-		CSRBytes:       overlayBytes(nov),
-		Epoch:          r.epoch,
-		Updates:        oldInfo.Updates + 1,
-		Form:           formOverlay,
-		OverlayEntries: nov.Entries(),
-	}
-	r.graphs[name] = &residentGraph{
-		info:      info,
-		g:         nov.Base(),
-		ov:        nov,
-		params:    frameworks.DefaultParamsOverlay(nov),
-		prevEpoch: oldInfo.Epoch,
-		delta:     &delta,
-		store:     cur.store,
-	}
-	compact := r.overThreshold(r.graphs[name])
+	ep.Info.Epoch, ep.store = r.epoch, cur.store
+	r.graphs[name] = ep
+	compact := r.overThreshold(ep)
 	r.mu.Unlock()
 	if compact {
 		r.compactAsync(name)
 	}
-	return info, nil
+	return ep.Info, nil
 }
 
-// overlayBytes is the resident footprint an overlay epoch reports: the
-// shared sealed base plus the two delta sides at 8 bytes per entry.
-func overlayBytes(ov *graph.Overlay) int64 {
-	return ov.Base().CSRBytes() + ov.Entries()*16
-}
-
-// overThreshold reports whether rg's overlay outgrew the compaction bound
-// (delta entries > |E| / compactDiv). Callers hold r.mu.
-func (r *Registry) overThreshold(rg *residentGraph) bool {
-	return r.compactDiv > 0 && rg.ov != nil && rg.ov.Entries() > rg.ov.NumEdges()/r.compactDiv
+// overThreshold reports whether ep's overlay outgrew the compaction bound
+// (delta entries > |E| / compactDiv).
+func (r *Registry) overThreshold(ep *Epoch) bool {
+	return r.compactDiv > 0 && ep.Overlay != nil && ep.Overlay.Entries() > ep.Overlay.NumEdges()/r.compactDiv
 }
 
 // Checkpoint merges the named graph's current epoch into a standalone
@@ -434,29 +389,27 @@ func (r *Registry) overThreshold(rg *residentGraph) bool {
 // outside the registry lock; a batch that lands meanwhile fails the swap
 // with ErrUpdateConflict (callers retry or reschedule).
 func (r *Registry) Checkpoint(name string) (GraphInfo, error) {
-	r.mu.RLock()
-	rg, ok := r.graphs[name]
-	r.mu.RUnlock()
+	old, ok := r.Resolve(name)
 	if !ok {
 		return GraphInfo{}, fmt.Errorf("server: graph %q %w", name, ErrNotLoaded)
 	}
-	oldInfo := rg.info
-	m := rg.g
-	if rg.ov != nil {
-		m = rg.ov.Materialize()
+	m := old.Base
+	if old.Overlay != nil {
+		m = old.Overlay.Materialize()
 		seal(m)
 	}
 	tmp := ""
-	if rg.store != nil {
+	if old.store != nil {
 		var err error
-		if tmp, err = rg.store.writeSnapshot(m); err != nil {
+		if tmp, err = old.store.writeSnapshot(m); err != nil {
 			return GraphInfo{}, err
 		}
 	}
+	ep := newEpoch(name, old.Info.Source, m, nil)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cur, ok := r.graphs[name]
-	if !ok || cur.info.Epoch != oldInfo.Epoch {
+	if !ok || cur.Info.Epoch != old.Info.Epoch {
 		if tmp != "" {
 			os.Remove(tmp)
 		}
@@ -470,17 +423,10 @@ func (r *Registry) Checkpoint(name string) (GraphInfo, error) {
 			return GraphInfo{}, err
 		}
 	}
-	info := cur.info
-	info.Form, info.OverlayEntries, info.CSRBytes = formCSR, 0, m.CSRBytes()
-	r.graphs[name] = &residentGraph{
-		info:      info,
-		g:         m,
-		params:    cur.params,
-		prevEpoch: cur.prevEpoch,
-		delta:     cur.delta,
-		store:     cur.store,
-	}
-	return info, nil
+	ep.Info.Epoch, ep.Info.Updates = cur.Info.Epoch, cur.Info.Updates
+	ep.prevEpoch, ep.delta, ep.store = cur.prevEpoch, cur.delta, cur.store
+	r.graphs[name] = ep
+	return ep.Info, nil
 }
 
 // compactAsync starts (at most) one background compactor for name. The
@@ -502,8 +448,8 @@ func (r *Registry) compactAsync(name string) {
 		for {
 			_, err := r.Checkpoint(name)
 			r.mu.Lock()
-			rg, ok := r.graphs[name]
-			retry := (err == nil || errors.Is(err, ErrUpdateConflict)) && ok && r.overThreshold(rg)
+			ep, ok := r.graphs[name]
+			retry := (err == nil || errors.Is(err, ErrUpdateConflict)) && ok && r.overThreshold(ep)
 			if !retry {
 				delete(r.compacting, name)
 				r.mu.Unlock()
@@ -559,9 +505,12 @@ func (r *Registry) recoverGraph(name string) (GraphInfo, error) {
 		return GraphInfo{}, err
 	}
 	seal(g)
-	ov := graph.NewOverlay(g)
+	var ov *graph.Overlay // stays nil (csr form) when the log is empty
 	var delta *graph.Delta
 	for i, b := range batches {
+		if ov == nil {
+			ov = graph.NewOverlay(g)
+		}
 		nov, d, err := ov.Apply(b)
 		if err != nil {
 			// Every logged batch was validated before it was appended, so
@@ -572,6 +521,7 @@ func (r *Registry) recoverGraph(name string) (GraphInfo, error) {
 		}
 		ov, delta = nov, &d
 	}
+	ep := newEpoch(name, "wal:"+st.dir, g, ov)
 	r.mu.Lock()
 	if _, ok := r.graphs[name]; ok {
 		r.mu.Unlock()
@@ -579,53 +529,15 @@ func (r *Registry) recoverGraph(name string) (GraphInfo, error) {
 		return GraphInfo{}, fmt.Errorf("already loaded")
 	}
 	r.epoch += uint64(1 + len(batches)) // the load plus one epoch per batch
-	info := GraphInfo{
-		Name:     name,
-		Source:   "wal:" + st.dir,
-		Nodes:    g.NumNodes(),
-		Edges:    g.NumEdges(),
-		CSRBytes: g.CSRBytes(),
-		Epoch:    r.epoch,
-		Updates:  len(batches),
-		Form:     formCSR,
-	}
-	rg := &residentGraph{info: info, g: g, params: frameworks.DefaultParams(g), store: st}
-	if len(batches) > 0 {
-		info.Form = formOverlay
-		info.Edges = ov.NumEdges()
-		info.CSRBytes = overlayBytes(ov)
-		info.OverlayEntries = ov.Entries()
-		rg.info = info
-		rg.ov = ov
-		rg.params = frameworks.DefaultParamsOverlay(ov)
-		rg.prevEpoch = r.epoch - 1
-		rg.delta = delta
-	}
-	r.graphs[name] = rg
-	compact := r.overThreshold(rg)
+	ep.Info.Epoch, ep.Info.Updates, ep.store = r.epoch, len(batches), st
+	ep.prevEpoch, ep.delta = r.epoch-1, delta
+	r.graphs[name] = ep
+	compact := r.overThreshold(ep)
 	r.mu.Unlock()
 	if compact {
 		r.compactAsync(name)
 	}
-	return info, nil
-}
-
-// UpdateState returns the graph's current epoch, the epoch it held before
-// its most recent update batch, and that batch's Delta — i.e. the Delta
-// describes exactly the prevEpoch -> epoch transition. ok is false when
-// the graph is absent or its current epoch came from a load rather than
-// an update. Consumers resolving a graph separately must check that THEIR
-// resolved epoch equals the returned current epoch: a batch can commit
-// between the two lookups, and applying the newer Delta to the older
-// graph would be wrong.
-func (r *Registry) UpdateState(name string) (epoch, prevEpoch uint64, delta *graph.Delta, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rg, present := r.graphs[name]
-	if !present || rg.delta == nil {
-		return 0, 0, nil, false
-	}
-	return rg.info.Epoch, rg.prevEpoch, rg.delta, true
+	return ep.Info, nil
 }
 
 // Evict unregisters name and deletes its durable state (an evicted graph
@@ -633,9 +545,9 @@ func (r *Registry) UpdateState(name string) (epoch, prevEpoch uint64, delta *gra
 func (r *Registry) Evict(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rg, ok := r.graphs[name]
-	if ok && rg.store != nil {
-		rg.store.Remove()
+	ep, ok := r.graphs[name]
+	if ok && ep.store != nil {
+		ep.store.Remove()
 	}
 	delete(r.graphs, name)
 	return ok
@@ -646,8 +558,8 @@ func (r *Registry) List() []GraphInfo {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	infos := make([]GraphInfo, 0, len(r.graphs))
-	for _, rg := range r.graphs {
-		infos = append(infos, rg.info)
+	for _, ep := range r.graphs {
+		infos = append(infos, ep.Info)
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
@@ -658,8 +570,8 @@ func (r *Registry) ResidentBytes() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var total int64
-	for _, rg := range r.graphs {
-		total += rg.info.CSRBytes
+	for _, ep := range r.graphs {
+		total += ep.Info.CSRBytes
 	}
 	return total
 }

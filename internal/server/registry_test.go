@@ -28,10 +28,35 @@ func TestRegistryAddSealsGraphs(t *testing.T) {
 	if info.CSRBytes != g.CSRBytes() {
 		t.Errorf("CSRBytes = %d, want %d", info.CSRBytes, g.CSRBytes())
 	}
-	got, gotInfo, ok := reg.Get("web")
-	if !ok || got != g || gotInfo.Epoch != info.Epoch {
-		t.Error("Get did not return the registered graph")
+	ep, ok := reg.Resolve("web")
+	if !ok || ep.Base != g || ep.Overlay != nil || ep.Info != info {
+		t.Error("Resolve did not return the registered graph")
 	}
+}
+
+// snapshot returns name's current epoch as a standalone sealed CSR graph:
+// the resident graph itself for csr form, a materialized + sealed copy for
+// overlay form (O(E) — conformance references and update-batch generation).
+func snapshot(reg *Registry, name string) (*graph.Graph, GraphInfo, bool) {
+	ep, ok := reg.Resolve(name)
+	if !ok {
+		return nil, GraphInfo{}, false
+	}
+	g := ep.Base
+	if ep.Overlay != nil {
+		g = ep.Overlay.Materialize()
+		seal(g)
+	}
+	return g, ep.Info, true
+}
+
+// currentInfo returns the resident GraphInfo of name (zero when absent).
+func currentInfo(reg *Registry, name string) GraphInfo {
+	ep, ok := reg.Resolve(name)
+	if !ok {
+		return GraphInfo{}
+	}
+	return ep.Info
 }
 
 func TestRegistryRejectsInvalidAndDuplicateNames(t *testing.T) {

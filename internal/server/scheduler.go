@@ -151,6 +151,7 @@ type Job struct {
 	state      JobState
 	cacheHit   bool
 	errMsg     string
+	invalid    bool // the failure was an execution-time validation refusal (invalidRequest)
 	shedReason string
 	result     []byte
 	submitted  time.Time
@@ -213,6 +214,14 @@ func (j *Job) Result() (data []byte, cacheHit bool, errMsg string, ok bool) {
 	return j.result, j.cacheHit, j.errMsg, true
 }
 
+// rejected reports whether the job failed because validation refused it at
+// execution time, as opposed to a kernel error.
+func (j *Job) rejected() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.invalid
+}
+
 // complete records the outcome and releases waiters.
 func (j *Job) complete(result []byte, cacheHit bool, err error) {
 	j.mu.Lock()
@@ -220,6 +229,7 @@ func (j *Job) complete(result []byte, cacheHit bool, err error) {
 	if err != nil {
 		j.state = JobFailed
 		j.errMsg = err.Error()
+		j.invalid = errors.As(err, new(invalidRequest))
 	} else {
 		j.state = JobDone
 		j.result = result

@@ -28,15 +28,13 @@ type Config struct {
 	Machine memsim.MachineConfig
 	// Workers bounds concurrent kernel executions (0 = DefaultWorkers).
 	Workers int
-	// QueueCap bounds queued jobs per class; submissions past it get 429
-	// (0 = the class defaults).
-	QueueCap int
 	// Classes configures the admission classes (per-class bounded queues,
-	// drain weights, deadline shedding); nil picks DefaultClasses. When
-	// QueueCap is also set it overrides every class's queue cap.
+	// drain weights, deadline shedding); nil picks DefaultClasses.
 	Classes []ClassConfig
-	// CacheEntries bounds the result cache (0 = DefaultCacheEntries).
-	CacheEntries int
+	// CacheBytes bounds the result cache's retained bodies (0 =
+	// DefaultStoreBytes). A result larger than the bound is served but not
+	// retained.
+	CacheBytes int64
 	// MaxJobs bounds retained job records (0 = DefaultMaxJobs); the
 	// oldest completed jobs are forgotten past it.
 	MaxJobs int
@@ -45,7 +43,7 @@ type Config struct {
 	// array, so the ceiling is a resident-memory guard, not a correctness
 	// one.
 	MaxShards int
-	// SeedBytes bounds the incremental seed store (0 = DefaultSeedBytes).
+	// SeedBytes bounds the incremental seed store (0 = DefaultStoreBytes).
 	SeedBytes int64
 	// DataDir, when set, makes graphs durable: each registered graph
 	// persists a sealed .csrz snapshot plus a WAL of applied update
@@ -149,8 +147,8 @@ func (o *ParamOverrides) apply(params *frameworks.Params) {
 type Server struct {
 	cfg   Config
 	reg   *Registry
-	cache *Cache
-	seeds *seedStore
+	cache *boundedStore[[]byte]
+	seeds *boundedStore[seedEntry]
 	sched *Scheduler
 
 	mu       sync.Mutex
@@ -173,29 +171,43 @@ type flight struct {
 	err  error
 }
 
+// seedEntry is one retained prior-epoch artifact: the seed plus the epoch
+// whose graph it was computed on. An incremental job may consume it only
+// when that epoch is exactly one update batch behind the job's own
+// (Epoch.TransitionFrom), which is what keeps seeded executions honest — a seed
+// can never silently skip an intervening batch.
+type seedEntry struct {
+	Epoch uint64
+	Seed  *frameworks.Seed
+}
+
 // New builds a serving instance over cfg.
 func New(cfg Config) *Server {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = DefaultMaxJobs
 	}
 	s := &Server{
-		cfg:     cfg,
-		reg:     NewRegistryAt(cfg.DataDir, cfg.CompactDiv),
-		cache:   NewCache(cfg.CacheEntries),
-		seeds:   newSeedStore(cfg.SeedBytes),
+		cfg: cfg,
+		reg: NewRegistryAt(cfg.DataDir, cfg.CompactDiv),
+		// Values under one cache key are byte-identical by determinism, so
+		// racing misses that fill the same key keep the first.
+		cache: newBoundedStore(cfg.CacheBytes,
+			func(b []byte) int64 { return int64(len(b)) },
+			func(_, _ []byte) bool { return false }),
+		// The newest epoch's seed wins (a slow pre-update job finishing late
+		// must not clobber the seed a post-update job already recorded); on
+		// a tie the richer artifact does (seed keys ignore tol/rounds, so a
+		// short pr trajectory recorded by a low-rounds job must not shadow a
+		// same-epoch full one).
+		seeds: newBoundedStore(cfg.SeedBytes,
+			func(e seedEntry) int64 { return e.Seed.Bytes() },
+			func(old, e seedEntry) bool {
+				return e.Epoch > old.Epoch || (e.Epoch == old.Epoch && e.Seed.Bytes() > old.Seed.Bytes())
+			}),
 		jobs:    make(map[string]*Job),
 		flights: make(map[string]*flight),
 	}
-	classes := append([]ClassConfig(nil), cfg.Classes...)
-	if len(classes) == 0 {
-		classes = DefaultClasses()
-	}
-	if cfg.QueueCap > 0 {
-		for i := range classes {
-			classes[i].QueueCap = cfg.QueueCap
-		}
-	}
-	s.sched = NewClassScheduler(cfg.Workers, classes, s.runJob)
+	s.sched = NewClassScheduler(cfg.Workers, cfg.Classes, s.runJob)
 	return s
 }
 
@@ -220,32 +232,91 @@ func (s *Server) defaultThreads(threads int) int {
 	return s.cfg.Machine.MaxThreads()
 }
 
-// jobPlan is a validated request resolved against the registry: the
-// profile, graph, parameters, thread count, and storage backend one
-// execution is a function of.
+// jobPlan is a validated request resolved against the registry: the one
+// epoch handle plus the profile, parameters, thread count and storage
+// backend one execution is a function of. Everything runJob reads about
+// the graph — adjacency form, partition, seed transition — comes off ep.
 type jobPlan struct {
 	profile frameworks.Profile
-	g       *graph.Graph
-	// ov is non-nil when the resolved epoch is overlay-form: the job runs
-	// over the overlay (base charged as usual plus the small delta
-	// arrays), and the cache key records the form so a compaction — which
-	// keeps the epoch but changes the charging — never aliases entries.
-	ov      *graph.Overlay
-	info    GraphInfo
+	// ep is the epoch the job runs on. An overlay-form epoch runs over the
+	// overlay (base charged as usual plus the small delta arrays).
+	ep      *Epoch
+	app     string
 	params  frameworks.Params
 	threads int
 	// shards is the validated BSP fan-out width (0 = unsharded).
-	shards int
+	shards      int
+	incremental bool
 	// opts is the exact runtime configuration the job executes with
 	// (profile options + requested backend); the cache key formats this
 	// same value, so key and execution cannot drift apart.
-	opts core.Options
+	opts    core.Options
+	machine string
 }
 
-// validate resolves and checks a request against the registry and the
-// profile capability gates, returning everything runJob needs.
+// key builds the exact-result cache key. It covers everything a kernel
+// execution is a function of: the resident graph identity (name + epoch,
+// so a reloaded or updated graph never aliases its predecessor), the
+// kernel, the profile's engine parameters (engine.Config) and runtime
+// options (core.Options, which carry the storage backend), the resolved
+// per-app parameters, the machine configuration name, and whether the job
+// opted into incremental execution. Because the engine is deterministic and
+// results serialize to canonical bytes (analytics.MarshalResult), equal
+// keys imply byte-identical results — a hit is provably the value a re-run
+// would compute. Incremental executions get their own namespace ("|inc"):
+// their OUTPUTS are bitwise the full run's, but their charging metadata
+// (seconds, counters, algorithm) reflects the incremental path, and
+// additionally depends on whether a prior-epoch seed was retained when the
+// first such job executed — so they must never alias the full entries,
+// whose bytes ARE a pure function of the key. The epoch's adjacency form
+// (Info.Form: csr vs overlay) is in the key for the same reason: a
+// compaction keeps the epoch and the outputs but changes the charging, so
+// the two forms' bytes must never alias. Sharded executions are qualified
+// by their shard count ("|s<N>") for the same reason again: outputs are
+// bitwise identical across shard counts, but the timing and traffic
+// metadata in the serialized Result are per-width. The key leads with
+// "<graph>|<epoch>|" so per-graph invalidation is a prefix match.
+func (p *jobPlan) key() string {
+	inc := ""
+	if p.incremental {
+		inc = "|inc"
+	}
+	if p.shards > 0 {
+		inc += fmt.Sprintf("|s%d", p.shards)
+	}
+	info := p.ep.Info
+	return fmt.Sprintf("%s|%d|f=%s|%s|%s|t%d|cfg%+v|opt%+v|par%+v|m=%s%s",
+		info.Name, info.Epoch, info.Form, p.app, p.profile.Name, p.threads, p.profile.Engine(), p.opts, p.params, p.machine, inc)
+}
+
+// graphKeyPrefix returns the prefix shared by every cache and seed key of a
+// graph name (all epochs).
+func graphKeyPrefix(name string) string { return name + "|" }
+
+// seedKey identifies the artifact a frameworks.Seed belongs to: just
+// (graph, app). Unlike result bytes, seed CONTENT is a pure function of
+// the graph epoch alone — cc labels are the canonical min-ID labeling
+// every variant converges to, and a pr trajectory's round-k vector is
+// determined by the graph (threads, machine, backend and profile change
+// only charging; tolerance and round caps change only how many rounds get
+// recorded, and a shorter trajectory is still bitwise-valid input) — all
+// of which the incremental conformance suite asserts. Keying on anything
+// epoch-derived (e.g. the resolved default Source, which can move when an
+// update changes the max-degree vertex) would orphan seeds across epochs;
+// keying on profile/machine/params would only duplicate identical
+// artifacts.
+func (p *jobPlan) seedKey() string { return graphKeyPrefix(p.ep.Info.Name) + p.app }
+
+// invalidRequest marks a validation refusal raised at execution time (the
+// graph changed form or left while the job queued), so the result
+// endpoints answer it 400 exactly like the same refusal at submit.
+type invalidRequest struct{ error }
+
+// validate resolves the request's graph once and checks the request against
+// that epoch and the profile capability gates, returning everything runJob
+// needs.
 func (s *Server) validate(req JobRequest) (jobPlan, error) {
-	var plan jobPlan
+	plan := jobPlan{app: req.App, shards: req.Shards, incremental: req.Incremental, machine: s.cfg.Machine.Name}
 	fw := req.Framework
 	if fw == "" {
 		fw = "Galois"
@@ -265,10 +336,11 @@ func (s *Server) validate(req JobRequest) (jobPlan, error) {
 	if err != nil {
 		return plan, err
 	}
-	g, ov, info, ok := s.reg.View(req.Graph)
+	ep, ok := s.reg.Resolve(req.Graph)
 	if !ok {
 		return plan, fmt.Errorf("graph %q not loaded", req.Graph)
 	}
+	plan.ep = ep
 	known := false
 	for _, app := range frameworks.Apps() {
 		if app == req.App {
@@ -298,28 +370,22 @@ func (s *Server) validate(req JobRequest) (jobPlan, error) {
 		if !frameworks.ShardedApp(req.App) {
 			return plan, fmt.Errorf("%s has no sharded BSP kernel", req.App)
 		}
-		if ov != nil {
+		if ep.Overlay != nil {
 			return plan, fmt.Errorf("graph %q is overlay-form; checkpoint it before sharded jobs", req.Graph)
 		}
 	}
 	if !p.Supports(req.App) {
 		return plan, fmt.Errorf("%s does not implement %s", p.Name, req.App)
 	}
-	if !p.CanLoad(g) {
-		return plan, fmt.Errorf("%s cannot load %d nodes (signed 32-bit node IDs)", p.Name, g.NumNodes())
+	if !p.CanLoad(ep.Base) {
+		return plan, fmt.Errorf("%s cannot load %d nodes (signed 32-bit node IDs)", p.Name, ep.Info.Nodes)
 	}
-	// Defaults are precomputed at registration (an O(V) scan otherwise
-	// paid per request); a miss here means the graph raced an eviction.
-	params, ok := s.reg.Defaults(req.Graph)
-	if !ok {
-		return plan, fmt.Errorf("graph %q not loaded", req.Graph)
+	plan.params = ep.Params
+	req.Params.apply(&plan.params)
+	if int64(plan.params.Source) >= int64(ep.Info.Nodes) {
+		return plan, fmt.Errorf("source %d out of range (graph has %d nodes)", plan.params.Source, ep.Info.Nodes)
 	}
-	req.Params.apply(&params)
-	if int64(params.Source) >= int64(g.NumNodes()) {
-		return plan, fmt.Errorf("source %d out of range (graph has %d nodes)", params.Source, g.NumNodes())
-	}
-	plan.g, plan.ov, plan.info, plan.params, plan.threads = g, ov, info, params, s.defaultThreads(req.Threads)
-	plan.shards = req.Shards
+	plan.threads = s.defaultThreads(req.Threads)
 	plan.opts = p.Options(req.App, plan.threads)
 	plan.opts.Backend = backend
 	return plan, nil
@@ -365,32 +431,26 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// runJob executes one scheduled job: resolve the graph (it may have been
-// evicted since submit), consult the cache, and otherwise run the kernel
-// on a fresh simulated machine and fill the cache with the canonical
-// bytes. Determinism makes the cache exact: the key covers every input of
-// the execution, so the cached bytes are the bytes a re-run would produce.
-// Concurrent misses on one key coalesce — the first runs, the rest wait
-// and reuse its bytes (reported as cache hits: they did not execute, and
-// determinism guarantees the bytes are exactly what they would have
-// computed). A worker waiting on a flight cannot deadlock: the flight's
-// owner runs on another worker and kernels always terminate.
+// runJob executes one scheduled job: resolve the graph's freshest epoch (it
+// may have been updated or evicted since submit — resolution stays at
+// execution so queued jobs never pin old epochs), consult the cache, and
+// otherwise run the kernel on a fresh simulated machine and fill the cache
+// with the canonical bytes. Determinism makes the cache exact: the key
+// covers every input of the execution, so the cached bytes are the bytes a
+// re-run would produce. Concurrent misses on one key coalesce — the first
+// runs, the rest wait and reuse its bytes (reported as cache hits: they did
+// not execute, and determinism guarantees the bytes are exactly what they
+// would have computed). A worker waiting on a flight cannot deadlock: the
+// flight's owner runs on another worker and kernels always terminate.
 func (s *Server) runJob(job *Job) ([]byte, bool, error) {
-	req := job.Req
-	plan, err := s.validate(req)
+	plan, err := s.validate(job.Req)
 	if err != nil {
-		return nil, false, err
+		return nil, false, invalidRequest{err}
 	}
-	p, params, threads := plan.profile, plan.params, plan.threads
-	// plan.opts carries the storage backend, so the cache key (which
-	// formats the options) separates raw and compressed executions;
-	// incremental jobs get their own key namespace. The epoch's adjacency
-	// form is part of the key too: a compaction swaps overlay -> csr
-	// under the SAME epoch with byte-identical outputs but different
-	// charging, so the forms must not alias each other's bytes.
-	key := cacheKey(plan.info, req.App, p, threads, p.Engine(), plan.opts, params, s.cfg.Machine.Name, req.Incremental, plan.shards)
+	p, ep := plan.profile, plan.ep
+	key := plan.key()
 	var fl *flight
-	if !req.NoCache {
+	if !job.Req.NoCache {
 		if data, ok := s.cache.Get(key); ok {
 			return data, true, nil
 		}
@@ -416,59 +476,44 @@ func (s *Server) runJob(job *Job) ([]byte, bool, error) {
 	s.executed.Add(1)
 	m := memsim.NewMachine(s.cfg.Machine)
 	var res *analytics.Result
-	if req.Incremental {
-		// Seeded execution: usable only when the registry's retained Delta
-		// describes exactly the transition onto THIS job's resolved epoch
-		// (a batch may commit between plan resolution and this lookup —
-		// applying the newer delta to the older graph would be wrong) and
-		// the retained seed was computed on the transition's source epoch.
-		// Anything else (no update yet, a missed batch, an evict + reload,
-		// a racing batch) runs the full path, which records a fresh seed
-		// for the next epoch.
-		skey := seedKey(plan.info, req.App)
+	if plan.incremental {
+		// Seeded execution: usable only when the retained seed was computed
+		// on the source epoch of the one batch that produced THIS handle.
+		// Anything else (no update yet, a missed batch, an evict + reload)
+		// runs the full path, which records a fresh seed for the next
+		// epoch.
 		var seed *frameworks.Seed
 		var delta *graph.Delta
-		if epoch, prevEpoch, d, ok := s.reg.UpdateState(req.Graph); ok && epoch == plan.info.Epoch {
-			if ent, ok := s.seeds.Get(skey); ok && ent.Epoch == prevEpoch {
-				seed, delta = ent.Seed, d
+		if ent, ok := s.seeds.Get(plan.seedKey()); ok {
+			if delta = ep.TransitionFrom(ent.Epoch); delta != nil {
+				seed = ent.Seed
 			}
 		}
 		var newSeed *frameworks.Seed
-		if plan.ov != nil {
-			res, newSeed, err = p.RunIncrementalOverlayOnOpts(m, plan.ov, req.App, plan.opts, params, seed, delta)
+		if ep.Overlay != nil {
+			res, newSeed, err = p.RunIncrementalOverlayOnOpts(m, ep.Overlay, plan.app, plan.opts, plan.params, seed, delta)
 		} else {
-			res, newSeed, err = p.RunIncrementalOnOpts(m, plan.g, req.App, plan.opts, params, seed, delta)
+			res, newSeed, err = p.RunIncrementalOnOpts(m, ep.Base, plan.app, plan.opts, plan.params, seed, delta)
 		}
 		if err == nil {
-			s.seeds.Put(skey, seedEntry{Epoch: plan.info.Epoch, Seed: newSeed})
+			s.seeds.Put(plan.seedKey(), seedEntry{Epoch: ep.Info.Epoch, Seed: newSeed})
 		}
 	} else if plan.shards > 0 {
-		// Sharded BSP fan-out: the registry hands back (building on first
-		// use) the epoch's partitioned form for this shard count. The
-		// epoch check closes the validate -> partition race: an update
-		// batch landing in between would otherwise run new data under the
-		// old epoch's cache key.
+		// Sharded BSP fan-out over the epoch's partitioned form for this
+		// shard count (built on first use, retained on the handle).
 		var part *graph.Partition
-		var pinfo GraphInfo
-		part, pinfo, err = s.reg.PartitionView(req.Graph, plan.shards)
-		if err == nil && pinfo.Epoch != plan.info.Epoch {
-			err = fmt.Errorf("graph %q changed while the job was scheduled; resubmit", req.Graph)
+		if part, err = ep.Partition(plan.shards); err == nil {
+			res, err = frameworks.RunShardedOnOpts(s.cfg.Machine, part, plan.app, plan.opts, plan.params)
 		}
-		if err == nil {
-			res, err = frameworks.RunShardedOnOpts(s.cfg.Machine, part, req.App, plan.opts, params)
-		}
-	} else if plan.ov != nil {
-		res, err = p.RunOverlayOnOpts(m, plan.ov, req.App, plan.opts, params)
+	} else if ep.Overlay != nil {
+		res, err = p.RunOverlayOnOpts(m, ep.Overlay, plan.app, plan.opts, plan.params)
 	} else {
-		res, err = p.RunOnOpts(m, plan.g, req.App, plan.opts, params)
+		res, err = p.RunOnOpts(m, ep.Base, plan.app, plan.opts, plan.params)
 	}
-	if err != nil {
-		if fl != nil {
-			fl.err = err
-		}
-		return nil, false, err
+	var data []byte
+	if err == nil {
+		data, err = analytics.MarshalResult(res)
 	}
-	data, err := analytics.MarshalResult(res)
 	if err != nil {
 		if fl != nil {
 			fl.err = err
@@ -488,8 +533,8 @@ type Stats struct {
 		Count         int   `json:"count"`
 		ResidentBytes int64 `json:"resident_bytes"`
 	} `json:"graphs"`
-	Cache     CacheStats     `json:"cache"`
-	Seeds     SeedStats      `json:"seeds"`
+	Cache     StoreStats     `json:"cache"`
+	Seeds     StoreStats     `json:"seeds"`
 	Scheduler SchedulerStats `json:"scheduler"`
 	// KernelExecutions counts actual kernel runs; completed jobs beyond
 	// it were served by the cache or coalesced onto an in-flight run.
@@ -535,6 +580,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
+}
+
+// Request-body bounds. Job and load bodies are a handful of scalars; an
+// update body must admit a million-update batch at ~64 JSON bytes each.
+const (
+	maxRequestBody = 1 << 20
+	maxUpdateBody  = 128 << 20
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes into v,
+// answering 413 (oversized) or 400 (malformed) itself; false means the
+// response is already written.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, "decoding request: %v", err)
+	return false
 }
 
 // loadGraphRequest is the POST /v1/graphs body: exactly one of Input
@@ -584,8 +653,11 @@ func (s *Server) Handler() http.Handler {
 			writeError(w, http.StatusNotFound, "graph %q not loaded", name)
 			return
 		}
-		dropped := s.cache.InvalidateGraph(name)
-		s.seeds.InvalidateGraph(name)
+		// Epoch-qualified keys already make stale hits impossible, and the
+		// seed's epoch check would reject a reloaded graph's inheritance;
+		// dropping both frees the memory with the data it was computed from.
+		dropped := s.cache.InvalidatePrefix(graphKeyPrefix(name))
+		s.seeds.InvalidatePrefix(graphKeyPrefix(name))
 		writeJSON(w, http.StatusOK, map[string]any{"evicted": name, "cache_entries_dropped": dropped})
 	})
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmitJob)
@@ -623,19 +695,19 @@ type updateGraphRequest struct {
 }
 
 // handleGraphUpdates applies one batched edge-update log: the registry
-// swaps in the rebuilt, sealed graph under a new epoch, and the old
-// epoch's cached results for this graph (and only this graph) are dropped.
-// Jobs racing the update are safe regardless of ordering: a job that
-// resolved the old graph runs on the immutable old epoch under the old
-// epoch's cache key, and any job validated after the swap sees the new
-// epoch — epoch-qualified keys make serving a pre-update result for a
+// folds the batch into the graph's delta overlay and swaps in the resulting
+// overlay-form handle under a new epoch (no rebuild — compaction merges it
+// into a sealed CSR later, off this path), and the old epoch's cached
+// results for this graph (and only this graph) are dropped. Jobs racing
+// the update are safe regardless of ordering: a job that resolved the old
+// handle runs on the immutable old epoch under the old epoch's cache key,
+// and any job resolved after the swap sees the new epoch — epoch-qualified keys make serving a pre-update result for a
 // post-update submission impossible (locked under -race by
 // TestJobsRacingUpdatesNeverObserveStaleResults).
 func (s *Server) handleGraphUpdates(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req updateGraphRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, maxUpdateBody, &req) {
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -654,7 +726,7 @@ func (s *Server) handleGraphUpdates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	dropped := s.cache.InvalidateGraph(name)
+	dropped := s.cache.InvalidatePrefix(graphKeyPrefix(name))
 	writeJSON(w, http.StatusOK, map[string]any{
 		"graph":                 info,
 		"applied":               len(req.Updates),
@@ -736,8 +808,7 @@ func (w *jsonErrorWriter) Flush() {
 
 func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	var req loadGraphRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
 	if (req.Input == "") == (req.Path == "") {
@@ -777,8 +848,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, maxRequestBody, &req) {
 		return
 	}
 	job, err := s.Submit(req)
@@ -838,7 +908,13 @@ func (s *Server) writeResult(w http.ResponseWriter, job *Job) {
 		return
 	}
 	if errMsg != "" {
-		writeError(w, http.StatusInternalServerError, "job %s failed: %s", job.ID, errMsg)
+		code := http.StatusInternalServerError
+		if job.rejected() {
+			// Refused by validation at execution time: the same answer the
+			// same request would get at submit against this graph state.
+			code = http.StatusBadRequest
+		}
+		writeError(w, code, "job %s failed: %s", job.ID, errMsg)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -30,7 +30,11 @@ func testMachine() memsim.MachineConfig {
 // newTestServer builds a server over three small shared graphs.
 func newTestServer(t *testing.T, workers, queueCap int) *Server {
 	t.Helper()
-	srv := New(Config{Machine: testMachine(), Workers: workers, QueueCap: queueCap})
+	classes := DefaultClasses()
+	for i := range classes {
+		classes[i].QueueCap = queueCap
+	}
+	srv := New(Config{Machine: testMachine(), Workers: workers, Classes: classes})
 	t.Cleanup(srv.Close)
 	for name, g := range map[string]*graph.Graph{
 		"web":   gen.WebCrawl(1200, 5, 60, 17),
@@ -53,11 +57,11 @@ func directResult(t *testing.T, srv *Server, spec loadgen.JobSpec) []byte {
 	if !ok {
 		t.Fatalf("unknown framework %q", spec.Framework)
 	}
-	g, _, ok := srv.Registry().Get(spec.Graph)
+	ep, ok := srv.Registry().Resolve(spec.Graph)
 	if !ok {
 		t.Fatalf("graph %q not registered", spec.Graph)
 	}
-	res, err := p.RunOn(memsim.NewMachine(srv.cfg.Machine), g, spec.App, spec.Threads, frameworks.DefaultParams(g))
+	res, err := p.RunOn(memsim.NewMachine(srv.cfg.Machine), ep.Base, spec.App, spec.Threads, frameworks.DefaultParams(ep.Base))
 	if err != nil {
 		t.Fatalf("direct %+v: %v", spec, err)
 	}

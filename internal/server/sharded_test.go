@@ -84,6 +84,19 @@ func TestShardedJobValidation(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Fatalf("overlay-form graph accepted a sharded job: status %d: %s", resp.StatusCode, data)
 	}
+	// The same refusal raised at execution time — the job was admitted
+	// against a csr-form epoch that a batch then replaced — is still a 400,
+	// not a 500 execution failure.
+	admitted, err := srv.sched.Submit(JobRequest{Graph: "erdos", App: "bfs", Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-admitted.Done()
+	rec := httptest.NewRecorder()
+	srv.writeResult(rec, admitted)
+	if rec.Code != 400 {
+		t.Fatalf("execution-time refusal answered %d: %s", rec.Code, rec.Body)
+	}
 	if _, err := srv.Registry().Checkpoint("erdos"); err != nil {
 		t.Fatal(err)
 	}

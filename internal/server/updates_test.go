@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,7 +27,7 @@ func updateBody(ups []graph.EdgeUpdate) map[string]any {
 // which may be overlay-form, so the materialized copy is the reference).
 func nextBatch(t *testing.T, srv *Server, name string, size int, seed uint64) []graph.EdgeUpdate {
 	t.Helper()
-	g, _, ok := srv.Registry().Snapshot(name)
+	g, _, ok := snapshot(srv.Registry(), name)
 	if !ok {
 		t.Fatalf("graph %q not registered", name)
 	}
@@ -42,7 +43,7 @@ func TestUpdatesEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	_, info0, _ := srv.Registry().Get("web")
+	info0 := currentInfo(srv.Registry(), "web")
 	batch := nextBatch(t, srv, "web", 8, 0xFEED)
 	resp, body := postJSON(t, ts.URL+"/v1/graphs/web/updates", updateBody(batch))
 	if resp.StatusCode != http.StatusOK {
@@ -59,7 +60,7 @@ func TestUpdatesEndpoint(t *testing.T) {
 	if out.Graph.Epoch <= info0.Epoch || out.Graph.Updates != 1 {
 		t.Fatalf("epoch/updates not bumped: %+v (was epoch %d)", out.Graph, info0.Epoch)
 	}
-	g1, info1, _ := srv.Registry().Snapshot("web")
+	g1, info1, _ := snapshot(srv.Registry(), "web")
 	if info1.Epoch != out.Graph.Epoch || g1.NumEdges() != out.Graph.Edges {
 		t.Fatalf("registry state %+v does not match response %+v", info1, out.Graph)
 	}
@@ -107,7 +108,7 @@ func TestRegistryConcurrentUpdatesConflict(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				g, _, _ := reg.Snapshot("g")
+				g, _, _ := snapshot(reg, "g")
 				stream, err := gen.UpdateStream(g, 1, 4, uint64(w*100+i), false)
 				if err != nil {
 					t.Error(err)
@@ -131,9 +132,65 @@ func TestRegistryConcurrentUpdatesConflict(t *testing.T) {
 	for _, n := range applied {
 		total += n
 	}
-	_, info, _ := reg.Get("g")
+	info := currentInfo(reg, "g")
 	if info.Updates != total {
 		t.Fatalf("registry recorded %d batches, %d succeeded", info.Updates, total)
+	}
+}
+
+// TestResolvedHandleStaysOnItsEpoch pins the epoch handle's immutability:
+// a handle resolved before an update batch keeps describing the epoch it
+// was resolved at — its info, its partition and its transition — while the
+// registry moves on beside it. This is what lets a job resolve once and
+// read everything off the handle with no epoch re-check.
+func TestResolvedHandleStaysOnItsEpoch(t *testing.T) {
+	reg := NewRegistry()
+	if _, err := reg.Add("g", "direct", gen.ErdosRenyi(400, 2400, 7)); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(seed uint64) []graph.EdgeUpdate {
+		g, _, _ := snapshot(reg, "g")
+		stream, err := gen.UpdateStream(g, 1, 16, seed, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stream[0]
+	}
+	// One batch then a checkpoint: a csr-form epoch that carries a
+	// transition, so both partition and transition are readable.
+	first, err := reg.ApplyUpdates("g", batch(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Checkpoint("g"); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := reg.Resolve("g")
+	oldInfo, oldPrev := old.Info, old.prevEpoch
+	oldDelta := old.TransitionFrom(oldPrev)
+	if old.Overlay != nil || oldDelta == nil || oldInfo.Epoch != first.Epoch || oldPrev >= first.Epoch {
+		t.Fatalf("checkpointed epoch lost its shape: %+v prev %d delta %v", oldInfo, oldPrev, oldDelta)
+	}
+
+	if _, err := reg.ApplyUpdates("g", batch(2)); err != nil {
+		t.Fatal(err)
+	}
+	cur, _ := reg.Resolve("g")
+	if d := cur.TransitionFrom(oldInfo.Epoch); cur == old || cur.Info.Epoch <= oldInfo.Epoch || d == nil || d == oldDelta {
+		t.Fatalf("registry did not move on: cur %+v prev %d", cur.Info, cur.prevEpoch)
+	}
+	if old.Info != oldInfo || old.TransitionFrom(oldPrev) != oldDelta || old.TransitionFrom(oldInfo.Epoch) != nil {
+		t.Fatalf("held handle changed under an update: %+v", old.Info)
+	}
+	part, err := old.Partition(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.Source() != old.Base || part.Source().NumEdges() != oldInfo.Edges {
+		t.Fatalf("old handle partitioned %d edges, want its own epoch's %d", part.Source().NumEdges(), oldInfo.Edges)
+	}
+	if again, _ := old.Partition(2); again != part {
+		t.Fatal("partition not retained on the handle")
 	}
 }
 
@@ -164,7 +221,7 @@ func TestJobsRacingUpdatesNeverObserveStaleResults(t *testing.T) {
 		// Run the SAME form the server would: post-update epochs are
 		// overlay-form and their charging differs from a csr run, so the
 		// byte comparison must go through the overlay path too.
-		g, ov, _, ok := srv.Registry().View("erdos")
+		ep, ok := srv.Registry().Resolve("erdos")
 		if !ok {
 			t.Fatal("erdos not registered")
 		}
@@ -173,10 +230,10 @@ func TestJobsRacingUpdatesNeverObserveStaleResults(t *testing.T) {
 		opts := p.Options("cc", 8)
 		var res *analytics.Result
 		var err error
-		if ov != nil {
-			res, err = p.RunOverlayOnOpts(m, ov, "cc", opts, frameworks.DefaultParamsOverlay(ov))
+		if ep.Overlay != nil {
+			res, err = p.RunOverlayOnOpts(m, ep.Overlay, "cc", opts, frameworks.DefaultParamsOverlay(ep.Overlay))
 		} else {
-			res, err = p.RunOnOpts(m, g, "cc", opts, frameworks.DefaultParams(g))
+			res, err = p.RunOnOpts(m, ep.Base, "cc", opts, frameworks.DefaultParams(ep.Base))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -193,15 +250,35 @@ func TestJobsRacingUpdatesNeverObserveStaleResults(t *testing.T) {
 	if !reflect.DeepEqual(pre, direct()) {
 		t.Fatal("pre-update serving result diverged from direct run")
 	}
+	// The racing set: duplicates of the checked job, plus an incremental
+	// and a sharded job. Whichever epoch each resolves at execution, it
+	// reads that one handle throughout: the incremental job always
+	// answers (seeded or full), and the sharded one either runs or is
+	// refused by validation (the epoch is overlay-form once a batch landed
+	// — at submit or at execution, 400 both ways) — never a 500.
+	racers := []struct {
+		req JobRequest
+		ok  []int
+	}{
+		{job, []int{http.StatusOK}},
+		{JobRequest{Graph: "erdos", App: "cc", Threads: 8, Incremental: true}, []int{http.StatusOK}},
+		{JobRequest{Graph: "erdos", App: "cc", Threads: 8, Shards: 2}, []int{http.StatusOK, http.StatusBadRequest}},
+	}
 	for round := 0; round < 3; round++ {
-		// Background duplicates race the update application.
+		// Background jobs race the update application.
 		var wg sync.WaitGroup
 		for i := 0; i < 6; i++ {
 			wg.Add(1)
-			go func() {
+			go func(i int) {
 				defer wg.Done()
-				submit() // value checked implicitly: post-round submission pins the final state
-			}()
+				// The plain job's value is checked implicitly: the
+				// post-round submission pins the final state.
+				r := racers[i%len(racers)]
+				resp, body := postJSON(t, ts.URL+"/v1/jobs?wait=1", r.req)
+				if !slices.Contains(r.ok, resp.StatusCode) {
+					t.Errorf("racing %+v returned %d: %s", r.req, resp.StatusCode, body)
+				}
+			}(i)
 		}
 		batch := nextBatch(t, srv, "erdos", 8, uint64(0xACE0+round))
 		resp, body := postJSON(t, ts.URL+"/v1/graphs/erdos/updates", updateBody(batch))
@@ -272,7 +349,7 @@ func TestIncrementalJobServing(t *testing.T) {
 	directFull := func(app string) *analytics.Result {
 		// Only outputs are compared below, so a materialized snapshot run
 		// (csr form) is a valid reference for the overlay-form serving.
-		g, _, _ := srv.Registry().Snapshot("web")
+		g, _, _ := snapshot(srv.Registry(), "web")
 		p, _ := frameworks.ByName("Galois")
 		res, err := p.RunOn(memsim.NewMachine(srv.cfg.Machine), g, app, 8, frameworks.DefaultParams(g))
 		if err != nil {
@@ -361,6 +438,7 @@ func TestErrorBodiesAreStructuredJSON(t *testing.T) {
 		{"unknown graph updates", "POST", "/v1/graphs/nosuch/updates", `{"updates":[{"op":"insert","src":0,"dst":1}]}`, http.StatusNotFound},
 		{"evict unknown", "DELETE", "/v1/graphs/nosuch", "", http.StatusNotFound},
 		{"incremental bfs", "POST", "/v1/jobs", `{"graph":"web","app":"bfs","incremental":true}`, http.StatusBadRequest},
+		{"oversized body", "POST", "/v1/jobs", `{"graph":"` + strings.Repeat("a", maxRequestBody) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -387,97 +465,6 @@ func TestErrorBodiesAreStructuredJSON(t *testing.T) {
 				t.Fatal("empty error message")
 			}
 		})
-	}
-}
-
-// Seed-store unit behavior: epoch precedence and graph invalidation.
-func TestSeedStoreEpochPrecedenceAndBounds(t *testing.T) {
-	ss := newSeedStore(1 << 20)
-	mk := func(n int) *frameworks.Seed { return &frameworks.Seed{CCLabels: make([]uint32, n)} }
-	ss.Put("g|cc|k", seedEntry{Epoch: 5, Seed: mk(100)})
-	ss.Put("g|cc|k", seedEntry{Epoch: 4, Seed: mk(200)}) // stale epoch must not clobber
-	if e, _ := ss.Get("g|cc|k"); e.Epoch != 5 || len(e.Seed.CCLabels) != 100 {
-		t.Fatalf("stale Put clobbered newer seed: %+v", e)
-	}
-	ss.Put("g|cc|k", seedEntry{Epoch: 5, Seed: mk(150)}) // same epoch, richer artifact wins
-	if e, _ := ss.Get("g|cc|k"); len(e.Seed.CCLabels) != 150 {
-		t.Fatalf("same-epoch richer seed discarded: %+v", e)
-	}
-	ss.Put("g|cc|k", seedEntry{Epoch: 5, Seed: mk(60)}) // same epoch, poorer artifact loses
-	if e, _ := ss.Get("g|cc|k"); len(e.Seed.CCLabels) != 150 {
-		t.Fatalf("same-epoch poorer seed clobbered richer one: %+v", e)
-	}
-	ss.Put("g|cc|k", seedEntry{Epoch: 6, Seed: mk(300)})
-	if e, _ := ss.Get("g|cc|k"); e.Epoch != 6 {
-		t.Fatalf("newer Put ignored: %+v", e)
-	}
-	ss.Put("h|cc|k", seedEntry{Epoch: 1, Seed: mk(10)})
-	if dropped := ss.InvalidateGraph("g"); dropped != 1 {
-		t.Fatalf("invalidated %d entries, want 1", dropped)
-	}
-	if _, ok := ss.Get("h|cc|k"); !ok {
-		t.Fatal("invalidation of g dropped h's seed")
-	}
-
-	// Byte bound: a tiny store evicts FIFO.
-	small := newSeedStore(4 * 100)
-	small.Put("a|k", seedEntry{Epoch: 1, Seed: mk(50)})
-	small.Put("b|k", seedEntry{Epoch: 1, Seed: mk(80)})
-	if _, ok := small.Get("a|k"); ok {
-		t.Fatal("byte bound not enforced")
-	}
-	if _, ok := small.Get("b|k"); !ok {
-		t.Fatal("newest seed evicted instead of oldest")
-	}
-	if st := small.Stats(); st.Entries != 1 || st.Bytes != 4*80 {
-		t.Fatalf("stats %+v", st)
-	}
-
-	// A seed that alone exceeds the bound is rejected, not allowed to
-	// wipe every other configuration's seed on its way to being evicted.
-	small.Put("c|k", seedEntry{Epoch: 1, Seed: mk(500)})
-	if _, ok := small.Get("c|k"); ok {
-		t.Fatal("oversized seed was stored")
-	}
-	if _, ok := small.Get("b|k"); !ok {
-		t.Fatal("oversized Put evicted an unrelated seed")
-	}
-
-	// Replacing a key refreshes its eviction position: the just-updated
-	// (hottest) seed must not be the one the byte bound evicts.
-	refresh := newSeedStore(4 * 100)
-	refresh.Put("x|k", seedEntry{Epoch: 1, Seed: mk(40)})
-	refresh.Put("y|k", seedEntry{Epoch: 1, Seed: mk(40)})
-	refresh.Put("x|k", seedEntry{Epoch: 2, Seed: mk(70)}) // 110 elems > 100: evict someone
-	if _, ok := refresh.Get("x|k"); !ok {
-		t.Fatal("replace evicted the seed it just refreshed")
-	}
-	if _, ok := refresh.Get("y|k"); ok {
-		t.Fatal("replace kept the stale seed instead of evicting it")
-	}
-
-	// Regression: a same-key replacement that grows the sole surviving
-	// entry past the bound must still drain the other keys instead of
-	// stopping at len(order) == 1 and leaving the store permanently over
-	// budget.
-	grow := newSeedStore(4 * 100)
-	grow.Put("p|k", seedEntry{Epoch: 1, Seed: mk(30)})
-	grow.Put("q|k", seedEntry{Epoch: 1, Seed: mk(30)})
-	grow.Put("q|k", seedEntry{Epoch: 2, Seed: mk(95)}) // 125 elems > 100
-	if _, ok := grow.Get("q|k"); !ok {
-		t.Fatal("growth replace evicted the entry it just stored")
-	}
-	if _, ok := grow.Get("p|k"); ok {
-		t.Fatal("growth replace kept the older key while over budget")
-	}
-	if st := grow.Stats(); st.Bytes > grow.maxBytes {
-		t.Fatalf("store left over budget: %d > %d", st.Bytes, grow.maxBytes)
-	}
-	// And when the grown entry IS the only one, it must survive (it fits
-	// alone) with the store back under the bound.
-	grow.Put("q|k", seedEntry{Epoch: 3, Seed: mk(99)})
-	if st := grow.Stats(); st.Entries != 1 || st.Bytes != 4*99 {
-		t.Fatalf("sole-entry growth stats %+v", st)
 	}
 }
 
