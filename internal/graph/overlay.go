@@ -1,19 +1,24 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file implements the delta-overlay adjacency form: an immutable
 // sealed base graph plus a small sorted per-source insert/delete delta
-// (Aspen/GraphBolt-style). Applying an update batch builds a new Overlay
-// in O(|delta| + batch·log) work — never an O(E) merge-rebuild — and the
-// overlay satisfies the Adjacency seam, so every kernel runs over it
-// unchanged. The serving layer compacts an overlay back into a plain CSR
-// once the delta grows past a threshold; Materialize is that merge, and
-// it is also how ApplyUpdates rebuilds, so overlay iteration order and
-// rebuilt adjacency order are identical by construction.
+// (Aspen/GraphBolt-style). The delta has ONE representation — the two
+// sorted per-direction sides every reader walks — and applying an update
+// batch produces each new side by one linear merge of the prior side with
+// the sorted batch: O(|delta| + batch·(log batch + log d)) per batch,
+// never an O(E) merge-rebuild and never a re-sort of what earlier batches
+// already ordered. The overlay satisfies the Adjacency seam, so every
+// kernel runs over it unchanged. The serving layer compacts an overlay
+// back into a plain CSR once the delta grows past a threshold; Materialize
+// is that merge, and it is also how ApplyUpdates rebuilds, so overlay
+// iteration order and rebuilt adjacency order are identical by
+// construction.
 //
 // Edge-index (ei) contract: base edges keep their base CSR indices
 // (deleted slots are skipped, never re-yielded), and the i-th inserted
@@ -30,7 +35,9 @@ type ovSide struct {
 	// insOff/delOff have len(srcs)+1; touched vertex i's inserts are
 	// insDst[insOff[i]:insOff[i+1]] (sorted, stable within equal dst) with
 	// parallel weights insW, and its deleted pair values are
-	// delDst[delOff[i]:delOff[i+1]] (sorted, unique).
+	// delDst[delOff[i]:delOff[i+1]] (sorted, unique; only pairs the base
+	// holds a copy of — a deleted pair that existed only as inserts simply
+	// loses them).
 	insOff []int32
 	insDst []Node
 	insW   []uint32 // nil on unweighted bases
@@ -49,52 +56,172 @@ type ovSide struct {
 
 // find returns the index of v in srcs, or -1 if v is untouched.
 func (s *ovSide) find(v Node) int {
-	i := sort.Search(len(s.srcs), func(k int) bool { return s.srcs[k] >= v })
-	if i < len(s.srcs) && s.srcs[i] == v {
+	if i, ok := slices.BinarySearch(s.srcs, v); ok {
 		return i
 	}
 	return -1
 }
 
 // Entries returns the side's total delta entries (inserts + delete pairs).
-func (s *ovSide) Entries() int64 {
-	if len(s.entOff) == 0 {
-		return 0
-	}
-	return s.entOff[len(s.entOff)-1]
+func (s *ovSide) Entries() int64 { return s.entOff[len(s.entOff)-1] }
+
+// sideOp is one batch entry keyed for one direction: v is the row the
+// entry lands in (the source on the out side, the destination on the in
+// side) and nbr the other endpoint. Weights are already clamped.
+type sideOp struct {
+	v, nbr Node
+	w      uint32
+	del    bool
 }
 
-// Overlay is a sealed base graph plus one applied delta. It is immutable:
-// Apply folds a further batch into a NEW Overlay over the same base, so
-// in-flight readers of prior epochs stay valid. The canonical delta state
-// (dels, ins) is kept relative to the base so folding stays
-// O(|delta| + batch·log) regardless of how many batches accumulated.
+// sortOps orders a batch by (row, neighbor), stably: parallel inserts of
+// one pair keep their arrival order — the tie rule Materialize and the
+// cursor share.
+func sortOps(ops []sideOp) {
+	slices.SortStableFunc(ops, func(a, b sideOp) int {
+		return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.nbr, b.nbr))
+	})
+}
+
+// merge folds one sorted batch into the side and returns the new side (s
+// is not modified; the two share nothing) plus the rows whose degree
+// changed, ascending. It is one pass over the prior side and the batch in
+// (row, neighbor) order: rows the batch does not name carry over whole, and
+// within a named row the prior entries between the batch's pairs carry over
+// in runs. Per pair: the prior inserted copies come first and the batch's
+// inserts follow in arrival order; a delete strips every inserted copy and
+// marks the pair dead iff the base holds copies that were still live; a row
+// whose entries all cancel leaves srcs. baseCopies counts the base's copies
+// of (row, neighbor). A validated batch never both inserts and deletes one
+// pair and never deletes a pair twice, so the batch entries of one pair are
+// either all inserts or one delete.
+func (s *ovSide) merge(ops []sideOp, baseEdges int64, weighted bool, baseCopies func(v, nbr Node) int64) (ovSide, []Node) {
+	rows := len(s.srcs) + len(ops)
+	n := ovSide{
+		srcs:     make([]Node, 0, rows),
+		insOff:   make([]int32, 1, rows+1),
+		insDst:   make([]Node, 0, len(s.insDst)+len(ops)),
+		delOff:   make([]int32, 1, rows+1),
+		delDst:   make([]Node, 0, len(s.delDst)+len(ops)),
+		delSlots: make([]int32, 0, rows),
+		entOff:   make([]int64, 1, rows+1),
+	}
+	if weighted {
+		n.insW = make([]uint32, 0, cap(n.insDst))
+	}
+	changed := []Node{}
+	var slots int64
+	for pi := 0; pi < len(s.srcs) || len(ops) > 0; {
+		// The next row is the smaller of the prior side's next touched
+		// vertex and the batch's next row; it may be both. ins, insW and
+		// dels are what is left of the prior row, consumed from the front.
+		var v Node
+		var ins, dels []Node
+		var insW []uint32
+		var rowSlots int32
+		if pi < len(s.srcs) && (len(ops) == 0 || s.srcs[pi] <= ops[0].v) {
+			v, rowSlots = s.srcs[pi], s.delSlots[pi]
+			ins, dels = s.insDst[s.insOff[pi]:s.insOff[pi+1]], s.delDst[s.delOff[pi]:s.delOff[pi+1]]
+			if weighted {
+				insW = s.insW[s.insOff[pi]:s.insOff[pi+1]]
+			}
+			pi++
+		} else {
+			v = ops[0].v
+		}
+		k := 0
+		for k < len(ops) && ops[k].v == v {
+			k++
+		}
+		row := ops[:k]
+		ops = ops[k:]
+		// carry moves the prior row's next i inserts and j dead pairs over.
+		carry := func(i, j int) {
+			n.insDst, n.delDst = append(n.insDst, ins[:i]...), append(n.delDst, dels[:j]...)
+			if weighted {
+				n.insW, insW = append(n.insW, insW[:i]...), insW[i:]
+			}
+			ins, dels = ins[i:], dels[j:]
+		}
+		var net int64
+		for len(row) > 0 {
+			d := row[0].nbr
+			i, _ := slices.BinarySearch(ins, d)
+			j, dead := slices.BinarySearch(dels, d)
+			carry(i, j) // everything below the pair; a dead d itself stays queued
+			copies, m := 0, 1
+			for copies < len(ins) && ins[copies] == d {
+				copies++
+			}
+			for m < len(row) && row[m].nbr == d {
+				m++
+			}
+			if row[0].del {
+				ins = ins[copies:]
+				if weighted {
+					insW = insW[copies:]
+				}
+				net -= int64(copies)
+				if !dead {
+					if c := baseCopies(v, d); c > 0 {
+						n.delDst = append(n.delDst, d)
+						rowSlots += int32(c)
+						net -= c
+					}
+				}
+			} else {
+				carry(copies, 0)
+				for _, op := range row[:m] {
+					n.insDst = append(n.insDst, op.nbr)
+					if weighted {
+						n.insW = append(n.insW, op.w)
+					}
+				}
+				net += int64(m)
+			}
+			row = row[m:]
+		}
+		carry(len(ins), len(dels))
+		if net != 0 {
+			changed = append(changed, v)
+		}
+
+		last := len(n.srcs)
+		rowIns, rowDels := int32(len(n.insDst))-n.insOff[last], int32(len(n.delDst))-n.delOff[last]
+		if rowIns == 0 && rowDels == 0 {
+			continue // every entry cancelled
+		}
+		n.srcs = append(n.srcs, v)
+		n.insOff = append(n.insOff, int32(len(n.insDst)))
+		n.delOff = append(n.delOff, int32(len(n.delDst)))
+		n.delSlots = append(n.delSlots, rowSlots)
+		n.entOff = append(n.entOff, n.entOff[last]+int64(rowIns)+int64(rowDels))
+		slots += int64(rowSlots)
+	}
+	n.edges = baseEdges + int64(len(n.insDst)) - slots
+	return n, changed
+}
+
+// Overlay is a sealed base graph plus one applied delta, held as its two
+// sorted sides and nothing else. It is immutable: Apply merges a further
+// batch into a NEW Overlay over the same base, so in-flight readers of
+// prior epochs stay valid.
 type Overlay struct {
 	base     *Graph
 	weighted bool
 
-	// dels holds base pairs whose every copy is deleted (only pairs with
-	// at least one base copy appear; inserted-then-deleted pairs are
-	// erased from ins instead). ins holds inserted edges in arrival
-	// order, weights already clamped.
-	dels     map[uint64]struct{}
-	ins      []Edge
-	insCount map[uint64]int32 // parallel-copy count per inserted pair
-
 	out ovSide
-	in  ovSide // built iff base.HasIn()
+	in  ovSide // maintained iff the base's transpose existed at NewOverlay
 }
 
 // NewOverlay returns the empty overlay over base (the identity epoch:
 // iteration, degrees and weights match base exactly).
 func NewOverlay(base *Graph) *Overlay {
-	ov := &Overlay{
-		base:     base,
-		weighted: base.HasWeights(),
-		dels:     map[uint64]struct{}{},
-		insCount: map[uint64]int32{},
+	ov := &Overlay{base: base, weighted: base.HasWeights()}
+	ov.out, _ = (&ovSide{}).merge(nil, base.NumEdges(), ov.weighted, nil)
+	if base.HasIn() {
+		ov.in, _ = (&ovSide{}).merge(nil, int64(len(base.InEdges)), ov.weighted, nil)
 	}
-	ov.build()
 	return ov
 }
 
@@ -120,18 +247,24 @@ func (ov *Overlay) NumEdges() int64 { return ov.out.edges }
 // the |overlay| the compaction threshold compares against |E|.
 func (ov *Overlay) Entries() int64 { return ov.out.Entries() }
 
-// HasIn reports whether the in-direction delta exists (it does iff the
-// base's transpose was built when the overlay was created).
-func (ov *Overlay) HasIn() bool { return ov.base.HasIn() }
+// HasIn reports whether the in-direction delta exists: it does iff the
+// base's transpose was built when the overlay chain was started (a
+// transpose added to the base afterwards cannot be caught up with).
+func (ov *Overlay) HasIn() bool { return len(ov.in.entOff) > 0 }
 
-// mergedOutCopies counts the copies of (s, d) visible through the overlay.
+// mergedOutCopies counts the copies of (s, d) visible through the overlay:
+// the base's unless the pair is dead, plus the inserted ones — three binary
+// searches in s's out-side row.
 func (ov *Overlay) mergedOutCopies(s, d Node) int64 {
-	k := pairKey(s, d)
-	var n int64
-	if _, dead := ov.dels[k]; !dead {
-		n = ov.base.outCopies(s, d)
+	i := ov.out.find(s)
+	if i < 0 {
+		return ov.base.outCopies(s, d)
 	}
-	return n + int64(ov.insCount[k])
+	n := countEqual(ov.out.insDst[ov.out.insOff[i]:ov.out.insOff[i+1]], d)
+	if _, dead := slices.BinarySearch(ov.out.delDst[ov.out.delOff[i]:ov.out.delOff[i+1]], d); !dead {
+		n += ov.base.outCopies(s, d)
+	}
+	return n
 }
 
 // OutDegree returns the merged out-degree of v.
@@ -183,185 +316,60 @@ func (ov *Overlay) InWeight(ei int64) uint32 {
 	return ov.base.InWeights[ei]
 }
 
-// Apply validates ups against the merged view and folds it into a NEW
+// Apply validates ups against the merged view and merges it into a NEW
 // overlay over the same base, plus the batch's Delta (relative to the
-// pre-batch merged state, exactly what ApplyUpdates would report). Cost is
-// O(|delta| + batch·(log d + log |delta|)); the base is never rescanned.
+// pre-batch merged state, exactly what ApplyUpdates would report). The
+// batch is sorted once per direction and each side is produced by one
+// linear merge of the prior side with it (ovSide.merge), so a batch costs
+// O(|delta| + batch·(log batch + log d)) — linear in the delta accumulated
+// so far, and the base is never rescanned. The Delta falls out of the same
+// sorted batch.
 func (ov *Overlay) Apply(ups []EdgeUpdate) (*Overlay, Delta, error) {
-	copies := func(s, d Node) int64 { return ov.mergedOutCopies(s, d) }
-	if err := validateUpdates(ov.NumNodes(), ov.weighted, copies, ups); err != nil {
+	if err := validateUpdates(ov.NumNodes(), ov.weighted, ov.mergedOutCopies, ups); err != nil {
 		return nil, Delta{}, err
 	}
-
-	var delta Delta
-	dsts := make(map[Node]struct{})
-	degNet := make(map[Node]int64)
-	strip := make(map[uint64]struct{}) // inserted pairs killed by this batch
-
-	nov := &Overlay{
-		base:     ov.base,
-		weighted: ov.weighted,
-		dels:     make(map[uint64]struct{}, len(ov.dels)+len(ups)),
-		insCount: make(map[uint64]int32, len(ov.insCount)+len(ups)),
-	}
-	for k := range ov.dels {
-		nov.dels[k] = struct{}{}
-	}
-	for k, c := range ov.insCount {
-		nov.insCount[k] = c
-	}
-
-	inserted := make([]Edge, 0, len(ups))
-	for _, u := range ups {
-		dsts[u.Dst] = struct{}{}
-		k := pairKey(u.Src, u.Dst)
-		switch u.Op {
-		case OpInsert:
-			delta.Inserts++
-			degNet[u.Src]++
-			w := u.Weight
-			if ov.weighted && w == 0 {
-				w = 1
-			}
-			inserted = append(inserted, Edge{Src: u.Src, Dst: u.Dst, Weight: w})
-			nov.insCount[k]++
-		case OpDelete:
+	delta := Delta{Dsts: make([]Node, len(ups))}
+	ops := make([]sideOp, len(ups))
+	for i, u := range ups {
+		delta.Dsts[i] = u.Dst
+		ops[i] = sideOp{v: u.Src, nbr: u.Dst, del: u.Op == OpDelete}
+		if ops[i].del {
 			delta.Deletes++
-			delta.HasDeletes = true
-			degNet[u.Src] -= ov.mergedOutCopies(u.Src, u.Dst)
-			if nov.insCount[k] > 0 {
-				strip[k] = struct{}{}
-				delete(nov.insCount, k)
-			}
-			if _, dead := nov.dels[k]; !dead && ov.base.outCopies(u.Src, u.Dst) > 0 {
-				nov.dels[k] = struct{}{}
-			}
+			continue
+		}
+		delta.Inserts++
+		if ops[i].w = u.Weight; ov.weighted && u.Weight == 0 {
+			ops[i].w = 1
 		}
 	}
+	delta.HasDeletes = delta.Deletes > 0
+	slices.Sort(delta.Dsts)
+	delta.Dsts = slices.Compact(delta.Dsts)
 
-	if len(strip) == 0 {
-		nov.ins = append(append(make([]Edge, 0, len(ov.ins)+len(inserted)), ov.ins...), inserted...)
-	} else {
-		nov.ins = make([]Edge, 0, len(ov.ins)+len(inserted))
-		for _, e := range ov.ins {
-			if _, dead := strip[pairKey(e.Src, e.Dst)]; !dead {
-				nov.ins = append(nov.ins, e)
-			}
-		}
-		nov.ins = append(nov.ins, inserted...)
-	}
-	nov.build()
-
-	delta.Dsts = sortedNodes(dsts)
-	changed := make(map[Node]struct{})
-	for v, net := range degNet {
-		if net != 0 {
-			changed[v] = struct{}{}
+	nov := &Overlay{base: ov.base, weighted: ov.weighted}
+	sortOps(ops)
+	nov.out, delta.DegChanged = ov.out.merge(ops, ov.base.NumEdges(), ov.weighted, ov.base.outCopies)
+	for _, op := range ops {
+		if !op.del {
+			delta.Inserted = append(delta.Inserted, Edge{Src: op.v, Dst: op.nbr, Weight: op.w})
 		}
 	}
-	delta.DegChanged = sortedNodes(changed)
-	delta.Inserted = append([]Edge(nil), inserted...)
-	sort.SliceStable(delta.Inserted, func(i, j int) bool {
-		if delta.Inserted[i].Src != delta.Inserted[j].Src {
-			return delta.Inserted[i].Src < delta.Inserted[j].Src
+	if ov.HasIn() {
+		// Re-keyed by destination and re-sorted stably, parallel copies of a
+		// pair keep the arrival order the out-side sort preserved.
+		for i := range ops {
+			ops[i].v, ops[i].nbr = ops[i].nbr, ops[i].v
 		}
-		return delta.Inserted[i].Dst < delta.Inserted[j].Dst
-	})
+		sortOps(ops)
+		nov.in, _ = ov.in.merge(ops, int64(len(ov.base.InEdges)), ov.weighted, ov.base.inCopies)
+	}
 	return nov, delta, nil
-}
-
-// build materializes both directions' side structures from the canonical
-// (dels, ins) state.
-func (ov *Overlay) build() {
-	type del struct{ s, d Node }
-	dels := make([]del, 0, len(ov.dels))
-	for k := range ov.dels {
-		dels = append(dels, del{Node(k >> 32), Node(k & 0xFFFFFFFF)})
-	}
-	buildSide := func(side *ovSide, baseEdges int64, flip bool, baseCopies func(s, d Node) int64) {
-		// Sort inserts by (src, dst) stably so parallel copies keep their
-		// batch arrival order — the tie rule Materialize and the cursor
-		// share.
-		ins := append([]Edge(nil), ov.ins...)
-		if flip {
-			for i := range ins {
-				ins[i].Src, ins[i].Dst = ins[i].Dst, ins[i].Src
-			}
-		}
-		sort.SliceStable(ins, func(i, j int) bool {
-			if ins[i].Src != ins[j].Src {
-				return ins[i].Src < ins[j].Src
-			}
-			return ins[i].Dst < ins[j].Dst
-		})
-		ds := append([]del(nil), dels...)
-		if flip {
-			for i := range ds {
-				ds[i].s, ds[i].d = ds[i].d, ds[i].s
-			}
-		}
-		sort.Slice(ds, func(i, j int) bool {
-			if ds[i].s != ds[j].s {
-				return ds[i].s < ds[j].s
-			}
-			return ds[i].d < ds[j].d
-		})
-
-		touched := make(map[Node]struct{}, len(ins)+len(ds))
-		for _, e := range ins {
-			touched[e.Src] = struct{}{}
-		}
-		for _, d := range ds {
-			touched[d.s] = struct{}{}
-		}
-		side.srcs = sortedNodes(touched)
-		k := len(side.srcs)
-		side.insOff = make([]int32, k+1)
-		side.delOff = make([]int32, k+1)
-		side.delSlots = make([]int32, k)
-		side.entOff = make([]int64, k+1)
-		side.insDst = make([]Node, 0, len(ins))
-		if ov.weighted {
-			side.insW = make([]uint32, 0, len(ins))
-		}
-		side.delDst = make([]Node, 0, len(ds))
-		ii, di := 0, 0
-		var slots int64
-		for idx, v := range side.srcs {
-			for ii < len(ins) && ins[ii].Src == v {
-				side.insDst = append(side.insDst, ins[ii].Dst)
-				if ov.weighted {
-					side.insW = append(side.insW, ins[ii].Weight)
-				}
-				ii++
-			}
-			for di < len(ds) && ds[di].s == v {
-				side.delDst = append(side.delDst, ds[di].d)
-				side.delSlots[idx] += int32(baseCopies(v, ds[di].d))
-				di++
-			}
-			slots += int64(side.delSlots[idx])
-			side.insOff[idx+1] = int32(len(side.insDst))
-			side.delOff[idx+1] = int32(len(side.delDst))
-			side.entOff[idx+1] = side.entOff[idx] +
-				int64(side.insOff[idx+1]-side.insOff[idx]) +
-				int64(side.delOff[idx+1]-side.delOff[idx])
-		}
-		side.edges = baseEdges + int64(len(ins)) - slots
-	}
-	buildSide(&ov.out, ov.base.NumEdges(), false, ov.base.outCopies)
-	if ov.base.HasIn() {
-		buildSide(&ov.in, int64(len(ov.base.InEdges)), true, ov.base.inCopies)
-	}
 }
 
 // inCopies is outCopies over the transpose (in-rows are sorted by source:
 // BuildIn's counting sort visits sources in ascending order).
 func (g *Graph) inCopies(d, s Node) int64 {
-	row := g.InEdges[g.InOffsets[d]:g.InOffsets[d+1]]
-	lo := sort.Search(len(row), func(i int) bool { return row[i] >= s })
-	hi := sort.Search(len(row), func(i int) bool { return row[i] > s })
-	return int64(hi - lo)
+	return countEqual(g.InEdges[g.InOffsets[d]:g.InOffsets[d+1]], s)
 }
 
 // Materialize merges the overlay into a plain CSR graph: per source, base
@@ -455,7 +463,7 @@ func (ov *Overlay) OutAdj(compressed bool) *OverlayAdj {
 
 // InAdj is OutAdj for the transpose; the base must have it built.
 func (ov *Overlay) InAdj(compressed bool) *OverlayAdj {
-	if !ov.base.HasIn() {
+	if !ov.HasIn() {
 		panic("graph: overlay InAdj requires the base transpose")
 	}
 	var base Adjacency = ov.base.RawIn()
@@ -495,8 +503,8 @@ func (a *OverlayAdj) DeltaExtent(v Node) (int64, int64) {
 // DeltaExtentRange is DeltaExtent over the vertex range [lo, hi).
 func (a *OverlayAdj) DeltaExtentRange(lo, hi Node) (int64, int64) {
 	s := a.side
-	i := sort.Search(len(s.srcs), func(k int) bool { return s.srcs[k] >= lo })
-	j := sort.Search(len(s.srcs), func(k int) bool { return s.srcs[k] >= hi })
+	i, _ := slices.BinarySearch(s.srcs, lo)
+	j, _ := slices.BinarySearch(s.srcs, hi)
 	return s.entOff[i], s.entOff[j]
 }
 
@@ -545,7 +553,7 @@ func (ov *Overlay) Validate() error {
 	if err := check("out", &ov.out, ov.base.NumEdges()); err != nil {
 		return err
 	}
-	if ov.base.HasIn() {
+	if ov.HasIn() {
 		if err := check("in", &ov.in, int64(len(ov.base.InEdges))); err != nil {
 			return err
 		}

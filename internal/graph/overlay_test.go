@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -127,62 +129,190 @@ func TestOverlayDeleteOfInsertedStrips(t *testing.T) {
 	}
 }
 
+// edgeModel is the by-definition oracle for update semantics, sharing no
+// code with the overlay: the graph as one edge list — the base's edges in
+// base CSR order, then every surviving inserted copy in arrival order. An
+// insert appends, a delete removes every copy of its pair, and adjacency is
+// read off by a stable sort, which is exactly "surviving base edges in base
+// order, inserted copies of an equal pair after them in arrival order".
+type edgeModel struct {
+	n        int
+	weighted bool
+	edges    []Edge
+}
+
+func newEdgeModel(base *Graph) *edgeModel {
+	m := &edgeModel{n: base.NumNodes(), weighted: base.HasWeights()}
+	for v := 0; v < m.n; v++ {
+		for i := base.OutOffsets[v]; i < base.OutOffsets[v+1]; i++ {
+			e := Edge{Src: Node(v), Dst: base.OutEdges[i]}
+			if m.weighted {
+				e.Weight = base.OutWeights[i]
+			}
+			m.edges = append(m.edges, e)
+		}
+	}
+	return m
+}
+
+func (m *edgeModel) outDegrees() []int {
+	deg := make([]int, m.n)
+	for _, e := range m.edges {
+		deg[e.Src]++
+	}
+	return deg
+}
+
+// apply applies one (valid) batch and returns the Delta it must report.
+func (m *edgeModel) apply(ups []EdgeUpdate) Delta {
+	before := m.outDegrees()
+	d := Delta{}
+	for _, u := range ups {
+		d.Dsts = append(d.Dsts, u.Dst)
+		if u.Op == OpDelete {
+			d.Deletes++
+			d.HasDeletes = true
+			m.edges = slices.DeleteFunc(m.edges, func(e Edge) bool { return e.Src == u.Src && e.Dst == u.Dst })
+			continue
+		}
+		d.Inserts++
+		e := Edge{Src: u.Src, Dst: u.Dst, Weight: u.Weight}
+		if m.weighted && e.Weight == 0 {
+			e.Weight = 1
+		}
+		m.edges = append(m.edges, e)
+		d.Inserted = append(d.Inserted, e)
+	}
+	slices.Sort(d.Dsts)
+	d.Dsts = slices.Compact(d.Dsts)
+	for v, deg := range m.outDegrees() {
+		if deg != before[v] {
+			d.DegChanged = append(d.DegChanged, Node(v))
+		}
+	}
+	slices.SortStableFunc(d.Inserted, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	return d
+}
+
+// graph renders the model as a CSR with both directions, each row by
+// definition: the edges leaving (entering) v, stably sorted by the other
+// endpoint.
+func (m *edgeModel) graph() *Graph {
+	g := &Graph{OutOffsets: make([]int64, m.n+1), InOffsets: make([]int64, m.n+1), OutEdges: []Node{}, InEdges: []Node{}}
+	if m.weighted {
+		g.OutWeights, g.InWeights = []uint32{}, []uint32{}
+	}
+	for v := 0; v < m.n; v++ {
+		var out, in []Edge
+		for _, e := range m.edges {
+			if e.Src == Node(v) {
+				out = append(out, e)
+			}
+			if e.Dst == Node(v) {
+				in = append(in, e)
+			}
+		}
+		slices.SortStableFunc(out, func(a, b Edge) int { return cmp.Compare(a.Dst, b.Dst) })
+		slices.SortStableFunc(in, func(a, b Edge) int { return cmp.Compare(a.Src, b.Src) })
+		for _, e := range out {
+			g.OutEdges = append(g.OutEdges, e.Dst)
+			if m.weighted {
+				g.OutWeights = append(g.OutWeights, e.Weight)
+			}
+		}
+		for _, e := range in {
+			g.InEdges = append(g.InEdges, e.Src)
+			if m.weighted {
+				g.InWeights = append(g.InWeights, e.Weight)
+			}
+		}
+		g.OutOffsets[v+1], g.InOffsets[v+1] = int64(len(g.OutEdges)), int64(len(g.InEdges))
+	}
+	return g
+}
+
 // TestOverlayChainMatchesRebuildChain is the core conformance property: a
 // chain of batches folded into one overlay presents adjacency, degrees,
-// weights, edge counts and the max-degree source byte-identically to the
-// same batches applied as merge rebuilds, in both directions and over both
-// base representations, and Materialize reproduces the rebuilt CSR
-// exactly.
+// weights, edge counts, the max-degree source and every Delta field exactly
+// as the by-definition edge-list model does, in both directions and over
+// both base representations; the same batches applied as merge rebuilds
+// (ApplyUpdates) and the chain's final Materialize reproduce the model's
+// CSR exactly. The long chain on a tiny dense graph keeps every merge case
+// hot: stripping inserted copies, re-inserting after a delete, parallel
+// copies, and vertices whose entries all cancel.
 func TestOverlayChainMatchesRebuildChain(t *testing.T) {
+	shapes := []struct {
+		name                   string
+		n, edges, batches, per int
+	}{
+		{"sparse", 40, 160, 6, 12},
+		{"dense-long", 8, 10, 96, 5},
+	}
 	for _, weighted := range []bool{false, true} {
 		name := "unweighted"
 		if weighted {
 			name = "weighted"
 		}
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(0xC0FFEE))
-			const n = 40
-			edges := make([]Edge, 0, 160)
-			for i := 0; i < 160; i++ {
-				e := Edge{Src: Node(rng.Intn(n)), Dst: Node(rng.Intn(n))}
-				if weighted {
-					e.Weight = uint32(1 + rng.Intn(63))
-				}
-				edges = append(edges, e)
-			}
-			base := MustFromEdges(n, edges, weighted, false)
-			base.BuildIn()
-			base.CompressOut()
-			base.CompressIn()
+			for _, shape := range shapes {
+				t.Run(shape.name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(0xC0FFEE))
+					edges := make([]Edge, 0, shape.edges)
+					for i := 0; i < shape.edges; i++ {
+						e := Edge{Src: Node(rng.Intn(shape.n)), Dst: Node(rng.Intn(shape.n))}
+						if weighted {
+							e.Weight = uint32(1 + rng.Intn(63))
+						}
+						edges = append(edges, e)
+					}
+					base := MustFromEdges(shape.n, edges, weighted, false)
+					base.BuildIn()
+					base.CompressOut()
+					base.CompressIn()
 
-			ov := NewOverlay(base)
-			cur := base
-			for batch := 0; batch < 6; batch++ {
-				ups := randomBatch(rng, cur, 12, weighted)
-				var err error
-				var ovDelta, gDelta Delta
-				ov, ovDelta, err = ov.Apply(ups)
-				if err != nil {
-					t.Fatalf("batch %d: overlay apply: %v", batch, err)
-				}
-				cur, gDelta, err = ApplyUpdates(cur, ups)
-				if err != nil {
-					t.Fatalf("batch %d: rebuild apply: %v", batch, err)
-				}
-				cur.BuildIn()
-				if !reflect.DeepEqual(ovDelta, gDelta) {
-					t.Fatalf("batch %d: deltas differ:\noverlay %+v\nrebuild %+v", batch, ovDelta, gDelta)
-				}
-				if err := ov.Validate(); err != nil {
-					t.Fatalf("batch %d: %v", batch, err)
-				}
-				compareOverlay(t, ov, cur, weighted)
-			}
+					model := newEdgeModel(base)
+					ov := NewOverlay(base)
+					cur := base
+					want := model.graph()
+					for batch := 0; batch < shape.batches; batch++ {
+						ups := randomBatch(rng, want, shape.per, weighted)
+						var err error
+						var ovDelta, gDelta Delta
+						ov, ovDelta, err = ov.Apply(ups)
+						if err != nil {
+							t.Fatalf("batch %d: overlay apply: %v", batch, err)
+						}
+						cur, gDelta, err = ApplyUpdates(cur, ups)
+						if err != nil {
+							t.Fatalf("batch %d: rebuild apply: %v", batch, err)
+						}
+						wantDelta := model.apply(ups)
+						want = model.graph()
+						for _, got := range []Delta{ovDelta, gDelta} {
+							if got.Inserts != wantDelta.Inserts || got.Deletes != wantDelta.Deletes || got.HasDeletes != wantDelta.HasDeletes ||
+								!slices.Equal(got.Dsts, wantDelta.Dsts) || !slices.Equal(got.DegChanged, wantDelta.DegChanged) ||
+								!slices.Equal(got.Inserted, wantDelta.Inserted) {
+								t.Fatalf("batch %d: delta\n got %+v\nwant %+v", batch, got, wantDelta)
+							}
+						}
+						if err := ov.Validate(); err != nil {
+							t.Fatalf("batch %d: %v", batch, err)
+						}
+						compareOverlay(t, ov, want, weighted)
+						if !slices.Equal(cur.OutOffsets, want.OutOffsets) || !slices.Equal(cur.OutEdges, want.OutEdges) ||
+							!slices.Equal(cur.OutWeights, want.OutWeights) {
+							t.Fatalf("batch %d: merge rebuild differs from the model", batch)
+						}
+					}
 
-			m := ov.Materialize()
-			if !reflect.DeepEqual(m.OutOffsets, cur.OutOffsets) || !reflect.DeepEqual(m.OutEdges, cur.OutEdges) ||
-				!reflect.DeepEqual(m.OutWeights, cur.OutWeights) {
-				t.Fatal("Materialize of chained overlay differs from chained rebuild")
+					m := ov.Materialize()
+					if !slices.Equal(m.OutOffsets, want.OutOffsets) || !slices.Equal(m.OutEdges, want.OutEdges) ||
+						!slices.Equal(m.OutWeights, want.OutWeights) {
+						t.Fatal("Materialize of chained overlay differs from the model")
+					}
+				})
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -97,24 +98,19 @@ func (d *Delta) Edges() int { return d.Inserts + d.Deletes }
 // pairKey packs a directed edge for set membership.
 func pairKey(s, d Node) uint64 { return uint64(s)<<32 | uint64(d) }
 
-// sortedNodes deduplicates and sorts a node set.
-func sortedNodes(set map[Node]struct{}) []Node {
-	out := make([]Node, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// countEqual counts the entries of the sorted row equal to d: two binary
+// searches, O(log len) however many parallel copies there are.
+func countEqual(row []Node, d Node) int64 {
+	lo, _ := slices.BinarySearch(row, d)
+	hi := lo + sort.Search(len(row)-lo, func(i int) bool { return row[lo+i] > d })
+	return int64(hi - lo)
 }
 
-// outCopies counts the parallel copies of the directed pair (s, d): two
-// binary searches over s's sorted out-row (FromEdges and Materialize both
-// guarantee per-source ordering), O(log d) per lookup.
+// outCopies counts the parallel copies of the directed pair (s, d) in s's
+// sorted out-row (FromEdges and Materialize both guarantee per-source
+// ordering).
 func (g *Graph) outCopies(s, d Node) int64 {
-	row := g.OutEdges[g.OutOffsets[s]:g.OutOffsets[s+1]]
-	lo := sort.Search(len(row), func(i int) bool { return row[i] >= d })
-	hi := sort.Search(len(row), func(i int) bool { return row[i] > d })
-	return int64(hi - lo)
+	return countEqual(g.OutEdges[g.OutOffsets[s]:g.OutOffsets[s+1]], d)
 }
 
 // ValidateUpdates checks a batch against g without applying it: endpoints

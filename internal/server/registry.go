@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -46,6 +47,13 @@ type GraphInfo struct {
 	// OverlayEntries counts the overlay's delta entries (overlay form
 	// only); compaction triggers when it outgrows Edges/compactDiv.
 	OverlayEntries int64 `json:"overlay_entries,omitempty"`
+	// BaseBatches counts the update batches already merged into the sealed
+	// base (k of the durable base-<k>.csrz); the epoch is that base plus
+	// the batches applied since. A compaction under sustained writes moves
+	// batches from the overlay into the base without changing the epoch, so
+	// one epoch can be resident under two splits — same outputs, different
+	// charging — and overlay-form cache keys carry this count.
+	BaseBatches uint64 `json:"base_batches,omitempty"`
 }
 
 // Adjacency forms a resident epoch can be served from.
@@ -98,14 +106,28 @@ type Epoch struct {
 	// lookup is an O(V) degree scan that cache-hit-heavy serving must not
 	// repeat per request.
 	Params frameworks.Params
+	// tail holds the update batches applied since Base, oldest first:
+	// exactly the records wal.log holds beyond base-<Info.BaseBatches>.csrz.
+	// The resident state is therefore the durable state, Overlay is always
+	// fold(Base, tail), and a compaction can rebase the batches that landed
+	// while it materialized instead of starting over. Never appended to in
+	// place (handles are immutable and share prefixes by copy).
+	tail [][]graph.EdgeUpdate
+	// loaded is the epoch number this graph's load (Add or recovery) was
+	// given; every handle folded from that load carries it. Two handles
+	// with equal loaded are states of ONE linear batch sequence, which is
+	// what lets a checkpoint tell "batches landed since" from "evicted and
+	// reloaded".
+	loaded uint64
 	// delta is the update batch that produced this epoch and prevEpoch the
 	// epoch it was applied to, i.e. delta describes exactly the prevEpoch ->
 	// Info.Epoch transition. delta is nil (and prevEpoch meaningless) when
 	// the epoch came from a load; read them through TransitionFrom.
 	prevEpoch uint64
 	delta     *graph.Delta
-	// store is the graph's durable state (nil without a data dir); it is
-	// carried across epoch swaps and removed on eviction.
+	// store is the graph's durable state (nil without a data dir, and a nil
+	// store's methods are no-ops); it is carried across epoch swaps and
+	// removed on eviction.
 	store *graphStore
 	// parts caches the epoch's partitioned forms by shard count, built on
 	// first use (partitioning is O(V) but the per-shard ghost tables are
@@ -119,9 +141,9 @@ type Epoch struct {
 // newEpoch is the one place a resident entry is assembled: everything
 // derivable from the adjacency (g alone for csr form, ov over g for overlay
 // form) is derived here, outside the registry lock — DefaultParams is an
-// O(V) degree scan. The caller fills in what only the registry knows (the
-// epoch number, the update count, the transition, the durable store) under
-// the lock, before the handle is published.
+// O(V) degree scan. What only the lineage knows (update count, tail,
+// transition, durable store) is carried over by fold or filled in by the
+// caller; the epoch number is given by publish, under the lock.
 func newEpoch(name, source string, g *graph.Graph, ov *graph.Overlay) *Epoch {
 	ep := &Epoch{
 		Info:    GraphInfo{Name: name, Source: source, Nodes: g.NumNodes(), Edges: g.NumEdges(), CSRBytes: g.CSRBytes(), Form: formCSR},
@@ -138,6 +160,43 @@ func newEpoch(name, source string, g *graph.Graph, ov *graph.Overlay) *Epoch {
 	ep.Info.Form, ep.Info.OverlayEntries = formOverlay, ov.Entries()
 	ep.Params = frameworks.DefaultParamsOverlay(ov)
 	return ep
+}
+
+// batches returns how many update batches of its lineage the handle holds:
+// those merged into the base plus the tail.
+func (e *Epoch) batches() uint64 { return e.Info.BaseBatches + uint64(len(e.tail)) }
+
+// fold returns the handle reached by applying batches, in order, to the
+// state e holds: the overlay over e.Base takes one linear merge per batch
+// (graph.Overlay.Apply) and the tail grows by the batches themselves. Every
+// change of an epoch's content is this one function — an update folds one
+// batch onto the resident handle, recovery folds the logged tail onto the
+// loaded snapshot, a checkpoint folds the batches that landed meanwhile
+// onto the base it materialized — and it runs outside the registry lock;
+// publish numbers and installs the result. Folding nothing returns e.
+func (e *Epoch) fold(batches [][]graph.EdgeUpdate) (*Epoch, error) {
+	if len(batches) == 0 {
+		return e, nil
+	}
+	ov := e.Overlay
+	if ov == nil {
+		ov = graph.NewOverlay(e.Base)
+	}
+	var delta graph.Delta
+	for _, b := range batches {
+		var err error
+		if ov, delta, err = ov.Apply(b); err != nil {
+			return nil, err
+		}
+	}
+	next := newEpoch(e.Info.Name, e.Info.Source, e.Base, ov)
+	next.Info.BaseBatches, next.Info.Updates = e.Info.BaseBatches, e.Info.Updates+len(batches)
+	next.tail = append(e.tail[:len(e.tail):len(e.tail)], batches...)
+	next.loaded, next.store = e.loaded, e.store
+	if len(batches) == 1 {
+		next.prevEpoch, next.delta = e.Info.Epoch, &delta
+	}
+	return next, nil
 }
 
 // TransitionFrom returns the update batch that turned epoch from into this
@@ -225,36 +284,25 @@ func (r *Registry) Add(name, source string, g *graph.Graph) (GraphInfo, error) {
 	if !graphNameRE.MatchString(name) || strings.Trim(name, ".") == "" {
 		return GraphInfo{}, fmt.Errorf("server: invalid graph name %q (want %s)", name, graphNameRE)
 	}
-	dup := func() error {
-		if _, ok := r.graphs[name]; ok {
-			return fmt.Errorf("server: graph %q already loaded (evict it first)", name)
-		}
-		return nil
-	}
-	r.mu.RLock()
-	err := dup()
-	r.mu.RUnlock()
-	if err != nil {
-		return GraphInfo{}, err
+	dup := fmt.Errorf("server: graph %q already loaded (evict it first)", name)
+	if _, ok := r.Resolve(name); ok {
+		return GraphInfo{}, dup
 	}
 	seal(g)
 	ep := newEpoch(name, source, g, nil)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := dup(); err != nil {
+	// The batch-zero snapshot is written under the registry lock: the name
+	// is only reserved by publish's map insert, so a racing Add of the same
+	// name must not interleave directory writes.
+	_, err := r.publish(name, nil, ep, 1, func() (err error) {
+		ep.store, err = createGraphStore(r.dataDir, name, g)
+		return err
+	})
+	if errors.Is(err, errStale) {
+		err = dup
+	}
+	if err != nil {
 		return GraphInfo{}, err
 	}
-	if r.dataDir != "" {
-		// The batch-zero snapshot is written under the registry lock: the
-		// name is only reserved by the map insert below, so a racing Add
-		// of the same name must not interleave directory writes.
-		if ep.store, err = createGraphStore(r.dataDir, name, g); err != nil {
-			return GraphInfo{}, err
-		}
-	}
-	r.epoch++
-	ep.Info.Epoch = r.epoch
-	r.graphs[name] = ep
 	return ep.Info, nil
 }
 
@@ -302,75 +350,121 @@ func (r *Registry) Resolve(name string) (*Epoch, bool) {
 	return ep, ok
 }
 
-// ErrUpdateConflict is returned by ApplyUpdates when the named graph
-// changed (another update batch, or an evict + reload) between the rebuild
-// and the swap; the client should re-read the graph state and retry. The
-// HTTP layer maps it to 409.
+// ErrUpdateConflict is returned by ApplyUpdates when another update batch
+// (or an evict + reload) changed the named graph between the fold and the
+// swap; the client should re-read the graph state and retry. A compaction
+// never causes it: it keeps the epoch, and both sides rebase onto the
+// other's handle. The HTTP layer maps it to 409.
 var ErrUpdateConflict = errors.New("server: graph changed concurrently, retry the update batch")
 
 // ErrNotLoaded wraps "no such graph" failures so the HTTP layer can map
 // them to 404.
 var ErrNotLoaded = errors.New("not loaded")
 
-// ApplyUpdates applies one batched edge-update log to the named graph as a
-// new epoch in overlay form: the batch is validated against and folded
-// into the current epoch's delta overlay (graph.Overlay.Apply — O(|delta|
-// + batch·log d), never an O(E) rebuild; the resident epoch is immutable
-// and in-flight jobs keep reading it), appended durably to the graph's WAL,
-// and the registry entry is swapped under the next epoch. The fold and the
-// new handle's derivation (newEpoch's O(V) default-parameter scan) run
-// outside the registry lock, which every reader's Resolve on every graph
-// contends for; if the entry changed meanwhile the swap fails
-// with ErrUpdateConflict rather than silently dropping the concurrent
-// change. The WAL append happens under the lock, after the conflict check
-// and before the swap — an epoch is never visible before its batch is on
-// disk, and a logged batch that fails to commit is at worst a subsumable
-// duplicate-free prefix record. The applied Delta is retained on the new
-// handle (Epoch.TransitionFrom) for incremental jobs; an overlay that
-// outgrows the compaction threshold is merged into a fresh CSR snapshot in
-// the background (see Checkpoint).
-func (r *Registry) ApplyUpdates(name string, ups []graph.EdgeUpdate) (GraphInfo, error) {
-	old, ok := r.Resolve(name)
-	if !ok {
-		return GraphInfo{}, fmt.Errorf("server: graph %q %w", name, ErrNotLoaded)
-	}
-	base := old.Overlay
-	if base == nil {
-		base = graph.NewOverlay(old.Base)
-	}
-	nov, delta, err := base.Apply(ups)
-	if err != nil {
-		return GraphInfo{}, fmt.Errorf("server: updating %q: %w", name, err)
-	}
-	ep := newEpoch(name, old.Info.Source, nov.Base(), nov)
-	ep.Info.Updates, ep.prevEpoch, ep.delta = old.Info.Updates+1, old.Info.Epoch, &delta
+// ErrStorage wraps failures of the durable store under a request that was
+// itself valid (the WAL append or its fsync), so the HTTP layer answers 500
+// rather than blaming the batch.
+var ErrStorage = errors.New("durable store failure")
+
+// errStale is publish's answer when the resident handle is no longer the
+// one the caller built its successor on.
+var errStale = errors.New("server: resident epoch changed")
+
+func notLoaded(name string) error { return fmt.Errorf("server: graph %q %w", name, ErrNotLoaded) }
+
+// publish is the one place a handle becomes resident. Under the registry
+// lock it re-checks that name still resolves to from — the HANDLE the caller
+// folded next from (nil: the name must be free), not merely its epoch
+// number, because a compaction swaps the handle and keeps the number — runs
+// commit when given (the durable half of the transition: WAL append,
+// snapshot commit, store creation; an epoch is never visible before it is
+// on disk), numbers next advance epochs ahead when the transition is a
+// data change, swaps it in, and starts a background compaction if next's
+// overlay outgrew the threshold. Everything expensive (fold, materialize,
+// parameter scan, snapshot render) happened before, outside the lock every
+// reader's Resolve contends for. On a stale from it returns the handle
+// resident now with errStale, and the caller rebases or gives up; a name
+// that vanished is ErrNotLoaded.
+func (r *Registry) publish(name string, from, next *Epoch, advance uint64, commit func() error) (*Epoch, error) {
 	r.mu.Lock()
-	cur, ok := r.graphs[name]
-	if !ok {
-		// Evicted while we folded: a retry is doomed, so report 404
-		// rather than the retryable 409.
-		r.mu.Unlock()
-		return GraphInfo{}, fmt.Errorf("server: graph %q %w", name, ErrNotLoaded)
+	cur, err := r.graphs[name], error(nil)
+	switch {
+	case cur != from && cur == nil:
+		err = notLoaded(name) // evicted meanwhile: a retry is doomed, so 404 rather than a retryable 409
+	case cur != from:
+		err = errStale
+	case commit != nil:
+		err = commit()
 	}
-	if cur.Info.Epoch != old.Info.Epoch {
+	if err != nil {
 		r.mu.Unlock()
-		return GraphInfo{}, ErrUpdateConflict
+		return cur, err
 	}
-	if cur.store != nil {
-		if err := cur.store.AppendBatch(ups); err != nil {
-			r.mu.Unlock()
-			return GraphInfo{}, fmt.Errorf("server: logging update for %q: %w", name, err)
+	if advance > 0 {
+		r.epoch += advance
+		next.Info.Epoch = r.epoch
+		if from == nil {
+			next.loaded = r.epoch
 		}
 	}
-	r.epoch++
-	ep.Info.Epoch, ep.store = r.epoch, cur.store
-	r.graphs[name] = ep
-	compact := r.overThreshold(ep)
+	r.graphs[name] = next
+	// At most one background compactor per graph: the slot is taken here,
+	// under the same lock as the swap that made it necessary.
+	compact := r.overThreshold(next) && !r.compacting[name]
+	if compact {
+		r.compacting[name] = true
+		r.wg.Add(1)
+	}
 	r.mu.Unlock()
 	if compact {
-		r.compactAsync(name)
+		go r.compactAsync(name)
 	}
-	return ep.Info, nil
+	return next, nil
+}
+
+// ApplyUpdates applies one batched edge-update log to the named graph as a
+// new epoch in overlay form: the batch is validated against and folded onto
+// the resident handle (Epoch.fold — one linear merge into the delta
+// overlay, never an O(E) rebuild; the resident epoch is immutable and
+// in-flight jobs keep reading it), appended durably to the graph's WAL, and
+// published under the next epoch number. If another batch (or an evict +
+// reload) got there first the call fails with ErrUpdateConflict rather than
+// silently dropping the concurrent change; if only a compaction did — same
+// epoch, new base/tail split — the batch is still valid and is folded onto
+// the new handle instead, so a lone writer never sees a conflict. The
+// applied Delta is retained on the new handle (Epoch.TransitionFrom) for
+// incremental jobs; an overlay that outgrows the compaction threshold is
+// merged into a fresh CSR snapshot in the background (see Checkpoint). The
+// batch is retained on the handle, so it is copied first.
+func (r *Registry) ApplyUpdates(name string, ups []graph.EdgeUpdate) (GraphInfo, error) {
+	cur, ok := r.Resolve(name)
+	if !ok {
+		return GraphInfo{}, notLoaded(name)
+	}
+	return r.applyFrom(cur, slices.Clone(ups))
+}
+
+// applyFrom is ApplyUpdates from a handle resolved earlier (tests pin the
+// batch-straddles-a-checkpoint race by resolving, checkpointing, and only
+// then calling this).
+func (r *Registry) applyFrom(cur *Epoch, ups []graph.EdgeUpdate) (GraphInfo, error) {
+	name := cur.Info.Name
+	for {
+		next, err := cur.fold([][]graph.EdgeUpdate{ups})
+		if err != nil {
+			return GraphInfo{}, fmt.Errorf("server: updating %q: %w", name, err)
+		}
+		got, err := r.publish(name, cur, next, 1, func() error { return cur.store.AppendBatch(ups) })
+		switch {
+		case err == nil:
+			return next.Info, nil
+		case !errors.Is(err, errStale):
+			return GraphInfo{}, err
+		case got.Info.Epoch != cur.Info.Epoch:
+			return GraphInfo{}, ErrUpdateConflict
+		}
+		cur = got // same epoch under a new split: a compaction installed
+	}
 }
 
 // overThreshold reports whether ep's overlay outgrew the compaction bound
@@ -379,85 +473,82 @@ func (r *Registry) overThreshold(ep *Epoch) bool {
 	return r.compactDiv > 0 && ep.Overlay != nil && ep.Overlay.Entries() > ep.Overlay.NumEdges()/r.compactDiv
 }
 
-// Checkpoint merges the named graph's current epoch into a standalone
-// sealed CSR (overlay form is materialized — O(E), which is exactly the
-// cost ApplyUpdates no longer pays per batch), persists it as the new
-// base-<k>.csrz snapshot, truncates the WAL it subsumes, and swaps the
-// registry entry to csr form WITHOUT changing the epoch: outputs are
-// byte-identical across forms, so cached results stay valid under their
-// form-qualified keys. The materialization and snapshot render run
-// outside the registry lock; a batch that lands meanwhile fails the swap
-// with ErrUpdateConflict (callers retry or reschedule).
+// Checkpoint merges the named graph's epoch into a standalone sealed CSR
+// (overlay form is materialized — O(E), which is exactly the cost
+// ApplyUpdates does not pay per batch), persists it as the snapshot
+// base-<k>.csrz for the k batches the resolved handle held, and installs it
+// WITHOUT changing the epoch: outputs are byte-identical across forms and
+// splits, so cached results stay valid under their form-qualified keys. The
+// materialization and snapshot render run outside the registry lock, and
+// batches that land meanwhile do not void them: the install is
+// fold(materialized_k, batches beyond k) at the CURRENT epoch number — csr
+// form when nothing raced, else an overlay of just the newcomers — with the
+// log rewritten to exactly those batches. One pass therefore always leaves
+// the overlay no larger than what arrived during it. ErrUpdateConflict is
+// returned only when the graph was evicted and reloaded underneath.
 func (r *Registry) Checkpoint(name string) (GraphInfo, error) {
 	old, ok := r.Resolve(name)
 	if !ok {
-		return GraphInfo{}, fmt.Errorf("server: graph %q %w", name, ErrNotLoaded)
+		return GraphInfo{}, notLoaded(name)
 	}
+	return r.checkpointFrom(old)
+}
+
+// checkpointFrom is Checkpoint from a handle resolved earlier: whatever
+// became resident since is what the install rebases (tests pin the race by
+// resolving, applying batches, and only then calling this).
+func (r *Registry) checkpointFrom(old *Epoch) (GraphInfo, error) {
+	name := old.Info.Name
 	m := old.Base
 	if old.Overlay != nil {
 		m = old.Overlay.Materialize()
 		seal(m)
 	}
-	tmp := ""
-	if old.store != nil {
-		var err error
-		if tmp, err = old.store.writeSnapshot(m); err != nil {
+	k := old.batches()
+	tmp, err := old.store.writeSnapshot(m)
+	if err != nil {
+		return GraphInfo{}, err
+	}
+	defer os.Remove(tmp) // a no-op once CommitSnapshot renamed it into place
+	next := newEpoch(name, old.Info.Source, m, nil)
+	next.Info.BaseBatches, next.Info.Updates = k, old.Info.Updates
+	next.loaded, next.store = old.loaded, old.store
+	for cur := old; ; {
+		// next holds the lineage's first next.batches() batches; fold on
+		// whatever cur holds beyond them, and keep cur's number and
+		// transition — the content is cur's.
+		if next, err = next.fold(cur.tail[next.batches()-cur.Info.BaseBatches:]); err != nil {
 			return GraphInfo{}, err
 		}
-	}
-	ep := newEpoch(name, old.Info.Source, m, nil)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur, ok := r.graphs[name]
-	if !ok || cur.Info.Epoch != old.Info.Epoch {
-		if tmp != "" {
-			os.Remove(tmp)
-		}
-		if !ok {
-			return GraphInfo{}, fmt.Errorf("server: graph %q %w", name, ErrNotLoaded)
-		}
-		return GraphInfo{}, ErrUpdateConflict
-	}
-	if cur.store != nil {
-		if err := cur.store.CommitSnapshot(tmp); err != nil {
+		next.Info.Epoch, next.prevEpoch, next.delta = cur.Info.Epoch, cur.prevEpoch, cur.delta
+		got, err := r.publish(name, cur, next, 0, func() error { return cur.store.CommitSnapshot(tmp, k, next.tail) })
+		switch {
+		case err == nil:
+			return next.Info, nil
+		case !errors.Is(err, errStale):
 			return GraphInfo{}, err
+		case got.loaded != old.loaded:
+			return GraphInfo{}, ErrUpdateConflict
+		case got.Info.BaseBatches > k:
+			return got.Info, nil // a racing checkpoint already rebased past k; ours is moot
 		}
+		cur = got
 	}
-	ep.Info.Epoch, ep.Info.Updates = cur.Info.Epoch, cur.Info.Updates
-	ep.prevEpoch, ep.delta, ep.store = cur.prevEpoch, cur.delta, cur.store
-	r.graphs[name] = ep
-	return ep.Info, nil
 }
 
-// compactAsync starts (at most) one background compactor for name. The
-// compactor checkpoints and re-checks the threshold until the overlay is
-// back under it — a batch that lands mid-materialization conflicts the
-// swap, and the loop simply renders the newer epoch instead of leaking an
-// ever-growing overlay.
+// compactAsync is the background compactor publish starts (one per graph,
+// slot and wait-group count already taken): one Checkpoint. Batches that
+// land while it materializes are rebased onto the new base rather than
+// voiding it, so a pass cannot fail to make progress; should the rebased
+// tail itself be over the threshold, the next batch's publish starts the
+// next pass. A failed pass (I/O, eviction) leaves the resident epoch as it
+// was; there is nobody to report to, and the next batch re-triggers.
 func (r *Registry) compactAsync(name string) {
+	defer r.wg.Done()
+	_, _ = r.Checkpoint(name)
 	r.mu.Lock()
-	if r.compacting[name] {
-		r.mu.Unlock()
-		return
-	}
-	r.compacting[name] = true
+	delete(r.compacting, name)
 	r.mu.Unlock()
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		for {
-			_, err := r.Checkpoint(name)
-			r.mu.Lock()
-			ep, ok := r.graphs[name]
-			retry := (err == nil || errors.Is(err, ErrUpdateConflict)) && ok && r.overThreshold(ep)
-			if !retry {
-				delete(r.compacting, name)
-				r.mu.Unlock()
-				return
-			}
-			r.mu.Unlock()
-		}
-	}()
 }
 
 // Quiesce blocks until background compactions launched so far finish
@@ -505,37 +596,20 @@ func (r *Registry) recoverGraph(name string) (GraphInfo, error) {
 		return GraphInfo{}, err
 	}
 	seal(g)
-	var ov *graph.Overlay // stays nil (csr form) when the log is empty
-	var delta *graph.Delta
-	for i, b := range batches {
-		if ov == nil {
-			ov = graph.NewOverlay(g)
-		}
-		nov, d, err := ov.Apply(b)
-		if err != nil {
-			// Every logged batch was validated before it was appended, so
-			// a semantic rejection means snapshot and log diverged out of
-			// band; refusing the graph beats serving a guessed state.
-			st.Close()
-			return GraphInfo{}, fmt.Errorf("replaying batch %d: %w", i+1, err)
-		}
-		ov, delta = nov, &d
+	base := newEpoch(name, "wal:"+st.dir, g, nil)
+	base.Info.BaseBatches, base.store = st.baseSeq, st
+	ep, err := base.fold(batches) // base itself (csr form) when the log is empty
+	if err != nil {
+		// Every logged batch was validated before it was appended, so a
+		// semantic rejection means snapshot and log diverged out of band;
+		// refusing the graph beats serving a guessed state.
+		err = fmt.Errorf("replaying %d logged batches: %w", len(batches), err)
+	} else if _, err = r.publish(name, nil, ep, uint64(1+len(batches)), nil); err != nil { // the load plus one epoch per batch
+		err = fmt.Errorf("already loaded")
 	}
-	ep := newEpoch(name, "wal:"+st.dir, g, ov)
-	r.mu.Lock()
-	if _, ok := r.graphs[name]; ok {
-		r.mu.Unlock()
+	if err != nil {
 		st.Close()
-		return GraphInfo{}, fmt.Errorf("already loaded")
-	}
-	r.epoch += uint64(1 + len(batches)) // the load plus one epoch per batch
-	ep.Info.Epoch, ep.Info.Updates, ep.store = r.epoch, len(batches), st
-	ep.prevEpoch, ep.delta = r.epoch-1, delta
-	r.graphs[name] = ep
-	compact := r.overThreshold(ep)
-	r.mu.Unlock()
-	if compact {
-		r.compactAsync(name)
+		return GraphInfo{}, err
 	}
 	return ep.Info, nil
 }
@@ -546,7 +620,7 @@ func (r *Registry) Evict(name string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ep, ok := r.graphs[name]
-	if ok && ep.store != nil {
+	if ok {
 		ep.store.Remove()
 	}
 	delete(r.graphs, name)

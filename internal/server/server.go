@@ -271,7 +271,10 @@ type jobPlan struct {
 // whose bytes ARE a pure function of the key. The epoch's adjacency form
 // (Info.Form: csr vs overlay) is in the key for the same reason: a
 // compaction keeps the epoch and the outputs but changes the charging, so
-// the two forms' bytes must never alias. Sharded executions are qualified
+// the two forms' bytes must never alias — and neither must two overlay
+// SPLITS of one epoch (a compaction beside writes rebases the epoch onto a
+// later base), so overlay form is qualified by the batches its base holds
+// ("f=overlay@<k>"). Sharded executions are qualified
 // by their shard count ("|s<N>") for the same reason again: outputs are
 // bitwise identical across shard counts, but the timing and traffic
 // metadata in the serialized Result are per-width. The key leads with
@@ -285,8 +288,12 @@ func (p *jobPlan) key() string {
 		inc += fmt.Sprintf("|s%d", p.shards)
 	}
 	info := p.ep.Info
+	form := info.Form
+	if form == formOverlay {
+		form = fmt.Sprintf("%s@%d", form, info.BaseBatches)
+	}
 	return fmt.Sprintf("%s|%d|f=%s|%s|%s|t%d|cfg%+v|opt%+v|par%+v|m=%s%s",
-		info.Name, info.Epoch, info.Form, p.app, p.profile.Name, p.threads, p.profile.Engine(), p.opts, p.params, p.machine, inc)
+		info.Name, info.Epoch, form, p.app, p.profile.Name, p.threads, p.profile.Engine(), p.opts, p.params, p.machine, inc)
 }
 
 // graphKeyPrefix returns the prefix shared by every cache and seed key of a
@@ -716,14 +723,7 @@ func (s *Server) handleGraphUpdates(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.reg.ApplyUpdates(name, req.Updates)
 	if err != nil {
-		code := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrNotLoaded):
-			code = http.StatusNotFound
-		case errors.Is(err, ErrUpdateConflict):
-			code = http.StatusConflict
-		}
-		writeError(w, code, "%v", err)
+		writeError(w, registryStatus(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	dropped := s.cache.InvalidatePrefix(graphKeyPrefix(name))
@@ -734,24 +734,34 @@ func (s *Server) handleGraphUpdates(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// registryStatus maps a registry error to its HTTP status: 404 for an
+// unknown graph, 409 for a lost race, 500 for the durable store; anything
+// else is the caller's fallback (a bad batch is the client's fault, a
+// failed checkpoint the server's).
+func registryStatus(err error, fallback int) int {
+	switch {
+	case errors.Is(err, ErrNotLoaded):
+		return http.StatusNotFound
+	case errors.Is(err, ErrUpdateConflict):
+		return http.StatusConflict
+	case errors.Is(err, ErrStorage):
+		return http.StatusInternalServerError
+	}
+	return fallback
+}
+
 // handleCheckpoint merges the named graph's overlay epoch into a fresh
 // sealed CSR, persists it as the new snapshot (when a data dir is
-// configured) and truncates the subsumed WAL. The epoch is unchanged —
-// this is a form change, not a data change — so no cache invalidation
-// happens; post-checkpoint jobs simply key under the csr form. A batch
-// racing the checkpoint wins: the caller gets 409 and can retry.
+// configured) and rewrites the WAL to the batches beyond it. The epoch is
+// unchanged — this is a form change, not a data change — so no cache
+// invalidation happens; post-checkpoint jobs simply key under the new form.
+// Batches racing the checkpoint are rebased onto the new base (200, overlay
+// form over it); 409 is left for an evict + reload underneath.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	info, err := s.reg.Checkpoint(name)
 	if err != nil {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrNotLoaded):
-			code = http.StatusNotFound
-		case errors.Is(err, ErrUpdateConflict):
-			code = http.StatusConflict
-		}
-		writeError(w, code, "%v", err)
+		writeError(w, registryStatus(err, http.StatusInternalServerError), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"graph": info})

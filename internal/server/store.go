@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,18 +26,39 @@ import (
 // and a crash at ANY point between a snapshot commit and the log
 // truncation that follows it merely leaves already-subsumed records in the
 // log, which replay skips by sequence instead of applying twice. Second,
-// every multi-byte commit is a single rename: snapshots are written to a
-// temp file and renamed into place, so a torn snapshot write leaves the
-// previous base-<k> (and the log records it needs) untouched.
+// every multi-byte commit is a single rename: snapshots and rewritten logs
+// are written to a temp file and renamed into place, so a torn write leaves
+// the previous base-<k> (and the log records it needs) untouched.
+//
+// A nil *graphStore is the in-memory registry's store: every durable step
+// on it is a no-op, so the registry's transitions read the same with or
+// without a data dir.
 type graphStore struct {
 	dir string
 	// wal is the open append handle; appends are serialized by the
 	// registry's write lock.
-	wal *os.File
+	wal walFile
+	// walLen is the length of the log's acknowledged prefix: a failed
+	// append is cut back to it, so nothing unacknowledged (torn or whole)
+	// ever sits in front of a later acknowledged record. failed is set when
+	// even that cut fails — the log's tail is then unknown and nothing more
+	// may be acknowledged onto it until the log is rewritten.
+	walLen int64
+	failed error
 	// baseSeq is k of the live base-<k>.csrz; nextSeq the sequence the
 	// next appended batch gets.
 	baseSeq uint64
 	nextSeq uint64
+}
+
+// walFile is what the store needs of the open log: append, make durable,
+// cut back, release. *os.File in production; the fault tests substitute one
+// whose writes come up short or whose fsync fails.
+type walFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 const walFileName = "wal.log"
@@ -44,20 +67,30 @@ func basePath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("base-%d.csrz", seq))
 }
 
-// openWAL (re)opens the append handle.
+// openWAL (re)opens the append handle on the log as it stands, which the
+// caller knows to hold only acknowledged records.
 func (st *graphStore) openWAL() error {
+	st.Close()
 	f, err := os.OpenFile(filepath.Join(st.dir, walFileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: opening WAL: %w", err)
+	if err == nil {
+		var fi os.FileInfo
+		if fi, err = f.Stat(); err == nil {
+			st.wal, st.walLen, st.failed = f, fi.Size(), nil
+			return nil
+		}
+		f.Close()
 	}
-	st.wal = f
-	return nil
+	st.failed = fmt.Errorf("server: opening WAL: %w", err)
+	return st.failed
 }
 
-// createGraphStore initializes a fresh graph directory with g as the
-// batch-zero snapshot and an empty log. A leftover directory from an
+// createGraphStore initializes a fresh graph directory by committing g as
+// the batch-zero snapshot with an empty log. A leftover directory from an
 // evicted or half-created graph of the same name is removed first.
 func createGraphStore(dataDir, name string, g *graph.Graph) (*graphStore, error) {
+	if dataDir == "" {
+		return nil, nil
+	}
 	dir := filepath.Join(dataDir, name)
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, fmt.Errorf("server: clearing graph dir: %w", err)
@@ -67,13 +100,10 @@ func createGraphStore(dataDir, name string, g *graph.Graph) (*graphStore, error)
 	}
 	st := &graphStore{dir: dir, baseSeq: 0, nextSeq: 1}
 	tmp, err := st.writeSnapshot(g)
+	if err == nil {
+		err = st.CommitSnapshot(tmp, 0, nil)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if err := os.Rename(tmp, basePath(dir, 0)); err != nil {
-		return nil, fmt.Errorf("server: committing snapshot: %w", err)
-	}
-	if err := st.openWAL(); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -83,6 +113,9 @@ func createGraphStore(dataDir, name string, g *graph.Graph) (*graphStore, error)
 // returns its path; the caller commits it with a rename (or removes it).
 // Fsync before rename makes the rename a real commit point.
 func (st *graphStore) writeSnapshot(g *graph.Graph) (string, error) {
+	if st == nil {
+		return "", nil
+	}
 	f, err := os.CreateTemp(st.dir, ".base-*.tmp")
 	if err != nil {
 		return "", fmt.Errorf("server: creating snapshot temp: %w", err)
@@ -102,54 +135,107 @@ func (st *graphStore) writeSnapshot(g *graph.Graph) (string, error) {
 }
 
 // AppendBatch logs one update batch durably; called under the registry
-// write lock, after the epoch conflict check and before the epoch swap, so
-// the log order is exactly the epoch order and no unlogged epoch is ever
-// visible.
+// write lock, after the handle re-check and before the epoch swap, so the
+// log order is exactly the epoch order and no unlogged epoch is ever
+// visible. A short write or a failed fsync leaves bytes nobody was told
+// about in the file — a torn record recovery would stop at, or a whole one
+// it would apply — so the log is cut back to its acknowledged length before
+// the error is returned, and if that fails too the store refuses further
+// appends: a later acknowledged batch must never land behind garbage.
 func (st *graphStore) AppendBatch(ups []graph.EdgeUpdate) error {
-	if err := graph.AppendLog(st.wal, st.nextSeq, ups); err != nil {
+	if st == nil {
+		return nil
+	}
+	if st.failed != nil {
+		return st.failed
+	}
+	var rec bytes.Buffer
+	if err := graph.AppendLog(&rec, st.nextSeq, ups); err != nil {
 		return err
 	}
-	if err := st.wal.Sync(); err != nil {
+	_, err := st.wal.Write(rec.Bytes())
+	if err == nil {
+		err = st.wal.Sync()
+	}
+	if err != nil {
+		err = fmt.Errorf("server: logging batch %d: %w: %w", st.nextSeq, ErrStorage, err)
+		if terr := st.wal.Truncate(st.walLen); terr != nil {
+			st.failed = fmt.Errorf("%w; the log could not be cut back (%v) and takes no more appends", err, terr)
+		}
 		return err
 	}
+	st.walLen += int64(rec.Len())
 	st.nextSeq++
 	return nil
 }
 
-// CommitSnapshot promotes tmp (from writeSnapshot) to the live base
-// subsuming every batch logged so far, then truncates the log. Called
-// under the registry write lock after re-checking that no batch landed
-// since the snapshot was rendered. A crash between the rename and the
-// truncation is benign: the log still holds only records with seq <=
-// baseSeq, which recovery skips.
-func (st *graphStore) CommitSnapshot(tmp string) error {
-	upTo := st.nextSeq - 1
-	if err := os.Rename(tmp, basePath(st.dir, upTo)); err != nil {
-		return fmt.Errorf("server: committing snapshot: %w", err)
+// rewriteLog replaces the log with exactly the given batches, numbered from
+// first, and reopens the append handle on it: temp file, fsync, one rename,
+// so a crash leaves the old log or the new one and never a mixture.
+func (st *graphStore) rewriteLog(first uint64, batches [][]graph.EdgeUpdate) error {
+	tmp, err := os.CreateTemp(st.dir, ".wal-*.tmp")
+	if err != nil {
+		return fmt.Errorf("server: creating WAL temp: %w", err)
 	}
-	if old := st.baseSeq; old != upTo {
-		os.Remove(basePath(st.dir, old))
+	for i, b := range batches {
+		if err == nil {
+			err = graph.AppendLog(tmp, first+uint64(i), b)
+		}
 	}
-	st.baseSeq = upTo
-	st.wal.Close()
-	if err := os.Remove(filepath.Join(st.dir, walFileName)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("server: truncating WAL: %w", err)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(st.dir, walFileName))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("server: rewriting WAL: %w", err)
 	}
 	return st.openWAL()
 }
 
-// Close releases the WAL handle.
+// CommitSnapshot promotes tmp (from writeSnapshot) to the live base
+// subsuming the first k batches, then rewrites the log to rest — the
+// batches k+1.. the resident epoch holds beyond that base (none when no
+// batch landed while the snapshot was rendered). Called under the registry
+// write lock. A crash between the rename and the rewrite is benign: the log
+// then still holds every record since the PREVIOUS base, and recovery
+// skips the ones with seq <= k by sequence arithmetic and replays the rest.
+func (st *graphStore) CommitSnapshot(tmp string, k uint64, rest [][]graph.EdgeUpdate) error {
+	if st == nil {
+		return nil
+	}
+	if k+uint64(len(rest))+1 != st.nextSeq {
+		return fmt.Errorf("server: snapshot of %d batches + %d logged does not add up to the %d acknowledged", k, len(rest), st.nextSeq-1)
+	}
+	if err := os.Rename(tmp, basePath(st.dir, k)); err != nil {
+		return fmt.Errorf("server: committing snapshot: %w", err)
+	}
+	if old := st.baseSeq; old != k {
+		os.Remove(basePath(st.dir, old))
+	}
+	st.baseSeq = k
+	return st.rewriteLog(k+1, rest)
+}
+
+// Close releases the WAL handle; appends are refused from then on.
 func (st *graphStore) Close() {
-	if st.wal != nil {
+	if st != nil && st.wal != nil {
 		st.wal.Close()
-		st.wal = nil
+		st.wal, st.failed = nil, fmt.Errorf("%w: %w", ErrStorage, os.ErrClosed)
 	}
 }
 
 // Remove deletes the graph's directory (eviction).
 func (st *graphStore) Remove() {
-	st.Close()
-	os.RemoveAll(st.dir)
+	if st != nil {
+		st.Close()
+		os.RemoveAll(st.dir)
+	}
 }
 
 // openGraphStore recovers one graph directory: it loads the highest
@@ -223,32 +309,9 @@ func openGraphStore(dataDir, name string) (*graphStore, *graph.Graph, [][]graph.
 
 	// Rewrite the log to exactly the surviving records (dropping torn
 	// tails, subsumed records and untrusted suffixes) so future appends
-	// land on a clean, replayable stream. Same single-rename commit.
-	tmp, err := os.CreateTemp(dir, ".wal-*.tmp")
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("server: creating WAL temp: %w", err)
-	}
-	for i, b := range batches {
-		if err == nil {
-			err = graph.AppendLog(tmp, baseSeq+1+uint64(i), b)
-		}
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return nil, nil, nil, fmt.Errorf("server: rewriting WAL: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, walFileName)); err != nil {
-		return nil, nil, nil, fmt.Errorf("server: rewriting WAL: %w", err)
-	}
-
+	// land on a clean, replayable stream.
 	st := &graphStore{dir: dir, baseSeq: baseSeq, nextSeq: baseSeq + 1 + uint64(len(batches))}
-	if err := st.openWAL(); err != nil {
+	if err := st.rewriteLog(baseSeq+1, batches); err != nil {
 		return nil, nil, nil, err
 	}
 	return st, g, batches, nil

@@ -225,24 +225,7 @@ func TestJobsRacingUpdatesNeverObserveStaleResults(t *testing.T) {
 		if !ok {
 			t.Fatal("erdos not registered")
 		}
-		p, _ := frameworks.ByName("Galois")
-		m := memsim.NewMachine(srv.cfg.Machine)
-		opts := p.Options("cc", 8)
-		var res *analytics.Result
-		var err error
-		if ep.Overlay != nil {
-			res, err = p.RunOverlayOnOpts(m, ep.Overlay, "cc", opts, frameworks.DefaultParamsOverlay(ep.Overlay))
-		} else {
-			res, err = p.RunOnOpts(m, ep.Base, "cc", opts, frameworks.DefaultParams(ep.Base))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := analytics.MarshalResult(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return directCC(t, ep.Base, ep.Overlay)
 	}
 
 	// Warm the pre-update cache so a stale entry EXISTS to be served.
