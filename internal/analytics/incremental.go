@@ -265,7 +265,7 @@ func unionSorted(a, b []graph.Node) []graph.Node {
 // result is the canonical min-ID labeling, bitwise identical to any of the
 // full cc variants on the post-update graph. Panics if the delta contains
 // deletions (they can split components; callers fall back to full
-// recompute — see frameworks.RunIncrementalOnOpts).
+// recompute — see frameworks.Plan).
 func CCIncremental(r *core.Runtime, prior []uint32, delta *graph.Delta) *Result {
 	n := r.G.NumNodes()
 	if len(prior) != n {

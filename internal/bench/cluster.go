@@ -137,7 +137,7 @@ func Table4(opt Options) error {
 				return fmt.Errorf("table4 %s/%s: %w", gname, app, err)
 			}
 			m := memsim.NewMachine(optaneMachine(opt.Scale))
-			ores, err := frameworks.Galois.RunOn(m, g, app, 96, params)
+			ores, _, err := frameworks.Galois.Plan(g, app, 96, params).Run(m)
 			if err != nil {
 				return fmt.Errorf("table4 %s/%s optane: %w", gname, app, err)
 			}
@@ -211,7 +211,7 @@ func Figure11(opt Options) error {
 				return err
 			}
 			m := memsim.NewMachine(optaneMachine(opt.Scale))
-			ob, err := frameworks.Galois.RunOn(m, g, app, 96, params)
+			ob, _, err := frameworks.Galois.Plan(g, app, 96, params).Run(m)
 			if err != nil {
 				return err
 			}

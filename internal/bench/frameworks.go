@@ -36,9 +36,9 @@ func Figure9(opt Options) error {
 				// The paper-scale graph gates 32-bit frameworks,
 				// not our scaled stand-in.
 				tooBig := p.Signed32NodeIDs && row.Nodes > (1<<31)-1
-				if p.Supports(app) && !tooBig {
-					m := memsim.NewMachine(optaneMachine(opt.Scale))
-					res, err := p.RunOn(m, g, app, 96, params)
+				plan := p.Plan(g, app, 96, params)
+				if plan.Validate() == nil && !tooBig {
+					res, _, err := plan.Run(memsim.NewMachine(optaneMachine(opt.Scale)))
 					if err == nil {
 						times[p.Name] = res.Seconds
 						cell = fmt.Sprintf("%.4f", res.Seconds)

@@ -57,7 +57,7 @@ func Table5(opt Options) error {
 				ad = e.CC()
 			}
 			m := memsim.NewMachine(optaneMachine(opt.Scale))
-			mm, err := frameworks.Galois.RunOn(m, g, app, 96, params)
+			mm, _, err := frameworks.Galois.Plan(g, app, 96, params).Run(m)
 			if err != nil {
 				return fmt.Errorf("table5 %s/%s: %w", gname, app, err)
 			}

@@ -25,12 +25,12 @@ func Figure10(opt Options) error {
 		for _, app := range apps {
 			for _, threads := range threadCounts {
 				om := memsim.NewMachine(optaneMachine(opt.Scale))
-				ores, err := frameworks.Galois.RunOn(om, g, app, threads, params)
+				ores, _, err := frameworks.Galois.Plan(g, app, threads, params).Run(om)
 				if err != nil {
 					return fmt.Errorf("fig10 %s/%s optane: %w", gname, app, err)
 				}
 				dm := memsim.NewMachine(dramMachine(opt.Scale))
-				dres, err := frameworks.Galois.RunOn(dm, g, app, threads, params)
+				dres, _, err := frameworks.Galois.Plan(g, app, threads, params).Run(dm)
 				if err != nil {
 					return fmt.Errorf("fig10 %s/%s dram: %w", gname, app, err)
 				}

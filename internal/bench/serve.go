@@ -235,7 +235,7 @@ func FigServe(opt Options) error {
 		params := frameworks.DefaultParams(g)
 		for _, app := range apps {
 			t0 := time.Now()
-			if _, err := frameworks.Galois.RunOn(memsim.NewMachine(machine), g, app, 8, params); err != nil {
+			if _, _, err := frameworks.Galois.Plan(g, app, 8, params).Run(memsim.NewMachine(machine)); err != nil {
 				return fmt.Errorf("bench: calibrating %s/%s: %w", gname, app, err)
 			}
 			costs[app] = time.Since(t0).Seconds()

@@ -8,7 +8,6 @@ import (
 
 	"pmemgraph/internal/gen"
 	"pmemgraph/internal/loadgen"
-	"pmemgraph/internal/server"
 )
 
 // runFigServe executes the quick figServe sweep once and returns its
@@ -32,62 +31,6 @@ func runFigServe(t *testing.T, traceOut string) []Record {
 		t.Fatalf("no figServe records collected\n%s", buf.String())
 	}
 	return rows
-}
-
-// TestFigServePriorityBoundsInteractiveTailLatency is the admission-control
-// acceptance assertion: replaying the identical open-loop trace at the
-// overloaded sweep point, per-class priority scheduling with interactive
-// deadlines must keep the interactive p99 strictly below single-queue FIFO,
-// and must not serve less within-SLO interactive goodput. The margin is
-// structural, not a timing accident — under FIFO an interactive arrival
-// waits behind the whole mixed backlog (including ~10x-heavier batch
-// jobs), while priority drains interactive 4:1 and sheds doomed work at
-// its deadline, bounding the tail near the SLO.
-func TestFigServePriorityBoundsInteractiveTailLatency(t *testing.T) {
-	if raceEnabled {
-		t.Skip("figServe paces wall-clock arrivals; the race detector's ~15x slowdown distorts the sweep")
-	}
-	if testing.Short() {
-		t.Skip("serving replays are slow")
-	}
-	rows := runFigServe(t, "")
-
-	// The overloaded sweep point is the highest offered rate.
-	maxOffered := 0.0
-	for _, r := range rows {
-		if r.OfferedRPS > maxOffered {
-			maxOffered = r.OfferedRPS
-		}
-	}
-	byMode := map[string]Record{}
-	for _, r := range rows {
-		if r.OfferedRPS == maxOffered && r.Class == server.ClassInteractive {
-			byMode[r.Mode] = r
-		}
-	}
-	fifo, ok := byMode["fifo"]
-	if !ok {
-		t.Fatalf("no fifo interactive record at %.0f rps: %+v", maxOffered, rows)
-	}
-	prio, ok := byMode["priority"]
-	if !ok {
-		t.Fatalf("no priority interactive record at %.0f rps: %+v", maxOffered, rows)
-	}
-	if prio.P99Ms >= fifo.P99Ms {
-		t.Errorf("at overload (%.0f rps) priority interactive p99 = %.1fms is not strictly below fifo %.1fms",
-			maxOffered, prio.P99Ms, fifo.P99Ms)
-	}
-	if prio.GoodputRPS < fifo.GoodputRPS {
-		t.Errorf("at overload (%.0f rps) priority interactive goodput = %.1f rps fell below fifo %.1f rps",
-			maxOffered, prio.GoodputRPS, fifo.GoodputRPS)
-	}
-	// Every interactive arrival is accounted for in every row: completed,
-	// rejected or shed.
-	for mode, r := range byMode {
-		if got := r.Completed + r.Rejected + r.Shed; got != uint64(r.Events) {
-			t.Errorf("%s interactive outcomes %d != events %d", mode, got, r.Events)
-		}
-	}
 }
 
 // TestGoldenFigServeJSON locks the figServe record stream for

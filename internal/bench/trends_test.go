@@ -60,11 +60,11 @@ func TestGaloisBeatsGraphItOnHighDiameterBFS(t *testing.T) {
 	params := frameworks.DefaultParams(g)
 	machine := optaneMachine(gen.ScaleSmall)
 
-	galois, err := frameworks.Galois.RunOn(memsim.NewMachine(machine), g, "bfs", 96, params)
+	galois, _, err := frameworks.Galois.Plan(g, "bfs", 96, params).Run(memsim.NewMachine(machine))
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphit, err := frameworks.GraphIt.RunOn(memsim.NewMachine(machine), g, "bfs", 96, params)
+	graphit, _, err := frameworks.GraphIt.Plan(g, "bfs", 96, params).Run(memsim.NewMachine(machine))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,13 @@
 // the omission.
 //
 // This is the dispatch layer between the serving layer / harness above
-// and the kernels below: it charges nothing itself (runtimes built here
-// charge through core/engine), and a profile execution inherits the
-// engine's determinism — RunOn and friends are pure functions of
-// (machine config, graph, app, options, params), including the
-// incremental entry point RunIncrementalOnOpts, whose outputs are bitwise
-// those of a full recompute whether it runs seeded or falls back.
+// and the kernels below. Every job is a Plan: Plan.Validate is the one
+// place a job is refused, and Plan.Run is the one path that builds a
+// runtime or shard engine and dispatches to a kernel. It charges nothing
+// itself (what Run builds charges through core/engine/shard), and a run
+// inherits the engine's determinism — Plan.Run is a pure function of
+// (machine config, plan), including incremental plans, whose outputs are
+// bitwise those of a full recompute whether they run seeded or fall back.
 package frameworks
 
 import (
@@ -41,7 +42,6 @@ import (
 	"pmemgraph/internal/engine"
 	"pmemgraph/internal/graph"
 	"pmemgraph/internal/memsim"
-	"pmemgraph/internal/shard"
 )
 
 // Profile describes one framework's constraints. A profile is executed by
@@ -211,7 +211,7 @@ func (p Profile) Options(app string, threads int) core.Options {
 // "all graphs are unweighted, so we generate random weights"). They are
 // exported so graph owners that pre-materialize weights (the serving
 // layer's registry seals graphs before sharing them across concurrent
-// jobs) produce exactly the weights RunOn would have added lazily.
+// jobs) produce exactly the weights Plan.Run would have added lazily.
 const (
 	DefaultWeightMax  = 64
 	DefaultWeightSeed = 0xC0FFEE
@@ -280,18 +280,14 @@ func defaultParams(src graph.Node, nodes int, edges int64) Params {
 	}
 }
 
-// Run executes app under this framework's constraints on the runtime r
-// (which must have been built with p.Options(app, threads)). The profile
-// reaches the shared kernels as engine parameters (p.Engine()) plus the
-// capability flags that gate whole algorithm families — there is no
-// per-framework kernel-variant table.
+// Run is the app→kernel switch of a single runtime: it executes app under
+// this framework's constraints on r. The profile reaches the shared
+// kernels as engine parameters (p.Engine()) plus the capability flags that
+// gate whole algorithm families — there is no per-framework kernel-variant
+// table. Plan.Run dispatches through it after Plan.Validate; a direct
+// caller must have built r with p.Options(app, threads) for an app p
+// implements, over a graph p can load.
 func (p Profile) Run(r *core.Runtime, app string, params Params) (*analytics.Result, error) {
-	if !p.Supports(app) {
-		return nil, fmt.Errorf("frameworks: %s does not implement %s", p.Name, app)
-	}
-	if !p.CanLoad(r.G) {
-		return nil, fmt.Errorf("frameworks: %s cannot load %d nodes (signed 32-bit node IDs)", p.Name, r.G.NumNodes())
-	}
 	cfg := p.Engine()
 	switch app {
 	case "bfs":
@@ -326,128 +322,8 @@ func (p Profile) Run(r *core.Runtime, app string, params Params) (*analytics.Res
 	}
 }
 
-// RunOn is the convenience wrapper used by the harness: build a runtime on
-// m for (p, app), execute, and close it.
-func (p Profile) RunOn(m *memsim.Machine, g *graph.Graph, app string, threads int, params Params) (*analytics.Result, error) {
-	return p.RunOnBackend(m, g, app, threads, params, core.BackendRaw)
-}
-
-// RunOnBackend is RunOn with an explicit storage-backend selection for the
-// CSR arrays (the serving layer chooses per job). Kernel results are
-// byte-identical across backends; only simulated traffic and time differ.
-func (p Profile) RunOnBackend(m *memsim.Machine, g *graph.Graph, app string, threads int, params Params, backend core.Backend) (*analytics.Result, error) {
-	opts := p.Options(app, threads)
-	opts.Backend = backend
-	return p.RunOnOpts(m, g, app, opts, params)
-}
-
-// RunOnOpts executes app over explicit runtime options. Callers that also
-// derive something else from the options (the serving layer's cache key)
-// use this so the executed configuration and the derived one cannot
-// drift; opts should come from p.Options plus deliberate overrides.
-func (p Profile) RunOnOpts(m *memsim.Machine, g *graph.Graph, app string, opts core.Options, params Params) (*analytics.Result, error) {
-	r, err := buildRuntime(m, g, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return p.Run(r, app, params)
-}
-
-// RunOverlayOnOpts is RunOnOpts over an overlay epoch: the runtime charges
-// the sealed base exactly as a plain run would plus the overlay's delta
-// entries as separate small arrays. Outputs are byte-identical to
-// RunOnOpts over ov.Materialize() sealed the same way — the conformance
-// bar the delta-overlay form is held to.
-func (p Profile) RunOverlayOnOpts(m *memsim.Machine, ov *graph.Overlay, app string, opts core.Options, params Params) (*analytics.Result, error) {
-	r, err := buildRuntime(m, ov.Base(), ov, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return p.Run(r, app, params)
-}
-
-// buildRuntime constructs the plain or overlay runtime RunOnOpts-family
-// helpers share. Plain bases are weight-sealed on demand; overlay bases
-// must have been sealed BEFORE ApplyOverlay (the overlay's delta
-// structures are derived from the base at that moment), so a weighted run
-// over an unweighted overlay is refused by core.NewOverlay rather than
-// silently reseeded here.
-func buildRuntime(m *memsim.Machine, g *graph.Graph, ov *graph.Overlay, opts core.Options) (*core.Runtime, error) {
-	if ov != nil {
-		return core.NewOverlay(m, ov, opts)
-	}
-	if opts.Weighted && !g.HasWeights() {
-		g.AddRandomWeights(DefaultWeightMax, DefaultWeightSeed)
-	}
-	return core.New(m, g, opts)
-}
-
 // Apps returns the paper's benchmark names in presentation order.
 func Apps() []string { return []string{"bc", "bfs", "cc", "kcore", "pr", "sssp", "tc"} }
-
-// ShardedApp reports whether app has a sharded BSP kernel. tc is the one
-// benchmark without one: its intersection operator is not a scatter/gather
-// vertex program.
-func ShardedApp(app string) bool {
-	switch app {
-	case "bc", "bfs", "cc", "kcore", "pr", "sssp":
-		return true
-	}
-	return false
-}
-
-// RunShardedOnOpts executes app over a partitioned graph as scatter/gather
-// BSP supersteps: one shard worker per partition range, each with its own
-// machine (built from the machine config) and backend, coordinated by
-// internal/shard. This is framework-independent — BSP vertex programs are
-// the common denominator every framework can express — so unlike RunOnOpts
-// it is not a Profile method.
-//
-// Outputs are bitwise identical across shard counts, GOMAXPROCS, and
-// backends (the shard conformance suite locks all three axes), and a
-// 1-shard run matches the app's round-based single-machine kernel.
-//
-// The partition's source must be sealed for the app before partitioning:
-// locals alias the source arrays, so weights (sssp) and the transpose
-// (cc/pr/kcore) cannot be added after the fact — missing seals are refused
-// here rather than repaired.
-func RunShardedOnOpts(machine memsim.MachineConfig, part *graph.Partition, app string, opts core.Options, params Params) (*analytics.Result, error) {
-	g := part.Source()
-	switch app {
-	case "sssp":
-		if !g.HasWeights() {
-			return nil, fmt.Errorf("frameworks: sharded sssp needs weights sealed before partitioning")
-		}
-	case "cc", "pr", "kcore":
-		if !g.HasIn() {
-			return nil, fmt.Errorf("frameworks: sharded %s needs the transpose sealed before partitioning", app)
-		}
-	case "bfs", "bc":
-	default:
-		return nil, fmt.Errorf("frameworks: app %q has no sharded BSP kernel", app)
-	}
-	e, err := shard.New(part, shard.ServingConfig(machine, opts.Threads, opts.Backend))
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	switch app {
-	case "bfs":
-		return e.BFS(params.Source), nil
-	case "sssp":
-		return e.SSSP(params.Source), nil
-	case "cc":
-		return e.CC(), nil
-	case "pr":
-		return e.PR(params.prBounds()), nil
-	case "kcore":
-		return e.KCore(params.K), nil
-	default: // bc
-		return e.BC(params.Source), nil
-	}
-}
 
 // --- Incremental execution (streaming updates) ---
 
@@ -459,8 +335,8 @@ const IncrementalMaxDeltaFrac = 10
 
 // Seed carries the prior-epoch artifacts an incremental run resumes from:
 // converged component labels for cc, the recorded rank trajectory for pr.
-// Seeds are produced by every RunIncrementalOnOpts call (fallback runs
-// record one too), so epochs chain: each run seeds the next.
+// Seeds are produced by every incremental Plan.Run (fallback runs record
+// one too), so epochs chain: each run seeds the next.
 type Seed struct {
 	CCLabels []uint32
 	PR       *analytics.PRSeed
@@ -479,68 +355,4 @@ func (s *Seed) Bytes() int64 {
 		}
 	}
 	return total
-}
-
-// IncrementalApp reports whether app has an incremental variant.
-func IncrementalApp(app string) bool { return app == "cc" || app == "pr" }
-
-// RunIncrementalOnOpts executes app over g with incremental recomputation
-// when the seed and delta allow it, falling back to a full recompute
-// otherwise — when there is no usable seed, the delta is large
-// (IncrementalMaxDeltaFrac), cc faces deletions (splits are inexpressible
-// over merged labels), or the profile lacks the capability (GraphIt's DSL
-// has no arbitrary per-vertex operators, so its cc cannot chase root
-// pointers; §6.1). Either way the outputs are byte-identical to a
-// from-scratch run on g — the incremental kernels guarantee it, and the
-// fallback IS a from-scratch run — and a new Seed for the next epoch is
-// returned alongside the result.
-func (p Profile) RunIncrementalOnOpts(m *memsim.Machine, g *graph.Graph, app string, opts core.Options, params Params, seed *Seed, delta *graph.Delta) (*analytics.Result, *Seed, error) {
-	return p.runIncremental(m, g, nil, app, opts, params, seed, delta)
-}
-
-// RunIncrementalOverlayOnOpts is RunIncrementalOnOpts over an overlay
-// epoch (seed and delta semantics are identical; only the runtime's
-// storage form differs).
-func (p Profile) RunIncrementalOverlayOnOpts(m *memsim.Machine, ov *graph.Overlay, app string, opts core.Options, params Params, seed *Seed, delta *graph.Delta) (*analytics.Result, *Seed, error) {
-	return p.runIncremental(m, ov.Base(), ov, app, opts, params, seed, delta)
-}
-
-func (p Profile) runIncremental(m *memsim.Machine, g *graph.Graph, ov *graph.Overlay, app string, opts core.Options, params Params, seed *Seed, delta *graph.Delta) (*analytics.Result, *Seed, error) {
-	if !IncrementalApp(app) {
-		return nil, nil, fmt.Errorf("frameworks: %s has no incremental variant (cc and pr only)", app)
-	}
-	if !p.Supports(app) {
-		return nil, nil, fmt.Errorf("frameworks: %s does not implement %s", p.Name, app)
-	}
-	if !p.CanLoad(g) {
-		return nil, nil, fmt.Errorf("frameworks: %s cannot load %d nodes (signed 32-bit node IDs)", p.Name, g.NumNodes())
-	}
-	r, err := buildRuntime(m, g, ov, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer r.Close()
-	largeDelta := delta == nil || int64(delta.Edges())*IncrementalMaxDeltaFrac > r.NumEdges()
-	switch app {
-	case "cc":
-		if largeDelta || delta.HasDeletes || !p.ArbitraryOps ||
-			seed == nil || len(seed.CCLabels) != g.NumNodes() {
-			res, err := p.Run(r, "cc", params)
-			if err != nil {
-				return nil, nil, err
-			}
-			return res, &Seed{CCLabels: res.Labels}, nil
-		}
-		res := analytics.CCIncremental(r, seed.CCLabels, delta)
-		return res, &Seed{CCLabels: res.Labels}, nil
-	default: // pr
-		tol, rounds := params.prBounds()
-		if largeDelta || seed == nil || seed.PR == nil ||
-			len(seed.PR.Ranks) == 0 || len(seed.PR.Ranks[0]) != g.NumNodes() {
-			res, prSeed := analytics.PageRankRecord(r, tol, rounds)
-			return res, &Seed{PR: prSeed}, nil
-		}
-		res, prSeed := analytics.PageRankIncremental(r, seed.PR, delta, tol, rounds)
-		return res, &Seed{PR: prSeed}, nil
-	}
 }

@@ -94,13 +94,13 @@ func TestDefaultParams(t *testing.T) {
 
 func TestRunRejectsUnsupportedApp(t *testing.T) {
 	g := gen.Path(10)
-	if _, err := GraphIt.RunOn(testMachine(), g, "bc", 4, DefaultParams(g)); err == nil {
+	if _, _, err := GraphIt.Plan(g, "bc", 4, DefaultParams(g)).Run(testMachine()); err == nil {
 		t.Error("GraphIt bc should fail")
 	}
-	if _, err := GAP.RunOn(testMachine(), g, "kcore", 4, DefaultParams(g)); err == nil {
+	if _, _, err := GAP.Plan(g, "kcore", 4, DefaultParams(g)).Run(testMachine()); err == nil {
 		t.Error("GAP kcore should fail")
 	}
-	if _, err := Galois.RunOn(testMachine(), g, "nonsense", 4, DefaultParams(g)); err == nil {
+	if _, _, err := Galois.Plan(g, "nonsense", 4, DefaultParams(g)).Run(testMachine()); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
@@ -113,7 +113,7 @@ func TestAllFrameworksRunAllSupportedApps(t *testing.T) {
 			if !p.Supports(app) {
 				continue
 			}
-			res, err := p.RunOn(testMachine(), g, app, 8, params)
+			res, _, err := p.Plan(g, app, 8, params).Run(testMachine())
 			if err != nil {
 				t.Errorf("%s/%s: %v", p.Name, app, err)
 				continue
@@ -164,7 +164,7 @@ func TestCapabilityGateMatrix(t *testing.T) {
 			t.Fatalf("no expectation row for profile %s", p.Name)
 		}
 		for _, app := range Apps() {
-			res, err := p.RunOn(testMachine(), g, app, 8, params)
+			res, _, err := p.Plan(g, app, 8, params).Run(testMachine())
 			if row[app] {
 				if err != nil {
 					t.Errorf("%s/%s: supported pair failed: %v", p.Name, app, err)
@@ -195,7 +195,7 @@ func TestFrameworksAgreeOnAnswers(t *testing.T) {
 	params := DefaultParams(g)
 	var bfsDists [][]uint32
 	for _, p := range All() {
-		res, err := p.RunOn(testMachine(), g, "bfs", 8, params)
+		res, _, err := p.Plan(g, "bfs", 8, params).Run(testMachine())
 		if err != nil {
 			t.Fatalf("%s bfs: %v", p.Name, err)
 		}
@@ -215,11 +215,11 @@ func TestGaloisFastestOnHighDiameterBFS(t *testing.T) {
 	// frameworks on high-diameter inputs.
 	g := gen.WebCrawl(15000, 8, 300, 41)
 	params := DefaultParams(g)
-	galois, err := Galois.RunOn(testMachine(), g, "bfs", 16, params)
+	galois, _, err := Galois.Plan(g, "bfs", 16, params).Run(testMachine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphit, err := GraphIt.RunOn(testMachine(), g, "bfs", 16, params)
+	graphit, _, err := GraphIt.Plan(g, "bfs", 16, params).Run(testMachine())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"pmemgraph/internal/core"
 	"pmemgraph/internal/frameworks"
 )
 
@@ -142,12 +143,13 @@ func TestBoundedStore(t *testing.T) {
 
 func TestCacheKeyCoversExecutionInputs(t *testing.T) {
 	base := jobPlan{
-		profile: frameworks.Galois,
+		Plan: frameworks.Plan{
+			Profile: frameworks.Galois,
+			App:     "bfs",
+			Params:  frameworks.Params{Source: 5, Delta: 64, K: 10, Tol: 1e-4, Rounds: 50},
+			Opts:    frameworks.Galois.Options("bfs", 8),
+		},
 		ep:      &Epoch{Info: GraphInfo{Name: "web", Epoch: 3, Form: formCSR}},
-		app:     "bfs",
-		params:  frameworks.Params{Source: 5, Delta: 64, K: 10, Tol: 1e-4, Rounds: 50},
-		threads: 8,
-		opts:    frameworks.Galois.Options("bfs", 8),
 		machine: "optane",
 	}
 	// The literal was captured from cacheKey at the commit before it became
@@ -164,14 +166,15 @@ func TestCacheKeyCoversExecutionInputs(t *testing.T) {
 		func(p *jobPlan) { p.ep = &Epoch{Info: GraphInfo{Name: "other", Epoch: 3, Form: formCSR}} },
 		func(p *jobPlan) { p.ep = &Epoch{Info: GraphInfo{Name: "web", Epoch: 4, Form: formCSR}} },
 		func(p *jobPlan) { p.ep = &Epoch{Info: GraphInfo{Name: "web", Epoch: 3, Form: formOverlay}} },
-		func(p *jobPlan) { p.app, p.opts = "cc", p.profile.Options("cc", 8) },
-		func(p *jobPlan) { p.threads, p.opts = 16, p.profile.Options("bfs", 16) },
-		func(p *jobPlan) { p.profile, p.opts = frameworks.GBBS, frameworks.GBBS.Options("bfs", 8) },
-		func(p *jobPlan) { p.params.Source = 6 },
+		func(p *jobPlan) { p.App, p.Opts = "cc", p.Profile.Options("cc", 8) },
+		func(p *jobPlan) { p.Opts = p.Profile.Options("bfs", 16) },
+		func(p *jobPlan) { p.Profile, p.Opts = frameworks.GBBS, frameworks.GBBS.Options("bfs", 8) },
+		func(p *jobPlan) { p.Opts.Backend = core.BackendCompressed },
+		func(p *jobPlan) { p.Params.Source = 6 },
 		func(p *jobPlan) { p.machine = "dram" },
-		func(p *jobPlan) { p.incremental = true },
-		func(p *jobPlan) { p.shards = 1 },
-		func(p *jobPlan) { p.shards = 8 },
+		func(p *jobPlan) { p.Incremental = true },
+		func(p *jobPlan) { p.Shards = 1 },
+		func(p *jobPlan) { p.Shards = 8 },
 	} {
 		v := base
 		mutate(&v)

@@ -20,7 +20,7 @@ import (
 // TestServingCompressedBackendByteIdentical is the compressed-backend
 // serving conformance: concurrent jobs selecting the compressed CSR
 // backend over shared sealed graphs must return byte-identical results to
-// direct RunOnBackend executions, raw and compressed jobs for the same
+// direct executions of the same plan, raw and compressed jobs for the same
 // spec must occupy distinct cache entries (the key incorporates the
 // backend), and the kernel *outputs* of the two backends must agree.
 // Run under -race this also proves the cached compressed encodings are
@@ -46,7 +46,9 @@ func TestServingCompressedBackendByteIdentical(t *testing.T) {
 			t.Errorf("graph %q not registered", req.Graph)
 			return nil
 		}
-		res, err := p.RunOnBackend(memsim.NewMachine(srv.cfg.Machine), ep.Base, req.App, req.Threads, ep.Params, backend)
+		plan := p.Plan(ep.Base, req.App, req.Threads, ep.Params)
+		plan.Opts.Backend = backend
+		res, _, err := plan.Run(memsim.NewMachine(srv.cfg.Machine))
 		if err != nil {
 			t.Errorf("direct %+v: %v", req, err)
 			return nil

@@ -65,7 +65,7 @@ const (
 // Registry holds the graphs resident in the serving process. Graphs are
 // sealed on load — transpose and edge weights fully materialized — so the
 // many concurrent runtimes built over one graph only ever read it; none of
-// the lazy mutation paths (core.New's BuildIn, RunOn's weight generation)
+// the lazy mutation paths (core.New's BuildIn, Plan.Run's weight generation)
 // can fire mid-flight.
 type Registry struct {
 	mu     sync.RWMutex
@@ -262,7 +262,7 @@ func NewRegistryAt(dataDir string, compactDiv int64) *Registry {
 // directions' compressed adjacency forms for jobs selecting the compressed
 // backend). After sealing, HasWeights and HasIn both hold and the
 // compressed encodings are cached, making every subsequent core.New /
-// RunOn over the graph read-only. Order matters: weights invalidate cached
+// Plan.Run over the graph read-only. Order matters: weights invalidate cached
 // compressed forms, so compression runs last.
 func seal(g *graph.Graph) {
 	if !g.HasWeights() {

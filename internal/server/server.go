@@ -69,7 +69,8 @@ type JobRequest struct {
 	// Framework selects the profile by name; empty means Galois (the
 	// paper's recommended configuration).
 	Framework string `json:"framework,omitempty"`
-	// Threads is the virtual thread count (0 = the machine's maximum).
+	// Threads is the virtual thread count (0 = the machine's maximum, which
+	// is also its upper bound).
 	Threads int `json:"threads,omitempty"`
 	// Backend selects the simulated CSR storage backend: "raw" (default)
 	// or "compressed" (delta+varint byte blocks; identical results,
@@ -232,25 +233,16 @@ func (s *Server) defaultThreads(threads int) int {
 	return s.cfg.Machine.MaxThreads()
 }
 
-// jobPlan is a validated request resolved against the registry: the one
-// epoch handle plus the profile, parameters, thread count and storage
-// backend one execution is a function of. Everything runJob reads about
-// the graph — adjacency form, partition, seed transition — comes off ep.
+// jobPlan is a validated request resolved against the registry: the
+// execution plan (profile, app, runtime options with the requested backend,
+// parameters, view, shards, incremental) plus the one epoch handle it was
+// built from and the machine it runs on. Everything runJob reads about the
+// graph — adjacency form, partition, seed transition — comes off ep, and
+// the cache key formats the plan's own fields, so key and execution cannot
+// drift apart.
 type jobPlan struct {
-	profile frameworks.Profile
-	// ep is the epoch the job runs on. An overlay-form epoch runs over the
-	// overlay (base charged as usual plus the small delta arrays).
+	frameworks.Plan
 	ep      *Epoch
-	app     string
-	params  frameworks.Params
-	threads int
-	// shards is the validated BSP fan-out width (0 = unsharded).
-	shards      int
-	incremental bool
-	// opts is the exact runtime configuration the job executes with
-	// (profile options + requested backend); the cache key formats this
-	// same value, so key and execution cannot drift apart.
-	opts    core.Options
 	machine string
 }
 
@@ -281,11 +273,11 @@ type jobPlan struct {
 // "<graph>|<epoch>|" so per-graph invalidation is a prefix match.
 func (p *jobPlan) key() string {
 	inc := ""
-	if p.incremental {
+	if p.Incremental {
 		inc = "|inc"
 	}
-	if p.shards > 0 {
-		inc += fmt.Sprintf("|s%d", p.shards)
+	if p.Shards > 0 {
+		inc += fmt.Sprintf("|s%d", p.Shards)
 	}
 	info := p.ep.Info
 	form := info.Form
@@ -293,7 +285,7 @@ func (p *jobPlan) key() string {
 		form = fmt.Sprintf("%s@%d", form, info.BaseBatches)
 	}
 	return fmt.Sprintf("%s|%d|f=%s|%s|%s|t%d|cfg%+v|opt%+v|par%+v|m=%s%s",
-		info.Name, info.Epoch, form, p.app, p.profile.Name, p.threads, p.profile.Engine(), p.opts, p.params, p.machine, inc)
+		info.Name, info.Epoch, form, p.App, p.Profile.Name, p.Opts.Threads, p.Profile.Engine(), p.Opts, p.Params, p.machine, inc)
 }
 
 // graphKeyPrefix returns the prefix shared by every cache and seed key of a
@@ -312,90 +304,59 @@ func graphKeyPrefix(name string) string { return name + "|" }
 // update changes the max-degree vertex) would orphan seeds across epochs;
 // keying on profile/machine/params would only duplicate identical
 // artifacts.
-func (p *jobPlan) seedKey() string { return graphKeyPrefix(p.ep.Info.Name) + p.app }
+func (p *jobPlan) seedKey() string { return graphKeyPrefix(p.ep.Info.Name) + p.App }
 
 // invalidRequest marks a validation refusal raised at execution time (the
 // graph changed form or left while the job queued), so the result
 // endpoints answer it 400 exactly like the same refusal at submit.
 type invalidRequest struct{ error }
 
-// validate resolves the request's graph once and checks the request against
-// that epoch and the profile capability gates, returning everything runJob
-// needs.
+// validate checks what only the serving layer knows — profile name, class,
+// deadline, backend, thread and shard bounds — resolves the request's graph
+// once, and builds the execution plan off that epoch. Every other refusal
+// is the plan's own Validate.
 func (s *Server) validate(req JobRequest) (jobPlan, error) {
-	plan := jobPlan{app: req.App, shards: req.Shards, incremental: req.Incremental, machine: s.cfg.Machine.Name}
 	fw := req.Framework
 	if fw == "" {
 		fw = "Galois"
 	}
 	p, ok := frameworks.ByName(fw)
 	if !ok {
-		return plan, fmt.Errorf("unknown framework %q", fw)
+		return jobPlan{}, fmt.Errorf("unknown framework %q", fw)
 	}
-	plan.profile = p
 	if !s.sched.HasClass(req.Class) {
-		return plan, fmt.Errorf("unknown class %q (have %s)", req.Class, strings.Join(s.sched.ClassNames(), ", "))
+		return jobPlan{}, fmt.Errorf("unknown class %q (have %s)", req.Class, strings.Join(s.sched.ClassNames(), ", "))
 	}
 	if req.DeadlineMS < 0 {
-		return plan, fmt.Errorf("negative deadline %dms", req.DeadlineMS)
+		return jobPlan{}, fmt.Errorf("negative deadline %dms", req.DeadlineMS)
 	}
 	backend, err := core.ParseBackend(req.Backend)
 	if err != nil {
-		return plan, err
+		return jobPlan{}, err
 	}
-	ep, ok := s.reg.Resolve(req.Graph)
-	if !ok {
-		return plan, fmt.Errorf("graph %q not loaded", req.Graph)
-	}
-	plan.ep = ep
-	known := false
-	for _, app := range frameworks.Apps() {
-		if app == req.App {
-			known = true
-		}
-	}
-	if !known {
-		return plan, fmt.Errorf("unknown app %q (have %s)", req.App, strings.Join(frameworks.Apps(), ", "))
-	}
-	if req.Incremental && !frameworks.IncrementalApp(req.App) {
-		return plan, fmt.Errorf("%s has no incremental variant (cc and pr only)", req.App)
-	}
-	if req.Shards < 0 {
-		return plan, fmt.Errorf("negative shard count %d", req.Shards)
+	// Placement loops once per configured thread on every allocation, so an
+	// unbounded count is unbounded host time; regions clamp to this anyway.
+	if limit := s.cfg.Machine.MaxThreads(); req.Threads > limit {
+		return jobPlan{}, fmt.Errorf("threads %d exceeds the machine's maximum %d", req.Threads, limit)
 	}
 	maxShards := s.cfg.MaxShards
 	if maxShards <= 0 {
 		maxShards = DefaultMaxShards
 	}
 	if req.Shards > maxShards {
-		return plan, fmt.Errorf("shard count %d exceeds the configured limit %d", req.Shards, maxShards)
+		return jobPlan{}, fmt.Errorf("shard count %d exceeds the configured limit %d", req.Shards, maxShards)
 	}
-	if req.Shards > 0 {
-		if req.Incremental {
-			return plan, fmt.Errorf("sharded jobs cannot run incrementally")
-		}
-		if !frameworks.ShardedApp(req.App) {
-			return plan, fmt.Errorf("%s has no sharded BSP kernel", req.App)
-		}
-		if ep.Overlay != nil {
-			return plan, fmt.Errorf("graph %q is overlay-form; checkpoint it before sharded jobs", req.Graph)
-		}
+	ep, ok := s.reg.Resolve(req.Graph)
+	if !ok {
+		return jobPlan{}, fmt.Errorf("graph %q not loaded", req.Graph)
 	}
-	if !p.Supports(req.App) {
-		return plan, fmt.Errorf("%s does not implement %s", p.Name, req.App)
-	}
-	if !p.CanLoad(ep.Base) {
-		return plan, fmt.Errorf("%s cannot load %d nodes (signed 32-bit node IDs)", p.Name, ep.Info.Nodes)
-	}
-	plan.params = ep.Params
-	req.Params.apply(&plan.params)
-	if int64(plan.params.Source) >= int64(ep.Info.Nodes) {
-		return plan, fmt.Errorf("source %d out of range (graph has %d nodes)", plan.params.Source, ep.Info.Nodes)
-	}
-	plan.threads = s.defaultThreads(req.Threads)
-	plan.opts = p.Options(req.App, plan.threads)
-	plan.opts.Backend = backend
-	return plan, nil
+	plan := jobPlan{ep: ep, machine: s.cfg.Machine.Name, Plan: frameworks.Plan{
+		Profile: p, App: req.App, Opts: p.Options(req.App, s.defaultThreads(req.Threads)), Params: ep.Params,
+		Graph: ep.Base, Overlay: ep.Overlay, Shards: req.Shards, Incremental: req.Incremental,
+	}}
+	plan.Opts.Backend = backend
+	req.Params.apply(&plan.Params)
+	return plan, plan.Validate()
 }
 
 // Submit validates req and enqueues it.
@@ -454,7 +415,6 @@ func (s *Server) runJob(job *Job) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, invalidRequest{err}
 	}
-	p, ep := plan.profile, plan.ep
 	key := plan.key()
 	var fl *flight
 	if !job.Req.NoCache {
@@ -481,41 +441,30 @@ func (s *Server) runJob(job *Job) ([]byte, bool, error) {
 		}()
 	}
 	s.executed.Add(1)
-	m := memsim.NewMachine(s.cfg.Machine)
-	var res *analytics.Result
-	if plan.incremental {
+	if plan.Incremental {
 		// Seeded execution: usable only when the retained seed was computed
 		// on the source epoch of the one batch that produced THIS handle.
 		// Anything else (no update yet, a missed batch, an evict + reload)
 		// runs the full path, which records a fresh seed for the next
 		// epoch.
-		var seed *frameworks.Seed
-		var delta *graph.Delta
 		if ent, ok := s.seeds.Get(plan.seedKey()); ok {
-			if delta = ep.TransitionFrom(ent.Epoch); delta != nil {
-				seed = ent.Seed
+			if plan.Delta = plan.ep.TransitionFrom(ent.Epoch); plan.Delta != nil {
+				plan.Seed = ent.Seed
 			}
 		}
-		var newSeed *frameworks.Seed
-		if ep.Overlay != nil {
-			res, newSeed, err = p.RunIncrementalOverlayOnOpts(m, ep.Overlay, plan.app, plan.opts, plan.params, seed, delta)
-		} else {
-			res, newSeed, err = p.RunIncrementalOnOpts(m, ep.Base, plan.app, plan.opts, plan.params, seed, delta)
-		}
-		if err == nil {
-			s.seeds.Put(plan.seedKey(), seedEntry{Epoch: ep.Info.Epoch, Seed: newSeed})
-		}
-	} else if plan.shards > 0 {
-		// Sharded BSP fan-out over the epoch's partitioned form for this
-		// shard count (built on first use, retained on the handle).
-		var part *graph.Partition
-		if part, err = ep.Partition(plan.shards); err == nil {
-			res, err = frameworks.RunShardedOnOpts(s.cfg.Machine, part, plan.app, plan.opts, plan.params)
-		}
-	} else if ep.Overlay != nil {
-		res, err = p.RunOverlayOnOpts(m, ep.Overlay, plan.app, plan.opts, plan.params)
-	} else {
-		res, err = p.RunOnOpts(m, ep.Base, plan.app, plan.opts, plan.params)
+	}
+	if plan.Shards > 0 {
+		// The epoch's partition for this width, built on first use and
+		// retained on the handle.
+		plan.Partition, err = plan.ep.Partition(plan.Shards)
+	}
+	var res *analytics.Result
+	var seed *frameworks.Seed
+	if err == nil {
+		res, seed, err = plan.Run(memsim.NewMachine(s.cfg.Machine))
+	}
+	if err == nil && plan.Incremental {
+		s.seeds.Put(plan.seedKey(), seedEntry{Epoch: plan.ep.Info.Epoch, Seed: seed})
 	}
 	var data []byte
 	if err == nil {

@@ -61,7 +61,7 @@ func directResult(t *testing.T, srv *Server, spec loadgen.JobSpec) []byte {
 	if !ok {
 		t.Fatalf("graph %q not registered", spec.Graph)
 	}
-	res, err := p.RunOn(memsim.NewMachine(srv.cfg.Machine), ep.Base, spec.App, spec.Threads, frameworks.DefaultParams(ep.Base))
+	res, _, err := p.Plan(ep.Base, spec.App, spec.Threads, frameworks.DefaultParams(ep.Base)).Run(memsim.NewMachine(srv.cfg.Machine))
 	if err != nil {
 		t.Fatalf("direct %+v: %v", spec, err)
 	}
@@ -398,6 +398,9 @@ func TestHTTPValidationErrors(t *testing.T) {
 		{"unknown app", JobRequest{Graph: "web", App: "pagerankz"}, "unknown app"},
 		{"capability gate", JobRequest{Graph: "web", App: "bc", Framework: "GraphIt"}, "does not implement"},
 		{"source out of range", JobRequest{Graph: "web", App: "bfs", Params: &ParamOverrides{Source: ptr[graph.Node](1 << 30)}}, "out of range"},
+		// Placement cost grows with the configured thread count, so an
+		// unbounded one would hold a worker for days.
+		{"threads above the machine", JobRequest{Graph: "web", App: "pr", Threads: 1_000_000_000_000}, "threads"},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", tc.req)

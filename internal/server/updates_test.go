@@ -334,7 +334,7 @@ func TestIncrementalJobServing(t *testing.T) {
 		// (csr form) is a valid reference for the overlay-form serving.
 		g, _, _ := snapshot(srv.Registry(), "web")
 		p, _ := frameworks.ByName("Galois")
-		res, err := p.RunOn(memsim.NewMachine(srv.cfg.Machine), g, app, 8, frameworks.DefaultParams(g))
+		res, _, err := p.Plan(g, app, 8, frameworks.DefaultParams(g)).Run(memsim.NewMachine(srv.cfg.Machine))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,8 +54,8 @@ func resultBytes(t *testing.T, res *analytics.Result) []byte {
 	return buf.Bytes()
 }
 
-// runKernel dispatches app on a shard engine exactly as
-// frameworks.RunShardedOnOpts does.
+// runKernel dispatches app on a shard engine exactly as a sharded
+// frameworks.Plan does.
 func runKernel(e *shard.Engine, app string, p frameworks.Params) *analytics.Result {
 	switch app {
 	case "bfs":
@@ -210,7 +210,7 @@ func TestShardedMatchesRoundBasedSingleMachine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := frameworks.Galois.RunOn(memsim.NewMachine(machine), g, app, 4, tc.params)
+		single, _, err := frameworks.Galois.Plan(g, app, 4, tc.params).Run(memsim.NewMachine(machine))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,8 +260,5 @@ func TestShardedRefusesUnsealedSources(t *testing.T) {
 	}
 	if _, err := frameworks.RunShardedOnOpts(machine, part, "tc", opts, params); err == nil {
 		t.Error("tc has no sharded kernel but was accepted")
-	}
-	if !frameworks.ShardedApp("bfs") || frameworks.ShardedApp("tc") {
-		t.Error("ShardedApp classification")
 	}
 }

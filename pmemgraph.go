@@ -95,13 +95,7 @@ func Apps() []string { return frameworks.Apps() }
 // Run executes one benchmark on g with the paper's best (Galois)
 // configuration and algorithms, returning the simulated result.
 func (s *System) Run(g *Graph, app string, threads int) (*Result, error) {
-	m := memsim.NewMachine(s.cfg)
-	params := frameworks.DefaultParams(g)
-	res, err := frameworks.Galois.RunOn(m, g, app, threads, params)
-	if err != nil {
-		return nil, fmt.Errorf("pmemgraph: %w", err)
-	}
-	return res, nil
+	return s.RunAs(frameworks.Galois.Name, g, app, threads)
 }
 
 // RunAs executes a benchmark under one of the paper's framework profiles:
@@ -111,8 +105,11 @@ func (s *System) RunAs(framework string, g *Graph, app string, threads int) (*Re
 	if !ok {
 		return nil, fmt.Errorf("pmemgraph: unknown framework %q", framework)
 	}
-	m := memsim.NewMachine(s.cfg)
-	return p.RunOn(m, g, app, threads, frameworks.DefaultParams(g))
+	res, _, err := p.Plan(g, app, threads, frameworks.DefaultParams(g)).Run(memsim.NewMachine(s.cfg))
+	if err != nil {
+		return nil, fmt.Errorf("pmemgraph: %w", err)
+	}
+	return res, nil
 }
 
 // GenerateInput builds the scaled stand-in for one of the paper's Table 3
