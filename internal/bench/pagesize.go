@@ -5,38 +5,24 @@ import (
 
 	"pmemgraph/internal/analytics"
 	"pmemgraph/internal/core"
-	"pmemgraph/internal/gen"
 	"pmemgraph/internal/graph"
 	"pmemgraph/internal/memsim"
 	"pmemgraph/internal/stats"
 )
 
 // fig5Run executes Galois bfs once under the given machine/page/migration
-// configuration and returns the result.
-func fig5Run(g *graph.Graph, base memsim.MachineConfig, pageSize int64, migration bool, scale gen.Scale) *analytics.Result {
+// configuration and returns the result. §3 presents the mean of 3 runs; the
+// simulation is deterministic, so one run is that mean.
+func fig5Run(g *graph.Graph, base memsim.MachineConfig, pageSize int64, migration bool) *analytics.Result {
 	cfg := base
 	cfg.PageSize = pageSize
 	cfg.NUMAMigration = migration
 	src, _ := g.MaxOutDegreeNode()
-	// Mean of 3 runs, matching §3 ("we present the mean of 3 runs").
-	var agg *analytics.Result
-	const runs = 3
-	for i := 0; i < runs; i++ {
-		m := memsim.NewMachine(cfg)
-		opts := core.GaloisDefaults(96)
-		opts.PageSize = pageSize
-		r := core.MustNew(m, g, opts)
-		res := analytics.BFSSparse(r, src)
-		r.Close()
-		if agg == nil {
-			agg = res
-		} else {
-			agg.Seconds += res.Seconds
-			agg.Counters.Add(res.Counters)
-		}
-	}
-	agg.Seconds /= runs
-	return agg
+	opts := core.GaloisDefaults(96)
+	opts.PageSize = pageSize
+	r := core.MustNew(memsim.NewMachine(cfg), g, opts)
+	defer r.Close()
+	return analytics.BFSSparse(r, src)
 }
 
 // Figure5 regenerates the page-size x migration study: bfs in Galois with
@@ -53,8 +39,8 @@ func Figure5(opt Options) error {
 		for _, name := range names {
 			g, _ := input(name, opt.Scale)
 			for _, ps := range []int64{memsim.PageSmall, memsim.PageHuge} {
-				on := fig5Run(g, machine, ps, true, opt.Scale)
-				off := fig5Run(g, machine, ps, false, opt.Scale)
+				on := fig5Run(g, machine, ps, true)
+				off := fig5Run(g, machine, ps, false)
 				fmt.Fprintf(w, "%s\t%s\t%s\t%.4f\t%.4f\t%s\n",
 					machine.Name, name, pageName(ps), on.Seconds, off.Seconds,
 					stats.Pct(on.Seconds, off.Seconds))
@@ -81,7 +67,7 @@ func Figure6(opt Options) error {
 			g, _ := input(name, opt.Scale)
 			for _, ps := range []int64{memsim.PageSmall, memsim.PageHuge} {
 				for _, mig := range []bool{true, false} {
-					res := fig5Run(g, machine, ps, mig, opt.Scale)
+					res := fig5Run(g, machine, ps, mig)
 					c := res.Counters
 					total := c.UserNs + c.KernelNs
 					wall := res.Seconds

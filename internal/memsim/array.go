@@ -82,6 +82,10 @@ type Array struct {
 	// segments describe Local placement spills: sorted by startPage.
 	segments []placeSegment
 
+	// placed[s] is the footprint place reserved on socket s, which Free
+	// releases.
+	placed []int64
+
 	// frac[s] is the fraction of the bytes placed on socket s. Placement is
 	// final when Alloc returns, so it is derived there once: the cost model
 	// reads it on every charged access.
@@ -94,12 +98,24 @@ type Array struct {
 	// cache hierarchy, derived from the array's size relative to L3.
 	l3Prob float64
 
-	// readBytes/writeBytes accumulate the simulated traffic charged
-	// against this allocation. Atomic adds commute, so the totals are
-	// deterministic even though region threads race to update them.
-	readBytes, writeBytes atomic.Uint64
+	// tier is the memory device serving the array, fixed by Alloc.
+	tier *tier
+	// migProb is the probability that a remote access migrates its page
+	// when the migration daemon runs; migNs is one migration's kernel
+	// cost. Both depend on the page size, fixed by Alloc.
+	migProb, migNs float64
 
 	freed bool
+
+	// readBytes/writeBytes accumulate the simulated traffic charged
+	// against this allocation. Atomic adds commute, so the totals are
+	// deterministic even though region threads race to update them. The
+	// padding keeps the fields every charge reads off the cache line these
+	// atomic adds write: sharing it costs up to ~20 ns per charge, on
+	// whichever allocations the heap happens to align that way.
+	_                     [64]byte
+	readBytes, writeBytes atomic.Uint64
+	_                     [64]byte
 }
 
 // Traffic returns the simulated bytes read from and written to this
@@ -130,9 +146,6 @@ func (a *Array) Len() int64 { return a.length }
 
 // Bytes returns the allocation size in bytes.
 func (a *Array) Bytes() int64 { return a.bytes }
-
-// PageSize returns the page size backing the allocation.
-func (a *Array) PageSize() int64 { return a.pageSize }
 
 // pageOf returns the page index containing element i.
 func (a *Array) pageOf(i int64) int64 {
@@ -199,7 +212,7 @@ func (a *Array) firstTouch(t *Thread, p int64) bool {
 // translation. THP allocations resolve a fraction of translations through
 // 4 KB pages.
 func (a *Array) effectivePageSize(t *Thread) int64 {
-	if a.opts.THP && t.chance(a.m.thpSmallFraction) {
+	if a.opts.THP && t.chance(thpSmallFraction) {
 		return PageSmall
 	}
 	return a.pageSize

@@ -59,8 +59,6 @@ type CostParams struct {
 	// Optane media behaviour behind the near-memory cache. Spill
 	// bandwidth is the sustained media write bandwidth that limits
 	// streaming writes once the footprint exceeds near-memory.
-	MediaReadLatency  float64
-	MediaWriteLatency float64
 	MediaSpillWriteBW float64
 	MediaSpillReadBW  float64
 
@@ -143,8 +141,6 @@ func DefaultCost() CostParams {
 		DRAMRandWrite: 70,
 		DRAMRemoteCap: 60,
 
-		MediaReadLatency:  305,
-		MediaWriteLatency: 94,
 		MediaSpillWriteBW: 7.5,
 		MediaSpillReadBW:  30,
 

@@ -29,4 +29,11 @@
 // ratios give per-access hit probabilities, sampled with per-thread
 // deterministic RNGs) while TLBs are simulated exactly per thread. See
 // DESIGN.md §5.1 for the rationale.
+//
+// Costs that depend on the machine's mode are chosen once: NewMachine picks
+// the mode's kernel overheads and builds one cost table per memory device
+// (memory-mode cached, app-direct media, DRAM), and Alloc points each Array
+// at the table serving it, along with its migration probability and cost.
+// The charge paths only index those tables, so each calibration constant
+// is selected at one site.
 package memsim

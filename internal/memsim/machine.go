@@ -17,6 +17,14 @@ type Machine struct {
 	cfg  MachineConfig
 	cost *CostParams
 
+	// The mode's kernel costs, selected once: page walk per TLB miss,
+	// minor fault per first touch, and bookkeeping per page migration
+	// (page tables and kernel data live in Optane in memory mode).
+	walkNs, faultNs, bookNs float64
+	// tiers are the cost tables of the three memory devices; Alloc points
+	// each Array at the one serving it.
+	tiers [numTiers]tier
+
 	wallNs   float64
 	counters Counters
 
@@ -29,14 +37,17 @@ type Machine struct {
 	nextAddr uint64
 	allocs   map[string]*Array
 
-	// Region state, valid while a Parallel region runs.
-	regionThreads         int
-	regionThreadsOnSocket []int32
-
-	// thpSmallFraction is the fraction of translations on THP-backed
-	// allocations that still resolve through 4 KB pages.
-	thpSmallFraction float64
+	// regionThreads is the thread count of the running Parallel region.
+	regionThreads int
 }
+
+// thpSmallFraction is the fraction of translations on THP-backed
+// allocations that still resolve through 4 KB pages.
+const thpSmallFraction = 0.30
+
+// walkOverlap is the exposed fraction of page-walk latency when many
+// independent accesses are in flight: walks overlap the data fetches.
+const walkOverlap = 0.12
 
 // NewMachine builds a Machine from cfg. It panics on invalid configuration
 // (a programming error, not a runtime condition).
@@ -44,17 +55,81 @@ func NewMachine(cfg MachineConfig) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	cost := cfg.Cost
+	c := cfg.Cost
 	m := &Machine{
-		cfg:                   cfg,
-		cost:                  &cost,
-		volatileBytes:         make([]int64, cfg.Sockets),
-		adBytes:               make([]int64, cfg.Sockets),
-		allocs:                make(map[string]*Array),
-		regionThreadsOnSocket: make([]int32, cfg.Sockets),
-		thpSmallFraction:      0.30,
+		cfg:           cfg,
+		cost:          &c,
+		walkNs:        c.PageWalkDRAM,
+		faultNs:       c.MinorFaultDRAM,
+		bookNs:        c.MigrationBookkeepDRAM,
+		tiers:         newTiers(&c),
+		volatileBytes: make([]int64, cfg.Sockets),
+		adBytes:       make([]int64, cfg.Sockets),
+		allocs:        make(map[string]*Array),
+	}
+	if cfg.Mode == MemoryMode {
+		m.walkNs, m.faultNs, m.bookNs = c.PageWalkOptane, c.MinorFaultOptane, c.MigrationBookkeepOptane
 	}
 	return m
+}
+
+// The memory devices an Array can be served by.
+const (
+	cachedTier = iota // memory mode: DRAM near-memory in front of the Optane media
+	mediaTier         // app-direct: the Optane media itself
+	dramTier          // DRAM main memory
+	numTiers
+)
+
+// tier is the cost table of one memory device. Bandwidths are indexed
+// [write][remote] (see bit), latencies [remote]: a load costs the same
+// either way.
+type tier struct {
+	lat           [2]float64    // load-to-use latency; cached tier: near-memory hit
+	seqBW, randBW [2][2]float64 // streaming and random-line bandwidth
+	// cached marks the memory-mode tier, whose accesses hit near-memory
+	// with a footprint-dependent probability. A miss costs missLat
+	// [remote]; streams beyond near-memory spill at spillBW [write], and
+	// random lines beyond it run at the media's local mediaRandBW [write].
+	cached               bool
+	missLat              [2]float64
+	spillBW, mediaRandBW [2]float64
+}
+
+// newTiers resolves c into the three tier tables. Every entry is one of c's
+// constants, except that the UPI links cap DRAM's remote bandwidths.
+func newTiers(c *CostParams) [numTiers]tier {
+	media := tier{
+		lat:    [2]float64{c.AppDirectLatencyLocal, c.AppDirectLatencyRemote},
+		seqBW:  [2][2]float64{{c.ADSeqReadLocal, c.ADSeqReadRemote}, {c.ADSeqWriteLocal, c.ADSeqWriteRemote}},
+		randBW: [2][2]float64{{c.ADRandReadLocal, c.ADRandReadRemote}, {c.ADRandWriteLocal, c.ADRandWriteRemote}},
+	}
+	capped := func(bw float64) [2]float64 { return [2]float64{bw, math.Min(bw, c.DRAMRemoteCap)} }
+	return [numTiers]tier{
+		cachedTier: {
+			lat:         [2]float64{c.NearMemHitLocal, c.NearMemHitRemote},
+			seqBW:       [2][2]float64{{c.MMSeqReadLocal, c.MMSeqReadRemote}, {c.MMSeqWriteLocal, c.MMSeqWriteRemote}},
+			randBW:      [2][2]float64{{c.MMRandReadLocal, c.MMRandReadRemote}, {c.MMRandWriteLocal, c.MMRandWriteRemote}},
+			cached:      true,
+			missLat:     [2]float64{c.NearMemMissLocal, c.NearMemMissRemote},
+			spillBW:     [2]float64{c.MediaSpillReadBW, c.MediaSpillWriteBW},
+			mediaRandBW: [2]float64{media.randBW[0][0], media.randBW[1][0]},
+		},
+		mediaTier: media,
+		dramTier: {
+			lat:    [2]float64{c.DRAMLatencyLocal, c.DRAMLatencyRemote},
+			seqBW:  [2][2]float64{capped(c.DRAMSeqRead), capped(c.DRAMSeqWrite)},
+			randBW: [2][2]float64{capped(c.DRAMRandRead), capped(c.DRAMRandWrite)},
+		},
+	}
+}
+
+// bit indexes a tier table: 1 for a write, or for a remote access.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Config returns the machine configuration.
@@ -80,14 +155,6 @@ func (m *Machine) ResetClock() {
 func (m *Machine) AdvanceWall(ns float64) {
 	m.wallNs += ns
 	m.counters.UserNs += ns
-}
-
-// socketCapacity returns the volatile-pool capacity of one socket.
-func (m *Machine) socketCapacity() int64 {
-	if m.cfg.Mode == MemoryMode {
-		return m.cfg.PMMPerSocket
-	}
-	return m.cfg.DRAMPerSocket
 }
 
 // Alloc creates a simulated allocation of n elements of elemSize bytes.
@@ -144,6 +211,20 @@ func (m *Machine) Alloc(name string, n int64, elemSize int64, opts AllocOpts) (*
 		a.frac[s] = a.placedFrac(s)
 	}
 
+	switch {
+	case m.cfg.Mode == MemoryMode:
+		a.tier = &m.tiers[cachedTier]
+	case opts.AppDirect: // place admits it only in app-direct mode
+		a.tier = &m.tiers[mediaTier]
+	default:
+		a.tier = &m.tiers[dramTier]
+	}
+	// NUMA migration daemon (§4.2): remote accesses to migratable pages
+	// occasionally trigger a migration. Probability scales inversely with
+	// page size: small pages migrate ~512x more often.
+	a.migProb = 1.0 / 400.0 * float64(PageSmall) / float64(pageSize)
+	a.migNs = m.bookNs + m.cost.MigrationCopyPerByte*float64(pageSize)
+
 	l3 := float64(m.cfg.L3PerSocket * int64(m.cfg.Sockets))
 	if l3 > 0 {
 		// Small arrays (frontier bitmaps, per-round scalars) live in
@@ -168,21 +249,24 @@ func (m *Machine) MustAlloc(name string, n int64, elemSize int64, opts AllocOpts
 	return a
 }
 
-// place computes page placement and updates footprint accounting.
+// place computes page placement and reserves its footprint, recording each
+// socket's share on a for Free.
 func (m *Machine) place(a *Array) error {
+	if a.opts.AppDirect && m.cfg.Mode != AppDirect {
+		return fmt.Errorf("memsim: alloc %q: app-direct placement requires app-direct mode", a.name)
+	}
 	sockets := m.cfg.Sockets
-	pool := m.volatileBytes
-	if a.opts.AppDirect {
-		if m.cfg.Mode != AppDirect {
-			return fmt.Errorf("memsim: alloc %q: app-direct placement requires app-direct mode", a.name)
-		}
-		pool = m.adBytes
+	pool := m.pool(a)
+	a.placed = make([]int64, sockets)
+	reserve := func(s int, bytes int64) {
+		pool[s] += bytes
+		a.placed[s] += bytes
 	}
 	switch a.opts.Policy {
 	case Interleaved:
 		per := a.bytes / int64(sockets)
 		for s := 0; s < sockets; s++ {
-			pool[s] += per
+			reserve(s, per)
 		}
 	case Blocked:
 		threads := a.opts.BlockThreads
@@ -191,11 +275,13 @@ func (m *Machine) place(a *Array) error {
 		}
 		perThread := a.bytes / int64(threads)
 		for t := 0; t < threads; t++ {
-			pool[threadSocket(&m.cfg, t)] += perThread
+			reserve(threadSocket(&m.cfg, t), perThread)
 		}
 	default: // Local with spill
-		cap := m.socketCapacity()
-		if a.opts.AppDirect {
+		// Optane backs the volatile pool in memory mode and the
+		// app-direct pool; DRAM backs the volatile pool otherwise.
+		cap := m.cfg.DRAMPerSocket
+		if m.cfg.Mode == MemoryMode || a.opts.AppDirect {
 			cap = m.cfg.PMMPerSocket
 		}
 		remaining := a.bytes
@@ -210,7 +296,7 @@ func (m *Machine) place(a *Array) error {
 					// preferred socket (the OS would OOM or
 					// swap; the simulation charges the
 					// conflict-miss cost instead).
-					pool[s] += remaining
+					reserve(s, remaining)
 					break
 				}
 				continue
@@ -220,7 +306,7 @@ func (m *Machine) place(a *Array) error {
 				take = free
 			}
 			a.segments = append(a.segments, placeSegment{startPage: page, socket: s})
-			pool[s] += take
+			reserve(s, take)
 			page += (take + a.pageSize - 1) / a.pageSize
 			remaining -= take
 			s = (s + 1) % sockets
@@ -239,40 +325,19 @@ func (m *Machine) Free(a *Array) {
 	}
 	a.freed = true
 	delete(m.allocs, a.name)
-	sockets := m.cfg.Sockets
-	pool := m.volatileBytes
+	pool := m.pool(a)
+	for s, bytes := range a.placed {
+		pool[s] -= bytes
+	}
+}
+
+// pool returns the per-socket footprint accounts a draws on: the app-direct
+// media, or the volatile pool.
+func (m *Machine) pool(a *Array) []int64 {
 	if a.opts.AppDirect {
-		pool = m.adBytes
+		return m.adBytes
 	}
-	switch a.opts.Policy {
-	case Interleaved:
-		per := a.bytes / int64(sockets)
-		for s := 0; s < sockets; s++ {
-			pool[s] -= per
-		}
-	case Blocked:
-		threads := a.opts.BlockThreads
-		if threads <= 0 {
-			threads = m.cfg.MaxThreads()
-		}
-		perThread := a.bytes / int64(threads)
-		for t := 0; t < threads; t++ {
-			pool[threadSocket(&m.cfg, t)] -= perThread
-		}
-	default:
-		// Recompute per-segment byte spans.
-		for i, seg := range a.segments {
-			endPage := a.numPages
-			if i+1 < len(a.segments) {
-				endPage = a.segments[i+1].startPage
-			}
-			span := (endPage - seg.startPage) * a.pageSize
-			if span > a.bytes {
-				span = a.bytes
-			}
-			pool[seg.socket] -= span
-		}
-	}
+	return m.volatileBytes
 }
 
 // FootprintOnSocket returns the volatile bytes placed on socket s.
@@ -337,9 +402,6 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 	if max := m.cfg.MaxThreads(); threads > max {
 		threads = max
 	}
-	for s := range m.regionThreadsOnSocket {
-		m.regionThreadsOnSocket[s] = 0
-	}
 	m.regionThreads = threads
 	cores := m.cfg.Sockets * m.cfg.CoresPerSocket
 	if pinSocket >= 0 {
@@ -357,7 +419,6 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 		if pinSocket >= 0 {
 			s = pinSocket
 		}
-		m.regionThreadsOnSocket[s]++
 		ts[i] = &Thread{
 			m:        m,
 			ID:       i,
@@ -431,19 +492,25 @@ func (m *Machine) Sequential(fn func(t *Thread)) RegionStats {
 	return m.Parallel(1, fn)
 }
 
+// countAccess records n accesses moving bytes against a's traffic and t's
+// counters.
+func countAccess(t *Thread, a *Array, n, bytes int64, isWrite bool) {
+	a.addTraffic(bytes, isWrite)
+	if isWrite {
+		t.C.Writes += uint64(n)
+		t.C.BytesWritten += uint64(bytes)
+	} else {
+		t.C.Reads += uint64(n)
+		t.C.BytesRead += uint64(bytes)
+	}
+}
+
 // access is the core cost function: thread t touches n consecutive elements
 // of a starting at index i. seq marks streaming accesses charged against
 // bandwidth rather than latency.
 func (m *Machine) access(t *Thread, a *Array, i, n int64, isWrite, seq bool) {
 	bytes := n * a.elemSize
-	a.addTraffic(bytes, isWrite)
-	if isWrite {
-		t.C.Writes++
-		t.C.BytesWritten += uint64(bytes)
-	} else {
-		t.C.Reads++
-		t.C.BytesRead += uint64(bytes)
-	}
+	countAccess(t, a, 1, bytes, isWrite)
 
 	// Same-line memo: back-to-back touches of one 64 B line are L1 hits.
 	line := (i * a.elemSize) >> 6
@@ -460,12 +527,6 @@ func (m *Machine) access(t *Thread, a *Array, i, n int64, isWrite, seq bool) {
 
 	// Address translation and fault service, per page touched.
 	pageSize := a.effectivePageSize(t)
-	walk := m.cost.PageWalkDRAM
-	fault := m.cost.MinorFaultDRAM
-	if m.cfg.Mode == MemoryMode {
-		walk = m.cost.PageWalkOptane
-		fault = m.cost.MinorFaultOptane
-	}
 	cls := t.tlb.class(pageSize)
 	for p := firstPage; p <= lastPage; p++ {
 		pid := (a.baseAddr + uint64(p)*uint64(a.pageSize)) / uint64(pageSize)
@@ -473,13 +534,12 @@ func (m *Machine) access(t *Thread, a *Array, i, n int64, isWrite, seq bool) {
 			t.C.TLBHits++
 		} else {
 			t.C.TLBMisses++
-			t.C.PageWalkNs += walk
-			t.Clock += walk
-			t.C.UserNs += walk
+			t.C.PageWalkNs += m.walkNs
+			t.Advance(m.walkNs)
 		}
 		if a.firstTouch(t, p) {
 			t.C.MinorFaults++
-			t.AdvanceKernel(fault)
+			t.AdvanceKernel(m.faultNs)
 		}
 	}
 
@@ -490,22 +550,13 @@ func (m *Machine) access(t *Thread, a *Array, i, n int64, isWrite, seq bool) {
 		t.C.RemoteAccesses++
 	}
 
-	// NUMA migration daemon (§4.2): remote accesses to migratable pages
-	// occasionally trigger a migration. Probability scales inversely
-	// with page size: small pages migrate ~512x more often.
-	if m.cfg.NUMAMigration && !local {
-		prob := 1.0 / 400.0 * float64(PageSmall) / float64(a.pageSize)
-		if t.chance(prob) {
-			t.C.Migrations++
-			book := m.cost.MigrationBookkeepDRAM
-			if m.cfg.Mode == MemoryMode {
-				book = m.cost.MigrationBookkeepOptane
-			}
-			t.AdvanceKernel(book + m.cost.MigrationCopyPerByte*float64(a.pageSize))
-			t.shootdowns++
-			// The migrating thread's own stale entry is dropped.
-			t.tlb.class(pageSize).flushRandom(t.next())
-		}
+	// NUMA migration daemon (§4.2): a remote access may migrate its page.
+	if m.cfg.NUMAMigration && !local && t.chance(a.migProb) {
+		t.C.Migrations++
+		t.AdvanceKernel(a.migNs)
+		t.shootdowns++
+		// The migrating thread's own stale entry is dropped.
+		cls.flushRandom(t.next())
 	}
 
 	// On-chip cache short-circuit.
@@ -524,17 +575,17 @@ func (m *Machine) access(t *Thread, a *Array, i, n int64, isWrite, seq bool) {
 			// sockets page by page: charge each socket its share.
 			per := bytes / int64(m.cfg.Sockets)
 			for s := 0; s < m.cfg.Sockets; s++ {
-				ns += m.streamCost(t, a, s, s == t.Socket, isWrite, per)
+				ns += m.streamCost(a, s, s == t.Socket, isWrite, per)
 			}
 		} else {
-			ns = m.streamCost(t, a, socket, local, isWrite, bytes)
+			ns = m.streamCost(a, socket, local, isWrite, bytes)
 		}
 	} else {
 		ns = m.randomCost(t, a, socket, local, isWrite) * t.smtScale
 		if n > 1 {
 			// Short gather: remaining lines stream behind the
 			// leading miss.
-			ns += m.streamCost(t, a, socket, local, isWrite, bytes-64)
+			ns += m.streamCost(a, socket, local, isWrite, bytes-64)
 		}
 	}
 	t.Advance(ns)
@@ -542,102 +593,70 @@ func (m *Machine) access(t *Thread, a *Array, i, n int64, isWrite, seq bool) {
 
 // randomCost returns the latency of one random (latency-bound) access.
 func (m *Machine) randomCost(t *Thread, a *Array, socket int, local, isWrite bool) float64 {
-	c := m.cost
-	switch {
-	case m.cfg.Mode == MemoryMode:
-		hit := t.chance(m.nearMemHitProb(socket))
-		if hit {
-			t.C.NearMemHits++
-			if local {
-				return c.NearMemHitLocal
+	r := bit(!local)
+	if a.tier.cached {
+		if !t.chance(m.nearMemHitProb(socket)) {
+			t.C.NearMemMisses++
+			lat := a.tier.missLat[r]
+			if isWrite {
+				// Write misses allocate: read-fill plus eventual
+				// dirty writeback to the media.
+				lat *= 1.3
 			}
-			return c.NearMemHitRemote
+			return lat
 		}
-		t.C.NearMemMisses++
-		lat := c.NearMemMissLocal
-		if !local {
-			lat = c.NearMemMissRemote
-		}
-		if isWrite {
-			// Write misses allocate: read-fill plus eventual
-			// dirty writeback to the media.
-			lat *= 1.3
-		}
-		return lat
-	case m.cfg.Mode == AppDirect && a.opts.AppDirect:
-		if local {
-			return c.AppDirectLatencyLocal
-		}
-		return c.AppDirectLatencyRemote
-	default: // DRAM main memory
-		if local {
-			return c.DRAMLatencyLocal
-		}
-		return c.DRAMLatencyRemote
+		t.C.NearMemHits++
 	}
+	return a.tier.lat[r]
 }
 
-// streamCost returns the cost of streaming bytes sequentially, charged at
-// the per-thread share of the serving socket's bandwidth.
-func (m *Machine) streamCost(t *Thread, a *Array, socket int, local, isWrite bool, bytes int64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	c := m.cost
-	// Bandwidth sharing: the serving socket's bandwidth is divided among
-	// the threads streaming against it, approximated as the region's
-	// thread count weighted by the fraction of this array placed there.
+// share is the number of threads splitting the bandwidth of the socket
+// serving a: the region's thread count weighted by the fraction of a placed
+// there, and at least one.
+func (m *Machine) share(a *Array, socket int) float64 {
 	share := float64(m.regionThreads) * a.fracOnSocket(socket)
 	if share < 1 {
 		share = 1
 	}
-	var bw float64
-	switch {
-	case m.cfg.Mode == MemoryMode:
-		if isWrite {
-			bw = c.MMSeqWriteLocal
-			if !local {
-				bw = c.MMSeqWriteRemote
-			}
-			// Streaming writes beyond near-memory capacity spill
-			// to the Optane media at its sustained write rate.
-			rf := m.residentFrac(socket)
-			if rf < 1 {
-				bw = 1 / (rf/bw + (1-rf)/c.MediaSpillWriteBW)
-			}
-		} else {
-			bw = c.MMSeqReadLocal
-			if !local {
-				bw = c.MMSeqReadRemote
-			}
-			rf := m.residentFrac(socket)
-			if rf < 1 {
-				bw = 1 / (rf/bw + (1-rf)/c.MediaSpillReadBW)
-			}
-		}
-	case m.cfg.Mode == AppDirect && a.opts.AppDirect:
-		if isWrite {
-			bw = c.ADSeqWriteLocal
-			if !local {
-				bw = c.ADSeqWriteRemote
-			}
-		} else {
-			bw = c.ADSeqReadLocal
-			if !local {
-				bw = c.ADSeqReadRemote
-			}
-		}
-	default:
-		if isWrite {
-			bw = c.DRAMSeqWrite
-		} else {
-			bw = c.DRAMSeqRead
-		}
-		if !local && bw > c.DRAMRemoteCap {
-			bw = c.DRAMRemoteCap
+	return share
+}
+
+// streamCost returns the cost of streaming bytes sequentially, charged at
+// the per-thread share of the serving socket's bandwidth.
+func (m *Machine) streamCost(a *Array, socket int, local, isWrite bool, bytes int64) float64 {
+	if bytes <= 0 {
+		return 0
+	}
+	w := bit(isWrite)
+	bw := a.tier.seqBW[w][bit(!local)]
+	if a.tier.cached {
+		// Streams beyond near-memory capacity spill to the Optane
+		// media at its sustained rate.
+		rf := m.residentFrac(socket)
+		if rf < 1 {
+			bw = 1 / (rf/bw + (1-rf)/a.tier.spillBW[w])
 		}
 	}
-	return float64(bytes) / (bw / share)
+	return float64(bytes) / (bw / m.share(a, socket))
+}
+
+// expectedMisses charges the TLB hits and misses expected of fn accesses
+// scattered over a, translated through pageSize pages, and returns the
+// misses. thpResidue adds a THP allocation's 4 KB-backed residue, which
+// misses almost always under random access. It is kept within the
+// compiler's inlining budget: as a call it costs ~1.5 ns per RandomN.
+func expectedMisses(t *Thread, a *Array, pageSize int64, thpResidue bool, fn float64) float64 {
+	reach := float64(len(t.tlb.class(pageSize).pages)) * float64(pageSize)
+	missFrac := 1 - reach/float64(a.bytes)
+	if missFrac < 0 {
+		missFrac = 0
+	}
+	if thpResidue {
+		missFrac = missFrac*(1-thpSmallFraction) + thpSmallFraction
+	}
+	t.C.TLBMisses += uint64(missFrac * fn)
+	t.C.TLBHits += uint64((1 - missFrac) * fn)
+	return missFrac * fn
 }
 
 // randomBatch charges n independent random line accesses at random-access
@@ -648,34 +667,11 @@ func (m *Machine) randomBatch(t *Thread, a *Array, n int64, isWrite bool) {
 		return
 	}
 	bytes := n * 64
-	a.addTraffic(bytes, isWrite)
-	if isWrite {
-		t.C.Writes += uint64(n)
-		t.C.BytesWritten += uint64(bytes)
-	} else {
-		t.C.Reads += uint64(n)
-		t.C.BytesRead += uint64(bytes)
-	}
+	countAccess(t, a, n, bytes, isWrite)
 	// With accesses scattered uniformly, nearly every access touches a
-	// cold page w.r.t. the tiny TLB: charge a page walk per access for
-	// 4 KB pages, and per reach-weighted fraction for larger pages.
-	pageSize := a.effectivePageSize(t)
-	cls := t.tlb.class(pageSize)
-	reach := float64(len(cls.pages)) * float64(pageSize)
-	missFrac := 1 - reach/float64(a.bytes)
-	if missFrac < 0 {
-		missFrac = 0
-	}
-	walk := m.cost.PageWalkDRAM
-	if m.cfg.Mode == MemoryMode {
-		walk = m.cost.PageWalkOptane
-	}
-	// With many independent accesses in flight, page walks overlap the
-	// data fetches; only a fraction of the walk latency is exposed.
-	const walkOverlap = 0.12
-	walkNs := missFrac * float64(n) * walk * walkOverlap
-	t.C.TLBMisses += uint64(missFrac * float64(n))
-	t.C.TLBHits += uint64((1 - missFrac) * float64(n))
+	// cold page w.r.t. the tiny TLB. With many independent accesses in
+	// flight, the walks overlap the data fetches.
+	walkNs := expectedMisses(t, a, a.effectivePageSize(t), false, float64(n)) * m.walkNs * walkOverlap
 	t.C.PageWalkNs += walkNs
 	t.Advance(walkNs)
 
@@ -687,59 +683,18 @@ func (m *Machine) randomBatch(t *Thread, a *Array, n int64, isWrite bool) {
 		t.C.RemoteAccesses += uint64(n)
 	}
 
-	share := float64(m.regionThreads) * a.fracOnSocket(socket)
-	if share < 1 {
-		share = 1
-	}
-	c := m.cost
-	var bw float64
-	switch {
-	case m.cfg.Mode == MemoryMode:
-		if isWrite {
-			bw = c.MMRandWriteLocal
-			if !local {
-				bw = c.MMRandWriteRemote
-			}
-		} else {
-			bw = c.MMRandReadLocal
-			if !local {
-				bw = c.MMRandReadRemote
-			}
-		}
+	w := bit(isWrite)
+	bw := a.tier.randBW[w][bit(!local)]
+	if a.tier.cached {
 		// Mix in media-speed accesses for the non-resident share.
 		hp := m.nearMemHitProb(socket)
 		if hp < 1 {
-			media := c.ADRandReadLocal
-			if isWrite {
-				media = c.ADRandWriteLocal
-			}
-			bw = 1 / (hp/bw + (1-hp)/media)
+			bw = 1 / (hp/bw + (1-hp)/a.tier.mediaRandBW[w])
 		}
 		t.C.NearMemHits += uint64(hp * float64(n))
 		t.C.NearMemMisses += uint64((1 - hp) * float64(n))
-	case m.cfg.Mode == AppDirect && a.opts.AppDirect:
-		if isWrite {
-			bw = c.ADRandWriteLocal
-			if !local {
-				bw = c.ADRandWriteRemote
-			}
-		} else {
-			bw = c.ADRandReadLocal
-			if !local {
-				bw = c.ADRandReadRemote
-			}
-		}
-	default:
-		if isWrite {
-			bw = c.DRAMRandWrite
-		} else {
-			bw = c.DRAMRandRead
-		}
-		if !local && bw > c.DRAMRemoteCap {
-			bw = c.DRAMRemoteCap
-		}
 	}
-	t.Advance(float64(bytes) / (bw / share))
+	t.Advance(float64(bytes) / (bw / m.share(a, socket)))
 }
 
 // randomN charges n latency-bound random accesses in expectation. See
@@ -749,39 +704,13 @@ func (m *Machine) randomN(t *Thread, a *Array, n int64, isWrite bool) {
 		return
 	}
 	fn := float64(n)
-	bytes := n * 64
-	a.addTraffic(bytes, isWrite)
-	if isWrite {
-		t.C.Writes += uint64(n)
-		t.C.BytesWritten += uint64(bytes)
-	} else {
-		t.C.Reads += uint64(n)
-		t.C.BytesRead += uint64(bytes)
-	}
+	countAccess(t, a, n, n*64, isWrite)
 
-	// Translation: expected miss fraction from TLB reach vs footprint.
 	pageSize := a.pageSize
 	if a.opts.THP {
-		pageSize = PageHuge // THP small-page residue handled below
+		pageSize = PageHuge
 	}
-	cls := t.tlb.class(pageSize)
-	reach := float64(len(cls.pages)) * float64(pageSize)
-	missFrac := 1 - reach/float64(a.bytes)
-	if missFrac < 0 {
-		missFrac = 0
-	}
-	if a.opts.THP {
-		// The 4 KB-backed residue of a THP allocation misses almost
-		// always under random access.
-		missFrac = missFrac*(1-m.thpSmallFraction) + m.thpSmallFraction
-	}
-	walk := m.cost.PageWalkDRAM
-	if m.cfg.Mode == MemoryMode {
-		walk = m.cost.PageWalkOptane
-	}
-	walkNs := missFrac * fn * walk
-	t.C.TLBMisses += uint64(missFrac * fn)
-	t.C.TLBHits += uint64((1 - missFrac) * fn)
+	walkNs := expectedMisses(t, a, pageSize, a.opts.THP, fn) * m.walkNs
 	t.C.PageWalkNs += walkNs
 
 	// Locality: fraction of accesses landing on the thread's socket.
@@ -790,10 +719,8 @@ func (m *Machine) randomN(t *Thread, a *Array, n int64, isWrite bool) {
 	t.C.RemoteAccesses += uint64((1 - fl) * fn)
 
 	// Expected device latency.
-	c := m.cost
-	var lat float64
-	switch {
-	case m.cfg.Mode == MemoryMode:
+	lat := fl*a.tier.lat[0] + (1-fl)*a.tier.lat[1]
+	if a.tier.cached {
 		// Footprint-weighted hit probability across sockets.
 		var hp float64
 		for s := 0; s < m.cfg.Sockets; s++ {
@@ -802,35 +729,25 @@ func (m *Machine) randomN(t *Thread, a *Array, n int64, isWrite bool) {
 				hp += frac * m.nearMemHitProb(s)
 			}
 		}
-		hitLat := fl*c.NearMemHitLocal + (1-fl)*c.NearMemHitRemote
-		missLat := fl*c.NearMemMissLocal + (1-fl)*c.NearMemMissRemote
+		missLat := fl*a.tier.missLat[0] + (1-fl)*a.tier.missLat[1]
 		if isWrite {
 			missLat *= 1.3
 		}
-		lat = hp*hitLat + (1-hp)*missLat
+		lat = hp*lat + (1-hp)*missLat
 		t.C.NearMemHits += uint64(hp * fn)
 		t.C.NearMemMisses += uint64((1 - hp) * fn)
-	case m.cfg.Mode == AppDirect && a.opts.AppDirect:
-		lat = fl*c.AppDirectLatencyLocal + (1-fl)*c.AppDirectLatencyRemote
-	default:
-		lat = fl*c.DRAMLatencyLocal + (1-fl)*c.DRAMLatencyRemote
 	}
 
 	// On-chip cache short-circuit for small arrays.
 	if a.l3Prob > 0 {
-		lat = a.l3Prob*c.L3HitLatency + (1-a.l3Prob)*lat
+		lat = a.l3Prob*m.cost.L3HitLatency + (1-a.l3Prob)*lat
 	}
 
 	// Migration daemon in expectation.
 	if m.cfg.NUMAMigration && fl < 1 {
-		prob := 1.0 / 400.0 * float64(PageSmall) / float64(a.pageSize)
-		expMig := (1 - fl) * fn * prob
+		expMig := (1 - fl) * fn * a.migProb
 		if expMig > 0 {
-			book := c.MigrationBookkeepDRAM
-			if m.cfg.Mode == MemoryMode {
-				book = c.MigrationBookkeepOptane
-			}
-			t.AdvanceKernel(expMig * (book + c.MigrationCopyPerByte*float64(a.pageSize)))
+			t.AdvanceKernel(expMig * a.migNs)
 			migs := uint64(expMig)
 			if t.chance(expMig - float64(migs)) {
 				migs++

@@ -132,6 +132,43 @@ func TestLocalPlacementSpills(t *testing.T) {
 	}
 }
 
+// TestFreeReleasesFootprint: Free returns exactly what placement reserved,
+// including a Local allocation that spills across sockets and one that
+// overcommits every socket.
+func TestFreeReleasesFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   MachineConfig
+		bytes int64
+		opts  AllocOpts
+	}{
+		{"local spill", DRAMMachine(), 15000, AllocOpts{Policy: Local, PageSize: PageSmall}},
+		{"local overcommit", DRAMMachine(), 30000, AllocOpts{Policy: Local, PageSize: PageSmall}},
+		{"local app-direct spill", AppDirectMachine(), 15000, AllocOpts{Policy: Local, PageSize: PageSmall, AppDirect: true}},
+		{"interleaved", DRAMMachine(), 15000, AllocOpts{Policy: Interleaved, PageSize: PageSmall}},
+		{"blocked", DRAMMachine(), 48 * 320, AllocOpts{Policy: Blocked, BlockThreads: 48, PageSize: PageSmall}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.DRAMPerSocket, tc.cfg.PMMPerSocket = 10000, 10000
+			m := NewMachine(tc.cfg)
+			a := m.MustAlloc("a", tc.bytes, 1, tc.opts)
+			var placed int64
+			for s := 0; s < tc.cfg.Sockets; s++ {
+				placed += m.volatileBytes[s] + m.adBytes[s]
+			}
+			if placed != tc.bytes {
+				t.Fatalf("placed %d bytes, want %d", placed, tc.bytes)
+			}
+			m.Free(a)
+			for s := 0; s < tc.cfg.Sockets; s++ {
+				if v, ad := m.volatileBytes[s], m.adBytes[s]; v != 0 || ad != 0 {
+					t.Errorf("socket %d after Free: volatile %d, app-direct %d, want 0", s, v, ad)
+				}
+			}
+		})
+	}
+}
+
 func TestBlockedPlacementFollowsThreads(t *testing.T) {
 	m := NewMachine(OptaneMachine())
 	// 24 threads all sit on socket 0, so blocked placement puts all

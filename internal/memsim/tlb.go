@@ -69,29 +69,10 @@ func (c *tlbClass) lookup(pageID uint64) bool {
 	return false
 }
 
-// invalidate drops pageID if present (TLB shootdown of a migrated page).
-func (c *tlbClass) invalidate(pageID uint64) {
-	for i, p := range c.pages {
-		if p == pageID {
-			c.pages[i] = ^uint64(0)
-			c.stamps[i] = 0
-			return
-		}
-	}
-}
-
 // flushRandom invalidates the slot selected by r, used to model the
 // shootdowns triggered by other threads' migrations without sharing state.
 func (c *tlbClass) flushRandom(r uint64) {
 	i := int(r % uint64(len(c.pages)))
 	c.pages[i] = ^uint64(0)
 	c.stamps[i] = 0
-}
-
-// flushAll empties the class.
-func (c *tlbClass) flushAll() {
-	for i := range c.pages {
-		c.pages[i] = ^uint64(0)
-		c.stamps[i] = 0
-	}
 }
