@@ -1,7 +1,8 @@
 package analytics
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"pmemgraph/internal/core"
@@ -27,12 +28,8 @@ func TC(r *core.Runtime) *Result {
 	for i := range order {
 		order[i] = graph.Node(i)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := r.OutDegree(order[i]), r.OutDegree(order[j])
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
+	slices.SortFunc(order, func(a, b graph.Node) int {
+		return cmp.Or(cmp.Compare(r.OutDegree(b), r.OutDegree(a)), cmp.Compare(a, b))
 	})
 	for pos, v := range order {
 		rank[v] = uint32(pos)
@@ -85,7 +82,7 @@ func TC(r *core.Runtime) *Result {
 			}
 			lo2, hi2 := dagOff[v], end
 			seg := dagEdges[lo2:hi2]
-			sort.Slice(seg, func(i, j int) bool { return rank[seg[i]] < rank[seg[j]] })
+			slices.SortFunc(seg, func(a, b graph.Node) int { return cmp.Compare(rank[a], rank[b]) })
 			dagEdgesArr.WriteRange(t, lo2, hi2)
 		}
 	})

@@ -19,12 +19,21 @@
 // and every generator — graphs and edge-update streams (updates.go) alike
 // — is a pure function of its parameters and seed, which is what lets
 // harness runs, goldens, and the serving conformance suite share inputs
-// byte-for-byte.
+// byte-for-byte. That holds at any GOMAXPROCS: a generator may split its
+// work across goroutines only where each one writes a fixed range of the
+// output from a fixed range of the random stream. RMAT does so — edge i
+// takes draws [i·scale, (i+1)·scale), and splitmix64 jumps to any draw in
+// O(1) (newRNGAt) — so its workers fill contiguous ranges of one edge list
+// that is the same slice, in the same order, as a sequential loop's.
+// testdata/generators.golden pins every generator's bytes at GOMAXPROCS
+// 1, 3 and 8.
 package gen
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"runtime"
+	"slices"
+	"sync"
 
 	"pmemgraph/internal/graph"
 )
@@ -33,10 +42,18 @@ import (
 // seed.
 type rng struct{ state uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{state: seed + 0x9E3779B97F4A7C15} }
+// gamma is splitmix64's state increment.
+const gamma = 0x9E3779B97F4A7C15
+
+func newRNG(seed uint64) *rng { return newRNGAt(seed, 0) }
+
+// newRNGAt returns the generator newRNG(seed) becomes after draws calls to
+// next: splitmix64's state only ever advances by the constant increment, so
+// any point of the stream is reachable in O(1).
+func newRNGAt(seed, draws uint64) *rng { return &rng{state: seed + (draws+1)*gamma} }
 
 func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -55,37 +72,65 @@ func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 // RMAT generates a directed R-MAT graph with 2^scale nodes and
 // edgeFactor*2^scale edges using recursive quadrant selection with the
 // given probabilities (the paper uses the graph500 weights 0.57, 0.19,
-// 0.19, 0.05 for both rmat and kron inputs).
+// 0.19, 0.05 for both rmat and kron inputs). Edge i consumes exactly draws
+// [i·scale, (i+1)·scale) of the seed's stream, so workers fill disjoint
+// index ranges of the edge list from jumped-ahead generators.
 func RMAT(scale int, edgeFactor int, a, b, c float64, seed uint64, symmetrize bool) *graph.Graph {
 	n := 1 << scale
 	m := n * edgeFactor
+	per := 1
 	if symmetrize {
 		m /= 2
+		per = 2
 	}
-	r := newRNG(seed)
-	edges := make([]graph.Edge, 0, m*2)
-	for i := 0; i < m; i++ {
-		src, dst := 0, 0
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.float()
-			switch {
-			case p < a:
-				// upper-left: nothing set
-			case p < a+b:
-				dst |= 1 << bit
-			case p < a+b+c:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
+	edges := make([]graph.Edge, m*per)
+	parallelRange(m, func(lo, hi int) {
+		r := newRNGAt(seed, uint64(lo)*uint64(scale))
+		for i := lo; i < hi; i++ {
+			src, dst := 0, 0
+			for bit := scale - 1; bit >= 0; bit-- {
+				p := r.float()
+				switch {
+				case p < a:
+					// upper-left: nothing set
+				case p < a+b:
+					dst |= 1 << bit
+				case p < a+b+c:
+					src |= 1 << bit
+				default:
+					src |= 1 << bit
+					dst |= 1 << bit
+				}
+			}
+			edges[i*per] = graph.Edge{Src: graph.Node(src), Dst: graph.Node(dst)}
+			if symmetrize {
+				edges[i*per+1] = graph.Edge{Src: graph.Node(dst), Dst: graph.Node(src)}
 			}
 		}
-		edges = append(edges, graph.Edge{Src: graph.Node(src), Dst: graph.Node(dst)})
-		if symmetrize {
-			edges = append(edges, graph.Edge{Src: graph.Node(dst), Dst: graph.Node(src)})
-		}
-	}
+	})
 	return graph.MustFromEdges(n, edges, false, false)
+}
+
+// parallelRange splits [0, m) into one contiguous range per GOMAXPROCS
+// worker (each at least minChunk items long) and waits for all of
+// them. fn must write only its own range's outputs, so the result is the
+// same at any GOMAXPROCS.
+func parallelRange(m int, fn func(lo, hi int)) {
+	const minChunk = 1 << 14
+	workers := min(runtime.GOMAXPROCS(0), (m+minChunk-1)/minChunk)
+	if workers <= 1 {
+		fn(0, m)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(m*w/workers, m*(w+1)/workers)
+	}
+	wg.Wait()
 }
 
 // Kron generates a Kronecker-style scale-free graph: RMAT recursion with
@@ -153,7 +198,6 @@ func WebCrawl(n int, avgDeg int, maxDepth int, seed uint64) *graph.Graph {
 	// Tails: chains of length up to maxDepth anchored in the core. Each
 	// chain node links forward to the next chain node (plus a rare link
 	// back to the core so the chain is not a strict line).
-	tail := n - core
 	v := core
 	for v < n {
 		chainLen := 2 + r.intn(maxDepth-1)
@@ -170,11 +214,11 @@ func WebCrawl(n int, avgDeg int, maxDepth int, seed uint64) *graph.Graph {
 		}
 		v += chainLen
 	}
-	_ = tail
 
 	// Pad remaining edge budget with core-to-core power-law edges so the
-	// average degree target is met.
-	for len(edges) < n*avgDeg {
+	// average degree target is met. A one-vertex core (n <= 2) has no
+	// core-to-core edge that is not a self-loop, so it gets no padding.
+	for core > 1 && len(edges) < n*avgDeg {
 		src := r.intn(core)
 		dst := zipfPick(r, core)
 		if src != dst {
@@ -411,15 +455,8 @@ func SortNodesByDegreeDesc(g *graph.Graph) []graph.Node {
 	for i := range nodes {
 		nodes[i] = graph.Node(i)
 	}
-	sort.Slice(nodes, func(i, j int) bool {
-		di, dj := g.OutDegree(nodes[i]), g.OutDegree(nodes[j])
-		if di != dj {
-			return di > dj
-		}
-		return nodes[i] < nodes[j]
+	slices.SortFunc(nodes, func(a, b graph.Node) int {
+		return cmp.Or(cmp.Compare(g.OutDegree(b), g.OutDegree(a)), cmp.Compare(a, b))
 	})
 	return nodes
 }
-
-// ensure fmt is linked for error paths in future extensions.
-var _ = fmt.Sprintf

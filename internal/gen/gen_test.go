@@ -2,6 +2,7 @@ package gen
 
 import (
 	"testing"
+	"time"
 
 	"pmemgraph/internal/graph"
 )
@@ -164,6 +165,35 @@ func TestScaledInputsGenerate(t *testing.T) {
 	}
 	if densest != "iso_m100" {
 		t.Errorf("densest input = %s, want iso_m100 (protein network)", densest)
+	}
+}
+
+// TestWebCrawlTinyReturns: with n <= 2 the core is one vertex, so every
+// padding draw would be a self-loop; the generator must still return.
+func TestWebCrawlTinyReturns(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3} {
+		done := make(chan *graph.Graph, 1)
+		go func() { done <- WebCrawl(n, 4, 10, 1) }()
+		select {
+		case g := <-done:
+			if g.NumNodes() != n {
+				t.Errorf("WebCrawl(%d): %d nodes", n, g.NumNodes())
+			}
+			if err := g.Validate(); err != nil {
+				t.Errorf("WebCrawl(%d): %v", n, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("WebCrawl(%d, 4, 10, 1) did not return within 2s", n)
+		}
+	}
+}
+
+// BenchmarkRMAT times one RMAT16 graph end to end: the parallel edge fill
+// and FromEdges.
+func BenchmarkRMAT(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		RMAT(16, 16, 0.57, 0.19, 0.19, 32, false)
 	}
 }
 

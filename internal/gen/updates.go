@@ -30,13 +30,16 @@ func weightCeiling(g *graph.Graph) int {
 // UpdateStream generates a deterministic stream of edge-update batches
 // against g for the streaming-update workload: each batch is valid for the
 // graph state produced by applying all earlier batches (the generator
-// evolves a working copy), so the stream can be POSTed to
-// /v1/graphs/{name}/updates batch by batch, or replayed through
-// graph.ApplyUpdates, without validation errors. Batches mix ~3/4
-// insertions of fresh random pairs with ~1/4 deletions of existing edges
-// when withDeletes is set, and are insert-only otherwise (insert-only
-// streams keep incremental cc on its fast path). The stream is a pure
-// function of (g, batches, perBatch, seed).
+// evolves an overlay chain over g, validating each batch as it applies it),
+// so the stream can be POSTed to /v1/graphs/{name}/updates batch by batch,
+// or replayed through graph.ApplyUpdates, without validation errors.
+// Batches mix ~3/4 insertions of fresh random pairs with ~1/4 deletions of
+// existing edges when withDeletes is set, and are insert-only otherwise
+// (insert-only streams keep incremental cc on its fast path). A deletion
+// draws a uniform edge index of the current state in Materialize order —
+// the overlay cursor's order — so a batch costs O(V + |delta|), never the
+// O(E) rebuild of a materialized epoch. The stream is a pure function of
+// (g, batches, perBatch, seed).
 func UpdateStream(g *graph.Graph, batches, perBatch int, seed uint64, withDeletes bool) ([][]graph.EdgeUpdate, error) {
 	if batches <= 0 || perBatch <= 0 {
 		return nil, fmt.Errorf("gen: update stream needs positive batches (%d) and batch size (%d)", batches, perBatch)
@@ -46,7 +49,16 @@ func UpdateStream(g *graph.Graph, batches, perBatch int, seed uint64, withDelete
 		return nil, fmt.Errorf("gen: update stream needs at least 2 nodes, graph has %d", n)
 	}
 	r := newRNG(seed ^ 0x57EA3B17)
-	cur := g
+	cur := graph.NewOverlay(g)
+	// deg and prefix are the current state's out-degrees and their prefix
+	// sums: the edge with index ei belongs to the row v with
+	// prefix[v] <= ei < prefix[v+1].
+	deg := make([]int64, n)
+	prefix := make([]int64, n+1)
+	for v := range deg {
+		deg[v] = g.OutDegree(graph.Node(v))
+		prefix[v+1] = prefix[v] + deg[v]
+	}
 	weighted := g.HasWeights()
 	weightMax := 0
 	if weighted {
@@ -54,6 +66,7 @@ func UpdateStream(g *graph.Graph, batches, perBatch int, seed uint64, withDelete
 	}
 	stream := make([][]graph.EdgeUpdate, 0, batches)
 	for b := 0; b < batches; b++ {
+		adj := cur.OutAdj(false)
 		ups := make([]graph.EdgeUpdate, 0, perBatch)
 		inserted := make(map[uint64]struct{})
 		deleted := make(map[uint64]struct{})
@@ -73,10 +86,12 @@ func UpdateStream(g *graph.Graph, batches, perBatch int, seed uint64, withDelete
 				ok := false
 				for attempt := 0; attempt < 16; attempt++ {
 					ei := int64(r.next() % uint64(cur.NumEdges()))
-					src := graph.Node(sort.Search(cur.NumNodes(), func(v int) bool {
-						return cur.OutOffsets[v+1] > ei
-					}))
-					dst := cur.OutEdges[ei]
+					src := graph.Node(sort.Search(n, func(v int) bool { return prefix[v+1] > ei }))
+					c := adj.Cursor(src)
+					var dst graph.Node
+					for i := prefix[src]; i <= ei; i++ {
+						dst, _ = c.Next()
+					}
 					k := key(src, dst)
 					if _, dup := deleted[k]; dup {
 						continue
@@ -109,12 +124,20 @@ func UpdateStream(g *graph.Graph, batches, perBatch int, seed uint64, withDelete
 			}
 			ups = append(ups, u)
 		}
-		next, _, err := graph.ApplyUpdates(cur, ups)
+		next, delta, err := cur.Apply(ups)
 		if err != nil {
 			return nil, fmt.Errorf("gen: generated batch %d does not apply: %w", b, err)
 		}
 		stream = append(stream, ups)
 		cur = next
+		if len(delta.DegChanged) > 0 {
+			for _, v := range delta.DegChanged {
+				deg[v] = cur.OutDegree(v)
+			}
+			for v := int(delta.DegChanged[0]); v < n; v++ {
+				prefix[v+1] = prefix[v] + deg[v]
+			}
+		}
 	}
 	return stream, nil
 }

@@ -19,8 +19,12 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Node is a vertex identifier.
@@ -200,10 +204,16 @@ type Edge struct {
 	Weight   uint32
 }
 
-// FromEdges builds a CSR graph with n nodes from an edge list. Edges are
-// sorted per source; parallel edges and self-loops are kept unless dedupe
-// is set (triangle counting requires deduplicated, loop-free input). Every
-// endpoint must lie in [0, n) — Node's unsignedness already excludes
+// FromEdges builds a CSR graph with n nodes from an edge list: a counting
+// sort by source (count out-degrees, prefix-sum them, scatter each
+// destination into its row) followed by a typed sort of each row by
+// destination, so construction is O(V + E·log d) with no comparison sort
+// over the edge list. Parallel copies of a (Src, Dst) pair keep their input
+// order, which makes their weights' order deterministic on weighted graphs.
+// The caller's slice is read, never reordered. Parallel edges and
+// self-loops are kept unless dedupe is set (triangle counting requires
+// deduplicated, loop-free input); dedupe keeps the first copy of each pair.
+// Every endpoint must lie in [0, n) — Node's unsignedness already excludes
 // negatives, and anything >= n is rejected here instead of corrupting (or
 // panicking over) the offset arrays.
 func FromEdges(n int, edges []Edge, weighted, dedupe bool) (*Graph, error) {
@@ -214,25 +224,6 @@ func FromEdges(n int, edges []Edge, weighted, dedupe bool) (*Graph, error) {
 		if int64(e.Src) >= int64(n) || int64(e.Dst) >= int64(n) {
 			return nil, fmt.Errorf("graph: edge %d (%d -> %d) endpoint out of range [0, %d)", i, e.Src, e.Dst, n)
 		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
-	if dedupe {
-		out := edges[:0]
-		for _, e := range edges {
-			if e.Src == e.Dst {
-				continue
-			}
-			if len(out) > 0 && out[len(out)-1].Src == e.Src && out[len(out)-1].Dst == e.Dst {
-				continue
-			}
-			out = append(out, e)
-		}
-		edges = out
 	}
 	g := &Graph{
 		OutOffsets: make([]int64, n+1),
@@ -257,7 +248,89 @@ func FromEdges(n int, edges []Edge, weighted, dedupe bool) (*Graph, error) {
 		}
 		cursor[e.Src] = c + 1
 	}
+	g.sortRows()
+	if dedupe {
+		g.compactRows()
+	}
 	return g, nil
+}
+
+// sortRows sorts every out-row by destination; on weighted graphs the sort
+// is stable, so parallel copies keep the order the scatter gave them. Rows
+// are disjoint, so GOMAXPROCS workers each take a contiguous vertex range
+// of about equal edge count and the result does not depend on the split.
+func (g *Graph) sortRows() {
+	n, m := g.NumNodes(), g.NumEdges()
+	workers := runtime.GOMAXPROCS(0)
+	if m < 1<<16 {
+		workers = 1
+	}
+	var wg sync.WaitGroup
+	from := 0
+	for w := 1; w <= workers; w++ {
+		to := sort.Search(n, func(v int) bool { return g.OutOffsets[v] >= m*int64(w)/int64(workers) })
+		if w == workers {
+			to = n
+		}
+		wg.Add(1)
+		go func(from, to int) {
+			defer wg.Done()
+			g.sortRowRange(from, to)
+		}(from, to)
+		from = to
+	}
+	wg.Wait()
+}
+
+// sortRowRange is sortRows over the rows of vertices [from, to).
+func (g *Graph) sortRowRange(from, to int) {
+	var buf []weightedDst
+	for v := from; v < to; v++ {
+		lo, hi := g.OutOffsets[v], g.OutOffsets[v+1]
+		row := g.OutEdges[lo:hi]
+		if g.OutWeights == nil {
+			slices.Sort(row)
+			continue
+		}
+		buf = buf[:0]
+		for i, d := range row {
+			buf = append(buf, weightedDst{d, g.OutWeights[lo+int64(i)]})
+		}
+		slices.SortStableFunc(buf, func(a, b weightedDst) int { return cmp.Compare(a.dst, b.dst) })
+		for i, e := range buf {
+			row[i], g.OutWeights[lo+int64(i)] = e.dst, e.w
+		}
+	}
+}
+
+type weightedDst struct {
+	dst Node
+	w   uint32
+}
+
+// compactRows drops self-loops and repeated destinations from the sorted
+// rows in place and rewrites the offsets.
+func (g *Graph) compactRows() {
+	var w, lo int64
+	for v := 0; v < g.NumNodes(); v++ {
+		hi, start := g.OutOffsets[v+1], w
+		for i := lo; i < hi; i++ {
+			d := g.OutEdges[i]
+			if d == Node(v) || (w > start && g.OutEdges[w-1] == d) {
+				continue
+			}
+			g.OutEdges[w] = d
+			if g.OutWeights != nil {
+				g.OutWeights[w] = g.OutWeights[i]
+			}
+			w++
+		}
+		g.OutOffsets[v+1], lo = w, hi
+	}
+	g.OutEdges = g.OutEdges[:w]
+	if g.OutWeights != nil {
+		g.OutWeights = g.OutWeights[:w]
+	}
 }
 
 // MustFromEdges is FromEdges that panics on invalid input, for builders

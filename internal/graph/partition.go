@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Partition is an edge-cut decomposition of a sealed CSR into contiguous
 // vertex ranges, one per shard. Each shard's local graph holds the rebased
@@ -67,9 +64,10 @@ func NewPartition(g *Graph, shards int) (*Partition, error) {
 		start = Node(n)
 	}
 
+	mark := make([]bool, n)
 	for i := range p.locals {
 		p.locals[i] = p.extract(p.ranges[i])
-		p.ghosts[i] = p.ghostsOf(i)
+		p.ghosts[i] = p.ghostsOf(i, mark)
 	}
 	return p, nil
 }
@@ -112,20 +110,25 @@ func rebase(offsets []int64, r Range) []int64 {
 // ghostsOf returns shard i's ghost table: the sorted unique remote
 // vertices its scatter set can reach (out-edge destinations owned by
 // other shards). These are the mirrors a distributed runtime would
-// allocate proxies for, and the superstep exchange's upper bound.
-func (p *Partition) ghostsOf(i int) []Node {
+// allocate proxies for, and the superstep exchange's upper bound. mark is
+// an all-false slice over |V|, shared by every shard: the walk in vertex
+// order that collects the marked vertices also clears them.
+func (p *Partition) ghostsOf(i int, mark []bool) []Node {
 	r := p.ranges[i]
-	seen := map[Node]struct{}{}
+	count := 0
 	for _, d := range p.src.OutEdges[p.src.OutOffsets[r.Lo]:p.src.OutOffsets[r.Hi]] {
-		if d < r.Lo || d >= r.Hi {
-			seen[d] = struct{}{}
+		if (d < r.Lo || d >= r.Hi) && !mark[d] {
+			mark[d] = true
+			count++
 		}
 	}
-	out := make([]Node, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
+	out := make([]Node, 0, count)
+	for v, m := range mark {
+		if m {
+			out = append(out, Node(v))
+			mark[v] = false
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }
 
