@@ -184,28 +184,22 @@ func PageRankIncremental(r *core.Runtime, seed *PRSeed, delta *graph.Delta, tol 
 	}), rec
 }
 
-// gatherTainted re-gathers the whole in-neighborhood of every tainted
-// vertex, in the same per-vertex neighbor order as a full pull round, so
-// the recomputed values are bitwise what fullPullRound would produce.
+// gatherTainted re-gathers the whole in-row of every tainted vertex through
+// the gather fullPullRound runs, so the recomputed values are what a full
+// round would produce by construction.
 func (s *prState) gatherTainted(T []graph.Node) {
 	in := s.r.InView()
 	s.r.ParallelItems(int64(len(T)), func(t *memsim.Thread, lo, hi int64) {
 		var edges int64
+		row := s.rows[t.ID]
 		for _, v := range T[lo:hi] {
 			in.Offsets.ReadN(t, int64(v), 2)
 			in.ChargeScan(t, v, false)
-			acc := 0.0
-			c := in.Adj.Cursor(v)
-			for {
-				u, ok := c.Next()
-				if !ok {
-					break
-				}
-				acc += s.contrib[u]
-			}
-			s.next[v] = s.base + prDamping*acc
-			edges += in.Adj.Degree(v)
+			row = in.Adj.AppendRow(row[:0], v)
+			s.gather(v, row)
+			edges += int64(len(row))
 		}
+		s.rows[t.ID] = row
 		s.contribArr.RandomN(t, edges, false)
 		s.nextArr.RandomN(t, hi-lo, true)
 		t.Op(int(edges + (hi - lo)))

@@ -21,12 +21,13 @@ const (
 // PageRank drives it for every round; the incremental variant
 // (PageRankIncremental) reuses publishContrib and fullPullRound verbatim so
 // its full-mode rounds charge and compute exactly what the from-scratch
-// kernel would, which is what keeps its rank trajectory bitwise identical.
+// kernel would, and its tainted re-gathers run the same gather, which is
+// what keeps its rank trajectory bitwise identical.
 type prState struct {
 	r *core.Runtime
 	e *engine.Engine
 
-	rank, next, sum, contrib     []float64
+	rank, next, contrib          []float64
 	rankArr, nextArr, contribArr *memsim.Array
 	base                         float64
 	full                         *engine.Frontier
@@ -36,6 +37,9 @@ type prState struct {
 	// accumulator would add in arrival order and make the last round a
 	// race.
 	resid []float64
+	// rows is gatherTainted's per-thread in-row scratch, indexed by
+	// Thread.ID and reused across rounds.
+	rows [][]graph.Node
 }
 
 // newPRState allocates the iteration state. The allocation order (engine
@@ -49,13 +53,13 @@ func newPRState(r *core.Runtime) *prState {
 		e:          e,
 		rank:       make([]float64, n),
 		next:       make([]float64, n),
-		sum:        make([]float64, n), // per-round in-neighbor gather
 		contrib:    make([]float64, n), // rank[v] / outDegree(v), published per round
 		rankArr:    r.NodeArray("pr.rank", 8),
 		nextArr:    r.NodeArray("pr.next", 8),
 		contribArr: r.NodeArray("pr.contrib", 8),
 		base:       (1 - prDamping) / float64(n),
 		resid:      make([]float64, r.RegionThreads()),
+		rows:       make([][]graph.Node, r.RegionThreads()),
 	}
 	init := 1.0 / float64(n)
 	e.VertexMap(engine.VertexMapArgs{
@@ -83,6 +87,19 @@ func (s *prState) publishContrib() {
 	})
 }
 
+// gather sets v's next rank from its whole in-row, summing the
+// contributions in row order. It is the one definition of a pagerank
+// gather: full pull rounds and incremental re-gathers both call it, so
+// their float results agree bit for bit.
+func (s *prState) gather(v graph.Node, row []graph.Node) {
+	contrib := s.contrib
+	acc := 0.0
+	for _, u := range row {
+		acc += contrib[u]
+	}
+	s.next[v] = s.base + prDamping*acc
+}
+
 // fullPullRound gathers in-neighbor contributions for every vertex and
 // accumulates the residual per chunk into the owning thread's shard.
 func (s *prState) fullPullRound() {
@@ -90,14 +107,7 @@ func (s *prState) fullPullRound() {
 		s.resid[i] = 0
 	}
 	s.e.EdgeMap(s.full, engine.EdgeMapArgs{
-		Pull: func(v, u graph.Node, ei int64) (bool, bool) {
-			s.sum[v] += s.contrib[u]
-			return false, false
-		},
-		OnPullDone: func(v graph.Node) {
-			s.next[v] = s.base + prDamping*s.sum[v]
-			s.sum[v] = 0
-		},
+		Gather: s.gather,
 		OnPullChunk: func(t *memsim.Thread, lo, hi graph.Node) {
 			local := 0.0
 			for v := lo; v < hi; v++ {
@@ -129,7 +139,7 @@ func (s *prState) residual() float64 {
 // PageRank is the topology-driven pull pagerank every framework in the
 // paper shares ("all systems use the same algorithm for pr"): each round a
 // VertexMap publishes contributions (rank[v] / outDegree(v)), then a
-// full-frontier pull EdgeMap gathers in-neighbor contributions; the run
+// full-frontier Gather EdgeMap sums each in-row; the run
 // stops when the L1 residual falls below tol or after maxRounds rounds (both
 // taken literally; frameworks.Params substitutes the paper's defaults).
 // Requires in-edges.

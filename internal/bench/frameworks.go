@@ -52,11 +52,17 @@ func Figure9(opt Options) error {
 			fmt.Fprintln(w, line)
 			if gt, ok := times["Galois"]; ok {
 				best := true
-				for name, t := range times {
-					if name != "Galois" && t < gt {
+				// Fold in profile order, not map order, so the geomean's
+				// float sum is the same on every run.
+				for _, p := range frameworks.All() {
+					t, ok := times[p.Name]
+					if !ok || p.Name == "Galois" {
+						continue
+					}
+					if t < gt {
 						best = false
 					}
-					if name != "Galois" && t > 0 {
+					if t > 0 {
 						speedups = append(speedups, t/gt)
 					}
 				}

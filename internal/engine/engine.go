@@ -102,6 +102,11 @@ type Engine struct {
 	// engine drains the buffers (retaining capacity) at the merge.
 	claims [][]graph.Node
 
+	// rows holds one in-row scratch slice per virtual thread, indexed by
+	// Thread.ID, that Gather rounds decode each vertex's row into; like
+	// claims it keeps its capacity across rounds.
+	rows [][]graph.Node
+
 	rounds int
 	trace  []RoundStat
 }
@@ -138,6 +143,7 @@ func New(r *core.Runtime, cfg Config) *Engine {
 		nextBits: r.ScratchArray("engine.next.bits", words, 8),
 		wl:       r.ScratchArray("engine.wl", n, 4),
 		claims:   make([][]graph.Node, r.RegionThreads()),
+		rows:     make([][]graph.Node, r.RegionThreads()),
 	}
 }
 
@@ -237,9 +243,13 @@ type EdgeMapArgs struct {
 	// When nil the engine assumes whole-neighborhood scans and charges
 	// edge reads in contiguous per-chunk blocks.
 	PullCond func(v graph.Node) bool
-	// OnPullDone runs after a vertex's pull scan completes (same thread),
-	// for per-vertex reductions such as pagerank's sum finalization.
-	OnPullDone func(v graph.Node)
+	// Gather replaces Pull for whole-neighborhood reductions: it runs once
+	// per vertex with v's entire in-row, decoded into a per-thread scratch
+	// slice it must not retain. A Gather round is a pull round over every
+	// vertex that activates nothing (it returns an empty frontier) and
+	// charges like a whole-row Pull plus one operator application per
+	// vertex. It excludes Pull, Push, PullCond and Symmetric.
+	Gather func(v graph.Node, in []graph.Node)
 	// OnPullChunk runs once per scheduler chunk after its vertices are
 	// processed, on the owning thread, for contention-free chunk
 	// reductions: accumulate locally over [lo, hi), then publish into a
@@ -278,6 +288,9 @@ type EdgeMapArgs struct {
 func (e *Engine) EdgeMap(f *Frontier, args EdgeMapArgs) *Frontier {
 	pull := false
 	switch {
+	case args.Gather != nil:
+		checkGather(&args)
+		pull = true
 	case args.Pull == nil || !e.CanPull():
 		// push only
 	case args.Push == nil, e.cfg.Dir == DirPull:
@@ -311,6 +324,25 @@ func (e *Engine) EdgeMap(f *Frontier, args EdgeMapArgs) *Frontier {
 	}
 	e.trace = append(e.trace, rs)
 	return next
+}
+
+// checkGather panics, naming the field, when a Gather round is combined
+// with a field it excludes: a kernel bug no validated plan reaches.
+func checkGather(args *EdgeMapArgs) {
+	var field string
+	switch {
+	case args.Pull != nil:
+		field = "Pull"
+	case args.Push != nil:
+		field = "Push"
+	case args.PullCond != nil:
+		field = "PullCond"
+	case args.Symmetric:
+		field = "Symmetric"
+	default:
+		return
+	}
+	panic("engine: EdgeMapArgs.Gather excludes EdgeMapArgs." + field)
 }
 
 // MergeClaims is the one sorted-dedup claim merge: the sequential barrier
@@ -528,10 +560,16 @@ func (e *Engine) chargePushChunk(t *memsim.Thread, args *EdgeMapArgs, verts, edg
 // pullRound gathers along in-edges: every vertex passing PullCond scans
 // its in-neighborhood, stopping early if the operator says so. Whole
 // scans (PullCond == nil) are charged as contiguous blocks; early-exit
-// scans as per-vertex prefixes.
+// scans as per-vertex prefixes. A Gather round hands each vertex's whole
+// row to the operator instead of calling Pull per edge, and charges the
+// same.
 func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Frontier {
 	n := int64(f.n)
-	nextSet := NewDense(f.n)
+	gather := args.Gather != nil
+	var nextSet *Dense
+	if !gather {
+		nextSet = NewDense(f.n)
+	}
 	whole := args.PullCond == nil
 	var cnt, outEdges atomic.Int64
 	stats := e.R.ParallelVerts(func(t *memsim.Thread, lo, hi graph.Node) {
@@ -556,58 +594,66 @@ func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 			}
 		}
 		var chunkVerts, chunkScanned, activated, nextOut int64
-		for v := lo; v < hi; v++ {
-			if !whole && !args.PullCond(v) {
-				continue
+		if gather {
+			row := e.rows[t.ID]
+			for v := lo; v < hi; v++ {
+				row = e.in.Adj.AppendRow(row[:0], v)
+				args.Gather(v, row)
+				chunkScanned += int64(len(row))
 			}
-			chunkVerts++
-			active := false
-			stopped := false
-			icur := e.in.Adj.Cursor(v)
-			scanned := int64(0)
-			for {
-				u, ok := icur.Next()
-				if !ok {
-					break
+			e.rows[t.ID] = row
+			chunkVerts = int64(hi - lo)
+		} else {
+			for v := lo; v < hi; v++ {
+				if !whole && !args.PullCond(v) {
+					continue
 				}
-				a, stop := args.Pull(v, u, icur.EI())
-				scanned++
-				active = active || a
-				if stop {
-					stopped = true
-					break
-				}
-			}
-			if !whole {
-				e.in.ChargePrefix(t, v, icur.Consumed(), icur.DeltaConsumed(), scanned)
-			}
-			chunkScanned += scanned
-			if args.Symmetric && !stopped {
-				ocur := e.out.Adj.Cursor(v)
-				oscanned := int64(0)
+				chunkVerts++
+				active := false
+				stopped := false
+				icur := e.in.Adj.Cursor(v)
+				scanned := int64(0)
 				for {
-					u, ok := ocur.Next()
+					u, ok := icur.Next()
 					if !ok {
 						break
 					}
-					a, stop := args.Pull(v, u, ocur.EI())
-					oscanned++
+					a, stop := args.Pull(v, u, icur.EI())
+					scanned++
 					active = active || a
 					if stop {
+						stopped = true
 						break
 					}
 				}
 				if !whole {
-					e.out.ChargePrefix(t, v, ocur.Consumed(), ocur.DeltaConsumed(), oscanned)
+					e.in.ChargePrefix(t, v, icur.Consumed(), icur.DeltaConsumed(), scanned)
 				}
-				chunkScanned += oscanned
-			}
-			if active && nextSet.Set(v) {
-				activated++
-				nextOut += e.R.OutDegree(v)
-			}
-			if args.OnPullDone != nil {
-				args.OnPullDone(v)
+				chunkScanned += scanned
+				if args.Symmetric && !stopped {
+					ocur := e.out.Adj.Cursor(v)
+					oscanned := int64(0)
+					for {
+						u, ok := ocur.Next()
+						if !ok {
+							break
+						}
+						a, stop := args.Pull(v, u, ocur.EI())
+						oscanned++
+						active = active || a
+						if stop {
+							break
+						}
+					}
+					if !whole {
+						e.out.ChargePrefix(t, v, ocur.Consumed(), ocur.DeltaConsumed(), oscanned)
+					}
+					chunkScanned += oscanned
+				}
+				if active && nextSet.Set(v) {
+					activated++
+					nextOut += e.R.OutDegree(v)
+				}
 			}
 		}
 		perEdge := args.PerEdge
@@ -621,7 +667,7 @@ func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 			a.Arr.RandomN(t, chunkVerts, a.Write)
 		}
 		ops := chunkScanned
-		if args.OnPullDone != nil {
+		if gather {
 			ops += chunkVerts
 		}
 		t.Op(int(ops))
@@ -633,6 +679,9 @@ func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 		outEdges.Add(nextOut)
 	})
 	rs.Stats = stats
+	if gather {
+		return &Frontier{n: f.n}
+	}
 	return &Frontier{n: f.n, dense: nextSet, isDense: true, count: cnt.Load(), outEdges: outEdges.Load()}
 }
 

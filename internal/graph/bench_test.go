@@ -30,3 +30,40 @@ func BenchmarkFromEdges(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
 }
+
+// BenchmarkAppendRow decodes every in-row of an RMAT16 graph onto one
+// reused scratch slice, per adjacency form: the row walk a Gather round
+// (pagerank's pull) does per vertex.
+func BenchmarkAppendRow(b *testing.B) {
+	g := gen.RMAT(16, 16, 0.57, 0.19, 0.19, 32, false)
+	g.BuildIn()
+	ups, err := gen.UpdateStream(g, 1, 4096, 7, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ov, _, err := graph.ApplyOverlay(g, ups[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		adj  graph.Adjacency
+	}{
+		{"raw", g.RawIn()},
+		{"compressed", g.CompressIn()},
+		{"overlay", ov.InAdj(true)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var row []graph.Node
+			var edges int64
+			b.ReportAllocs()
+			for b.Loop() {
+				for v := range c.adj.NumNodes() {
+					row = c.adj.AppendRow(row[:0], graph.Node(v))
+					edges += int64(len(row))
+				}
+			}
+			b.ReportMetric(float64(edges)/b.Elapsed().Seconds()/1e6, "Medges/s")
+		})
+	}
+}

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -48,8 +49,13 @@ type Adjacency interface {
 	Extent(v Node) (lo, hi int64)
 	// ExtentRange is Extent over the contiguous vertex range [lo, hi).
 	ExtentRange(lo, hi Node) (int64, int64)
-	// Cursor returns a zero-allocation iterator over v's neighbors.
+	// Cursor returns a zero-allocation iterator over v's neighbors, for
+	// scans that may stop early or need each neighbor's edge index.
 	Cursor(v Node) Cursor
+	// AppendRow appends v's neighbors to dst in Cursor order and returns
+	// the extended slice, for scans that consume the whole row. The result
+	// never aliases graph storage, so callers may reuse it as scratch.
+	AppendRow(dst []Node, v Node) []Node
 	// Compressed reports whether backing elements are compressed bytes.
 	Compressed() bool
 }
@@ -216,6 +222,9 @@ func (a RawAdjacency) ExtentRange(lo, hi Node) (int64, int64) {
 func (a RawAdjacency) Cursor(v Node) Cursor {
 	return Cursor{nbrs: a.Edges[a.Offsets[v]:a.Offsets[v+1]], base: a.Offsets[v]}
 }
+func (a RawAdjacency) AppendRow(dst []Node, v Node) []Node {
+	return append(dst, a.Edges[a.Offsets[v]:a.Offsets[v+1]]...)
+}
 
 // CompressedCSR is one direction's adjacency in delta+varint block form.
 // EdgeOffsets mirrors the raw offsets array (edge-index bases, host-side
@@ -263,6 +272,38 @@ func (z *CompressedCSR) Cursor(v Node) Cursor {
 	c.pos = n
 	c.rem = int64(deg)
 	return c
+}
+
+// AppendRow decodes v's whole block onto dst, skipping weight varints.
+// One- and two-byte varints, nearly all of a power-law graph's deltas, are
+// decoded inline; longer ones take binary.Uvarint.
+func (z *CompressedCSR) AppendRow(dst []Node, v Node) []Node {
+	block := z.Data[z.ByteOffsets[v]:z.ByteOffsets[v+1]]
+	deg, pos := binary.Uvarint(block)
+	dst = slices.Grow(dst, int(deg))
+	prev := int64(v)
+	for range deg {
+		u := uint64(block[pos])
+		if u < 0x80 {
+			pos++
+		} else if b1 := uint64(block[pos+1]); b1 < 0x80 {
+			u = u&0x7f | b1<<7
+			pos += 2
+		} else {
+			var n int
+			u, n = binary.Uvarint(block[pos:])
+			pos += n
+		}
+		prev += unzigzag(u)
+		dst = append(dst, Node(prev))
+		if z.weighted {
+			for block[pos] >= 0x80 {
+				pos++
+			}
+			pos++
+		}
+	}
+	return dst
 }
 
 func zigzag(d int64) uint64   { return uint64((d << 1) ^ (d >> 63)) }

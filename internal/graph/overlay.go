@@ -529,6 +529,22 @@ func (a *OverlayAdj) Cursor(v Node) Cursor {
 	return c
 }
 
+// AppendRow appends v's merged row: the base row directly for an untouched
+// vertex, the merged Cursor's sequence otherwise.
+func (a *OverlayAdj) AppendRow(dst []Node, v Node) []Node {
+	if a.side.find(v) < 0 {
+		return a.base.AppendRow(dst, v)
+	}
+	c := a.Cursor(v)
+	for {
+		d, ok := c.Next()
+		if !ok {
+			return dst
+		}
+		dst = append(dst, d)
+	}
+}
+
 // Validate checks overlay structural invariants (sorted touched lists,
 // consistent offsets, edge accounting); it is a test/debug aid, not a hot
 // path.

@@ -14,7 +14,8 @@
 // label touches per edge, an emit judged against round-start state and a
 // sequential coordinator apply; a gatherProgram names an edge contribution
 // and an owner-only done. apps.go holds the table. Adjacency is walked only
-// through core.AdjView + graph.Cursor, the frontier through engine.Dense,
+// through core.AdjView (a graph.Cursor per scatter block, a whole row via
+// Adjacency.AppendRow per gather block), the frontier through engine.Dense,
 // and every claim list — per-worker fragment and cross-shard alike — goes
 // through engine.MergeClaims, the same merge the single-machine engine's
 // push rounds use.
@@ -188,6 +189,9 @@ type worker struct {
 	dst    [][]graph.Node
 	val    [][]uint64
 	remote []int64
+	// rows is the per-thread row scratch the gather driver decodes each
+	// walked block into, reused across supersteps.
+	rows [][]graph.Node
 }
 
 // New builds the shard fleet over a partition. The partition's source
@@ -223,6 +227,7 @@ func New(part *graph.Partition, cfg Config) (*Engine, error) {
 		w.dst = make([][]graph.Node, threads)
 		w.val = make([][]uint64, threads)
 		w.remote = make([]int64, threads)
+		w.rows = make([][]graph.Node, threads)
 		e.workers = append(e.workers, w)
 	}
 	return e, nil
@@ -483,6 +488,7 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 			t.Op(int(hi - lo))
 			finalizeOps = 1
 		}
+		row := w.rows[t.ID]
 		active.ForEachInRange(lo, hi, func(v graph.Node) {
 			w.charge(t, v-w.lo, &p.scan, false, finalizeOps)
 			sum := 0.0
@@ -490,12 +496,8 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 				if !p.walk[i] {
 					continue
 				}
-				c := w.views[i].Adj.Cursor(v - w.lo)
-				for {
-					u, ok := c.Next()
-					if !ok {
-						break
-					}
+				row = w.views[i].Adj.AppendRow(row[:0], v-w.lo)
+				for _, u := range row {
 					if x, ok := p.edge(v, u); ok {
 						sum += x
 						if !p.everyMaster && (u < w.lo || u >= w.hi) {
@@ -506,6 +508,7 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 			}
 			p.done(v, sum)
 		})
+		w.rows[t.ID] = row
 	})
 	send := make([]int64, len(e.workers))
 	for i, w := range e.workers {
