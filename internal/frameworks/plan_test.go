@@ -7,12 +7,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"pmemgraph/internal/analytics"
+	"pmemgraph/internal/core"
 	"pmemgraph/internal/gen"
 	"pmemgraph/internal/graph"
+	"pmemgraph/internal/memsim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -326,5 +329,74 @@ func TestPlanSweepMatchesGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("plan sweep drifted from %s:\n--- want\n%s--- got\n%s", path, want, got.Bytes())
+	}
+}
+
+// TestTopologyTrafficMatchesGolden pins the per-array traffic kernels
+// charge against the graph's topology: for every profile × app the profile
+// implements, on the plan sweep's sealed input over the raw and the
+// compressed backend, it records TopologyReadBytes() and each topology
+// array's Traffic() into testdata/topology_traffic.golden. The runtime is
+// built with core.New and run through Profile.Run, and the sweep must print
+// the same bytes at GOMAXPROCS 1, 3 and 8. Regenerate only for a deliberate
+// charging change:
+//
+//	go test ./internal/frameworks -run TestTopologyTrafficMatchesGolden -update
+func TestTopologyTrafficMatchesGolden(t *testing.T) {
+	g := newPlanFixture(t, true).next
+	sweep := func() string {
+		var b strings.Builder
+		for _, p := range All() {
+			for _, app := range Apps() {
+				if !p.Supports(app) {
+					continue
+				}
+				for _, backend := range []core.Backend{core.BackendRaw, core.BackendCompressed} {
+					opts := p.Options(app, 8)
+					opts.Backend = backend
+					r, err := core.New(testMachine(), g, opts)
+					if err != nil {
+						t.Fatalf("%s/%s/%v: %v", p.Name, app, backend, err)
+					}
+					if _, err := p.Run(r, app, DefaultParams(g)); err != nil {
+						t.Fatalf("%s/%s/%v: %v", p.Name, app, backend, err)
+					}
+					r.Close()
+					fmt.Fprintf(&b, "%s/%s/%v topology_read=%d", p.Name, app, backend, r.TopologyReadBytes())
+					for _, a := range []*memsim.Array{r.Offsets, r.Edges, r.Weights, r.InOffsets, r.InEdges, r.InWeights} {
+						if a != nil {
+							read, written := a.Traffic()
+							fmt.Fprintf(&b, " %s=%d/%d", a.Name(), read, written)
+						}
+					}
+					b.WriteString("\n")
+				}
+			}
+		}
+		return b.String()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var got string
+	for _, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		lines := sweep()
+		if got != "" && lines != got {
+			t.Fatalf("topology traffic differs at GOMAXPROCS=%d:\n%s--- vs\n%s", procs, lines, got)
+		}
+		got = lines
+	}
+	path := filepath.Join("testdata", "topology_traffic.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file: %v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("topology traffic drifted from %s:\n--- want\n%s--- got\n%s", path, want, got)
 	}
 }

@@ -107,30 +107,23 @@ type Array struct {
 
 	freed bool
 
-	// readBytes/writeBytes accumulate the simulated traffic charged
-	// against this allocation. Atomic adds commute, so the totals are
-	// deterministic even though region threads race to update them. The
-	// padding keeps the fields every charge reads off the cache line these
-	// atomic adds write: sharing it costs up to ~20 ns per charge, on
-	// whichever allocations the heap happens to align that way.
-	_                     [64]byte
-	readBytes, writeBytes atomic.Uint64
-	_                     [64]byte
+	// id indexes the machine's live arrays and each thread's traffic
+	// cells. Free returns it for reuse, so ids stay dense.
+	id int
+
+	// readBytes/writeBytes total the simulated traffic charged against
+	// this allocation by finished regions. Region threads count into
+	// their own cells (Thread.traffic); the machine adds the cells here at
+	// the region barrier, in thread-index order, so nothing writes these
+	// fields while a region runs.
+	readBytes, writeBytes uint64
 }
 
 // Traffic returns the simulated bytes read from and written to this
-// allocation so far (valid after Free too; counters survive release).
+// allocation by the regions that have finished so far (valid after Free
+// too; counters survive release).
 func (a *Array) Traffic() (read, written uint64) {
-	return a.readBytes.Load(), a.writeBytes.Load()
-}
-
-// addTraffic records charged bytes against the per-array totals.
-func (a *Array) addTraffic(bytes int64, isWrite bool) {
-	if isWrite {
-		a.writeBytes.Add(uint64(bytes))
-	} else {
-		a.readBytes.Add(uint64(bytes))
-	}
+	return a.readBytes, a.writeBytes
 }
 
 type placeSegment struct {

@@ -63,6 +63,32 @@ var chargeOps = []chargeOp{
 	}},
 }
 
+// chargeIndices returns the deterministic pseudo-random index stream of a
+// that chargeOps[oi] draws from on thread id.
+func chargeIndices(oi, id int, a *Array) func() int64 {
+	r := uint64(oi+1)*0x9E3779B97F4A7C15 ^ uint64(id+1)*0xBF58476D1CE4E5B9
+	return func() int64 {
+		r = r*6364136223846793005 + 1442695040888963407
+		return int64(r>>1) % a.Len()
+	}
+}
+
+// chargeBody is the region body that runs chargeOps[oi] over a.
+func chargeBody(oi int, a *Array) func(t *Thread) {
+	return func(t *Thread) { chargeOps[oi].run(t, a, chargeIndices(oi, t.ID, a)) }
+}
+
+// chargeRegions are the regions the charge sweep runs each op in: pinned
+// local, pinned remote, and 64 threads over both sockets and SMT siblings.
+var chargeRegions = []struct {
+	name string
+	run  func(m *Machine, body func(t *Thread)) RegionStats
+}{
+	{"local", func(m *Machine, body func(t *Thread)) RegionStats { return m.ParallelPinned(0, 1, body) }},
+	{"remote", func(m *Machine, body func(t *Thread)) RegionStats { return m.ParallelPinned(1, 1, body) }},
+	{"x64", func(m *Machine, body func(t *Thread)) RegionStats { return m.Parallel(64, body) }},
+}
+
 // formatRegion prints a region's elapsed time and every Counters field, in
 // declaration order, exactly.
 func formatRegion(s RegionStats) string {
@@ -83,8 +109,11 @@ func formatRegion(s RegionStats) string {
 // bit: machine {memory mode, DRAM, app-direct with app-direct and with plain
 // arrays} x migration x policy x pages x footprint {below, above the 3 MB
 // near-memory} x primitive, each run pinned local, pinned remote, and as one
-// 64-thread region (both sockets, SMT siblings). Regenerate deliberately,
-// only when the charging model is meant to change, with
+// 64-thread region (both sockets, SMT siblings). charges.golden holds each
+// region's RegionStats; traffic.golden holds the array's Traffic() after
+// each region, the per-array totals the region barrier folds in.
+// Regenerate deliberately, only when the charging model is meant to change,
+// with
 //
 //	go test ./internal/memsim -run TestChargesMatchGolden -update
 func TestChargesMatchGolden(t *testing.T) {
@@ -108,14 +137,16 @@ func TestChargesMatchGolden(t *testing.T) {
 		bytes int64
 	}{{"small", 1 << 20}, {"large", 8 << 20}}
 
-	var got bytes.Buffer
+	var got, traffic bytes.Buffer
 	got.WriteString("# per machine/migration/policy/pages/footprint: op region elapsed_ns, then every Counters field in order\n")
+	traffic.WriteString("# per machine/migration/policy/pages/footprint: op region, then the array's Traffic() read and written after it\n")
 	for _, mc := range machines {
 		for _, mig := range []bool{false, true} {
 			for _, policy := range []Policy{Interleaved, Blocked, Local} {
 				for _, pg := range pages {
 					for _, fp := range footprints {
 						fmt.Fprintf(&got, "%s mig=%v %v %s %s\n", mc.name, mig, policy, pg.name, fp.name)
+						fmt.Fprintf(&traffic, "%s mig=%v %v %s %s\n", mc.name, mig, policy, pg.name, fp.name)
 						cfg := Scaled(mc.cfg, 64) // 3 MB near-memory per socket
 						cfg.NUMAMigration = mig
 						m := NewMachine(cfg)
@@ -123,23 +154,10 @@ func TestChargesMatchGolden(t *testing.T) {
 							Policy: policy, PageSize: pg.size, THP: pg.thp, AppDirect: mc.appDirect,
 						})
 						for oi, op := range chargeOps {
-							body := func(t *Thread) {
-								r := uint64(oi+1)*0x9E3779B97F4A7C15 ^ uint64(t.ID+1)*0xBF58476D1CE4E5B9
-								op.run(t, a, func() int64 {
-									r = r*6364136223846793005 + 1442695040888963407
-									return int64(r>>1) % a.Len()
-								})
-							}
-							regions := []struct {
-								name string
-								run  func() RegionStats
-							}{
-								{"local", func() RegionStats { return m.ParallelPinned(0, 1, body) }},
-								{"remote", func() RegionStats { return m.ParallelPinned(1, 1, body) }},
-								{"x64", func() RegionStats { return m.Parallel(64, body) }},
-							}
-							for _, rg := range regions {
-								fmt.Fprintf(&got, "  %s %s %s\n", op.name, rg.name, formatRegion(rg.run()))
+							for _, rg := range chargeRegions {
+								fmt.Fprintf(&got, "  %s %s %s\n", op.name, rg.name, formatRegion(rg.run(m, chargeBody(oi, a))))
+								read, written := a.Traffic()
+								fmt.Fprintf(&traffic, "  %s %s %d %d\n", op.name, rg.name, read, written)
 							}
 						}
 						m.Free(a)
@@ -149,22 +167,31 @@ func TestChargesMatchGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "charges.golden")
+	checkGolden(t, "charges.golden", got.Bytes())
+	checkGolden(t, "traffic.golden", traffic.Bytes())
+}
+
+// checkGolden compares got with testdata/name line by line, naming the
+// first drifted line and the section header above it, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", path, got.Len())
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden file: %v (regenerate with -update)", err)
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	section := ""
 	for i, line := range gotLines {
 		if !strings.HasPrefix(line, " ") {
@@ -175,7 +202,7 @@ func TestChargesMatchGolden(t *testing.T) {
 			if i < len(wantLines) {
 				w = wantLines[i]
 			}
-			t.Fatalf("charges drifted from %s at line %d (%s):\n want %s\n  got %s", path, i+1, section, w, line)
+			t.Fatalf("%s drifted at line %d (%s):\n want %s\n  got %s", path, i+1, section, w, line)
 		}
 	}
 	if len(wantLines) != len(gotLines) {

@@ -3,16 +3,19 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // Machine is a simulated NUMA machine. It owns the global simulated wall
-// clock, the allocation map, and the per-socket footprint accounting that
-// drives the near-memory cache model.
+// clock, the allocation map, the per-socket footprint accounting that
+// drives the near-memory cache model, and the pool of virtual threads its
+// regions run on.
 //
 // Machine is safe for use by the goroutines of a single Parallel region;
-// distinct Parallel regions must not overlap.
+// distinct Parallel regions must not overlap or nest, and parallel panics
+// if they do.
 type Machine struct {
 	cfg  MachineConfig
 	cost *CostParams
@@ -36,6 +39,19 @@ type Machine struct {
 
 	nextAddr uint64
 	allocs   map[string]*Array
+
+	// arrays holds the live allocations by Array.id; freeIDs are the ids
+	// Free returned, which Alloc reuses, so a thread's traffic cells are
+	// bounded by the live arrays rather than by every allocation made.
+	arrays  []*Array
+	freeIDs []int
+
+	// threads is the virtual-thread pool, grown to the widest region run
+	// so far; each region resets the threads it uses.
+	threads []*Thread
+	// running is set while a region runs: pooled threads make an
+	// overlapping or nested region silently share them.
+	running atomic.Bool
 
 	// regionThreads is the thread count of the running Parallel region.
 	regionThreads int
@@ -236,6 +252,14 @@ func (m *Machine) Alloc(name string, n int64, elemSize int64, opts AllocOpts) (*
 	}
 
 	m.allocs[a.name] = a
+	if n := len(m.freeIDs); n > 0 {
+		a.id = m.freeIDs[n-1]
+		m.freeIDs = m.freeIDs[:n-1]
+		m.arrays[a.id] = a
+	} else {
+		a.id = len(m.arrays)
+		m.arrays = append(m.arrays, a)
+	}
 	return a, nil
 }
 
@@ -325,6 +349,8 @@ func (m *Machine) Free(a *Array) {
 	}
 	a.freed = true
 	delete(m.allocs, a.name)
+	m.arrays[a.id] = nil
+	m.freeIDs = append(m.freeIDs, a.id)
 	pool := m.pool(a)
 	for s, bytes := range a.placed {
 		pool[s] -= bytes
@@ -383,7 +409,9 @@ type RegionStats struct {
 
 // Parallel runs fn on threads virtual threads and advances the wall clock by
 // the slowest thread's simulated time plus fork/join overhead. fn receives
-// each thread's Thread handle and must partition work by t.ID.
+// each thread's Thread handle and must partition work by t.ID. The virtual
+// threads come from the machine's pool and run on at most GOMAXPROCS
+// goroutines, in no particular order.
 func (m *Machine) Parallel(threads int, fn func(t *Thread)) RegionStats {
 	return m.parallel(threads, -1, fn)
 }
@@ -396,12 +424,10 @@ func (m *Machine) ParallelPinned(socket, threads int, fn func(t *Thread)) Region
 }
 
 func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionStats {
-	if threads <= 0 {
-		threads = 1
+	if !m.running.CompareAndSwap(false, true) {
+		panic("memsim: Parallel on a Machine whose region is still running: regions on one Machine must not overlap or nest")
 	}
-	if max := m.cfg.MaxThreads(); threads > max {
-		threads = max
-	}
+	threads = threadCount(m, threads)
 	m.regionThreads = threads
 	cores := m.cfg.Sockets * m.cfg.CoresPerSocket
 	if pinSocket >= 0 {
@@ -413,35 +439,42 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 		// solo throughput, so two siblings deliver ~1.35x one core.
 		smtScale = 1.48
 	}
-	ts := make([]*Thread, threads)
-	for i := 0; i < threads; i++ {
+	for len(m.threads) < threads {
+		m.threads = append(m.threads, newThread(m, len(m.threads)))
+	}
+	ts := m.threads[:threads]
+	for i, t := range ts {
 		s := threadSocket(&m.cfg, i)
 		if pinSocket >= 0 {
 			s = pinSocket
 		}
-		ts[i] = &Thread{
-			m:        m,
-			ID:       i,
-			Socket:   s,
-			tlb:      newTLB(m.cfg.TLB),
-			rng:      0x9E3779B97F4A7C15 ^ (uint64(i+1) * 0xBF58476D1CE4E5B9),
-			smtScale: smtScale,
-		}
+		t.reset(s, smtScale)
 	}
 
-	// Execute the virtual threads on real goroutines. Each Thread
-	// accumulates its charges, counters and simulated time into private
+	// Execute the virtual threads on at most GOMAXPROCS goroutines, which
+	// take thread indices from a shared counter. Each Thread accumulates
+	// its charges, counters, traffic and simulated time into private
 	// state; shared machine state (page-table touch bits, shootdown
-	// totals) is only read during the region and updated from recorded
-	// intents at the barrier below, so the merged result is byte-identical
-	// for every goroutine interleaving and GOMAXPROCS setting.
+	// totals, per-array traffic) is only read during the region and
+	// updated from recorded intents at the barrier below, so the merged
+	// result is byte-identical for every goroutine interleaving and
+	// GOMAXPROCS setting.
+	workers := min(threads, runtime.GOMAXPROCS(0))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(threads)
-	for i := 0; i < threads; i++ {
-		go func(t *Thread) {
-			defer wg.Done()
-			fn(t)
-		}(ts[i])
+	work := func() {
+		defer wg.Done()
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= threads {
+				return
+			}
+			fn(ts[i])
+		}
+	}
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go work()
 	}
 	wg.Wait()
 
@@ -453,8 +486,10 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 		shoot += float64(t.shootdowns)
 	}
 	// Phase 2: apply first-touch intents to the arrays' (frozen) touched
-	// bitmaps. OR-ing bits is commutative, so the merged bitmap is
-	// deterministic regardless of map iteration order.
+	// bitmaps and fold traffic cells into the arrays' totals, leaving
+	// every thread's overlay and cells empty. OR-ing bits and adding
+	// integers commute, so the merged state is deterministic regardless of
+	// map iteration order.
 	for _, t := range ts {
 		for a, ov := range t.touches {
 			for w, bits := range ov {
@@ -463,7 +498,15 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 				}
 			}
 		}
-		t.touches = nil
+		clear(t.touches)
+		for id, c := range t.traffic {
+			if c != [2]uint64{} {
+				a := m.arrays[id]
+				a.readBytes += c[0]
+				a.writeBytes += c[1]
+				t.traffic[id] = [2]uint64{}
+			}
+		}
 	}
 	// Phase 3: charge shootdown IPIs (every running thread services every
 	// batch) and fold per-thread clocks and counters into the region stats.
@@ -484,7 +527,21 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 	stats.ElapsedNs += m.cost.ForkJoinCost
 	m.wallNs += stats.ElapsedNs
 	m.counters.Add(stats.Counters)
+	m.running.Store(false)
 	return stats
+}
+
+// threadCount clamps a requested thread count to [1, MaxThreads]: the
+// thread set a region runs, which callers partitioning work by Thread.ID
+// must split over.
+func threadCount(m *Machine, threads int) int {
+	if threads <= 0 {
+		return 1
+	}
+	if max := m.cfg.MaxThreads(); threads > max {
+		return max
+	}
+	return threads
 }
 
 // Sequential runs fn on a single virtual thread pinned to socket 0.
@@ -492,10 +549,13 @@ func (m *Machine) Sequential(fn func(t *Thread)) RegionStats {
 	return m.Parallel(1, fn)
 }
 
-// countAccess records n accesses moving bytes against a's traffic and t's
-// counters.
+// countAccess records n accesses moving bytes against t's traffic cell for a
+// and t's counters.
 func countAccess(t *Thread, a *Array, n, bytes int64, isWrite bool) {
-	a.addTraffic(bytes, isWrite)
+	if a.id >= len(t.traffic) {
+		t.growTraffic(a.id)
+	}
+	t.traffic[a.id][bit(isWrite)] += uint64(bytes)
 	if isWrite {
 		t.C.Writes += uint64(n)
 		t.C.BytesWritten += uint64(bytes)

@@ -42,18 +42,6 @@ func (m *Machine) WriteMicro(bytes int64, policy Policy, threads int) MicroResul
 	}
 }
 
-// threadCount clamps a requested thread count the same way Parallel does, so
-// work partitioning matches the region's real thread set.
-func threadCount(m *Machine, threads int) int {
-	if threads <= 0 {
-		return 1
-	}
-	if max := m.cfg.MaxThreads(); threads > max {
-		return max
-	}
-	return threads
-}
-
 // BandwidthPattern selects the Table 1 access pattern.
 type BandwidthPattern int
 
@@ -96,13 +84,10 @@ func (m *Machine) BandwidthMicro(pattern BandwidthPattern, local bool, threads i
 		socket = 1
 	}
 	n := a.Len()
-	tc := m.cfg.CoresPerSocket * m.cfg.ThreadsPerCore
-	if threads < tc {
-		tc = threads
-	}
+	tc := int64(threadCount(m, threads))
 	stats := m.ParallelPinned(socket, threads, func(t *Thread) {
-		lo := n * int64(t.ID) / int64(tc)
-		hi := n * int64(t.ID+1) / int64(tc)
+		lo := n * int64(t.ID) / tc
+		hi := n * int64(t.ID+1) / tc
 		switch pattern {
 		case SeqRead:
 			a.ReadRange(t, lo, hi)

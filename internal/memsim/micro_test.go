@@ -144,3 +144,16 @@ func TestWriteMicroCountsBytes(t *testing.T) {
 		t.Error("no elapsed time")
 	}
 }
+
+// TestBandwidthMicroReadsItsBuffer checks that a sequential read micro
+// splits its buffer over the threads its region actually runs: every byte
+// is read once, at any thread count.
+func TestBandwidthMicroReadsItsBuffer(t *testing.T) {
+	bytes := ScaledBytes(32)
+	for _, threads := range []int{24, 48, 64, 96} {
+		res := NewMachine(OptaneMachine()).BandwidthMicro(SeqRead, true, threads, bytes, false)
+		if res.Counters.BytesRead != uint64(bytes) {
+			t.Errorf("%d threads read %d bytes of a %d-byte buffer", threads, res.Counters.BytesRead, bytes)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package memsim
 
 // Thread is one virtual hardware thread inside a Parallel region. It carries
-// its own simulated clock, TLB, RNG, and counters, so threads never share
-// mutable simulator state and the simulation stays deterministic per thread
-// regardless of goroutine interleaving.
+// its own simulated clock, TLB, RNG, counters and per-array traffic, so
+// threads never share mutable simulator state and the simulation stays
+// deterministic per thread regardless of goroutine interleaving. A Machine
+// keeps its Threads for its whole life and resets them at the start of each
+// region.
 type Thread struct {
 	m *Machine
 	// ID is the virtual thread index within the region, in [0, threads).
@@ -20,7 +22,7 @@ type Thread struct {
 	// C collects this thread's simulated hardware events.
 	C Counters
 
-	tlb *tlb
+	tlb tlb
 	rng uint64
 
 	// smtScale multiplies charged compute time when SMT siblings share a
@@ -41,10 +43,42 @@ type Thread struct {
 	// the thread's own access sequence, never on sibling timing.
 	touches map[*Array][]uint64
 
+	// traffic[id] is the [read, written] bytes this thread charged during
+	// the region against the live array with that id (see Array.id). The
+	// machine folds the cells into the arrays' totals at the barrier, in
+	// thread-index order, and zeroes them.
+	traffic [][2]uint64
+
 	// Last-touched line memo: consecutive accesses to the same 64-byte
 	// line of the same array hit in L1 and cost almost nothing.
 	lastArray *Array
 	lastLine  int64
+}
+
+// newThread builds virtual thread id of m's pool, allocating its TLB once.
+// Its start-of-region state comes from reset, as a reused thread's does.
+func newThread(m *Machine, id int) *Thread {
+	return &Thread{m: m, ID: id, tlb: newTLB(m.cfg.TLB)}
+}
+
+// reset readies t for a region on socket with the region's SMT scale: a
+// zero clock and counters, the thread's fixed RNG seed, an empty TLB and no
+// line memo. The barrier of the previous region has already emptied the
+// touch overlay and the traffic cells.
+func (t *Thread) reset(socket int, smtScale float64) {
+	t.Socket = socket
+	t.Clock = 0
+	t.C = Counters{}
+	t.rng = 0x9E3779B97F4A7C15 ^ (uint64(t.ID+1) * 0xBF58476D1CE4E5B9)
+	t.smtScale = smtScale
+	t.shootdowns = 0
+	t.lastArray, t.lastLine = nil, 0
+	t.tlb.reset()
+}
+
+// growTraffic extends t's traffic cells to cover array id.
+func (t *Thread) growTraffic(id int) {
+	t.traffic = append(t.traffic, make([][2]uint64, id+1-len(t.traffic))...)
 }
 
 // threadSocket maps virtual thread IDs to sockets using compact pinning.

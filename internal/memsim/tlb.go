@@ -3,7 +3,8 @@ package memsim
 // tlb models one hardware thread's data TLB. Each page-size class is a
 // fully associative LRU array, implemented as a ring of (pageID, stamp)
 // pairs. Entry counts are tiny (4-64), so linear scans beat any fancier
-// structure and allocate nothing.
+// structure and allocate nothing. The class slices are allocated once, with
+// the thread; reset invalidates them in place at the start of each region.
 type tlb struct {
 	small tlbClass
 	huge  tlbClass
@@ -16,8 +17,8 @@ type tlbClass struct {
 	clock  uint64
 }
 
-func newTLB(cfg TLBConfig) *tlb {
-	return &tlb{
+func newTLB(cfg TLBConfig) tlb {
+	return tlb{
 		small: newTLBClass(cfg.SmallEntries),
 		huge:  newTLBClass(cfg.HugeEntries),
 		giant: newTLBClass(cfg.GiantEntries),
@@ -28,14 +29,25 @@ func newTLBClass(entries int) tlbClass {
 	if entries <= 0 {
 		entries = 1
 	}
-	c := tlbClass{
+	return tlbClass{
 		pages:  make([]uint64, entries),
 		stamps: make([]uint64, entries),
 	}
+}
+
+// reset invalidates every entry of every class.
+func (t *tlb) reset() {
+	t.small.reset()
+	t.huge.reset()
+	t.giant.reset()
+}
+
+func (c *tlbClass) reset() {
 	for i := range c.pages {
 		c.pages[i] = ^uint64(0) // invalid
 	}
-	return c
+	clear(c.stamps)
+	c.clock = 0
 }
 
 func (t *tlb) class(pageSize int64) *tlbClass {
