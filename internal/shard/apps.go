@@ -15,14 +15,14 @@ import (
 // run — deliberately NOT the more efficient asynchronous/non-vertex
 // algorithms, which BSP systems cannot express (§6.3).
 //
-//	kernel       driver   reduce  directions  label touches  emit (round-start state)    apply (coordinator)
-//	bfs          scatter  min     out         1 write        dist[v]+1, if it improves   lower dist[d]; activate if lowered
-//	sssp         scatter  min     out +wts    1 write        dist[v]+w, if it improves   lower dist[d]; activate if lowered
-//	cc           scatter  min     out + in    1 write        label[v], if it improves    lower label[d]; activate if lowered
-//	kcore        scatter  sum     out + in    1 write        1 per edge of a peeled v    deg[d] -= n; peel d once below k
-//	bc forward   scatter  sum     out         2 writes       sigma[v], if d unvisited    dist[d] = level; sigma[d] += n; activate
-//	bc backward  gather   sum     out         3 reads        dependency of a successor   delta[v] = sum (owner-only)
-//	pr           gather   sum     in          1 read         contrib[u]                  next/contrib/resid[v] (owner-only), then swap
+//	kernel       driver   reduce  directions  label touches  emit / row, per row of v (round-start state)       apply (coordinator)
+//	bfs          scatter  min     out         1 write        claim dist[v]+1 for each d it improves             lower dist[d]; activate if lowered
+//	sssp         scatter  min     out +wts    1 write        claim dist[v]+wts[k] for each row[k] it improves   lower dist[d]; activate if lowered
+//	cc           scatter  min     out + in    1 write        claim label[v] for each d it improves              lower label[d]; activate if lowered
+//	kcore        scatter  sum     out + in    1 write        claim 1 for every d of a peeled v                  deg[d] -= n; peel d once below k
+//	bc forward   scatter  sum     out         2 writes       claim sigma[v] for each unvisited d                dist[d] = level; sigma[d] += n; activate
+//	bc backward  gather   sum     out         3 reads        sum the dependencies of its successors, kept       delta[v] = sum (owner-only)
+//	pr           gather   sum     in          1 read         sum contrib[u] over the row                        next/contrib/resid[v] (owner-only), then swap
 //
 // Each Engine method below is initial state, a program, the superstep loop
 // and the Result. Shared label state is plain (non-atomic) memory that
@@ -47,17 +47,26 @@ func (e *Engine) result(res *analytics.Result) *analytics.Result {
 }
 
 // relax declares the min-propagation program bfs, sssp and cc share: v
-// offers every neighbor step(label[v], weight), claimed only where it beats
-// the neighbor's round-start label, and apply keeps the minimum — so a
-// vertex is activated exactly when its label drops.
-func relax(label []uint32, s scan, step func(lv, wt uint32) uint32) *scatterProgram {
+// offers row[k] the label label[v]+step (+wts[k] on a weighted row), claimed
+// only where it beats the neighbor's round-start label, and apply keeps the
+// minimum — so a vertex is activated exactly when its label drops.
+func relax(label []uint32, s scan, step uint32) *scatterProgram {
 	return &scatterProgram{
 		scan:   s,
 		reduce: reduceMin,
-		emit: func(v, d graph.Node, wt uint32) (uint64, bool) {
-			nl := step(label[v], wt)
-			// nl < label[v] means the step overflowed.
-			return uint64(nl), nl >= label[v] && nl < label[d]
+		emit: func(v graph.Node, row []graph.Node, wts []uint32, dst []graph.Node, val []uint64) ([]graph.Node, []uint64) {
+			lv := label[v]
+			for k, d := range row {
+				nl := lv + step
+				if wts != nil {
+					nl += wts[k]
+				}
+				// nl < lv means the step overflowed.
+				if nl >= lv && nl < label[d] {
+					dst, val = append(dst, d), append(val, uint64(nl))
+				}
+			}
+			return dst, val
 		},
 		apply: func(d graph.Node, val uint64) bool {
 			if uint32(val) >= label[d] {
@@ -81,8 +90,7 @@ func (e *Engine) propagate(p *scatterProgram, frontier []graph.Node) {
 func (e *Engine) BFS(src graph.Node) *analytics.Result {
 	e.resetClock()
 	dist := newDist(e.part.NumNodes(), src)
-	e.propagate(relax(dist, scan{walk: outEdges, touches: 1},
-		func(lv, _ uint32) uint32 { return lv + 1 }), []graph.Node{src})
+	e.propagate(relax(dist, scan{walk: outEdges, touches: 1}, 1), []graph.Node{src})
 	return e.result(&analytics.Result{App: "bfs", Dist: dist})
 }
 
@@ -94,8 +102,7 @@ func (e *Engine) SSSP(src graph.Node) *analytics.Result {
 	}
 	e.resetClock()
 	dist := newDist(e.part.NumNodes(), src)
-	e.propagate(relax(dist, scan{walk: outEdges, weighted: true, touches: 1},
-		func(lv, wt uint32) uint32 { return lv + wt }), []graph.Node{src})
+	e.propagate(relax(dist, scan{walk: outEdges, weighted: true, touches: 1}, 0), []graph.Node{src})
 	return e.result(&analytics.Result{App: "sssp", Dist: dist})
 }
 
@@ -110,8 +117,7 @@ func (e *Engine) CC() *analytics.Result {
 		labels[i] = uint32(i)
 		frontier[i] = graph.Node(i)
 	}
-	e.propagate(relax(labels, scan{walk: bothEdges, touches: 1},
-		func(lv, _ uint32) uint32 { return lv }), frontier)
+	e.propagate(relax(labels, scan{walk: bothEdges, touches: 1}, 0), frontier)
 	return e.result(&analytics.Result{App: "cc", Labels: labels})
 }
 
@@ -146,7 +152,13 @@ func (e *Engine) PR(tol float64, maxRounds int) *analytics.Result {
 	prog := &gatherProgram{
 		scan:        scan{walk: inEdges, touches: 1},
 		everyMaster: true,
-		edge:        func(v, u graph.Node) (float64, bool) { return contrib[u], true },
+		row: func(v graph.Node, row []graph.Node, sum float64) (float64, []graph.Node) {
+			c := contrib
+			for _, u := range row {
+				sum += c[u]
+			}
+			return sum, row
+		},
 		done: func(v graph.Node, sum float64) {
 			nv := base + 0.85*sum
 			resid[v] = math.Abs(nv - rank[v])
@@ -196,7 +208,12 @@ func (e *Engine) KCore(k int64) *analytics.Result {
 		scan:         scan{walk: bothEdges, touches: 1},
 		reduce:       reduceSum,
 		streamLabels: true,
-		emit:         func(v, d graph.Node, _ uint32) (uint64, bool) { return 1, true },
+		emit: func(_ graph.Node, row []graph.Node, _ []uint32, dst []graph.Node, val []uint64) ([]graph.Node, []uint64) {
+			for _, d := range row {
+				dst, val = append(dst, d), append(val, 1)
+			}
+			return dst, val
+		},
 		apply: func(d graph.Node, val uint64) bool {
 			deg[d] -= int64(val)
 			if removed[d] || deg[d] >= k {
@@ -237,8 +254,14 @@ func (e *Engine) BC(src graph.Node) *analytics.Result {
 		scan:   scan{walk: outEdges, touches: 2},
 		reduce: reduceSum,
 		// d joins the next level iff it was unvisited at round start.
-		emit: func(v, d graph.Node, _ uint32) (uint64, bool) {
-			return sigma[v], dist[d] == analytics.Infinity
+		emit: func(v graph.Node, row []graph.Node, _ []uint32, dst []graph.Node, val []uint64) ([]graph.Node, []uint64) {
+			sv := sigma[v]
+			for _, d := range row {
+				if dist[d] == analytics.Infinity {
+					dst, val = append(dst, d), append(val, sv)
+				}
+			}
+			return dst, val
 		},
 		apply: func(d graph.Node, val uint64) bool {
 			dist[d] = level
@@ -255,17 +278,27 @@ func (e *Engine) BC(src graph.Node) *analytics.Result {
 
 	backward := &gatherProgram{
 		scan: scan{walk: outEdges, touches: 3},
-		edge: func(v, d graph.Node) (float64, bool) {
-			sd := float64(sigma[d])
-			if dist[d] != dist[v]+1 || sd == 0 {
-				return 0, false
+		// Only successors on a shortest path contribute; they are compacted
+		// to the front of row for the driver's remote count.
+		row: func(v graph.Node, row []graph.Node, sum float64) (float64, []graph.Node) {
+			next, sv := dist[v]+1, float64(sigma[v])
+			k := 0
+			for _, d := range row {
+				sd := float64(sigma[d])
+				if dist[d] != next || sd == 0 {
+					continue
+				}
+				sum += sv / sd * (1 + delta[d])
+				row[k] = d
+				k++
 			}
-			return float64(sigma[v]) / sd * (1 + delta[d]), true
+			return sum, row[:k]
 		},
 		done: func(v graph.Node, sum float64) { delta[v] = sum },
 	}
 	for _, lvl := range slices.Backward(levels) {
-		e.gather(backward, engine.DenseFromVertices(n, lvl))
+		e.gather(backward, e.activate(lvl))
+		e.deactivate(lvl)
 	}
 	return e.result(&analytics.Result{App: "bc", Dist: dist, Centrality: delta})
 }

@@ -8,6 +8,7 @@ package shard_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -260,5 +261,90 @@ func TestShardedRefusesUnsealedSources(t *testing.T) {
 	}
 	if _, err := frameworks.RunShardedOnOpts(machine, part, "tc", opts, params); err == nil {
 		t.Error("tc has no sharded kernel but was accepted")
+	}
+}
+
+// outputsSweep renders one line per (input, kernel, shard count, backend):
+// the sha256 of the run's resultBytes. TestShardedConformance compares
+// sharded outputs only with the same code's one-shard run, so a float-order
+// change every shard count shares would pass it; this pins the bytes.
+func outputsSweep(t *testing.T, inputs []outputsInput) []byte {
+	t.Helper()
+	machine := memsim.Scaled(memsim.OptaneMachine(), 32)
+	var out bytes.Buffer
+	for _, in := range inputs {
+		params := frameworks.DefaultParams(in.g)
+		for _, app := range []string{"bc", "bfs", "cc", "kcore", "pr", "sssp"} {
+			for _, shards := range []int{1, 2, 8} {
+				for _, backend := range []core.Backend{core.BackendRaw, core.BackendCompressed} {
+					e, err := shard.New(in.parts[shards], shard.ServingConfig(machine, 4, backend))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(resultBytes(t, runKernel(e, app, params)))
+					e.Close()
+					fmt.Fprintf(&out, "%s %s shards=%d backend=%v sha256=%x\n", in.name, app, shards, backend, sum)
+				}
+			}
+		}
+	}
+	return out.Bytes()
+}
+
+// outputsInput is one sealed input of the outputs golden, partitioned once
+// per shard count.
+type outputsInput struct {
+	name  string
+	g     *graph.Graph
+	parts map[int]*graph.Partition
+}
+
+func newOutputsInput(t *testing.T, name string, g *graph.Graph) outputsInput {
+	t.Helper()
+	in := outputsInput{name: name, g: g, parts: map[int]*graph.Partition{}}
+	for _, shards := range []int{1, 2, 8} {
+		p, err := graph.NewPartition(g, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.parts[shards] = p
+	}
+	return in
+}
+
+// TestShardedOutputsMatchGolden pins every sharded kernel's output bytes on
+// the conformance graph and on an RMAT11 input with high-degree rows, at
+// GOMAXPROCS 1, 3 and 8. Together with clocks.golden it fixes both what a
+// sharded run computes and what it charges. Regenerate deliberately with
+//
+//	go test ./internal/shard -run TestShardedOutputsMatchGolden -update
+func TestShardedOutputsMatchGolden(t *testing.T) {
+	rmat := gen.RMAT(11, 16, 0.57, 0.19, 0.19, 5, false)
+	rmat.AddRandomWeights(frameworks.DefaultWeightMax, frameworks.DefaultWeightSeed)
+	rmat.BuildIn()
+	inputs := []outputsInput{
+		newOutputsInput(t, "crawl1200", conformanceGraph(t)),
+		newOutputsInput(t, "rmat11", rmat),
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	path := filepath.Join("testdata", "outputs.golden")
+	var want []byte
+	for i, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := outputsSweep(t, inputs)
+		if i == 0 && *updateGolden {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want == nil {
+			var err error
+			if want, err = os.ReadFile(path); err != nil {
+				t.Fatalf("reading golden file: %v (regenerate with -update)", err)
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("GOMAXPROCS=%d: sharded outputs drifted from %s:\n--- want\n%s--- got\n%s", procs, path, want, got)
+		}
 	}
 }

@@ -12,13 +12,15 @@
 // bc forward) and its claim-free counterpart gather (pr, bc backward). A
 // scatterProgram names a reduction (min | sum), the directions walked, the
 // label touches per edge, an emit judged against round-start state and a
-// sequential coordinator apply; a gatherProgram names an edge contribution
-// and an owner-only done. apps.go holds the table. Adjacency is walked only
-// through core.AdjView (a graph.Cursor per scatter block, a whole row via
-// Adjacency.AppendRow per gather block), the frontier through engine.Dense,
-// and every claim list — per-worker fragment and cross-shard alike — goes
-// through engine.MergeClaims, the same merge the single-machine engine's
-// push rounds use.
+// sequential coordinator apply; a gatherProgram names a row fold and an
+// owner-only done. apps.go holds the table. Both drivers decode each walked
+// block of an active vertex once, with Adjacency.AppendRow into per-thread
+// scratch, and hand the program the whole row: a program callback runs once
+// per (active vertex, walked direction), never per edge. Adjacency is walked
+// only through core.AdjView, the frontier through engine.Dense, and every
+// claim list — per-worker fragment and cross-shard alike — goes through
+// engine.MergeClaims, the same merge the single-machine engine's push rounds
+// use.
 //
 // The package absorbs internal/distsim, which modeled the paper's §6.3
 // D-Galois cluster as a closed benchmark: the same vertex programs run
@@ -166,6 +168,16 @@ type Engine struct {
 	seen *engine.Dense
 	acc  []uint64
 
+	// Per-superstep scratch, reused across supersteps: the active set a
+	// superstep walks (cleared by its own vertices afterwards), each
+	// shard's compute time and cross-shard bytes, and each worker's claim
+	// fragment.
+	active  *engine.Dense
+	compute []float64
+	send    []int64
+	fragD   [][]graph.Node
+	fragV   [][]uint64
+
 	wallNs  float64
 	commNs  float64
 	sendTot int64
@@ -189,8 +201,8 @@ type worker struct {
 	dst    [][]graph.Node
 	val    [][]uint64
 	remote []int64
-	// rows is the per-thread row scratch the gather driver decodes each
-	// walked block into, reused across supersteps.
+	// rows is the per-thread row scratch both drivers decode each walked
+	// block into, reused across supersteps.
 	rows [][]graph.Node
 }
 
@@ -206,7 +218,8 @@ func New(part *graph.Partition, cfg Config) (*Engine, error) {
 		cfg.Threads = 1
 	}
 	n := int64(part.NumNodes())
-	e := &Engine{cfg: cfg, part: part, seen: engine.NewDense(int(n)), acc: make([]uint64, n)}
+	e := &Engine{cfg: cfg, part: part, seen: engine.NewDense(int(n)), acc: make([]uint64, n),
+		active: engine.NewDense(int(n))}
 	for i := 0; i < part.Shards(); i++ {
 		local := part.Local(i)
 		opts := core.GaloisDefaults(cfg.Threads)
@@ -230,6 +243,9 @@ func New(part *graph.Partition, cfg Config) (*Engine, error) {
 		w.rows = make([][]graph.Node, threads)
 		e.workers = append(e.workers, w)
 	}
+	shards := len(e.workers)
+	e.compute, e.send = make([]float64, shards), make([]int64, shards)
+	e.fragD, e.fragV = make([][]graph.Node, shards), make([][]uint64, shards)
 	return e, nil
 }
 
@@ -289,11 +305,12 @@ func (e *Engine) commFactor() float64 {
 
 // superstep runs fn concurrently on every worker over its owned range
 // (global vertex bounds, statically chunked by the worker's runtime) and
-// returns per-shard compute nanoseconds. Workers share no mutable state
-// during the region, so running them on real goroutines is race-free and
-// the per-shard charges stay pure functions of each shard.
+// returns per-shard compute nanoseconds (e.compute, valid until the next
+// superstep). Workers share no mutable state during the region, so running
+// them on real goroutines is race-free and the per-shard charges stay pure
+// functions of each shard.
 func (e *Engine) superstep(fn func(w *worker, t *memsim.Thread, lo, hi graph.Node)) []float64 {
-	compute := make([]float64, len(e.workers))
+	compute := e.compute
 	var wg sync.WaitGroup
 	for i := range e.workers {
 		w := e.workers[i]
@@ -362,7 +379,7 @@ var (
 )
 
 // scatterProgram declares a push-style kernel: active vertices scatter
-// claims (destination, operand) along their edges, claims for one
+// claims (destination, operand) along their rows, claims for one
 // destination fold through reduce, and the coordinator applies the merged
 // list between supersteps.
 type scatterProgram struct {
@@ -372,19 +389,21 @@ type scatterProgram struct {
 	// streamLabels streams each chunk's label range before its vertices
 	// scan (a per-master test such as kcore's degree check).
 	streamLabels bool
-	// emit judges edge (v, d) on a worker thread and returns the operand to
-	// claim for d. It may read only round-start state, so the claim SET is
-	// a pure function of the round's input, not of interleaving.
-	emit func(v, d graph.Node, wt uint32) (val uint64, ok bool)
+	// emit judges one walked row of v on a worker thread and appends a
+	// claim (d, operand) to dst/val for every neighbor d it claims, in row
+	// order. wts is the row's out-edge weights (wts[k] belongs to row[k])
+	// when the scan is weighted and the row is an out-row, else nil. It
+	// may read only round-start state, so the claim SET is a pure function
+	// of the round's input, not of interleaving.
+	emit func(v graph.Node, row []graph.Node, wts []uint32, dst []graph.Node, val []uint64) ([]graph.Node, []uint64)
 	// apply lands one merged claim on the coordinator (sequential, in
 	// destination order) and reports whether d joins the next frontier.
 	apply func(d graph.Node, val uint64) bool
 }
 
-// gatherProgram declares a pull-style kernel: each active master sums
-// edge's contributions over its neighborhood (in neighbor order, so the
-// float total is a pure function of the graph) and done publishes the sum
-// with owner-only writes.
+// gatherProgram declares a pull-style kernel: each active master folds its
+// walked rows into one sum (in neighbor order, so the float total is a pure
+// function of the graph) and done publishes the sum with owner-only writes.
 type gatherProgram struct {
 	scan
 	// everyMaster marks a topology-driven program: every master recomputes
@@ -393,9 +412,12 @@ type gatherProgram struct {
 	// master's fresh value is broadcast. Frontier-driven programs ship one
 	// entry per remote neighbor that contributed instead.
 	everyMaster bool
-	// edge returns neighbor u's contribution to v, read from state the
-	// superstep does not write.
-	edge func(v, u graph.Node) (x float64, ok bool)
+	// row adds the contributions of one walked row of v to sum, in row
+	// order, reading state the superstep does not write. It returns the new
+	// sum and the neighbors that contributed: row itself, or a prefix of
+	// row it compacted them into (row is the driver's scratch, never graph
+	// storage), which the driver counts remote entries of.
+	row func(v graph.Node, row []graph.Node, sum float64) (float64, []graph.Node)
 	// done publishes v's gathered sum.
 	done func(v graph.Node, sum float64)
 }
@@ -418,49 +440,53 @@ func (w *worker) charge(t *memsim.Thread, lv graph.Node, s *scan, write bool, ex
 	t.Op(int(deg) + extraOps)
 }
 
+// weightRow returns the out-edge weights of local vertex lv's row of n
+// neighbors: wts[k] is the weight of the k-th neighbor a Cursor over lv
+// yields, i.e. OutWeightAt(Cursor.EI()). It reads Base(lv)+k directly,
+// which holds because a shard-local graph is a plain CSR, never an overlay
+// (Plan.Validate refuses Shards × Overlay); sharding an overlay must
+// revisit it, since overlay edge indices are not contiguous per row.
+func (w *worker) weightRow(lv graph.Node, n int) []uint32 {
+	b := w.views[0].Adj.Base(lv)
+	return w.rt.G.OutWeights[b : b+int64(n)]
+}
+
 // scatter runs one superstep of p over frontier and returns the next
 // frontier (reusing frontier's storage). Workers charge and walk their
-// share of the frontier, buffering claims per thread; then each worker's
-// buffers collapse into its fragment (thread-index order), cross-shard
-// bytes are charged (8 per fragment entry owned elsewhere), the round is
-// folded into the clocks, and the fragments merge (shard-index order) into
-// the list apply consumes.
+// share of the frontier, decoding each walked row once and buffering its
+// claims per thread; then each worker's buffers collapse into its fragment
+// (thread-index order), cross-shard bytes are charged (8 per fragment entry
+// owned elsewhere), the round is folded into the clocks, and the fragments
+// merge (shard-index order) into the list apply consumes.
 func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node {
-	active := engine.DenseFromVertices(e.part.NumNodes(), frontier)
+	active := e.activate(frontier)
 	compute := e.superstep(func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
 		if p.streamLabels {
 			w.labels.ReadRange(t, int64(lo), int64(hi))
 		}
-		dst, val := w.dst[t.ID], w.val[t.ID]
+		dst, val, row := w.dst[t.ID], w.val[t.ID], w.rows[t.ID]
 		active.ForEachInRange(lo, hi, func(v graph.Node) {
-			w.charge(t, v-w.lo, &p.scan, true, 0)
+			lv := v - w.lo
+			w.charge(t, lv, &p.scan, true, 0)
 			for i := range w.views {
 				if !p.walk[i] {
 					continue
 				}
-				c := w.views[i].Adj.Cursor(v - w.lo)
-				for {
-					d, ok := c.Next()
-					if !ok {
-						break
-					}
-					var wt uint32
-					if p.weighted && i == 0 {
-						wt = w.rt.OutWeightAt(c.EI())
-					}
-					if x, ok := p.emit(v, d, wt); ok {
-						dst, val = append(dst, d), append(val, x)
-					}
+				row = w.views[i].Adj.AppendRow(row[:0], lv)
+				var wts []uint32
+				if p.weighted && i == 0 {
+					wts = w.weightRow(lv, len(row))
 				}
+				dst, val = p.emit(v, row, wts, dst, val)
 			}
 		})
-		w.dst[t.ID], w.val[t.ID] = dst, val
+		w.dst[t.ID], w.val[t.ID], w.rows[t.ID] = dst, val, row
 	})
-	send := make([]int64, len(e.workers))
-	fragD := make([][]graph.Node, len(e.workers))
-	fragV := make([][]uint64, len(e.workers))
+	e.deactivate(frontier)
+	send, fragD, fragV := e.send, e.fragD, e.fragV
 	for i, w := range e.workers {
 		fragD[i], fragV[i] = engine.MergeClaims(e.seen, w.dst, w.val, e.acc, p.reduce)
+		send[i] = 0
 		for _, d := range fragD[i] {
 			if d < w.lo || d >= w.hi {
 				send[i] += 8
@@ -476,6 +502,21 @@ func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node 
 		}
 	}
 	return next
+}
+
+// activate returns the engine's reusable active set holding exactly vs;
+// deactivate(vs) empties it again in O(len(vs)) once the superstep is over.
+func (e *Engine) activate(vs []graph.Node) *engine.Dense {
+	for _, v := range vs {
+		e.active.Set(v)
+	}
+	return e.active
+}
+
+func (e *Engine) deactivate(vs []graph.Node) {
+	for _, v := range vs {
+		e.active.Unset(v)
+	}
 }
 
 // gather runs one superstep of p over the active masters and folds it into
@@ -497,10 +538,11 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 					continue
 				}
 				row = w.views[i].Adj.AppendRow(row[:0], v-w.lo)
-				for _, u := range row {
-					if x, ok := p.edge(v, u); ok {
-						sum += x
-						if !p.everyMaster && (u < w.lo || u >= w.hi) {
+				var from []graph.Node
+				sum, from = p.row(v, row, sum)
+				if !p.everyMaster {
+					for _, u := range from {
+						if u < w.lo || u >= w.hi {
 							w.remote[t.ID]++
 						}
 					}
@@ -510,8 +552,9 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 		})
 		w.rows[t.ID] = row
 	})
-	send := make([]int64, len(e.workers))
+	send := e.send
 	for i, w := range e.workers {
+		send[i] = 0
 		for k, n := range w.remote {
 			send[i] += 8 * n
 			w.remote[k] = 0

@@ -236,3 +236,54 @@ func TestPerShardSecondsAdvance(t *testing.T) {
 		}
 	}
 }
+
+// TestShardWeightRowMatchesCursor checks the contract the scatter driver's
+// weighted rows rest on: for every vertex of every shard, under both
+// backends, weightRow's wts[k] is the weight OutWeightAt(Cursor.EI()) reads
+// at the k-th neighbor, and AppendRow yields the Cursor's neighbors.
+func TestShardWeightRowMatchesCursor(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		gen.RMAT(10, 16, 0.57, 0.19, 0.19, 3, false),
+		gen.WebCrawl(1500, 6, 40, 8),
+	} {
+		g.AddRandomWeights(64, 9)
+		p, err := graph.NewPartition(g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range []core.Backend{core.BackendRaw, core.BackendCompressed} {
+			cfg := ServingConfig(memsim.Scaled(memsim.OptaneMachine(), 32), 4, backend)
+			e, err := New(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges := 0
+			for s, w := range e.workers {
+				var row []graph.Node
+				for lv := graph.Node(0); lv < w.hi-w.lo; lv++ {
+					row = w.views[0].Adj.AppendRow(row[:0], lv)
+					wts := w.weightRow(lv, len(row))
+					c := w.views[0].Adj.Cursor(lv)
+					k := 0
+					for d, ok := c.Next(); ok; d, ok = c.Next() {
+						if k >= len(row) || row[k] != d {
+							t.Fatalf("%v shard %d vertex %d: row differs from the cursor at %d", backend, s, lv, k)
+						}
+						if want := w.rt.OutWeightAt(c.EI()); wts[k] != want {
+							t.Fatalf("%v shard %d vertex %d: wts[%d] = %d, cursor weight %d", backend, s, lv, k, wts[k], want)
+						}
+						k++
+					}
+					if k != len(row) || len(wts) != len(row) {
+						t.Fatalf("%v shard %d vertex %d: cursor %d, row %d, wts %d", backend, s, lv, k, len(row), len(wts))
+					}
+					edges += k
+				}
+			}
+			e.Close()
+			if int64(edges) != g.NumEdges() {
+				t.Fatalf("%v: walked %d edges, graph has %d", backend, edges, g.NumEdges())
+			}
+		}
+	}
+}
