@@ -15,14 +15,15 @@
 // provides the parallel-execution and access-charging primitives the
 // engine and kernels build on — the layer between them and
 // graph/memsim. AdjView is the one way to walk adjacency: neighbors come
-// from its graph.Cursor (raw slices, compressed blocks or an overlay merge
-// behind one iterator) and every charge from its Charge* methods, so
-// traversal code is backend-agnostic and only the charged shape (element
-// ranges vs block bytes plus decode) differs. There is no slice-returning
-// scan API beside it. Parallel loops use static
-// chunk ownership (chunk i -> thread i mod T), which is what makes charge
-// attribution — and with it every simulated number — a pure function of
-// (n, threads), independent of GOMAXPROCS and goroutine interleaving.
+// from its graph.Cursor (a raw row — also under the compressed backend,
+// which never decodes on the host — or an overlay merge behind one
+// iterator) and every charge from its Charge* methods, so traversal code
+// is backend-agnostic and only the charged shape (element ranges vs block
+// bytes plus decode) differs. There is no slice-returning scan API beside
+// it. Parallel loops use static chunk ownership (chunk i -> thread i mod
+// T), which is what makes charge attribution — and with it every
+// simulated number — a pure function of (n, threads), independent of
+// GOMAXPROCS and goroutine interleaving.
 package core
 
 import (
@@ -212,7 +213,8 @@ func newRuntime(m *memsim.Machine, g *graph.Graph, ov *graph.Overlay, opts Optio
 		if r.Offsets, err = alloc("csrz.offsets", n+1, 8); err != nil {
 			return nil, err
 		}
-		if r.Edges, err = alloc("csrz.edges", int64(len(r.ZOut.Data)), 1); err != nil {
+		_, blocks := r.ZOut.ExtentRange(0, graph.Node(n))
+		if r.Edges, err = alloc("csrz.edges", blocks, 1); err != nil {
 			return nil, err
 		}
 		if opts.BothDirections || g.HasIn() {
@@ -221,7 +223,8 @@ func newRuntime(m *memsim.Machine, g *graph.Graph, ov *graph.Overlay, opts Optio
 			if r.InOffsets, err = alloc("csrz.in.offsets", n+1, 8); err != nil {
 				return nil, err
 			}
-			if r.InEdges, err = alloc("csrz.in.edges", int64(len(r.ZIn.Data)), 1); err != nil {
+			_, blocks := r.ZIn.ExtentRange(0, graph.Node(n))
+			if r.InEdges, err = alloc("csrz.in.edges", blocks, 1); err != nil {
 				return nil, err
 			}
 		}
@@ -415,18 +418,21 @@ func clampThreads(r *Runtime) int {
 	return threads
 }
 
-// AdjView bundles one direction's adjacency view (raw slices or
-// compressed byte blocks) with the simulated arrays its traversal
-// charges. The operator engine and the asynchronous kernels go through
-// this seam, so traversal code is identical under both storage backends
-// and only the charging (raw element ranges vs compressed byte ranges
-// plus decode cost) differs.
+// AdjView bundles one direction's adjacency view (raw rows, charged as
+// raw elements or as compressed byte blocks) with the simulated arrays its
+// traversal charges. The operator engine and the asynchronous kernels go
+// through this seam, so traversal code is identical under both storage
+// backends and only the charging (raw element ranges vs compressed byte
+// ranges plus decode cost) differs.
 type AdjView struct {
 	Adj     graph.Adjacency
 	Offsets *memsim.Array
 	Edges   *memsim.Array // uint32 edge elements (raw) or block bytes (compressed)
 	Weights *memsim.Array // raw weighted runtimes only; weights ride in compressed blocks
-	Z       bool
+	// Z is the compressed base form whose blocks Edges models, nil on the
+	// raw backend: traversals walk raw rows either way, and Z sizes the
+	// byte prefix an early-exited scan streamed (PrefixBytes).
+	Z *graph.CompressedCSR
 
 	// Ov/Delta are set on overlay runtimes: Ov is Adj's concrete overlay
 	// adapter (for base-vs-delta extent splits) and Delta the simulated
@@ -437,37 +443,29 @@ type AdjView struct {
 	Delta *memsim.Array
 }
 
-// buildViews caches both directions' views once the arrays exist.
+// buildViews caches both directions' views once the arrays exist. Weights
+// and ZOut/ZIn are nil where the backend has none.
 func (r *Runtime) buildViews() {
 	z := r.opts.Backend == BackendCompressed
+	r.outView = AdjView{Adj: r.G.RawOut(), Offsets: r.Offsets, Edges: r.Edges, Weights: r.Weights, Z: r.ZOut}
+	if z {
+		r.outView.Adj = r.ZOut
+	}
 	if r.Ov != nil {
 		oa := r.Ov.OutAdj(z)
-		r.outView = AdjView{Adj: oa, Offsets: r.Offsets, Edges: r.Edges, Z: z, Ov: oa, Delta: r.DeltaOut}
-		if !z {
-			r.outView.Weights = r.Weights
-		}
-		if r.InOffsets == nil {
-			r.inView = AdjView{}
-		} else {
-			ia := r.Ov.InAdj(z)
-			r.inView = AdjView{Adj: ia, Offsets: r.InOffsets, Edges: r.InEdges, Z: z, Ov: ia, Delta: r.DeltaIn}
-			if !z {
-				r.inView.Weights = r.InWeights
-			}
-		}
+		r.outView.Adj, r.outView.Ov, r.outView.Delta = oa, oa, r.DeltaOut
+	}
+	r.inView = AdjView{}
+	if r.InOffsets == nil {
 		return
 	}
+	r.inView = AdjView{Adj: r.G.RawIn(), Offsets: r.InOffsets, Edges: r.InEdges, Weights: r.InWeights, Z: r.ZIn}
 	if z {
-		r.outView = AdjView{Adj: r.ZOut, Offsets: r.Offsets, Edges: r.Edges, Z: true}
-	} else {
-		r.outView = AdjView{Adj: r.G.RawOut(), Offsets: r.Offsets, Edges: r.Edges, Weights: r.Weights}
+		r.inView.Adj = r.ZIn
 	}
-	if r.InOffsets == nil {
-		r.inView = AdjView{}
-	} else if z {
-		r.inView = AdjView{Adj: r.ZIn, Offsets: r.InOffsets, Edges: r.InEdges, Z: true}
-	} else {
-		r.inView = AdjView{Adj: r.G.RawIn(), Offsets: r.InOffsets, Edges: r.InEdges, Weights: r.InWeights}
+	if r.Ov != nil {
+		ia := r.Ov.InAdj(z)
+		r.inView.Adj, r.inView.Ov, r.inView.Delta = ia, ia, r.DeltaIn
 	}
 }
 
@@ -488,7 +486,7 @@ func (av AdjView) Valid() bool { return av.Adj != nil }
 func (av AdjView) ChargeScan(t *memsim.Thread, v graph.Node, weighted bool) {
 	lo, hi := av.Adj.Extent(v)
 	av.Edges.ReadRange(t, lo, hi)
-	if av.Z {
+	if av.Z != nil {
 		deg := av.Adj.Degree(v)
 		if av.Ov != nil {
 			deg = av.Ov.BaseDegree(v) // the base block decodes whole
@@ -512,12 +510,16 @@ func (av AdjView) chargeDelta(t *memsim.Thread, v graph.Node) {
 }
 
 // ChargePrefix charges an early-exited scan of v's block that consumed
-// `consumed` base backing elements and `deltaConsumed` overlay delta
-// entries (a Cursor's Consumed and DeltaConsumed values) covering k edges.
+// `consumed` base edges and `deltaConsumed` overlay delta entries (a
+// Cursor's Consumed and DeltaConsumed values) covering k edges: that many
+// edge elements on the raw backend, their block prefix's bytes plus the
+// decode of k edges on the compressed one.
 func (av AdjView) ChargePrefix(t *memsim.Thread, v graph.Node, consumed, deltaConsumed, k int64) {
 	lo, _ := av.Adj.Extent(v)
-	av.Edges.ReadRange(t, lo, lo+consumed)
-	if av.Z {
+	if av.Z == nil {
+		av.Edges.ReadRange(t, lo, lo+consumed)
+	} else {
+		av.Edges.ReadRange(t, lo, lo+av.Z.PrefixBytes(v, consumed))
 		t.Decode(1, k)
 	}
 	if av.Ov != nil && deltaConsumed > 0 {
@@ -536,7 +538,7 @@ func (av AdjView) ChargeBlock(t *memsim.Thread, lo, hi graph.Node, weighted bool
 	av.Offsets.ReadRange(t, int64(lo), int64(hi)+1)
 	elo, ehi := av.Adj.ExtentRange(lo, hi)
 	av.Edges.ReadRange(t, elo, ehi)
-	if av.Z {
+	if av.Z != nil {
 		// Base(v) keeps base semantics under overlays, so this is the
 		// base edge count of the range — exactly what must be decoded.
 		t.Decode(int64(hi-lo), av.Adj.Base(hi)-av.Adj.Base(lo))

@@ -167,7 +167,7 @@ func walk(av AdjView, v graph.Node, limit int64) (int64, graph.Cursor) {
 func scanBytes(av AdjView) uint64 {
 	lo, hi := av.Adj.Extent(0)
 	bytes := uint64(hi - lo)
-	if !av.Z {
+	if av.Z == nil {
 		bytes *= 4
 	}
 	if av.Ov != nil {
@@ -232,9 +232,9 @@ func TestChargePrefixChargesLess(t *testing.T) {
 		r.Parallel(func(th *memsim.Thread) {
 			out.ChargePrefix(th, 0, c.Consumed(), c.DeltaConsumed(), k)
 		})
-		want := uint64(c.Consumed()) // compressed: block bytes consumed
-		if !out.Z {
-			want *= 4
+		want := 4 * uint64(c.Consumed())
+		if out.Z != nil { // compressed: the consumed edges' block bytes
+			want = uint64(out.Z.PrefixBytes(0, c.Consumed()))
 		}
 		want += 8 * uint64(c.DeltaConsumed())
 		got := m.Counters().BytesRead

@@ -81,8 +81,8 @@ type Engine struct {
 	cfg Config
 
 	// out/in are the runtime's adjacency views: all neighborhood
-	// iteration goes through their graph.Adjacency (raw slices or
-	// compressed blocks decoded by a zero-allocation Cursor) and all
+	// iteration goes through their graph.Adjacency (raw rows on either
+	// backend, walked by a zero-allocation Cursor) and all
 	// edge-traffic charging through their arrays, so the engine is
 	// storage-backend agnostic.
 	out, in core.AdjView

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -398,5 +399,110 @@ func TestTopologyTrafficMatchesGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("topology traffic drifted from %s:\n--- want\n%s--- got\n%s", path, want, got)
+	}
+}
+
+// TestPrefixTrafficMatchesGolden pins the one charge path the other
+// goldens leave open: early-exit pull prefixes (AdjView.ChargePrefix) over
+// the compressed backend, plain and under an overlay with inserts and
+// deletes. bfs is the only kernel whose pull rounds stop a scan early, so
+// the sweep runs it for every profile from three sources over an RMAT
+// input, weighted (weight varints interleaved in the blocks) and not. Each
+// line holds the result's Algorithm, Rounds and Seconds plus every
+// topology and delta array's Traffic(), and the sweep must print the same
+// bytes at GOMAXPROCS 1, 3 and 8. Regenerate only for a deliberate
+// charging change:
+//
+//	go test ./internal/frameworks -run TestPrefixTrafficMatchesGolden -update
+func TestPrefixTrafficMatchesGolden(t *testing.T) {
+	type input struct {
+		name string
+		g    *graph.Graph
+		ov   *graph.Overlay
+	}
+	var inputs []input
+	for _, weighted := range []bool{false, true} {
+		g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 3, false)
+		name := "unweighted"
+		if weighted {
+			g.AddRandomWeights(DefaultWeightMax, DefaultWeightSeed)
+			name = "weighted"
+		}
+		g.BuildIn()
+		ups, err := gen.UpdateStream(g, 1, 96, 5, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov, _, err := graph.ApplyOverlay(g, ups[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{name, g, nil}, input{name, g, ov})
+	}
+	sweep := func() string {
+		var b strings.Builder
+		for _, in := range inputs {
+			form := "csr"
+			if in.ov != nil {
+				form = "overlay"
+			}
+			for _, p := range All() {
+				opts := p.Options("bfs", 8)
+				opts.Backend = core.BackendCompressed
+				params := DefaultParams(in.g)
+				for _, src := range []graph.Node{params.Source, 1, 777} {
+					var r *core.Runtime
+					var err error
+					if in.ov != nil {
+						r, err = core.NewOverlay(testMachine(), in.ov, opts)
+					} else {
+						r, err = core.New(testMachine(), in.g, opts)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					params.Source = src
+					res, err := p.Run(r, "bfs", params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.Close()
+					fmt.Fprintf(&b, "%s/%s/%s/src%d %s rounds=%d seconds=%s", in.name, form, p.Name, src,
+						res.Algorithm, res.Rounds, strconv.FormatFloat(res.Seconds, 'g', -1, 64))
+					for _, a := range []*memsim.Array{r.Offsets, r.Edges, r.InOffsets, r.InEdges, r.DeltaOut, r.DeltaIn} {
+						if a != nil {
+							read, written := a.Traffic()
+							fmt.Fprintf(&b, " %s=%d/%d", a.Name(), read, written)
+						}
+					}
+					b.WriteString("\n")
+				}
+			}
+		}
+		return b.String()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var got string
+	for _, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		lines := sweep()
+		if got != "" && lines != got {
+			t.Fatalf("prefix traffic differs at GOMAXPROCS=%d:\n%s--- vs\n%s", procs, lines, got)
+		}
+		got = lines
+	}
+	path := filepath.Join("testdata", "prefix_traffic.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file: %v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("prefix traffic drifted from %s:\n--- want\n%s--- got\n%s", path, want, got)
 	}
 }

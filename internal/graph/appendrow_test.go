@@ -67,7 +67,7 @@ func storage(a Adjacency) (edges []Node, data []byte) {
 	case RawAdjacency:
 		return slices.Clone(x.Edges), nil
 	case *CompressedCSR:
-		return nil, slices.Clone(x.Data)
+		return slices.Clone(x.Edges), slices.Clone(x.Data)
 	}
 	return nil, nil
 }

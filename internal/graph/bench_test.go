@@ -31,10 +31,10 @@ func BenchmarkFromEdges(b *testing.B) {
 	b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
 }
 
-// BenchmarkAppendRow decodes every in-row of an RMAT16 graph onto one
-// reused scratch slice, per adjacency form: the row walk a Gather round
-// (pagerank's pull) does per vertex.
-func BenchmarkAppendRow(b *testing.B) {
+// rowForms returns an RMAT16 graph's in-direction in every adjacency form
+// (raw, compressed, and an overlay over the compressed base), with the
+// compressed base each form charges against (nil for raw).
+func rowForms(b *testing.B) []rowForm {
 	g := gen.RMAT(16, 16, 0.57, 0.19, 0.19, 32, false)
 	g.BuildIn()
 	ups, err := gen.UpdateStream(g, 1, 4096, 7, true)
@@ -45,14 +45,24 @@ func BenchmarkAppendRow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		adj  graph.Adjacency
-	}{
-		{"raw", g.RawIn()},
-		{"compressed", g.CompressIn()},
-		{"overlay", ov.InAdj(true)},
-	} {
+	return []rowForm{
+		{"raw", g.RawIn(), nil},
+		{"compressed", g.CompressIn(), g.CompressIn()},
+		{"overlay", ov.InAdj(true), g.CompressIn()},
+	}
+}
+
+type rowForm struct {
+	name string
+	adj  graph.Adjacency
+	z    *graph.CompressedCSR
+}
+
+// BenchmarkAppendRow copies every in-row of an RMAT16 graph onto one
+// reused scratch slice, per adjacency form: the row walk a Gather round
+// (pagerank's pull) does per vertex.
+func BenchmarkAppendRow(b *testing.B) {
+	for _, c := range rowForms(b) {
 		b.Run(c.name, func(b *testing.B) {
 			var row []graph.Node
 			var edges int64
@@ -64,6 +74,38 @@ func BenchmarkAppendRow(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(edges)/b.Elapsed().Seconds()/1e6, "Medges/s")
+		})
+	}
+}
+
+// BenchmarkCursorPrefix is the early-exit pull (bfs's dir-opt rounds): per
+// form, each in-row is walked through a Cursor and stopped after v%16
+// edges, and the bytes ChargePrefix would stream for that prefix are
+// sized — Consumed edges on the raw form, PrefixBytes of them over a
+// compressed base.
+func BenchmarkCursorPrefix(b *testing.B) {
+	for _, c := range rowForms(b) {
+		b.Run(c.name, func(b *testing.B) {
+			var edges, bytes int64
+			b.ReportAllocs()
+			for b.Loop() {
+				for v := range c.adj.NumNodes() {
+					cur := c.adj.Cursor(graph.Node(v))
+					for k := v % 16; k > 0; k-- {
+						if _, ok := cur.Next(); !ok {
+							break
+						}
+						edges++
+					}
+					if c.z != nil {
+						bytes += c.z.PrefixBytes(graph.Node(v), cur.Consumed())
+					} else {
+						bytes += 4 * cur.Consumed()
+					}
+				}
+			}
+			b.ReportMetric(float64(edges)/b.Elapsed().Seconds()/1e6, "Medges/s")
+			b.ReportMetric(float64(bytes)/float64(b.N)/1e6, "MB/op")
 		})
 	}
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -12,10 +11,11 @@ import (
 // (GBBS/Ligra+ style). On the paper's machines analytics are bandwidth
 // bound — kernels pay for every byte streamed from the slow tier — so a
 // smaller adjacency representation trades cheap decode compute for scarce
-// memory bandwidth. The engine charges memsim for the compressed bytes a
-// traversal streams plus an explicit per-edge decode cost
+// memory bandwidth. The backend is charge-only: kernels walk the raw rows
+// every graph keeps host-side, and the engine charges memsim for the
+// compressed bytes a traversal would stream plus an explicit decode cost
 // (memsim.CostParams.DecodePerEdge/DecodePerVertex), which keeps that
-// trade-off honest.
+// trade-off honest without decoding on the host.
 //
 // Block layout for vertex v (all varints are unsigned LEB128):
 //
@@ -28,13 +28,15 @@ import (
 // Deltas are zigzag-signed so any neighbor order round-trips exactly;
 // the sorted adjacency the generators produce compresses best. Weights
 // are interleaved with the deltas (as in GBBS) so an early-exited scan
-// consumes a contiguous prefix of the block.
+// consumes a contiguous prefix of the block (PrefixBytes).
 
 // Adjacency is a read-only view over one direction of a graph's adjacency,
-// implemented by both the raw CSR slices (RawAdjacency) and the compressed
-// form (CompressedCSR). The operator engine traverses through this
-// interface; per-edge iteration goes through the concrete Cursor type so
-// the hot loop stays free of interface calls and allocations.
+// implemented by the raw CSR slices (RawAdjacency), the compressed form
+// (CompressedCSR, which walks the same raw rows and differs only in its
+// backing extents) and the delta overlay (OverlayAdj). The operator engine
+// traverses through this interface; per-edge iteration goes through the
+// concrete Cursor type so the hot loop stays free of interface calls and
+// allocations.
 type Adjacency interface {
 	NumNodes() int
 	NumEdges() int64
@@ -56,32 +58,22 @@ type Adjacency interface {
 	// the extended slice, for scans that consume the whole row. The result
 	// never aliases graph storage, so callers may reuse it as scratch.
 	AppendRow(dst []Node, v Node) []Node
-	// Compressed reports whether backing elements are compressed bytes.
-	Compressed() bool
 }
 
 // Cursor iterates one vertex's neighbors without allocating; it is
-// returned by value and handles all three adjacency forms: raw slices,
-// compressed blocks, and a delta overlay layered over either (the base
-// stream with deleted pairs filtered, merged against the sorted insert
+// returned by value and handles both row forms: a raw row (also what the
+// compressed backend walks), and a delta overlay layered over one (the
+// base row with deleted pairs filtered, merged against the sorted insert
 // list, base copies first on destination ties).
 type Cursor struct {
-	// Raw form: a window over the edge slice.
+	// The base row and the number of its edges consumed so far.
 	nbrs []Node
 	i    int
 
-	// Compressed form: a varint decoder over the vertex's block.
-	data     []byte
-	pos      int
-	prev     int64
-	rem      int64
-	weighted bool
-
-	// Edge-index tracking: base is the vertex's first base edge index,
-	// cnt the base edges yielded so far, ei the index of the last
-	// neighbor returned (under the overlay ei contract inserts get
-	// ovInsEI + their position instead).
-	base, cnt, ei int64
+	// Edge-index tracking: base is the vertex's first base edge index, ei
+	// the index of the last neighbor returned (under the overlay ei
+	// contract inserts get ovInsEI + their position instead).
+	base, ei int64
 
 	// Overlay form (ov true): sorted insert and deleted-pair lists for
 	// the vertex, a one-slot base lookahead, and the insert ei base.
@@ -97,32 +89,15 @@ type Cursor struct {
 	ovBaseDone bool
 }
 
-// baseNext advances the underlying raw or compressed stream, maintaining
-// the base edge index.
+// baseNext advances the base row, maintaining the base edge index.
 func (c *Cursor) baseNext() (Node, bool) {
-	if c.data == nil {
-		if c.i >= len(c.nbrs) {
-			return 0, false
-		}
-		d := c.nbrs[c.i]
-		c.ei = c.base + int64(c.i)
-		c.i++
-		return d, true
-	}
-	if c.rem <= 0 {
+	if c.i >= len(c.nbrs) {
 		return 0, false
 	}
-	u, n := binary.Uvarint(c.data[c.pos:])
-	c.pos += n
-	c.prev += unzigzag(u)
-	if c.weighted {
-		_, wn := binary.Uvarint(c.data[c.pos:])
-		c.pos += wn
-	}
-	c.rem--
-	c.ei = c.base + c.cnt
-	c.cnt++
-	return Node(c.prev), true
+	d := c.nbrs[c.i]
+	c.ei = c.base + int64(c.i)
+	c.i++
+	return d, true
 }
 
 // Next returns the next neighbor, or ok=false at the end of the block.
@@ -136,7 +111,7 @@ func (c *Cursor) Next() (Node, bool) {
 			c.i++
 			return d, true
 		}
-		return c.baseNext()
+		return 0, false
 	}
 	// Refill the base lookahead, skipping every copy of deleted pairs.
 	for !c.ovHasPeek && !c.ovBaseDone {
@@ -174,16 +149,12 @@ func (c *Cursor) Next() (Node, bool) {
 // keeps edge indices correct across all three adjacency forms.
 func (c *Cursor) EI() int64 { return c.ei }
 
-// Consumed returns the base backing elements consumed so far — edges for
-// the raw form, bytes for the compressed form — so early-exited scans can
-// charge exactly the prefix they streamed. Overlay delta entries consumed
-// are reported separately by DeltaConsumed.
-func (c *Cursor) Consumed() int64 {
-	if c.data == nil {
-		return int64(c.i)
-	}
-	return int64(c.pos)
-}
+// Consumed returns the base edges consumed so far (under an overlay,
+// deleted copies and the lookahead included), so early-exited scans can
+// charge exactly the prefix they streamed: that many edge elements on the
+// raw backend, CompressedCSR.PrefixBytes of them on the compressed one.
+// Overlay delta entries consumed are reported separately by DeltaConsumed.
+func (c *Cursor) Consumed() int64 { return int64(c.i) }
 
 // DeltaConsumed returns the overlay delta entries (inserts yielded plus
 // deleted pairs passed) consumed so far; zero for non-overlay cursors.
@@ -212,7 +183,6 @@ func (a RawAdjacency) NumNodes() int       { return len(a.Offsets) - 1 }
 func (a RawAdjacency) NumEdges() int64     { return int64(len(a.Edges)) }
 func (a RawAdjacency) Degree(v Node) int64 { return a.Offsets[v+1] - a.Offsets[v] }
 func (a RawAdjacency) Base(v Node) int64   { return a.Offsets[v] }
-func (a RawAdjacency) Compressed() bool    { return false }
 func (a RawAdjacency) Extent(v Node) (int64, int64) {
 	return a.Offsets[v], a.Offsets[v+1]
 }
@@ -227,29 +197,22 @@ func (a RawAdjacency) AppendRow(dst []Node, v Node) []Node {
 }
 
 // CompressedCSR is one direction's adjacency in delta+varint block form.
-// EdgeOffsets mirrors the raw offsets array (edge-index bases, host-side
-// bookkeeping for backend-independent edge indices); the simulated storage
-// the backend models is ByteOffsets plus Data — see Bytes.
+// It keeps the raw rows it encodes (aliasing the graph's own slices), and
+// every traversal method — Degree, Base, Cursor, AppendRow — is the raw
+// one: the blocks are never decoded on the host. The simulated storage the
+// backend models is ByteOffsets plus Data (see Bytes), so Extent and
+// ExtentRange report byte ranges and PrefixBytes sizes early-exited scans.
 type CompressedCSR struct {
-	n        int
-	edges    int64
+	RawAdjacency
 	weighted bool
 
-	// EdgeOffsets has length n+1; vertex v covers global edge indices
-	// [EdgeOffsets[v], EdgeOffsets[v+1]).
-	EdgeOffsets []int64
 	// ByteOffsets has length n+1; vertex v's block is
 	// Data[ByteOffsets[v]:ByteOffsets[v+1]].
 	ByteOffsets []int64
 	Data        []byte
 }
 
-func (z *CompressedCSR) NumNodes() int       { return z.n }
-func (z *CompressedCSR) NumEdges() int64     { return z.edges }
-func (z *CompressedCSR) Weighted() bool      { return z.weighted }
-func (z *CompressedCSR) Compressed() bool    { return true }
-func (z *CompressedCSR) Degree(v Node) int64 { return z.EdgeOffsets[v+1] - z.EdgeOffsets[v] }
-func (z *CompressedCSR) Base(v Node) int64   { return z.EdgeOffsets[v] }
+func (z *CompressedCSR) Weighted() bool { return z.weighted }
 func (z *CompressedCSR) Extent(v Node) (int64, int64) {
 	return z.ByteOffsets[v], z.ByteOffsets[v+1]
 }
@@ -261,49 +224,31 @@ func (z *CompressedCSR) ExtentRange(lo, hi Node) (int64, int64) {
 // byte-offset array plus the block data (degrees live in the blocks;
 // weights, when present, are interleaved with the deltas).
 func (z *CompressedCSR) Bytes() int64 {
-	return int64(z.n+1)*8 + int64(len(z.Data))
+	n := z.NumNodes()
+	return int64(n+1)*8 + z.ByteOffsets[n]
 }
 
-// Cursor returns a decoder positioned after v's degree varint.
-func (z *CompressedCSR) Cursor(v Node) Cursor {
-	block := z.Data[z.ByteOffsets[v]:z.ByteOffsets[v+1]]
-	c := Cursor{data: block, prev: int64(v), weighted: z.weighted, base: z.EdgeOffsets[v]}
-	deg, n := binary.Uvarint(block)
-	c.pos = n
-	c.rem = int64(deg)
-	return c
-}
-
-// AppendRow decodes v's whole block onto dst, skipping weight varints.
-// One- and two-byte varints, nearly all of a power-law graph's deltas, are
-// decoded inline; longer ones take binary.Uvarint.
-func (z *CompressedCSR) AppendRow(dst []Node, v Node) []Node {
-	block := z.Data[z.ByteOffsets[v]:z.ByteOffsets[v+1]]
-	deg, pos := binary.Uvarint(block)
-	dst = slices.Grow(dst, int(deg))
-	prev := int64(v)
-	for range deg {
-		u := uint64(block[pos])
-		if u < 0x80 {
-			pos++
-		} else if b1 := uint64(block[pos+1]); b1 < 0x80 {
-			u = u&0x7f | b1<<7
-			pos += 2
-		} else {
-			var n int
-			u, n = binary.Uvarint(block[pos:])
-			pos += n
-		}
-		prev += unzigzag(u)
-		dst = append(dst, Node(prev))
-		if z.weighted {
-			for block[pos] >= 0x80 {
-				pos++
+// PrefixBytes returns the length of the prefix of v's block that holds its
+// degree and first k edges: the degree varint plus k delta varints, and k
+// weight varints on a weighted graph. It counts varint terminators (bytes
+// below 0x80) instead of decoding; k == Degree(v) is the whole block.
+func (z *CompressedCSR) PrefixBytes(v Node, k int64) int64 {
+	lo, hi := z.ByteOffsets[v], z.ByteOffsets[v+1]
+	if k >= z.Degree(v) {
+		return hi - lo
+	}
+	left := 1 + k
+	if z.weighted {
+		left += k
+	}
+	for i, b := range z.Data[lo:hi] {
+		if b < 0x80 {
+			if left--; left == 0 {
+				return int64(i) + 1
 			}
-			pos++
 		}
 	}
-	return dst
+	return hi - lo
 }
 
 func zigzag(d int64) uint64   { return uint64((d << 1) ^ (d >> 63)) }
@@ -329,12 +274,10 @@ func compressAdjacency(n int, offsets []int64, edges []Node, weights []uint32) *
 		byteOffs[v+1] = int64(len(buf))
 	}
 	return &CompressedCSR{
-		n:           n,
-		edges:       int64(len(edges)),
-		weighted:    weights != nil,
-		EdgeOffsets: offsets,
-		ByteOffsets: byteOffs,
-		Data:        buf,
+		RawAdjacency: RawAdjacency{Offsets: offsets, Edges: edges},
+		weighted:     weights != nil,
+		ByteOffsets:  byteOffs,
+		Data:         buf,
 	}
 }
 
@@ -384,13 +327,12 @@ type zcache struct {
 	zIn  *CompressedCSR
 }
 
-// Decode materializes the raw graph the compressed stream encodes,
-// validating the stream as it goes: every block must decode exactly its
-// byte extent, degrees must sum to the advertised edge count, and decoded
-// neighbors must be valid node IDs. The returned graph carries z as its
-// cached out-direction compressed form.
-func (z *CompressedCSR) Decode() (*Graph, error) {
-	n := z.n
+// decode materializes the raw graph z's blocks encode for n vertices and
+// the advertised edge count, validating the stream as it goes: every block
+// must decode exactly its byte extent, degrees must sum to edges, and
+// decoded neighbors must be valid node IDs. The returned graph carries z
+// as its cached out-direction compressed form, over the rows just decoded.
+func (z *CompressedCSR) decode(n int, edges int64) (*Graph, error) {
 	if len(z.ByteOffsets) != n+1 {
 		return nil, fmt.Errorf("graph: csrz offsets length %d, want %d", len(z.ByteOffsets), n+1)
 	}
@@ -402,10 +344,10 @@ func (z *CompressedCSR) Decode() (*Graph, error) {
 	}
 	g := &Graph{
 		OutOffsets: make([]int64, n+1),
-		OutEdges:   make([]Node, 0, z.edges),
+		OutEdges:   make([]Node, 0, edges),
 	}
 	if z.weighted {
-		g.OutWeights = make([]uint32, 0, z.edges)
+		g.OutWeights = make([]uint32, 0, edges)
 	}
 	edgeOffs := make([]int64, n+1)
 	for v := 0; v < n; v++ {
@@ -418,7 +360,7 @@ func (z *CompressedCSR) Decode() (*Graph, error) {
 		if pos <= 0 {
 			return nil, fmt.Errorf("graph: csrz block %d: bad degree varint", v)
 		}
-		if int64(deg) > z.edges-int64(len(g.OutEdges)) {
+		if int64(deg) > edges-int64(len(g.OutEdges)) {
 			return nil, fmt.Errorf("graph: csrz block %d: degree %d exceeds remaining edges", v, deg)
 		}
 		prev := int64(v)
@@ -447,14 +389,14 @@ func (z *CompressedCSR) Decode() (*Graph, error) {
 		}
 		edgeOffs[v+1] = int64(len(g.OutEdges))
 	}
-	if int64(len(g.OutEdges)) != z.edges {
-		return nil, fmt.Errorf("graph: csrz degrees sum to %d edges, header says %d", len(g.OutEdges), z.edges)
+	if int64(len(g.OutEdges)) != edges {
+		return nil, fmt.Errorf("graph: csrz degrees sum to %d edges, header says %d", len(g.OutEdges), edges)
 	}
 	copy(g.OutOffsets, edgeOffs)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	z.EdgeOffsets = g.OutOffsets
+	z.RawAdjacency = g.RawOut()
 	g.zOut = z
 	return g, nil
 }

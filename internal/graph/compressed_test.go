@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,7 +45,7 @@ func TestCompressRoundTrip(t *testing.T) {
 			if z.NumNodes() != g.NumNodes() || z.NumEdges() != g.NumEdges() {
 				t.Fatalf("shape: %d/%d, want %d/%d", z.NumNodes(), z.NumEdges(), g.NumNodes(), g.NumEdges())
 			}
-			got, err := z.Decode()
+			got, err := z.decode(z.NumNodes(), z.NumEdges())
 			if err != nil {
 				t.Fatalf("decoding freshly-encoded graph: %v", err)
 			}
@@ -79,7 +80,8 @@ func nodeBytes(ns []Node) []byte {
 }
 
 // TestCompressedCursorMatchesRaw walks every vertex through both
-// adjacency forms and the early-exit Consumed accounting.
+// adjacency forms and checks that a full scan's Consumed edges size the
+// whole block.
 func TestCompressedCursorMatchesRaw(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -104,8 +106,8 @@ func TestCompressedCursorMatchesRaw(t *testing.T) {
 					}
 				}
 				blo, bhi := z.Extent(v)
-				if zc.Consumed() != bhi-blo {
-					t.Fatalf("vertex %d: full scan consumed %d of %d block bytes", v, zc.Consumed(), bhi-blo)
+				if got := z.PrefixBytes(v, zc.Consumed()); got != bhi-blo {
+					t.Fatalf("vertex %d: full scan consumed %d of %d block bytes", v, got, bhi-blo)
 				}
 			}
 		})
@@ -270,5 +272,83 @@ func TestCompressCacheInvalidation(t *testing.T) {
 	g.BuildIn()
 	if g.CompressIn() == zin {
 		t.Fatal("DropIn did not invalidate the in-direction cache")
+	}
+}
+
+// refPrefix is an independent reference decoder for v's block: it returns
+// the byte position reached after the degree varint and the first k edge
+// groups (delta, plus weight when weighted), and the neighbors decoded on
+// the way.
+func refPrefix(t *testing.T, z *CompressedCSR, v Node, k int64) (int64, []Node) {
+	t.Helper()
+	block := z.Data[z.ByteOffsets[v]:z.ByteOffsets[v+1]]
+	deg, pos := binary.Uvarint(block)
+	if pos <= 0 || int64(deg) < k {
+		t.Fatalf("vertex %d: bad degree varint or k=%d past degree %d", v, k, deg)
+	}
+	prev := int64(v)
+	var nbrs []Node
+	for range k {
+		u, n := binary.Uvarint(block[pos:])
+		pos += n
+		prev += int64(u>>1) ^ -int64(u&1)
+		nbrs = append(nbrs, Node(prev))
+		if z.weighted {
+			_, n = binary.Uvarint(block[pos:])
+			pos += n
+		}
+	}
+	return int64(pos), nbrs
+}
+
+// TestPrefixBytesMatchDecoder: the bytes an early-exited scan is charged
+// for — PrefixBytes of its Cursor's Consumed base edges — must be exactly
+// where a varint decoder stands after the degree and that many edge
+// groups, for every vertex and every prefix, on compressed bases weighted
+// and unweighted and on the overlay over each; the whole degree is the
+// whole block. The reference decoder also proves the blocks encode the raw
+// rows the compressed form walks.
+func TestPrefixBytesMatchDecoder(t *testing.T) {
+	for name, adj := range appendRowInputs(t) {
+		z, ok := adj.(*CompressedCSR)
+		if ov, isOv := adj.(*OverlayAdj); isOv {
+			z, ok = ov.base.(*CompressedCSR)
+		}
+		if !ok {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			for v := Node(0); int(v) < z.NumNodes(); v++ {
+				deg := z.Degree(v)
+				row := z.AppendRow(nil, v)
+				for k := int64(0); k <= deg; k++ {
+					want, nbrs := refPrefix(t, z, v, k)
+					if got := z.PrefixBytes(v, k); got != want {
+						t.Fatalf("vertex %d: PrefixBytes(%d) = %d, decoder at %d", v, k, got, want)
+					}
+					if !slices.Equal(nbrs, row[:k]) {
+						t.Fatalf("vertex %d: block decodes %v, raw row %v", v, nbrs, row[:k])
+					}
+				}
+				if lo, hi := z.Extent(v); z.PrefixBytes(v, deg) != hi-lo {
+					t.Fatalf("vertex %d: whole-degree prefix %d, block %d bytes", v, z.PrefixBytes(v, deg), hi-lo)
+				}
+				// Every stopping point of the form's own cursor.
+				c := adj.Cursor(v)
+				for {
+					consumed := c.Consumed()
+					want, _ := refPrefix(t, z, v, consumed)
+					if got := z.PrefixBytes(v, consumed); got != want {
+						t.Fatalf("vertex %d: cursor consumed %d edges: %d bytes, decoder at %d", v, consumed, got, want)
+					}
+					if _, ok := c.Next(); !ok {
+						break
+					}
+				}
+				if c.Consumed() != deg {
+					t.Fatalf("vertex %d: full scan consumed %d of %d base edges", v, c.Consumed(), deg)
+				}
+			}
+		})
 	}
 }

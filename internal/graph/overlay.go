@@ -439,9 +439,9 @@ func (ov *Overlay) Materialize() *Graph {
 
 // OverlayAdj adapts one direction of an Overlay to the Adjacency seam over
 // a chosen base representation (raw slices or compressed blocks). Base
-// metadata — Base, Extent, ExtentRange, Compressed — keeps BASE semantics,
-// because that is what charging consumes (the base block must be streamed
-// and decoded whole regardless of the delta); merged semantics live in
+// metadata — Base, Extent, ExtentRange — keeps BASE semantics, because
+// that is what charging consumes (the base block must be streamed and
+// decoded whole regardless of the delta); merged semantics live in
 // Degree, NumEdges and the Cursor. Operator edge indices come from
 // Cursor.EI, never Base(v)+k, under the overlay ei contract.
 type OverlayAdj struct {
@@ -483,7 +483,6 @@ func (a *OverlayAdj) Extent(v Node) (int64, int64) { return a.base.Extent(v) }
 func (a *OverlayAdj) ExtentRange(lo, hi Node) (int64, int64) {
 	return a.base.ExtentRange(lo, hi)
 }
-func (a *OverlayAdj) Compressed() bool { return a.base.Compressed() }
 
 // BaseDegree returns v's degree in the base alone (the decode charge of a
 // compressed base block).
@@ -512,10 +511,11 @@ func (a *OverlayAdj) DeltaExtentRange(lo, hi Node) (int64, int64) {
 // simulated delta array a runtime allocates for it).
 func (a *OverlayAdj) DeltaEntries() int64 { return a.side.Entries() }
 
-// Cursor returns the merged iterator: the base stream (raw or compressed)
-// with deleted pairs filtered, merged against the sorted insert list by
-// destination, base copies first on ties. EI tracks the overlay ei
-// contract edge index of the last yielded neighbor.
+// Cursor returns the merged iterator: the base row (the same raw row
+// under either base representation) with deleted pairs filtered, merged
+// against the sorted insert list by destination, base copies first on
+// ties. EI tracks the overlay ei contract edge index of the last yielded
+// neighbor.
 func (a *OverlayAdj) Cursor(v Node) Cursor {
 	c := a.base.Cursor(v)
 	i := a.side.find(v)

@@ -248,12 +248,6 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: read csrz data: %w", err)
 	}
-	z := &CompressedCSR{
-		n:           int(nodes),
-		edges:       int64(edges),
-		weighted:    weighted,
-		ByteOffsets: byteOffs,
-		Data:        data,
-	}
-	return z.Decode()
+	z := &CompressedCSR{weighted: weighted, ByteOffsets: byteOffs, Data: data}
+	return z.decode(int(nodes), int64(edges))
 }
