@@ -42,17 +42,25 @@ func weightedOpts() core.Options {
 	return o
 }
 
-// testGraphs returns a diverse set of graphs with a source for traversal
-// kernels.
+// sealed builds g's transpose where the fixture is born, the half of
+// frameworks.Seal a runtime reading both directions needs (this package
+// cannot import frameworks; tests add their own weights).
+func sealed(g *graph.Graph) *graph.Graph {
+	g.BuildIn()
+	return g
+}
+
+// testGraphs returns a diverse set of sealed graphs with a source for
+// traversal kernels.
 func testGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
-		"path":  gen.Path(64),
-		"cycle": gen.Cycle(50),
-		"star":  gen.Star(40),
-		"grid":  gen.Grid(8, 9),
-		"er":    gen.ErdosRenyi(300, 1800, 11),
-		"rmat":  gen.RMAT(9, 8, 0.57, 0.19, 0.19, 3, false),
-		"web":   gen.WebCrawl(2000, 6, 40, 5),
+		"path":  sealed(gen.Path(64)),
+		"cycle": sealed(gen.Cycle(50)),
+		"star":  sealed(gen.Star(40)),
+		"grid":  sealed(gen.Grid(8, 9)),
+		"er":    sealed(gen.ErdosRenyi(300, 1800, 11)),
+		"rmat":  sealed(gen.RMAT(9, 8, 0.57, 0.19, 0.19, 3, false)),
+		"web":   sealed(gen.WebCrawl(2000, 6, 40, 5)),
 	}
 }
 
@@ -188,7 +196,7 @@ func TestPageRankMatchesReference(t *testing.T) {
 }
 
 func TestPageRankSumsToOne(t *testing.T) {
-	g := gen.ErdosRenyi(500, 4000, 9)
+	g := sealed(gen.ErdosRenyi(500, 4000, 9))
 	res := PageRank(testRuntime(t, g, bothDirOpts()), 1e-10, 100)
 	sum := 0.0
 	for _, x := range res.Rank {
@@ -300,7 +308,7 @@ func TestSparseBeatsDenseOnHighDiameter(t *testing.T) {
 }
 
 func TestLabelPropSCBeatsPlainOnHighDiameter(t *testing.T) {
-	g := gen.WebCrawl(12000, 6, 300, 29)
+	g := sealed(gen.WebCrawl(12000, 6, 300, 29))
 	sc := CCLabelPropSC(testRuntime(t, g, bothDirOpts()))
 	dense := CCLabelPropDense(testRuntime(t, g, bothDirOpts()))
 	if sc.Rounds >= dense.Rounds {

@@ -21,7 +21,7 @@ func kernelRuns(t *testing.T) map[string]func() *Result {
 	t.Helper()
 	return map[string]func() *Result{
 		"bfs-diropt": func() *Result {
-			g := gen.WebCrawl(20000, 8, 200, 23)
+			g := sealed(gen.WebCrawl(20000, 8, 200, 23))
 			src, _ := g.MaxOutDegreeNode()
 			return BFSDirOpt(testRuntime(t, g, bothDirOpts()), src)
 		},
@@ -31,7 +31,7 @@ func kernelRuns(t *testing.T) map[string]func() *Result {
 			return BFSSparse(testRuntime(t, g, galoisOpts()), src)
 		},
 		"cc-shortcut": func() *Result {
-			g := gen.WebCrawl(12000, 6, 120, 29)
+			g := sealed(gen.WebCrawl(12000, 6, 120, 29))
 			return CCLabelPropSC(testRuntime(t, g, bothDirOpts()))
 		},
 		"sssp-delta": func() *Result {
@@ -41,11 +41,11 @@ func kernelRuns(t *testing.T) map[string]func() *Result {
 			return SSSPDeltaStep(testRuntime(t, g, weightedOpts()), src, 64)
 		},
 		"kcore-sparse": func() *Result {
-			g := gen.Kron(13, 12, 5)
+			g := sealed(gen.Kron(13, 12, 5))
 			return KCoreSparse(testRuntime(t, g, bothDirOpts()), 8)
 		},
 		"pr": func() *Result {
-			g := gen.Kron(13, 12, 5)
+			g := sealed(gen.Kron(13, 12, 5))
 			return PageRank(testRuntime(t, g, bothDirOpts()), 1e-9, 30)
 		},
 	}

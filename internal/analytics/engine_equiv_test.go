@@ -32,6 +32,7 @@ func scaleSmallInput(t *testing.T, name string) *graph.Graph {
 	if err != nil {
 		t.Fatalf("generating %s: %v", name, err)
 	}
+	g.BuildIn()
 	equivCache[name] = g
 	return g
 }

@@ -23,7 +23,7 @@ func quickRuntime(g *graph.Graph, opts core.Options) *core.Runtime {
 	return core.MustNew(m, g, opts)
 }
 
-// randomGraph builds a small arbitrary graph from fuzz inputs.
+// randomGraph builds a small arbitrary sealed graph from fuzz inputs.
 func randomGraph(seed uint32, weighted bool) *graph.Graph {
 	n := int(seed%200) + 10
 	m := int(seed%1500) + 20
@@ -34,7 +34,7 @@ func randomGraph(seed uint32, weighted bool) *graph.Graph {
 	if weighted {
 		g.AddRandomWeights(50, uint64(seed)+7)
 	}
-	return g
+	return sealed(g)
 }
 
 func TestBFSTriangleInequality(t *testing.T) {
@@ -117,7 +117,6 @@ func TestKCoreIsMaximal(t *testing.T) {
 	// the core.
 	check := func(seed uint32) bool {
 		g := randomGraph(seed, false)
-		g.BuildIn()
 		k := int64(seed%6) + 2
 		res := KCoreSparse(quickRuntime(g, bothDirOpts()), k)
 		in := res.InCore

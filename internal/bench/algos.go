@@ -5,7 +5,6 @@ import (
 
 	"pmemgraph/internal/analytics"
 	"pmemgraph/internal/core"
-	"pmemgraph/internal/frameworks"
 	"pmemgraph/internal/graph"
 	"pmemgraph/internal/memsim"
 )
@@ -25,9 +24,6 @@ func algoStudy(opt Options, machine memsim.MachineConfig, threads int) error {
 		o := core.GaloisDefaults(threads)
 		o.Weighted = weighted
 		o.BothDirections = both
-		if weighted && !g.HasWeights() {
-			g.AddRandomWeights(frameworks.DefaultWeightMax, frameworks.DefaultWeightSeed)
-		}
 		return core.MustNew(m, g, o)
 	}
 	for _, name := range graphs {

@@ -11,6 +11,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"pmemgraph/internal/frameworks"
 	"pmemgraph/internal/gen"
 	"pmemgraph/internal/graph"
 	"pmemgraph/internal/memsim"
@@ -240,19 +241,12 @@ func Title(name string) string { return registry[name].title }
 
 // --- shared input cache ---
 
-var inputCache = &sync.Map{} // key string -> *graph.Graph
+var inputCache sync.Map // key string -> *graph.Graph
 
-// resetInputs drops the process-wide input cache. Cached graphs gain
-// weights and transposes lazily as experiments touch them, so a runner's
-// numbers can depend on which experiments ran earlier in the process; the
-// golden-file tests reset the cache to pin each experiment's fresh-state
-// bytes.
-func resetInputs() { inputCache = &sync.Map{} }
-
-// input returns the scaled stand-in for a paper input, cached per process
-// (the generators are deterministic, so sharing is safe; kernels never
-// mutate topology). The returned graph may gain weights/transpose as
-// kernels require them.
+// input returns the scaled stand-in for a paper input, sealed
+// (frameworks.Seal) when it is generated and cached per process. Runs only
+// read it, so an experiment's numbers do not depend on which experiments
+// ran earlier in the process.
 func input(name string, scale gen.Scale) (*graph.Graph, gen.PaperRow) {
 	key := fmt.Sprintf("%s@%d", name, scale)
 	if v, ok := inputCache.Load(key); ok {
@@ -261,6 +255,7 @@ func input(name string, scale gen.Scale) (*graph.Graph, gen.PaperRow) {
 		return g, row
 	}
 	g, row := gen.MustInput(name, scale)
+	frameworks.Seal(g)
 	inputCache.Store(key, g)
 	return g, row
 }

@@ -39,9 +39,8 @@ func distRun(e *shard.Engine, app string, params frameworks.Params) (*analytics.
 
 // clusterEngine partitions g into `hosts` ranges and builds the Stampede2
 // cluster emulation over them (shard.ClusterConfig: 48 threads per host,
-// Omni-Path interconnect, OEC below 128 hosts / CVC at or above). g must
-// be sealed (weights + transpose) before the first call — partitions alias
-// the source arrays.
+// Omni-Path interconnect, OEC below 128 hosts / CVC at or above). g is a
+// sealed input: partitions alias its weights and transpose.
 func clusterEngine(g *graph.Graph, hosts int, scale gen.Scale) (*shard.Engine, error) {
 	part, err := graph.NewPartition(g, hosts)
 	if err != nil {
@@ -58,9 +57,6 @@ func vertexRun(machine memsim.MachineConfig, g *graph.Graph, app string, threads
 	opts := core.GaloisDefaults(threads)
 	opts.Weighted = app == "sssp"
 	opts.BothDirections = app == "cc" || app == "pr" || app == "kcore"
-	if opts.Weighted && !g.HasWeights() {
-		g.AddRandomWeights(frameworks.DefaultWeightMax, frameworks.DefaultWeightSeed)
-	}
 	r, err := core.New(m, g, opts)
 	if err != nil {
 		return nil, err
@@ -86,28 +82,16 @@ func vertexRun(machine memsim.MachineConfig, g *graph.Graph, app string, threads
 
 // minHostsFor estimates the paper's DM host count for a graph: the
 // replicated footprint (CSR plus mirrors, ~2.5x) over per-host usable
-// memory.
+// memory. The CSR is the out-direction only, the footprint the paper sizes
+// hosts by, not the weights and transpose every input is sealed with.
 func minHostsFor(g *graph.Graph, scale gen.Scale) int {
 	host := memsim.Scaled(memsim.StampedeHost(), scale.Div())
-	// Out-direction CSR only (the footprint the paper sizes hosts by),
-	// independent of whatever weights/transposes earlier experiments
-	// attached to the shared graph.
 	csr := int64(g.NumNodes()+1)*8 + g.NumEdges()*4
 	return shard.MinHosts(csr*5/2, host)
 }
 
 // table4Graphs lists the Table 4 inputs.
 var table4Graphs = []string{"clueweb12", "uk14", "iso_m100", "wdc12"}
-
-// sealForCluster readies a shared input for partitioning: the cluster
-// kernels need weights (sssp) and the transpose (cc/pr/kcore), and both
-// must exist before graph.NewPartition slices the arrays.
-func sealForCluster(g *graph.Graph) {
-	if !g.HasWeights() {
-		g.AddRandomWeights(frameworks.DefaultWeightMax, frameworks.DefaultWeightSeed)
-	}
-	g.BuildIn()
-}
 
 // Table4 regenerates the Optane-vs-cluster comparison: Galois with the
 // best (non-vertex, asynchronous) algorithms on the Optane machine (OB)
@@ -124,7 +108,6 @@ func Table4(opt Options) error {
 	var speedups []float64
 	for _, gname := range graphs {
 		g, _ := input(gname, opt.Scale)
-		sealForCluster(g)
 		params := frameworks.DefaultParams(g)
 		hosts := minHostsFor(g, opt.Scale)
 		e, err := clusterEngine(g, hosts, opt.Scale)
@@ -170,7 +153,6 @@ func Figure11(opt Options) error {
 	}
 	for _, gname := range graphs {
 		g, _ := input(gname, opt.Scale)
-		sealForCluster(g)
 		params := frameworks.DefaultParams(g)
 		minHosts := minHostsFor(g, opt.Scale)
 

@@ -5,7 +5,6 @@ import (
 
 	"pmemgraph/internal/analytics"
 	"pmemgraph/internal/core"
-	"pmemgraph/internal/frameworks"
 	"pmemgraph/internal/memsim"
 	"pmemgraph/internal/stats"
 )
@@ -44,13 +43,6 @@ func FigCompress(opt Options) error {
 	for _, mc := range machines {
 		for _, gname := range graphs {
 			g, _ := input(gname, opt.Scale)
-			// Weights are materialized up front (as the serving layer's
-			// seal does) so every row measures the same graph: adding
-			// them mid-sweep would re-encode the compressed blocks and
-			// make rows depend on app order.
-			if !g.HasWeights() {
-				g.AddRandomWeights(frameworks.DefaultWeightMax, frameworks.DefaultWeightSeed)
-			}
 			src, _ := g.MaxOutDegreeNode()
 			for _, app := range apps {
 				weighted := app == "sssp"

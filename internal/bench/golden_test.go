@@ -77,11 +77,6 @@ func runGoldenExperiment(t *testing.T, name string, sink *Sink) []byte {
 	if raceEnabled {
 		t.Skip("golden bytes are determinism assertions; the race detector adds nothing but ~15x runtime")
 	}
-	// Hermetic run: earlier experiments in this process may have added
-	// weights or transposes to the cached inputs, which changes simulated
-	// footprints; the goldens pin the fresh-state bytes.
-	resetInputs()
-	t.Cleanup(resetInputs)
 	var buf bytes.Buffer
 	if err := Run(name, Options{Scale: gen.ScaleSmall, Quick: true, Out: &buf, Sink: sink}); err != nil {
 		t.Fatalf("%s: %v", name, err)

@@ -83,8 +83,6 @@ func TestFigSealOverlayBeatsRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("graph experiments are slow")
 	}
-	resetInputs()
-	t.Cleanup(resetInputs)
 	sink := &Sink{}
 	var buf bytes.Buffer
 	if err := Run("figSeal", Options{Scale: gen.ScaleSmall, Quick: true, Out: &buf, Sink: sink}); err != nil {

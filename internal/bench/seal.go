@@ -44,7 +44,6 @@ func FigSeal(opt Options) error {
 	const reps = 5
 	for _, gname := range graphs {
 		g0, _ := input(gname, opt.Scale)
-		sealLike(g0) // the registry serves sealed bases; start from one
 		for _, batch := range batches {
 			stream, err := gen.UpdateStream(g0, 1, batch, uint64(0x5EA1<<8)+uint64(batch), false)
 			if err != nil {
@@ -57,7 +56,7 @@ func FigSeal(opt Options) error {
 				if err != nil {
 					return err
 				}
-				sealLike(g1)
+				sealEpoch(g1)
 				return nil
 			})
 			if err != nil {
@@ -78,7 +77,7 @@ func FigSeal(opt Options) error {
 				return err
 			}
 			merge, err := minSecs(2, func() error {
-				sealLike(ov1.Materialize())
+				sealEpoch(ov1.Materialize())
 				return nil
 			})
 			if err != nil {
@@ -115,13 +114,10 @@ func FigSeal(opt Options) error {
 	return w.Flush()
 }
 
-// sealLike seals g exactly the way the serving registry does before a
-// graph becomes an epoch: weights, in-CSR, both compressed forms.
-func sealLike(g *graph.Graph) {
-	if !g.HasWeights() {
-		g.AddRandomWeights(frameworks.DefaultWeightMax, frameworks.DefaultWeightSeed)
-	}
-	g.BuildIn()
+// sealEpoch does to a rebuilt graph what the serving registry does before
+// it becomes an epoch: frameworks.Seal, then both compressed encodings.
+func sealEpoch(g *graph.Graph) {
+	frameworks.Seal(g)
 	g.CompressOut()
 	g.CompressIn()
 }

@@ -206,6 +206,9 @@ func FigServe(opt Options) error {
 		"web":  gen.WebCrawl(1500, 5, 60, 17),
 		"kron": gen.Kron(13, 16, 5),
 	}
+	for _, g := range graphs {
+		frameworks.Seal(g)
+	}
 	spec := figServeSpec(opt.Quick)
 	trace, err := spec.Generate()
 	if err != nil {

@@ -14,8 +14,6 @@ import (
 // records (without the trailing wall-time record).
 func runFigServe(t *testing.T, traceOut string) []Record {
 	t.Helper()
-	resetInputs()
-	t.Cleanup(resetInputs)
 	sink := &Sink{}
 	var buf bytes.Buffer
 	if err := Run("figServe", Options{Scale: gen.ScaleSmall, Quick: true, Out: &buf, Sink: sink, TraceOut: traceOut}); err != nil {

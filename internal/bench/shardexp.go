@@ -24,7 +24,6 @@ func FigShard(opt Options) error {
 	const gname = "kron30"
 	const threads = 16
 	g, _ := input(gname, opt.Scale)
-	sealForCluster(g)
 	params := frameworks.DefaultParams(g)
 	apps := []string{"bfs", "cc", "pr"}
 	counts := []int{1, 2, 4, 8}

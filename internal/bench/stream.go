@@ -56,13 +56,6 @@ func FigStream(opt Options) error {
 	for _, mc := range machines {
 		for _, gname := range graphs {
 			g0, _ := input(gname, opt.Scale)
-			// Weights are materialized up front (as the serving registry's
-			// seal does) so rows do not depend on which experiments ran
-			// earlier in the process.
-			if !g0.HasWeights() {
-				g0.AddRandomWeights(frameworks.DefaultWeightMax, frameworks.DefaultWeightSeed)
-			}
-			g0.BuildIn()
 			// Prior-epoch artifacts, recorded once per (machine, graph) by
 			// full runs on the pre-update graph (the serving layer's
 			// steady state: some earlier job produced them).
@@ -81,7 +74,7 @@ func FigStream(opt Options) error {
 				if err != nil {
 					return fmt.Errorf("bench: applying %s batch of %d: %w", gname, batch, err)
 				}
-				g1.BuildIn()
+				frameworks.Seal(g1)
 				for _, app := range []string{"cc", "pr"} {
 					var full, inc *analytics.Result
 					switch app {

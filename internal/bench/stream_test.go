@@ -16,8 +16,6 @@ func TestFigStreamIncrementalBeatsFullOnSmallBatches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("graph experiments are slow")
 	}
-	resetInputs()
-	t.Cleanup(resetInputs)
 	sink := &Sink{}
 	var buf bytes.Buffer
 	if err := Run("figStream", Options{Scale: gen.ScaleSmall, Quick: true, Out: &buf, Sink: sink}); err != nil {

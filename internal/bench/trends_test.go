@@ -15,18 +15,15 @@ import (
 // Paper-trend conformance: the qualitative Figure 7/9 claims as plain
 // `go test` assertions over ScaleSmall inputs, so the trends survive every
 // future change to the simulator or kernels — not just when someone eyeballs
-// a regenerated figure. Graphs are generated fresh per test (the shared
-// harness cache mutates inputs with weights/transposes).
+// a regenerated figure. Graphs a test reads in both directions come from
+// the harness's sealed input cache.
 
 // TestDirOptBeatsPushOnLowDiameter encodes Figure 7a's low-diameter half:
 // direction-optimizing bfs must beat the push-only dense vertex program on
 // a low-diameter power-law input (rmat32's stand-in), where pull rounds
 // skip most of the frontier's edges.
 func TestDirOptBeatsPushOnLowDiameter(t *testing.T) {
-	g, _, err := gen.Input("rmat32", gen.ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, _ := input("rmat32", gen.ScaleSmall)
 	src, _ := g.MaxOutDegreeNode()
 	machine := optaneMachine(gen.ScaleSmall)
 
@@ -37,7 +34,6 @@ func TestDirOptBeatsPushOnLowDiameter(t *testing.T) {
 		t.Cleanup(r.Close)
 		return r
 	}
-	g.BuildIn() // settle the shared graph before either run
 	dirOpt := analytics.BFSDirOpt(newRT(true), src)
 	push := analytics.BFSDense(newRT(true), src)
 	if dirOpt.Seconds >= push.Seconds {
@@ -52,11 +48,7 @@ func TestDirOptBeatsPushOnLowDiameter(t *testing.T) {
 // GraphIt (dense-only worklists, THP, both directions) on the clueweb12
 // stand-in.
 func TestGaloisBeatsGraphItOnHighDiameterBFS(t *testing.T) {
-	g, _, err := gen.Input("clueweb12", gen.ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.BuildIn() // settle: GraphIt's profile builds the transpose anyway
+	g, _ := input("clueweb12", gen.ScaleSmall)
 	params := frameworks.DefaultParams(g)
 	machine := optaneMachine(gen.ScaleSmall)
 
@@ -83,11 +75,7 @@ func TestGaloisBeatsGraphItOnHighDiameterBFS(t *testing.T) {
 // direct-mapped cache degrades toward media speed, which is the paper's
 // conflict-miss finding, not this test's claim.
 func TestMemoryModeBeatsUncachedOptaneOnPR(t *testing.T) {
-	g, _, err := gen.Input("kron30", gen.ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.BuildIn()
+	g, _ := input("kron30", gen.ScaleSmall)
 	const rounds = 8
 
 	mm := core.GaloisDefaults(96)

@@ -88,9 +88,10 @@ type Options struct {
 	// (framework emulations that mmap 4 KB pages and let the OS
 	// promote).
 	THP bool
-	// BothDirections allocates in-edges alongside out-edges regardless
-	// of need (GAP/GBBS/GraphIt behaviour §6.1). When false, in-edge
-	// arrays are allocated only if the graph's transpose is present.
+	// BothDirections asks for in-edges alongside out-edges regardless
+	// of need (GAP/GBBS/GraphIt behaviour §6.1); New refuses it over a
+	// view without the transpose. In-edge arrays are allocated exactly
+	// when the view holds the transpose.
 	BothDirections bool
 	// Weighted allocates the edge-weight array.
 	Weighted bool
@@ -161,8 +162,7 @@ func New(m *memsim.Machine, g *graph.Graph, opts Options) (*Runtime, error) {
 // topology arrays are allocated exactly as New would (the base is what the
 // slow tier stores), plus one small delta array per direction for the
 // overlay's entries — the honest-charging split the delta-overlay form
-// exists for. The overlay's base must be sealed (weights and transpose
-// present) when opts request those directions.
+// exists for.
 func NewOverlay(m *memsim.Machine, ov *graph.Overlay, opts Options) (*Runtime, error) {
 	return newRuntime(m, ov.Base(), ov, opts)
 }
@@ -171,19 +171,14 @@ func newRuntime(m *memsim.Machine, g *graph.Graph, ov *graph.Overlay, opts Optio
 	if opts.Threads <= 0 {
 		opts.Threads = m.Config().MaxThreads()
 	}
+	// The in-direction is allocated exactly when the view holds one; the
+	// runtime never builds it (inputs are sealed where they are born).
+	hasIn := g.HasIn()
 	if ov != nil {
-		// The overlay's side structures are derived from the base AT
-		// ApplyOverlay time; sealing the base afterwards (transpose,
-		// weights) would desynchronize them silently.
-		if opts.BothDirections && !ov.HasIn() {
-			return nil, fmt.Errorf("core: overlay epoch needs a base sealed with its transpose (BuildIn before ApplyOverlay)")
-		}
-		if opts.Weighted && !ov.Weighted() {
-			return nil, fmt.Errorf("core: overlay epoch needs a base sealed with weights (AddRandomWeights before ApplyOverlay)")
-		}
+		hasIn = ov.HasIn()
 	}
-	if opts.BothDirections {
-		g.BuildIn()
+	if opts.BothDirections && !hasIn {
+		return nil, fmt.Errorf("core: Options.BothDirections over a view without the transpose")
 	}
 	r := &Runtime{M: m, G: g, Ov: ov, opts: opts}
 	n := int64(g.NumNodes())
@@ -217,8 +212,7 @@ func newRuntime(m *memsim.Machine, g *graph.Graph, ov *graph.Overlay, opts Optio
 		if r.Edges, err = alloc("csrz.edges", blocks, 1); err != nil {
 			return nil, err
 		}
-		if opts.BothDirections || g.HasIn() {
-			g.BuildIn()
+		if hasIn {
 			r.ZIn = g.CompressIn()
 			if r.InOffsets, err = alloc("csrz.in.offsets", n+1, 8); err != nil {
 				return nil, err
@@ -245,8 +239,7 @@ func newRuntime(m *memsim.Machine, g *graph.Graph, ov *graph.Overlay, opts Optio
 			return nil, err
 		}
 	}
-	if opts.BothDirections || g.HasIn() {
-		g.BuildIn()
+	if hasIn {
 		if r.InOffsets, err = alloc("csr.in.offsets", n+1, 8); err != nil {
 			return nil, err
 		}

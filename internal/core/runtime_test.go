@@ -29,13 +29,21 @@ func TestNewAllocatesNeededDirectionsOnly(t *testing.T) {
 
 	opts := GaloisDefaults(8)
 	opts.BothDirections = true
-	r2, err := New(newTestMachine(), g, opts)
+	if _, err := New(newTestMachine(), g, opts); err == nil {
+		t.Fatal("BothDirections accepted over a graph without the transpose")
+	}
+	sealed := gen.ErdosRenyi(1000, 8000, 1)
+	sealed.BuildIn()
+	r2, err := New(newTestMachine(), sealed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Close()
 	if r2.InOffsets == nil {
 		t.Fatal("in-edges missing with BothDirections")
+	}
+	if g.HasIn() {
+		t.Error("New built the transpose on its graph")
 	}
 	if r2.FootprintBytes() <= fwd {
 		t.Errorf("both-directions footprint %d should exceed out-only %d (§6.1)", r2.FootprintBytes(), fwd)
@@ -207,7 +215,9 @@ func TestInViewRequiresTranspose(t *testing.T) {
 	}
 	opts := GaloisDefaults(1)
 	opts.BothDirections = true
-	r2, err := New(newTestMachine(), g, opts)
+	sealed := gen.Star(6)
+	sealed.BuildIn()
+	r2, err := New(newTestMachine(), sealed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,6 +115,7 @@ func bfsWith(t *testing.T, g *graph.Graph, cfg Config, bothDirs bool) []uint32 {
 
 func TestEdgeMapDirectionsAgree(t *testing.T) {
 	g := testGraph(300)
+	g.BuildIn()
 	ref := bfsWith(t, g, Config{Rep: RepSparse, Dir: DirPush}, false)
 	for name, cfg := range map[string]Config{
 		"dense-push": {Rep: RepDense, Dir: DirPush},
@@ -174,6 +175,7 @@ func TestEdgeMapSymmetricReachesPredecessors(t *testing.T) {
 	// Directed path 0->1->2: a symmetric push from {1} must activate
 	// both 0 and 2.
 	g := graph.MustFromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, false, false)
+	g.BuildIn()
 	e := testEngine(t, g, Config{Rep: RepSparse, Dir: DirPush}, true)
 	var hit [3]atomic.Bool
 	f := e.NewFrontier(1)
@@ -226,7 +228,9 @@ func TestTraversalName(t *testing.T) {
 	}
 	both := core.GaloisDefaults(2)
 	both.BothDirections = true
-	r2 := core.MustNew(memsim.NewMachine(memsim.Scaled(memsim.OptaneMachine(), 32)), g, both)
+	sealed := testGraph(10)
+	sealed.BuildIn()
+	r2 := core.MustNew(memsim.NewMachine(memsim.Scaled(memsim.OptaneMachine(), 32)), sealed, both)
 	defer r2.Close()
 	if n := TraversalName(r2, Config{Rep: RepDense, Dir: DirAuto}); n != "dir-opt" {
 		t.Errorf("dir-opt = %q", n)

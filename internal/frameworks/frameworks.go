@@ -207,15 +207,24 @@ func (p Profile) Options(app string, threads int) core.Options {
 }
 
 // DefaultWeightMax and DefaultWeightSeed are the parameters of the
-// pseudo-random edge weights added to unweighted inputs for sssp (§3:
-// "all graphs are unweighted, so we generate random weights"). They are
-// exported so graph owners that pre-materialize weights (the serving
-// layer's registry seals graphs before sharing them across concurrent
-// jobs) produce exactly the weights Plan.Run would have added lazily.
+// pseudo-random edge weights Seal adds to unweighted inputs for sssp (§3:
+// "all graphs are unweighted, so we generate random weights").
 const (
 	DefaultWeightMax  = 64
 	DefaultWeightSeed = 0xC0FFEE
 )
+
+// Seal materializes everything a plan over g may read: the default edge
+// weights when g has none, then the transpose, so in-edges carry the
+// weights too. Every input is sealed once, where it is born (the bench
+// input cache, the serving registry, pmemgraph.GenerateInput); no plan
+// mutates its graph, so a run's bytes depend only on the plan's fields.
+func Seal(g *graph.Graph) {
+	if !g.HasWeights() {
+		g.AddRandomWeights(DefaultWeightMax, DefaultWeightSeed)
+	}
+	g.BuildIn()
+}
 
 // Params carries per-app parameters for Run.
 type Params struct {

@@ -107,6 +107,7 @@ func TestRunRejectsUnsupportedApp(t *testing.T) {
 
 func TestAllFrameworksRunAllSupportedApps(t *testing.T) {
 	g := gen.ErdosRenyi(400, 3200, 9)
+	Seal(g)
 	params := DefaultParams(g)
 	for _, p := range All() {
 		for _, app := range Apps() {
@@ -157,6 +158,7 @@ func TestCapabilityGateMatrix(t *testing.T) {
 		t.Fatalf("profile count %d does not match expectation table", len(All()))
 	}
 	g := gen.ErdosRenyi(400, 3200, 9)
+	Seal(g)
 	params := DefaultParams(g)
 	for _, p := range All() {
 		row, ok := expected[p.Name]
@@ -192,6 +194,7 @@ func TestCapabilityGateMatrix(t *testing.T) {
 
 func TestFrameworksAgreeOnAnswers(t *testing.T) {
 	g := gen.WebCrawl(2500, 6, 50, 31)
+	Seal(g)
 	params := DefaultParams(g)
 	var bfsDists [][]uint32
 	for _, p := range All() {
@@ -214,6 +217,7 @@ func TestGaloisFastestOnHighDiameterBFS(t *testing.T) {
 	// Figure 9's qualitative claim: Galois beats the dense/vertex-only
 	// frameworks on high-diameter inputs.
 	g := gen.WebCrawl(15000, 8, 300, 41)
+	Seal(g)
 	params := DefaultParams(g)
 	galois, _, err := Galois.Plan(g, "bfs", 16, params).Run(testMachine())
 	if err != nil {

@@ -79,6 +79,16 @@ func (pl Plan) Validate() error {
 	}
 	transpose := pl.App == "cc" || pl.App == "pr" || pl.App == "kcore"
 	sharded := pl.Shards > 0
+	// A plan reads its view and never seals it (see Seal). A sharded run
+	// reads the partitioned graph's directions, not Opts.
+	hasWeights, hasIn := g.HasWeights(), g.HasIn()
+	if pl.Overlay != nil {
+		hasWeights, hasIn = pl.Overlay.Weighted(), pl.Overlay.HasIn()
+	}
+	needWeights, needIn := pl.Opts.Weighted, pl.Opts.BothDirections
+	if sharded {
+		needWeights, needIn = pl.App == "sssp", transpose
+	}
 	switch {
 	case pl.Incremental && pl.App != "cc" && pl.App != "pr":
 		return refuse("Incremental", "%s has no incremental variant (cc and pr only)", pl.App)
@@ -95,23 +105,14 @@ func (pl Plan) Validate() error {
 		return refuse("Shards", "%s has no sharded BSP kernel", pl.App)
 	case sharded && pl.Partition != nil && pl.Partition.Source() != g:
 		return refuse("Partition", "partitions a graph other than Graph")
-	// Shard-local graphs alias the source arrays, so nothing can be sealed
-	// into them after partitioning.
-	case sharded && pl.App == "sssp" && !g.HasWeights():
-		return refuse("Graph", "sharded sssp needs weights sealed before partitioning")
-	case sharded && transpose && !g.HasIn():
-		return refuse("Graph", "sharded %s needs the transpose sealed before partitioning", pl.App)
 	case !sharded && pl.App == "sssp" && !pl.Opts.Weighted:
 		return refuse("Opts.Weighted", "sssp needs a weighted runtime")
 	case !sharded && transpose && !pl.Opts.BothDirections:
 		return refuse("Opts.BothDirections", "%s needs the transpose", pl.App)
-	// An overlay's delta is derived from its base when applied, so the base
-	// cannot be sealed afterwards the way Run seals a CSR view — and a
-	// transpose the base gained since has no overlay side to merge with.
-	case pl.Overlay != nil && pl.Opts.Weighted && !pl.Overlay.Weighted():
-		return refuse("Overlay", "weighted run over a base sealed without weights")
-	case pl.Overlay != nil && (pl.Opts.BothDirections || g.HasIn()) && !pl.Overlay.HasIn():
-		return refuse("Overlay", "applied before its base's transpose was sealed")
+	case needWeights && !hasWeights:
+		return refuse(view, "view lacks weights")
+	case needIn && !hasIn:
+		return refuse(view, "view lacks the transpose")
 	case int64(pl.Params.Source) >= int64(g.NumNodes()):
 		return refuse("Params.Source", "source %d out of range (graph has %d nodes)", pl.Params.Source, g.NumNodes())
 	}
@@ -120,9 +121,9 @@ func (pl Plan) Validate() error {
 
 // Run validates the plan, builds its runtime on m (or its shard engine,
 // one fresh machine per worker from m's configuration), executes the app
-// and releases what it built. A CSR view missing the weights a weighted
-// run needs is sealed with DefaultWeightMax/DefaultWeightSeed first. The
-// Seed is non-nil exactly for incremental plans.
+// and releases what it built. It only reads the view: the result is a
+// function of the plan's fields and m's configuration, whatever ran on the
+// same graph before. The Seed is non-nil exactly for incremental plans.
 func (pl Plan) Run(m *memsim.Machine) (*analytics.Result, *Seed, error) {
 	if err := pl.Validate(); err != nil {
 		return nil, nil, err
@@ -147,9 +148,6 @@ func (pl Plan) Run(m *memsim.Machine) (*analytics.Result, *Seed, error) {
 	if pl.Overlay != nil {
 		r, err = core.NewOverlay(m, pl.Overlay, pl.Opts)
 	} else {
-		if pl.Opts.Weighted && !pl.Graph.HasWeights() {
-			pl.Graph.AddRandomWeights(DefaultWeightMax, DefaultWeightSeed)
-		}
 		r, err = core.New(m, pl.Graph, pl.Opts)
 	}
 	if err != nil {

@@ -37,8 +37,7 @@ func newPlanFixture(t *testing.T, sealed bool) *planFixture {
 	t.Helper()
 	base := gen.ErdosRenyi(120, 720, 11)
 	if sealed {
-		base.AddRandomWeights(DefaultWeightMax, DefaultWeightSeed)
-		base.BuildIn()
+		Seal(base)
 	}
 	ups, err := gen.UpdateStream(base, 1, 6, 5, false)
 	if err != nil {
@@ -50,12 +49,13 @@ func newPlanFixture(t *testing.T, sealed bool) *planFixture {
 	}
 	next := ov.Materialize()
 	if sealed {
-		next.BuildIn()
+		Seal(next)
 	}
 	f := &planFixture{base: base, next: next, ov: ov, delta: delta, seeds: map[string]*Seed{}}
-	// Seeds depend only on the graph's edges; recording them on a copy
-	// keeps this fixture's base exactly as sealed (or not) as asked.
+	// Seeds depend only on the graph's edges; recording them on a sealed
+	// copy serves the unsealed fixture too.
 	seedBase := gen.ErdosRenyi(120, 720, 11)
+	Seal(seedBase)
 	for _, app := range []string{"cc", "pr"} {
 		pl := Galois.Plan(seedBase, app, 8, DefaultParams(seedBase))
 		pl.Incremental = true
@@ -248,7 +248,7 @@ func TestOutOfRangeSourceIsAnError(t *testing.T) {
 // panicking.
 func TestValidatedPlansNeverPanic(t *testing.T) {
 	sealed := newPlanFixture(t, true)
-	probe := newPlanFixture(t, false) // validated against, never run
+	probe := newPlanFixture(t, false)
 	variants := map[string]func(*Plan){
 		"options":       func(*Plan) {},
 		"unweighted":    func(pl *Plan) { pl.Opts.Weighted = false },
@@ -270,12 +270,6 @@ func TestValidatedPlansNeverPanic(t *testing.T) {
 					continue
 				}
 				accepted++
-				if !isSealed {
-					// Runs seal CSR views lazily, so each unsealed run gets
-					// its own fixture.
-					pl = newPlanFixture(t, false).plan(c)
-					mutate(&pl)
-				}
 				if _, err := runCell(t, fmt.Sprintf("%s/%s/sealed=%v", c, vname, isSealed), pl); err != nil {
 					t.Errorf("%s/%s/sealed=%v: accepted plan failed: %v", c, vname, isSealed, err)
 				}
@@ -283,6 +277,57 @@ func TestValidatedPlansNeverPanic(t *testing.T) {
 		}
 	}
 	t.Logf("%d plans accepted and ran, %d refused", accepted, refused)
+}
+
+// TestPlanIsAFunctionOfItsFields: a plan's bytes depend on its fields, not
+// on what ran on its graph before it. Every profile × supported app × backend
+// runs once on a fresh sealed input and again on one shared input after
+// every plan has run on it; the canonical Result bytes (Seconds and
+// Algorithm included) must be equal.
+func TestPlanIsAFunctionOfItsFields(t *testing.T) {
+	input := func() *graph.Graph {
+		g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 7, false)
+		Seal(g)
+		return g
+	}
+	type cell struct {
+		profile Profile
+		app     string
+		backend core.Backend
+	}
+	var cells []cell
+	for _, p := range All() {
+		for _, app := range Apps() {
+			if p.Supports(app) {
+				cells = append(cells, cell{p, app, core.BackendRaw}, cell{p, app, core.BackendCompressed})
+			}
+		}
+	}
+	run := func(c cell, g *graph.Graph) (*analytics.Result, []byte) {
+		pl := c.profile.Plan(g, c.app, 8, DefaultParams(g))
+		pl.Opts.Backend = c.backend
+		res, _, err := pl.Run(testMachine())
+		if err != nil {
+			t.Fatalf("%s/%s/%v: %v", c.profile.Name, c.app, c.backend, err)
+		}
+		data, err := analytics.MarshalResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, data
+	}
+	shared := input()
+	for _, c := range cells {
+		run(c, shared)
+	}
+	for _, c := range cells {
+		fresh, freshBytes := run(c, input())
+		after, afterBytes := run(c, shared)
+		if !bytes.Equal(freshBytes, afterBytes) {
+			t.Errorf("%s/%s/%v: fresh %s %.6gs, after the other plans %s %.6gs",
+				c.profile.Name, c.app, c.backend, fresh.Algorithm, fresh.Seconds, after.Algorithm, after.Seconds)
+		}
+	}
 }
 
 // TestPlanSweepMatchesGolden pins the bytes of every cell of the execution

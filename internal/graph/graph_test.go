@@ -290,6 +290,32 @@ func TestEstimateDiameterShapes(t *testing.T) {
 	}
 }
 
+// TestPropsLeavesTheGraphUnsealed: Props is a read. On an unsealed graph
+// it must not build the transpose (later runs would pick other traversals),
+// and its diameter must equal the one a sealed copy reports.
+func TestPropsLeavesTheGraphUnsealed(t *testing.T) {
+	// A one-way path with a few forward chords: only an undirected walk
+	// reaches node 0 from the far end, so the estimate needs in-edges.
+	var edges []Edge
+	for i := 0; i < 63; i++ {
+		edges = append(edges, Edge{Src: Node(i), Dst: Node(i + 1)})
+		if i%7 == 0 && i+5 < 64 {
+			edges = append(edges, Edge{Src: Node(i), Dst: Node(i + 5)})
+		}
+	}
+	g := MustFromEdges(64, edges, false, false)
+	sealed := MustFromEdges(64, edges, false, false)
+	sealed.AddRandomWeights(64, 1)
+	sealed.BuildIn()
+	p := g.Props()
+	if g.HasIn() || g.HasWeights() {
+		t.Fatalf("Props sealed its receiver: HasIn=%v HasWeights=%v", g.HasIn(), g.HasWeights())
+	}
+	if want := sealed.Props().EstDiameter; p.EstDiameter != want || want == 0 {
+		t.Errorf("unsealed diameter = %d, sealed copy's = %d", p.EstDiameter, want)
+	}
+}
+
 func TestProps(t *testing.T) {
 	g := smallGraph()
 	p := g.Props()

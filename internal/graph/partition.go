@@ -27,10 +27,10 @@ type Range struct{ Lo, Hi Node }
 
 // NewPartition cuts g into `shards` contiguous vertex ranges balanced by
 // out-edge count (the OEC master assignment, the one D-Galois-style
-// systems use for small shard counts). g must be sealed
-// enough to partition: weights and the transpose are sliced if present,
-// so seal them before partitioning if kernels will need them — locals
-// alias the source arrays and never trigger their own BuildIn.
+// systems use for small shard counts). Weights and the transpose are
+// sliced if present, so g must be sealed before partitioning if kernels
+// will need them: locals alias the source arrays and are never sealed
+// themselves.
 func NewPartition(g *Graph, shards int) (*Partition, error) {
 	n := g.NumNodes()
 	if shards <= 0 {
@@ -84,10 +84,9 @@ func (p *Partition) extract(r Range) *Graph {
 		local.OutWeights = g.OutWeights[g.OutOffsets[r.Lo]:g.OutOffsets[r.Hi]]
 	}
 	if g.HasIn() {
-		// Pre-supplied transpose slice (global source IDs): HasIn() holds
-		// on the local graph, so a runtime's BuildIn is a no-op — it must
-		// never run, because a counting sort over global IDs would index
-		// past the local offset arrays.
+		// Pre-supplied transpose slice (global source IDs). BuildIn must
+		// never run on a local: a counting sort over global IDs would
+		// index past the local offset arrays.
 		local.InOffsets = rebase(g.InOffsets, r)
 		local.InEdges = g.InEdges[g.InOffsets[r.Lo]:g.InOffsets[r.Hi]]
 		if g.InWeights != nil {

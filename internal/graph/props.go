@@ -32,18 +32,23 @@ func (g *Graph) Props() Properties {
 // standard double-sweep heuristic: BFS from the max-degree node, then BFS
 // again from the farthest node found, treating edges as undirected (the
 // paper reports "estimated diameter" for its inputs the same way). Returns
-// the largest eccentricity observed across the sweeps.
+// the largest eccentricity observed across the sweeps. It only reads g: an
+// unsealed graph's transpose is built on a local view and dropped.
 func (g *Graph) EstimateDiameter() int {
 	n := g.NumNodes()
 	if n == 0 {
 		return 0
 	}
-	g.BuildIn()
+	u := g
+	if !g.HasIn() {
+		u = &Graph{OutOffsets: g.OutOffsets, OutEdges: g.OutEdges}
+		u.BuildIn()
+	}
 	start, _ := g.MaxOutDegreeNode()
 	best := 0
 	cur := start
 	for sweep := 0; sweep < 3; sweep++ {
-		dist, far := g.undirectedBFS(cur)
+		dist, far := u.undirectedBFS(cur)
 		if dist > best {
 			best = dist
 		}

@@ -62,11 +62,11 @@ const (
 	formOverlay = "overlay"
 )
 
-// Registry holds the graphs resident in the serving process. Graphs are
-// sealed on load — transpose and edge weights fully materialized — so the
-// many concurrent runtimes built over one graph only ever read it; none of
-// the lazy mutation paths (core.New's BuildIn, Plan.Run's weight generation)
-// can fire mid-flight.
+// Registry holds the graphs resident in the serving process. Every graph
+// is sealed where it enters (Add, recovery, checkpoint, compaction):
+// frameworks.Seal's weights and transpose, plus both compressed encodings
+// pre-warmed. Runs only read a graph, so the many concurrent runtimes built
+// over one share it without locks.
 type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*Epoch
@@ -257,18 +257,12 @@ func NewRegistryAt(dataDir string, compactDiv int64) *Registry {
 	}
 }
 
-// seal materializes every lazily-built projection of g (edge weights with
-// the frameworks defaults, the transpose so in-weights exist too, and both
-// directions' compressed adjacency forms for jobs selecting the compressed
-// backend). After sealing, HasWeights and HasIn both hold and the
-// compressed encodings are cached, making every subsequent core.New /
-// Plan.Run over the graph read-only. Order matters: weights invalidate cached
-// compressed forms, so compression runs last.
+// seal seals g (frameworks.Seal) and pre-warms both directions'
+// compressed encodings, a cache of a pure function of the sealed graph, so
+// no job selecting the compressed backend pays for it. Order matters:
+// weights invalidate cached compressed forms, so compression runs last.
 func seal(g *graph.Graph) {
-	if !g.HasWeights() {
-		g.AddRandomWeights(frameworks.DefaultWeightMax, frameworks.DefaultWeightSeed)
-	}
-	g.BuildIn()
+	frameworks.Seal(g)
 	g.CompressOut()
 	g.CompressIn()
 }

@@ -1,0 +1,95 @@
+package pmemgraph
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// archRule forbids calls of the named functions or methods in the root
+// module's non-test code outside the allowed sites. A site is a package
+// directory relative to the module root ("internal/graph") or one function
+// in it ("internal/frameworks.Seal").
+type archRule struct {
+	name    string
+	calls   []string
+	allowed []string
+	why     string
+}
+
+var archRules = []archRule{
+	{
+		name:    "seal-at-birth",
+		calls:   []string{"BuildIn", "AddRandomWeights"},
+		allowed: []string{"internal/graph", "internal/frameworks.Seal", "cmd/graphgen"},
+		why:     "inputs are sealed once where they are born (frameworks.Seal); a run that seals its graph makes later runs depend on it",
+	},
+}
+
+// TestArchitectureRules walks every non-test .go file of the root module
+// (the nested benchmark/ module is not part of it) and reports each call a
+// rule forbids by rule name and position.
+func TestArchitectureRules(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (d.Name() == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, v := range archViolations(fset, filepath.ToSlash(filepath.Dir(p)), f) {
+			t.Error(v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// archViolations returns one message per forbidden call in f, a file of
+// the package in directory dir. Only selector calls are checked: a bare
+// call can only name a function of the file's own package.
+func archViolations(fset *token.FileSet, dir string, f *ast.File) []string {
+	var out []string
+	for _, decl := range f.Decls {
+		site := dir
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+			site = dir + "." + fn.Name.Name
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			for _, r := range archRules {
+				if slices.Contains(r.calls, sel.Sel.Name) && !slices.Contains(r.allowed, dir) && !slices.Contains(r.allowed, site) {
+					out = append(out, fmt.Sprintf("%s: %s: call of %s (%s)", r.name, fset.Position(call.Pos()), sel.Sel.Name, r.why))
+				}
+			}
+			return true
+		})
+	}
+	return out
+}

@@ -113,10 +113,16 @@ func (s *System) RunAs(framework string, g *Graph, app string, threads int) (*Re
 }
 
 // GenerateInput builds the scaled stand-in for one of the paper's Table 3
-// inputs: kron30, clueweb12, uk14, iso_m100, rmat32 or wdc12.
+// inputs: kron30, clueweb12, uk14, iso_m100, rmat32 or wdc12. The graph is
+// returned sealed (default weights and the transpose), so every app runs
+// on it under every framework and no run changes it.
 func GenerateInput(name string, scale Scale) (*Graph, error) {
 	g, _, err := gen.Input(name, scale)
-	return g, err
+	if err != nil {
+		return nil, err
+	}
+	frameworks.Seal(g)
+	return g, nil
 }
 
 // InputNames lists the Table 3 inputs.
