@@ -125,3 +125,29 @@ func TestGoldenFiguresJSON(t *testing.T) {
 	}
 	checkGolden(t, "figures_small_json.golden", got)
 }
+
+// TestGoldenFig6Table pins every Figure 5 configuration (page size ×
+// migration on both machines) together with its kernel/user counters.
+func TestGoldenFig6Table(t *testing.T) {
+	if testing.Short() {
+		t.Skip("graph experiments are slow")
+	}
+	checkGolden(t, "fig6_small.golden", runGoldenExperiment(t, "fig6", nil))
+}
+
+// TestGoldenFig11Table pins the cluster columns (DB/DM/DS) and the
+// single-machine vertex-program (OS/OA) and best-algorithm (OB) columns.
+func TestGoldenFig11Table(t *testing.T) {
+	if testing.Short() {
+		t.Skip("graph experiments are slow")
+	}
+	checkGolden(t, "fig11_small.golden", runGoldenExperiment(t, "fig11", nil))
+}
+
+// TestGoldenFigStreamTable pins the full and seeded incremental cc/pr runs.
+func TestGoldenFigStreamTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("graph experiments are slow")
+	}
+	checkGolden(t, "figstream_small.golden", runGoldenExperiment(t, "figStream", nil))
+}
