@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pmemgraph/internal/core"
+	"pmemgraph/internal/engine"
 	"pmemgraph/internal/gen"
 	"pmemgraph/internal/graph"
 	"pmemgraph/internal/memsim"
@@ -24,6 +25,14 @@ func testRuntime(t *testing.T, g *graph.Graph, opts core.Options) *core.Runtime 
 	t.Cleanup(r.Close)
 	return r
 }
+
+// The §5 variant configurations frameworks.Plan.Variant names:
+// sparse-wl, dense-wl and dir-opt.
+var (
+	sparseWL = engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush}
+	denseWL  = engine.Config{Rep: engine.RepDense, Dir: engine.DirPush}
+	dirOpt   = engine.Config{Rep: engine.RepDense, Dir: engine.DirAuto}
+)
 
 func galoisOpts() core.Options {
 	o := core.GaloisDefaults(8)
@@ -82,9 +91,9 @@ func TestBFSVariantsMatchReference(t *testing.T) {
 			src, _ := g.MaxOutDegreeNode()
 			want := refBFS(g, src)
 			variants := map[string]func() *Result{
-				"sparse": func() *Result { return BFSSparse(testRuntime(t, g, galoisOpts()), src) },
-				"dense":  func() *Result { return BFSDense(testRuntime(t, g, galoisOpts()), src) },
-				"diropt": func() *Result { return BFSDirOpt(testRuntime(t, g, bothDirOpts()), src) },
+				"sparse": func() *Result { return BFS(testRuntime(t, g, galoisOpts()), sparseWL, src) },
+				"dense":  func() *Result { return BFS(testRuntime(t, g, galoisOpts()), denseWL, src) },
+				"diropt": func() *Result { return BFS(testRuntime(t, g, bothDirOpts()), dirOpt, src) },
 			}
 			for vn, run := range variants {
 				res := run()
@@ -110,7 +119,7 @@ func TestSSSPVariantsMatchDijkstra(t *testing.T) {
 			want := refSSSP(g, src)
 			for vn, run := range map[string]func() *Result{
 				"delta": func() *Result { return SSSPDeltaStep(testRuntime(t, g, weightedOpts()), src, 16) },
-				"bf":    func() *Result { return SSSPBellmanFordDense(testRuntime(t, g, weightedOpts()), src) },
+				"bf":    func() *Result { return SSSPBellmanFord(testRuntime(t, g, weightedOpts()), denseWL, src) },
 			} {
 				res := run()
 				if i, ok := distsEqual(want, res.Dist); !ok {
@@ -164,8 +173,8 @@ func TestCCVariantsMatchReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := refComponents(g)
 			for vn, run := range map[string]func() *Result{
-				"dense": func() *Result { return CCLabelPropDense(testRuntime(t, g, bothDirOpts())) },
-				"sc":    func() *Result { return CCLabelPropSC(testRuntime(t, g, bothDirOpts())) },
+				"dense": func() *Result { return CCLabelProp(testRuntime(t, g, bothDirOpts()), denseWL, false) },
+				"sc":    func() *Result { return CCLabelProp(testRuntime(t, g, bothDirOpts()), sparseWL, true) },
 				"pj":    func() *Result { return CCPointerJump(testRuntime(t, g, galoisOpts())) },
 			} {
 				res := run()
@@ -215,11 +224,11 @@ func TestBCMatchesReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			src, _ := g.MaxOutDegreeNode()
 			want := refBC(g, src)
-			for _, dense := range []bool{false, true} {
-				res := BC(testRuntime(t, g, galoisOpts()), src, BCOptions{DenseFrontier: dense})
+			for vn, cfg := range map[string]engine.Config{"sparse": sparseWL, "dense": denseWL} {
+				res := Brandes(testRuntime(t, g, galoisOpts()), cfg, src)
 				for v := range want {
 					if math.Abs(want[v]-res.Centrality[v]) > 1e-6 {
-						t.Fatalf("dense=%v: bc[%d] = %g, want %g", dense, v, res.Centrality[v], want[v])
+						t.Fatalf("%s: bc[%d] = %g, want %g", vn, v, res.Centrality[v], want[v])
 					}
 				}
 			}
@@ -234,8 +243,8 @@ func TestKCoreMatchesReference(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := refKCore(g, k)
 			for vn, run := range map[string]func() *Result{
-				"sparse": func() *Result { return KCoreSparse(testRuntime(t, g, bothDirOpts()), k) },
-				"dense":  func() *Result { return KCoreDense(testRuntime(t, g, bothDirOpts()), k) },
+				"sparse": func() *Result { return KCore(testRuntime(t, g, bothDirOpts()), sparseWL, k) },
+				"dense":  func() *Result { return KCore(testRuntime(t, g, bothDirOpts()), denseWL, k) },
 			} {
 				res := run()
 				for v := range want {
@@ -297,8 +306,8 @@ func TestSparseBeatsDenseOnHighDiameter(t *testing.T) {
 	// beats the dense-worklist vertex program.
 	g := gen.WebCrawl(60000, 8, 500, 23)
 	src, _ := g.MaxOutDegreeNode()
-	sparse := BFSSparse(testRuntime(t, g, galoisOpts()), src)
-	dense := BFSDense(testRuntime(t, g, galoisOpts()), src)
+	sparse := BFS(testRuntime(t, g, galoisOpts()), sparseWL, src)
+	dense := BFS(testRuntime(t, g, galoisOpts()), denseWL, src)
 	if sparse.Seconds >= dense.Seconds {
 		t.Errorf("sparse (%.4fs) should beat dense (%.4fs) on high-diameter input", sparse.Seconds, dense.Seconds)
 	}
@@ -309,8 +318,8 @@ func TestSparseBeatsDenseOnHighDiameter(t *testing.T) {
 
 func TestLabelPropSCBeatsPlainOnHighDiameter(t *testing.T) {
 	g := sealed(gen.WebCrawl(12000, 6, 300, 29))
-	sc := CCLabelPropSC(testRuntime(t, g, bothDirOpts()))
-	dense := CCLabelPropDense(testRuntime(t, g, bothDirOpts()))
+	sc := CCLabelProp(testRuntime(t, g, bothDirOpts()), sparseWL, true)
+	dense := CCLabelProp(testRuntime(t, g, bothDirOpts()), denseWL, false)
 	if sc.Rounds >= dense.Rounds {
 		t.Errorf("shortcutting rounds (%d) should be below plain label prop (%d)", sc.Rounds, dense.Rounds)
 	}
@@ -322,7 +331,7 @@ func TestLabelPropSCBeatsPlainOnHighDiameter(t *testing.T) {
 func TestResultCountersPopulated(t *testing.T) {
 	g := gen.ErdosRenyi(200, 1200, 3)
 	src, _ := g.MaxOutDegreeNode()
-	res := BFSSparse(testRuntime(t, g, galoisOpts()), src)
+	res := BFS(testRuntime(t, g, galoisOpts()), sparseWL, src)
 	if res.Counters.Reads == 0 || res.Counters.Writes == 0 {
 		t.Error("counters empty")
 	}

@@ -8,13 +8,6 @@ import (
 	"pmemgraph/internal/graph"
 )
 
-// BCOptions selects the frontier representation of the forward phase,
-// mirroring the Galois (sparse) vs other-framework (dense) implementations
-// in Figure 9.
-type BCOptions struct {
-	DenseFrontier bool
-}
-
 // Brandes computes single-source betweenness centrality over the operator
 // engine: a forward EdgeMap BFS accumulating shortest-path counts (sigma)
 // while recording each level's frontier, then a backward sweep replaying
@@ -97,14 +90,4 @@ func Brandes(r *core.Runtime, cfg engine.Config, src graph.Node) *Result {
 		Centrality: append([]float64(nil), delta...),
 		Trace:      e.Trace(),
 	})
-}
-
-// BC computes single-source betweenness centrality with Brandes' algorithm
-// using the sparse (Galois) or dense (GAP/GBBS) forward frontier.
-func BC(r *core.Runtime, src graph.Node, opts BCOptions) *Result {
-	cfg := engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush}
-	if opts.DenseFrontier {
-		cfg.Rep = engine.RepDense
-	}
-	return Brandes(r, cfg, src)
 }

@@ -79,34 +79,6 @@ func BFS(r *core.Runtime, cfg engine.Config, src graph.Node) *Result {
 	})
 }
 
-// BFSSparse is the Galois-style breadth-first search: bulk-synchronous
-// rounds over an explicit sparse worklist with a push-style operator. On
-// high-diameter graphs this variant has the lowest memory footprint and
-// traffic (Figure 7a).
-func BFSSparse(r *core.Runtime, src graph.Node) *Result {
-	return BFS(r, engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush}, src)
-}
-
-// BFSDense is the Ligra/GBBS/GraphIt-style breadth-first search: bulk-
-// synchronous rounds over a dense bit-vector frontier. Every round scans
-// the whole frontier bit-vector and the offsets array, which is what makes
-// this variant lose on high-diameter graphs (§5.2).
-func BFSDense(r *core.Runtime, src graph.Node) *Result {
-	return BFS(r, engine.Config{Rep: engine.RepDense, Dir: engine.DirPush}, src)
-}
-
-// BFSDirOpt is Beamer-style direction-optimizing BFS: push rounds while
-// the frontier is small, pull (bottom-up) rounds while it is large. It
-// requires in-edges for the pull direction, doubling the graph footprint
-// (§5.1), and wins on low-diameter power-law graphs like rmat/kron where
-// the frontier quickly covers most of the graph.
-func BFSDirOpt(r *core.Runtime, src graph.Node) *Result {
-	if r.InOffsets == nil {
-		panic("analytics: BFSDirOpt requires a runtime with in-edges (BothDirections)")
-	}
-	return BFS(r, engine.Config{Rep: engine.RepDense, Dir: engine.DirAuto}, src)
-}
-
 func snapshot(a []atomic.Uint32) []uint32 {
 	out := make([]uint32, len(a))
 	for i := range a {

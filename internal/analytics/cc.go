@@ -192,18 +192,6 @@ func ccShortcut(r *core.Runtime, e *engine.Engine) *Result {
 	}
 }
 
-// CCLabelPropDense is plain label propagation over dense worklists: the
-// only cc expressible in GraphIt (§6.1).
-func CCLabelPropDense(r *core.Runtime) *Result {
-	return CCLabelProp(r, engine.Config{Rep: engine.RepDense, Dir: engine.DirPush}, false)
-}
-
-// CCLabelPropSC is the Galois variant: label propagation with shortcutting
-// (Stergiou et al.) over sparse worklists.
-func CCLabelPropSC(r *core.Runtime) *Result {
-	return CCLabelProp(r, engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush}, true)
-}
-
 // CCPointerJump is the union-find / pointer-jumping cc used by GAP and
 // GBBS (Shiloach-Vishkin family): hook every edge, then jump pointers to
 // full compression. Topology-driven (no frontier); the hook phase is an

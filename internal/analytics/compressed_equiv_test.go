@@ -29,19 +29,19 @@ func compressedKernels(t *testing.T, g *graph.Graph) map[string]func(core.Backen
 	}
 	return map[string]func(core.Backend) *Result{
 		"bfs-diropt": func(b core.Backend) *Result {
-			return BFSDirOpt(build(bothDirOpts(), b), src)
+			return BFS(build(bothDirOpts(), b), dirOpt, src)
 		},
 		"bfs-sparse": func(b core.Backend) *Result {
-			return BFSSparse(build(galoisOpts(), b), src)
+			return BFS(build(galoisOpts(), b), sparseWL, src)
 		},
 		"cc-shortcut": func(b core.Backend) *Result {
-			return CCLabelPropSC(build(bothDirOpts(), b))
+			return CCLabelProp(build(bothDirOpts(), b), sparseWL, true)
 		},
 		"sssp-delta": func(b core.Backend) *Result {
 			return SSSPDeltaStep(build(weightedOpts(), b), src, 64)
 		},
 		"sssp-bf-dense": func(b core.Backend) *Result {
-			return SSSPBellmanFordDense(build(weightedOpts(), b), src)
+			return SSSPBellmanFord(build(weightedOpts(), b), denseWL, src)
 		},
 		"pr": func(b core.Backend) *Result {
 			o := bothDirOpts()

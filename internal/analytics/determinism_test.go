@@ -23,16 +23,16 @@ func kernelRuns(t *testing.T) map[string]func() *Result {
 		"bfs-diropt": func() *Result {
 			g := sealed(gen.WebCrawl(20000, 8, 200, 23))
 			src, _ := g.MaxOutDegreeNode()
-			return BFSDirOpt(testRuntime(t, g, bothDirOpts()), src)
+			return BFS(testRuntime(t, g, bothDirOpts()), dirOpt, src)
 		},
 		"bfs-sparse": func() *Result {
 			g := gen.WebCrawl(20000, 8, 200, 23)
 			src, _ := g.MaxOutDegreeNode()
-			return BFSSparse(testRuntime(t, g, galoisOpts()), src)
+			return BFS(testRuntime(t, g, galoisOpts()), sparseWL, src)
 		},
 		"cc-shortcut": func() *Result {
 			g := sealed(gen.WebCrawl(12000, 6, 120, 29))
-			return CCLabelPropSC(testRuntime(t, g, bothDirOpts()))
+			return CCLabelProp(testRuntime(t, g, bothDirOpts()), sparseWL, true)
 		},
 		"sssp-delta": func() *Result {
 			g := gen.WebCrawl(12000, 6, 120, 31)
@@ -42,7 +42,7 @@ func kernelRuns(t *testing.T) map[string]func() *Result {
 		},
 		"kcore-sparse": func() *Result {
 			g := sealed(gen.Kron(13, 12, 5))
-			return KCoreSparse(testRuntime(t, g, bothDirOpts()), 8)
+			return KCore(testRuntime(t, g, bothDirOpts()), sparseWL, 8)
 		},
 		"pr": func() *Result {
 			g := sealed(gen.Kron(13, 12, 5))

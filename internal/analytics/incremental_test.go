@@ -61,10 +61,10 @@ func TestIncrementalCCMatchesFullRecompute(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g := scaleSmallInput(t, name)
 			g.BuildIn()
-			prior := CCLabelPropSC(testRuntime(t, g, bothDirOpts())).Labels
+			prior := CCLabelProp(testRuntime(t, g, bothDirOpts()), sparseWL, true).Labels
 			ups := incUpdateBatch(t, g, 64, 0xCC01, false)
 			ng, delta := applied(t, g, ups)
-			want := CCLabelPropSC(testRuntime(t, ng, bothDirOpts())).Labels
+			want := CCLabelProp(testRuntime(t, ng, bothDirOpts()), sparseWL, true).Labels
 			// The canonical min-ID labeling is shared by every full
 			// variant; pointer-jump must agree too.
 			if pj := CCPointerJump(testRuntime(t, ng, bothDirOpts())); !reflect.DeepEqual(pj.Labels, want) {

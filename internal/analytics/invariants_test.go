@@ -43,7 +43,7 @@ func TestBFSTriangleInequality(t *testing.T) {
 	check := func(seed uint32) bool {
 		g := randomGraph(seed, false)
 		src, _ := g.MaxOutDegreeNode()
-		res := BFSSparse(quickRuntime(g, galoisOpts()), src)
+		res := BFS(quickRuntime(g, galoisOpts()), sparseWL, src)
 		d := res.Dist
 		for v := 0; v < g.NumNodes(); v++ {
 			if d[v] == Infinity {
@@ -118,7 +118,7 @@ func TestKCoreIsMaximal(t *testing.T) {
 	check := func(seed uint32) bool {
 		g := randomGraph(seed, false)
 		k := int64(seed%6) + 2
-		res := KCoreSparse(quickRuntime(g, bothDirOpts()), k)
+		res := KCore(quickRuntime(g, bothDirOpts()), sparseWL, k)
 		in := res.InCore
 		for v := 0; v < g.NumNodes(); v++ {
 			if !in[v] {
@@ -168,7 +168,7 @@ func TestBCNonNegative(t *testing.T) {
 	check := func(seed uint32) bool {
 		g := randomGraph(seed, false)
 		src, _ := g.MaxOutDegreeNode()
-		res := BC(quickRuntime(g, galoisOpts()), src, BCOptions{})
+		res := Brandes(quickRuntime(g, galoisOpts()), sparseWL, src)
 		for _, c := range res.Centrality {
 			if c < 0 {
 				return false
@@ -187,8 +187,8 @@ func TestVariantsAgreeAcrossSchedules(t *testing.T) {
 	check := func(seed uint32) bool {
 		g := randomGraph(seed, false)
 		src, _ := g.MaxOutDegreeNode()
-		sparse := BFSSparse(quickRuntime(g, galoisOpts()), src)
-		dense := BFSDense(quickRuntime(g, galoisOpts()), src)
+		sparse := BFS(quickRuntime(g, galoisOpts()), sparseWL, src)
+		dense := BFS(quickRuntime(g, galoisOpts()), denseWL, src)
 		for v := range sparse.Dist {
 			if sparse.Dist[v] != dense.Dist[v] {
 				return false

@@ -86,19 +86,6 @@ func KCore(r *core.Runtime, cfg engine.Config, k int64) *Result {
 	})
 }
 
-// KCoreSparse is the Galois-style peeling k-core over sparse worklists:
-// each cascade level touches only the vertices being peeled.
-func KCoreSparse(r *core.Runtime, k int64) *Result {
-	return KCore(r, engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush}, k)
-}
-
-// KCoreDense is the peeling used by dense-worklist frameworks: the same
-// cascade over bit-vector frontiers, rescanning the frontier bits and
-// offsets arrays at every peel level.
-func KCoreDense(r *core.Runtime, k int64) *Result {
-	return KCore(r, engine.Config{Rep: engine.RepDense, Dir: engine.DirPush}, k)
-}
-
 func repName(rep engine.Rep) string {
 	switch rep {
 	case engine.RepSparse:

@@ -92,25 +92,25 @@ func overlayKernels(t *testing.T, ov *graph.Overlay, cur *graph.Graph) map[strin
 	}
 	return map[string]func(overlay bool, b core.Backend) *Result{
 		"bfs-diropt": func(o bool, b core.Backend) *Result {
-			return BFSDirOpt(build(o, bothDirOpts(), b), src)
+			return BFS(build(o, bothDirOpts(), b), dirOpt, src)
 		},
 		"bfs-sparse": func(o bool, b core.Backend) *Result {
-			return BFSSparse(build(o, galoisOpts(), b), src)
+			return BFS(build(o, galoisOpts(), b), sparseWL, src)
 		},
 		"cc-shortcut": func(o bool, b core.Backend) *Result {
-			return CCLabelPropSC(build(o, bothDirOpts(), b))
+			return CCLabelProp(build(o, bothDirOpts(), b), sparseWL, true)
 		},
 		"sssp-delta": func(o bool, b core.Backend) *Result {
 			return SSSPDeltaStep(build(o, weightedOpts(), b), src, 64)
 		},
 		"sssp-bf-dense": func(o bool, b core.Backend) *Result {
-			return SSSPBellmanFordDense(build(o, weightedOpts(), b), src)
+			return SSSPBellmanFord(build(o, weightedOpts(), b), denseWL, src)
 		},
 		"pr": func(o bool, b core.Backend) *Result {
 			return PageRank(build(o, bothDirOpts(), b), 1e-9, 20)
 		},
 		"kcore": func(o bool, b core.Backend) *Result {
-			return KCoreSparse(build(o, bothDirOpts(), b), 4)
+			return KCore(build(o, bothDirOpts(), b), sparseWL, 4)
 		},
 		"tc": func(o bool, b core.Backend) *Result {
 			return TC(build(o, galoisOpts(), b))

@@ -15,7 +15,10 @@
 // engine (internal/engine): the §5 variants above are engine.Configs, not
 // separate implementations. Only delta-stepping (which schedules over
 // priority buckets, outside graph-wide rounds) and tc (a one-shot DAG
-// intersection) run outside it.
+// intersection) run outside it. A run picks a §5 variant in
+// frameworks.Plan.Variant, by the name Figure 7 prints ("dense-wl",
+// "sparse-wl", "dir-opt", "labelprop-sc", "delta-step"); this package
+// exports the kernels, not one wrapper per variant.
 //
 // Every kernel computes its answer natively (validated against reference
 // implementations in tests) while charging its memory-access stream to the

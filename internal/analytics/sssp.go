@@ -237,10 +237,3 @@ func SSSPBellmanFord(r *core.Runtime, cfg engine.Config, src graph.Node) *Result
 		Trace:     e.Trace(),
 	})
 }
-
-// SSSPBellmanFordDense is the dense-worklist vertex-program Bellman-Ford:
-// the only sssp expressible in frameworks without priority scheduling
-// (GraphIt, §6.1).
-func SSSPBellmanFordDense(r *core.Runtime, src graph.Node) *Result {
-	return SSSPBellmanFord(r, engine.Config{Rep: engine.RepDense, Dir: engine.DirPush}, src)
-}

@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"pmemgraph/internal/analytics"
-	"pmemgraph/internal/core"
 	"pmemgraph/internal/frameworks"
 	"pmemgraph/internal/gen"
 	"pmemgraph/internal/graph"
@@ -16,26 +14,6 @@ import (
 // clusterApps are the Table 4 / Figure 11 benchmarks (no tc: D-Galois'
 // distributed triangle counting is a separate system, DistTC).
 var clusterApps = []string{"bc", "bfs", "cc", "kcore", "pr", "sssp"}
-
-// distRun dispatches one app on a cluster-preset shard engine.
-func distRun(e *shard.Engine, app string, params frameworks.Params) (*analytics.Result, error) {
-	switch app {
-	case "bfs":
-		return e.BFS(params.Source), nil
-	case "sssp":
-		return e.SSSP(params.Source), nil
-	case "cc":
-		return e.CC(), nil
-	case "pr":
-		return e.PR(params.Tol, params.Rounds), nil
-	case "kcore":
-		return e.KCore(params.K), nil
-	case "bc":
-		return e.BC(params.Source), nil
-	default:
-		return nil, fmt.Errorf("bench: no distributed %s", app)
-	}
-}
 
 // clusterEngine partitions g into `hosts` ranges and builds the Stampede2
 // cluster emulation over them (shard.ClusterConfig: 48 threads per host,
@@ -49,35 +27,17 @@ func clusterEngine(g *graph.Graph, hosts int, scale gen.Scale) (*shard.Engine, e
 	return shard.New(part, shard.ClusterConfig(hosts, scale.Div()))
 }
 
-// vertexRun executes the best *vertex-program* variant on a single
-// machine (the paper's OA/OS configurations: same algorithms as D-Galois,
-// run on the Optane box).
-func vertexRun(machine memsim.MachineConfig, g *graph.Graph, app string, threads int, params frameworks.Params) (*analytics.Result, error) {
-	m := memsim.NewMachine(machine)
-	opts := core.GaloisDefaults(threads)
-	opts.Weighted = app == "sssp"
-	opts.BothDirections = app == "cc" || app == "pr" || app == "kcore"
-	r, err := core.New(m, g, opts)
-	if err != nil {
-		return nil, err
+// vertexPlan is the best *vertex-program* variant on a single machine
+// (the paper's OA/OS configurations: same algorithms as D-Galois, run on
+// the Optane box): dense worklists, pr's own topology-driven pull, and
+// interleaved placement for every app.
+func vertexPlan(g *graph.Graph, app string, threads int, params frameworks.Params) frameworks.Plan {
+	pl := frameworks.Galois.Plan(g, app, threads, params)
+	if app != "pr" {
+		pl.Variant = "dense-wl"
 	}
-	defer r.Close()
-	switch app {
-	case "bfs":
-		return analytics.BFSDense(r, params.Source), nil
-	case "sssp":
-		return analytics.SSSPBellmanFordDense(r, params.Source), nil
-	case "cc":
-		return analytics.CCLabelPropDense(r), nil
-	case "pr":
-		return analytics.PageRank(r, params.Tol, params.Rounds), nil
-	case "kcore":
-		return analytics.KCoreDense(r, params.K), nil
-	case "bc":
-		return analytics.BC(r, params.Source, analytics.BCOptions{DenseFrontier: true}), nil
-	default:
-		return nil, fmt.Errorf("bench: no vertex-program %s", app)
-	}
+	pl.Opts.GraphPolicy, pl.Opts.NodePolicy = memsim.Interleaved, memsim.Interleaved
+	return pl
 }
 
 // minHostsFor estimates the paper's DM host count for a graph: the
@@ -115,10 +75,7 @@ func Table4(opt Options) error {
 			return fmt.Errorf("table4 %s: %w", gname, err)
 		}
 		for _, app := range apps {
-			dres, err := distRun(e, app, params)
-			if err != nil {
-				return fmt.Errorf("table4 %s/%s: %w", gname, app, err)
-			}
+			dres := frameworks.RunBSP(e, app, params)
 			m := memsim.NewMachine(optaneMachine(opt.Scale))
 			ores, _, err := frameworks.Galois.Plan(g, app, 96, params).Run(m)
 			if err != nil {
@@ -169,7 +126,7 @@ func Figure11(opt Options) error {
 			return err
 		}
 		dsCfg := shard.ClusterConfig(minHosts, opt.Scale.Div())
-		dsCfg.Threads = maxInt(1, 80/minHosts)
+		dsCfg.Threads = max(1, 80/minHosts)
 		ds, err := shard.New(dsPart, dsCfg)
 		if err != nil {
 			return err
@@ -178,26 +135,19 @@ func Figure11(opt Options) error {
 		for _, app := range apps {
 			row := fmt.Sprintf("%s\t%s", gname, app)
 			for _, e := range []*shard.Engine{db, dm, ds} {
-				res, err := distRun(e, app, params)
+				row += fmt.Sprintf("\t%.4f", frameworks.RunBSP(e, app, params).Seconds)
+			}
+			for _, pl := range []frameworks.Plan{
+				vertexPlan(g, app, 80, params),             // OS
+				vertexPlan(g, app, 96, params),             // OA
+				frameworks.Galois.Plan(g, app, 96, params), // OB
+			} {
+				res, _, err := pl.Run(memsim.NewMachine(optaneMachine(opt.Scale)))
 				if err != nil {
 					return err
 				}
 				row += fmt.Sprintf("\t%.4f", res.Seconds)
 			}
-			os_, err := vertexRun(optaneMachine(opt.Scale), g, app, 80, params)
-			if err != nil {
-				return err
-			}
-			oa, err := vertexRun(optaneMachine(opt.Scale), g, app, 96, params)
-			if err != nil {
-				return err
-			}
-			m := memsim.NewMachine(optaneMachine(opt.Scale))
-			ob, _, err := frameworks.Galois.Plan(g, app, 96, params).Run(m)
-			if err != nil {
-				return err
-			}
-			row += fmt.Sprintf("\t%.4f\t%.4f\t%.4f", os_.Seconds, oa.Seconds, ob.Seconds)
 			fmt.Fprintln(w, row)
 		}
 		db.Close()
@@ -206,11 +156,4 @@ func Figure11(opt Options) error {
 	}
 	fmt.Fprintln(w, "(paper: OS similar or better than DS except pr; OB matches DB for bc/bfs/kcore/sssp)")
 	return w.Flush()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

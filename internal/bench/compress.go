@@ -5,6 +5,7 @@ import (
 
 	"pmemgraph/internal/analytics"
 	"pmemgraph/internal/core"
+	"pmemgraph/internal/engine"
 	"pmemgraph/internal/memsim"
 	"pmemgraph/internal/stats"
 )
@@ -58,7 +59,7 @@ func FigCompress(opt Options) error {
 					var res *analytics.Result
 					switch app {
 					case "bfs":
-						res = analytics.BFSDirOpt(r, src)
+						res = analytics.BFS(r, engine.Config{Rep: engine.RepDense, Dir: engine.DirAuto}, src)
 					case "pr":
 						res = analytics.PageRank(r, analytics.PRDefaultTolerance, 20)
 					case "sssp":

@@ -28,18 +28,15 @@ func runFigureHarness(t *testing.T) string {
 
 func TestFigureHarnessDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the fig7+fig9 harness four times")
+		t.Skip("runs the fig7+fig9 harness three times")
 	}
 	orig := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(orig)
 
-	// Warm-up run: harness graphs are cached per process and gain weights
-	// and transposes on first use, so the comparison runs all start from
-	// the same (settled) graph state — exactly like repeated pmembench
-	// invocations.
+	// Inputs are sealed where the per-process cache generates them and no
+	// run mutates them, so the first run (which may generate them) must
+	// print what later runs over the cached graphs print.
 	runtime.GOMAXPROCS(1)
-	runFigureHarness(t)
-
 	seq1 := runFigureHarness(t)
 	seq2 := runFigureHarness(t)
 	if seq1 != seq2 {

@@ -4,25 +4,25 @@ import (
 	"fmt"
 
 	"pmemgraph/internal/analytics"
-	"pmemgraph/internal/core"
+	"pmemgraph/internal/frameworks"
 	"pmemgraph/internal/graph"
 	"pmemgraph/internal/memsim"
 	"pmemgraph/internal/stats"
 )
 
-// fig5Run executes Galois bfs once under the given machine/page/migration
-// configuration and returns the result. §3 presents the mean of 3 runs; the
-// simulation is deterministic, so one run is that mean.
-func fig5Run(g *graph.Graph, base memsim.MachineConfig, pageSize int64, migration bool) *analytics.Result {
+// fig5Run executes Galois sparse-worklist bfs once under the given
+// machine/page/migration configuration and returns the result. The runtime
+// backs every allocation with pageSize pages and no THP. §3 presents the
+// mean of 3 runs; the simulation is deterministic, so one run is that mean.
+func fig5Run(g *graph.Graph, base memsim.MachineConfig, pageSize int64, migration bool) (*analytics.Result, error) {
 	cfg := base
 	cfg.PageSize = pageSize
 	cfg.NUMAMigration = migration
-	src, _ := g.MaxOutDegreeNode()
-	opts := core.GaloisDefaults(96)
-	opts.PageSize = pageSize
-	r := core.MustNew(memsim.NewMachine(cfg), g, opts)
-	defer r.Close()
-	return analytics.BFSSparse(r, src)
+	pl := frameworks.Galois.Plan(g, "bfs", 96, frameworks.DefaultParams(g))
+	pl.Variant = "sparse-wl"
+	pl.Opts.PageSize = pageSize
+	res, _, err := pl.Run(memsim.NewMachine(cfg))
+	return res, err
 }
 
 // Figure5 regenerates the page-size x migration study: bfs in Galois with
@@ -35,24 +35,35 @@ func Figure5(opt Options) error {
 	if opt.Quick {
 		graphs = []string{"kron30", "clueweb12"}
 	}
-	run := func(machine memsim.MachineConfig, names []string) {
+	run := func(machine memsim.MachineConfig, names []string) error {
 		for _, name := range names {
 			g, _ := input(name, opt.Scale)
 			for _, ps := range []int64{memsim.PageSmall, memsim.PageHuge} {
-				on := fig5Run(g, machine, ps, true)
-				off := fig5Run(g, machine, ps, false)
+				on, err := fig5Run(g, machine, ps, true)
+				if err != nil {
+					return err
+				}
+				off, err := fig5Run(g, machine, ps, false)
+				if err != nil {
+					return err
+				}
 				fmt.Fprintf(w, "%s\t%s\t%s\t%.4f\t%.4f\t%s\n",
 					machine.Name, name, pageName(ps), on.Seconds, off.Seconds,
 					stats.Pct(on.Seconds, off.Seconds))
 			}
 		}
+		return nil
 	}
-	run(optaneMachine(opt.Scale), graphs)
+	if err := run(optaneMachine(opt.Scale), graphs); err != nil {
+		return err
+	}
 	dramGraphs := []string{"kron30", "clueweb12"}
 	if opt.Quick {
 		dramGraphs = dramGraphs[:1]
 	}
-	run(dramMachine(opt.Scale), dramGraphs)
+	if err := run(dramMachine(opt.Scale), dramGraphs); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "(paper: turning migration off gains up to 53% on 4KB pages; 2MB pages gain less)")
 	return w.Flush()
 }
@@ -67,7 +78,10 @@ func Figure6(opt Options) error {
 			g, _ := input(name, opt.Scale)
 			for _, ps := range []int64{memsim.PageSmall, memsim.PageHuge} {
 				for _, mig := range []bool{true, false} {
-					res := fig5Run(g, machine, ps, mig)
+					res, err := fig5Run(g, machine, ps, mig)
+					if err != nil {
+						return err
+					}
 					c := res.Counters
 					total := c.UserNs + c.KernelNs
 					wall := res.Seconds

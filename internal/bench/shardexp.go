@@ -42,11 +42,7 @@ func FigShard(opt Options) error {
 			return fmt.Errorf("figShard: %d shards: %w", shards, err)
 		}
 		for _, app := range apps {
-			res, err := distRun(e, app, params)
-			if err != nil {
-				e.Close()
-				return fmt.Errorf("figShard %s/%d: %w", app, shards, err)
-			}
+			res := frameworks.RunBSP(e, app, params)
 			if shards == counts[0] {
 				base[app] = res.Seconds
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pmemgraph/internal/analytics"
-	"pmemgraph/internal/core"
 	"pmemgraph/internal/frameworks"
 	"pmemgraph/internal/gen"
 	"pmemgraph/internal/graph"
@@ -48,23 +47,35 @@ func FigStream(opt Options) error {
 		{"MemoryMode", optaneMachine(opt.Scale)},
 	}
 	const threads = 96
-	newRT := func(cfg memsim.MachineConfig, g *graph.Graph) *core.Runtime {
-		o := core.GaloisDefaults(threads)
-		o.BothDirections = true // cc propagates symmetrically, pr pulls
-		return core.MustNew(memsim.NewMachine(cfg), g, o)
+	// plan is a Galois plan with interleaved placement for both apps (Galois
+	// would block pr's arrays) and the bounded pr run.
+	plan := func(g *graph.Graph, app string) frameworks.Plan {
+		params := frameworks.DefaultParams(g)
+		params.Tol, params.Rounds = figStreamPRTol, figStreamPRRounds
+		pl := frameworks.Galois.Plan(g, app, threads, params)
+		pl.Opts.GraphPolicy, pl.Opts.NodePolicy = memsim.Interleaved, memsim.Interleaved
+		if app == "cc" {
+			pl.Variant = "labelprop-sc"
+		}
+		return pl
 	}
 	for _, mc := range machines {
 		for _, gname := range graphs {
 			g0, _ := input(gname, opt.Scale)
 			// Prior-epoch artifacts, recorded once per (machine, graph) by
 			// full runs on the pre-update graph (the serving layer's
-			// steady state: some earlier job produced them).
-			rt := newRT(mc.cfg, g0)
-			priorCC := analytics.CCLabelPropSC(rt).Labels
-			rt.Close()
-			rt = newRT(mc.cfg, g0)
-			_, prSeed := analytics.PageRankRecord(rt, figStreamPRTol, figStreamPRRounds)
-			rt.Close()
+			// steady state: some earlier job produced them). An
+			// incremental pr plan without a seed records one.
+			prior, _, err := plan(g0, "cc").Run(memsim.NewMachine(mc.cfg))
+			if err != nil {
+				return err
+			}
+			seeds := map[string]*frameworks.Seed{"cc": {CCLabels: prior.Labels}}
+			record := plan(g0, "pr")
+			record.Incremental = true
+			if _, seeds["pr"], err = record.Run(memsim.NewMachine(mc.cfg)); err != nil {
+				return err
+			}
 			for _, batch := range batches {
 				stream, err := gen.UpdateStream(g0, 1, batch, uint64(0x57AB<<8)+uint64(batch), false)
 				if err != nil {
@@ -76,22 +87,15 @@ func FigStream(opt Options) error {
 				}
 				frameworks.Seal(g1)
 				for _, app := range []string{"cc", "pr"} {
-					var full, inc *analytics.Result
-					switch app {
-					case "cc":
-						rt := newRT(mc.cfg, g1)
-						full = analytics.CCLabelPropSC(rt)
-						rt.Close()
-						rt = newRT(mc.cfg, g1)
-						inc = analytics.CCIncremental(rt, priorCC, &delta)
-						rt.Close()
-					case "pr":
-						rt := newRT(mc.cfg, g1)
-						full = analytics.PageRank(rt, figStreamPRTol, figStreamPRRounds)
-						rt.Close()
-						rt = newRT(mc.cfg, g1)
-						inc, _ = analytics.PageRankIncremental(rt, prSeed, &delta, figStreamPRTol, figStreamPRRounds)
-						rt.Close()
+					pl := plan(g1, app)
+					full, _, err := pl.Run(memsim.NewMachine(mc.cfg))
+					if err != nil {
+						return err
+					}
+					pl.Variant, pl.Incremental, pl.Seed, pl.Delta = "", true, seeds[app], &delta
+					inc, _, err := pl.Run(memsim.NewMachine(mc.cfg))
+					if err != nil {
+						return err
 					}
 					ratio := inc.Seconds / full.Seconds
 					for _, row := range []struct {

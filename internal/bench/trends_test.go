@@ -24,18 +24,20 @@ import (
 // skip most of the frontier's edges.
 func TestDirOptBeatsPushOnLowDiameter(t *testing.T) {
 	g, _ := input("rmat32", gen.ScaleSmall)
-	src, _ := g.MaxOutDegreeNode()
 	machine := optaneMachine(gen.ScaleSmall)
 
-	newRT := func(both bool) *core.Runtime {
-		o := core.GaloisDefaults(96)
-		o.BothDirections = both
-		r := core.MustNew(memsim.NewMachine(machine), g, o)
-		t.Cleanup(r.Close)
-		return r
+	run := func(variant string) *analytics.Result {
+		pl := frameworks.Galois.Plan(g, "bfs", 96, frameworks.DefaultParams(g))
+		pl.Variant = variant
+		pl.Opts.BothDirections = true
+		res, _, err := pl.Run(memsim.NewMachine(machine))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	dirOpt := analytics.BFSDirOpt(newRT(true), src)
-	push := analytics.BFSDense(newRT(true), src)
+	dirOpt := run("dir-opt")
+	push := run("dense-wl")
 	if dirOpt.Seconds >= push.Seconds {
 		t.Errorf("dir-opt bfs (%.4fs) should beat push-only dense bfs (%.4fs) on low-diameter rmat32",
 			dirOpt.Seconds, push.Seconds)

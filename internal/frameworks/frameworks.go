@@ -36,6 +36,8 @@ package frameworks
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"pmemgraph/internal/analytics"
 	"pmemgraph/internal/core"
@@ -289,46 +291,87 @@ func defaultParams(src graph.Node, nodes int, edges int64) Params {
 	}
 }
 
-// Run is the app→kernel switch of a single runtime: it executes app under
-// this framework's constraints on r. The profile reaches the shared
-// kernels as engine parameters (p.Engine()) plus the capability flags that
-// gate whole algorithm families — there is no per-framework kernel-variant
-// table. Plan.Run dispatches through it after Plan.Validate; a direct
-// caller must have built r with p.Options(app, threads) for an app p
-// implements, over a graph p can load.
-func (p Profile) Run(r *core.Runtime, app string, params Params) (*analytics.Result, error) {
-	cfg := p.Engine()
-	switch app {
-	case "bfs":
-		return analytics.BFS(r, cfg, params.Source), nil
-	case "sssp":
-		if p.BucketedWorklists {
-			return analytics.SSSPDeltaStep(r, params.Source, params.Delta), nil
-		}
+// kernel is one resolved algorithm choice: the engine configuration an
+// app's round-based kernel runs under, plus the pick among an app's kernel
+// families. A profile's own choice and a named variant both resolve to one,
+// and kernel.run is the single app→kernel switch they share.
+type kernel struct {
+	cfg engine.Config
+	// deltaStep runs sssp as delta-stepping, otherwise Bellman-Ford.
+	deltaStep bool
+	// cc runs label propagation with shortcutting (shortcut), pointer
+	// jumping (pointerJump), or, with neither, plain label propagation.
+	shortcut, pointerJump bool
+}
+
+// kernel is the profile's own choice: its engine parameters plus the
+// capability flags that gate whole algorithm families — there is no
+// per-framework kernel-variant table.
+func (p Profile) kernel() kernel {
+	return kernel{
+		cfg: p.Engine(),
 		// Without priority buckets the only expressible sssp is
 		// bulk-synchronous Bellman-Ford (§6.1).
-		return analytics.SSSPBellmanFord(r, cfg, params.Source), nil
-	case "cc":
-		switch {
-		case p.NonVertexPrograms:
-			return analytics.CCLabelProp(r, cfg, true), nil
-		case p.ArbitraryOps:
-			return analytics.CCPointerJump(r), nil
-		default:
-			return analytics.CCLabelProp(r, cfg, false), nil
+		deltaStep:   p.BucketedWorklists,
+		shortcut:    p.NonVertexPrograms,
+		pointerJump: !p.NonVertexPrograms && p.ArbitraryOps,
+	}
+}
+
+// Run executes app on r under this framework's own algorithm choice. Plan.Run
+// dispatches through the same switch after Plan.Validate; a direct caller
+// must have built r with p.Options(app, threads) for an app p implements,
+// over a graph p can load.
+func (p Profile) Run(r *core.Runtime, app string, params Params) (*analytics.Result, error) {
+	return p.kernel().run(r, app, params)
+}
+
+func (k kernel) run(r *core.Runtime, app string, params Params) (*analytics.Result, error) {
+	switch app {
+	case "bfs":
+		return analytics.BFS(r, k.cfg, params.Source), nil
+	case "sssp":
+		if k.deltaStep {
+			return analytics.SSSPDeltaStep(r, params.Source, params.Delta), nil
 		}
+		return analytics.SSSPBellmanFord(r, k.cfg, params.Source), nil
+	case "cc":
+		if k.pointerJump {
+			return analytics.CCPointerJump(r), nil
+		}
+		return analytics.CCLabelProp(r, k.cfg, k.shortcut), nil
 	case "pr":
 		tol, rounds := params.prBounds()
 		return analytics.PageRank(r, tol, rounds), nil
 	case "bc":
-		return analytics.Brandes(r, cfg, params.Source), nil
+		return analytics.Brandes(r, k.cfg, params.Source), nil
 	case "kcore":
-		return analytics.KCore(r, cfg, params.K), nil
+		return analytics.KCore(r, k.cfg, params.K), nil
 	case "tc":
 		return analytics.TC(r), nil
 	default:
 		return nil, fmt.Errorf("frameworks: unknown app %q", app)
 	}
+}
+
+// variants are the §5 algorithm variants a plan may name in Plan.Variant
+// instead of its profile's choice, by the names Figure 7 prints. Each is
+// defined for the listed apps only; Plan.Validate holds the capability or
+// option each one needs.
+var variants = map[string]struct {
+	apps []string
+	k    kernel
+}{
+	"dense-wl":     {[]string{"bc", "bfs", "cc", "kcore", "sssp"}, kernel{cfg: engine.Config{Rep: engine.RepDense, Dir: engine.DirPush}}},
+	"sparse-wl":    {[]string{"bfs"}, kernel{cfg: engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush}}},
+	"dir-opt":      {[]string{"bfs"}, kernel{cfg: engine.Config{Rep: engine.RepDense, Dir: engine.DirAuto}}},
+	"labelprop-sc": {[]string{"cc"}, kernel{cfg: engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush}, shortcut: true}},
+	"delta-step":   {[]string{"sssp"}, kernel{deltaStep: true}},
+}
+
+// Variants returns the algorithm variant names a plan may set, sorted.
+func Variants() []string {
+	return slices.Sorted(maps.Keys(variants))
 }
 
 // Apps returns the paper's benchmark names in presentation order.

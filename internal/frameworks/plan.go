@@ -25,6 +25,10 @@ import (
 type Plan struct {
 	Profile Profile
 	App     string
+	// Variant names one of the paper's §5 algorithm variants (Variants:
+	// "dense-wl", "sparse-wl", "dir-opt", "labelprop-sc", "delta-step")
+	// to run instead of the profile's own choice; "" keeps the profile's.
+	Variant string
 	// Opts configures the runtime of an unsharded run; a sharded run reads
 	// only Threads (per shard worker) and Backend.
 	Opts   core.Options
@@ -51,18 +55,23 @@ func (p Profile) Plan(g *graph.Graph, app string, threads int, params Params) Pl
 	return Plan{Profile: p, App: app, Opts: p.Options(app, threads), Params: params, Graph: g}
 }
 
+// refuse is a Validate error naming the Plan field at fault.
+func refuse(field, format string, args ...any) error {
+	return fmt.Errorf("frameworks: %s: %s", field, fmt.Sprintf(format, args...))
+}
+
 // Validate refuses a plan no kernel can run, before anything is built or
 // charged. Each error names the Plan field at fault, and no plan it accepts
 // reaches a kernel's panic assertion.
 func (pl Plan) Validate() error {
-	refuse := func(field, format string, args ...any) error {
-		return fmt.Errorf("frameworks: %s: %s", field, fmt.Sprintf(format, args...))
-	}
 	if !slices.Contains(Apps(), pl.App) {
 		return refuse("App", "unknown app %q (have %s)", pl.App, strings.Join(Apps(), ", "))
 	}
 	if !pl.Profile.Supports(pl.App) {
 		return refuse("Profile", "%s does not implement %s", pl.Profile.Name, pl.App)
+	}
+	if err := pl.validateVariant(); err != nil {
+		return err
 	}
 	g, view := pl.Graph, "Graph"
 	if pl.Overlay != nil {
@@ -141,7 +150,7 @@ func (pl Plan) Run(m *memsim.Machine) (*analytics.Result, *Seed, error) {
 			return nil, nil, err
 		}
 		defer e.Close()
-		return runBSP(e, pl.App, pl.Params), nil, nil
+		return RunBSP(e, pl.App, pl.Params), nil, nil
 	}
 	var r *core.Runtime
 	var err error
@@ -157,13 +166,56 @@ func (pl Plan) Run(m *memsim.Machine) (*analytics.Result, *Seed, error) {
 	if pl.Incremental {
 		return pl.runIncremental(r)
 	}
-	res, err := pl.Profile.Run(r, pl.App, pl.Params)
+	res, err := pl.kernel().run(r, pl.App, pl.Params)
 	return res, nil, err
 }
 
-// runBSP is the app→kernel switch of a shard engine. Validate has refused
-// tc, the one app without a BSP kernel.
-func runBSP(e *shard.Engine, app string, params Params) *analytics.Result {
+// kernel resolves the plan's algorithm: its named variant, or else the
+// profile's own choice.
+func (pl Plan) kernel() kernel {
+	if v, ok := variants[pl.Variant]; ok {
+		return v.k
+	}
+	return pl.Profile.kernel()
+}
+
+// validateVariant refuses a variant that is unknown, not defined for the
+// app, beyond the profile's capabilities or the runtime's directions, or
+// set on a plan that runs other kernels (sharded, incremental).
+func (pl Plan) validateVariant() error {
+	if pl.Variant == "" {
+		return nil
+	}
+	v, ok := variants[pl.Variant]
+	lacks := func(capability string) error {
+		return refuse("Variant", "%s needs %s, which %s lacks", pl.Variant, capability, pl.Profile.Name)
+	}
+	switch {
+	case !ok:
+		return refuse("Variant", "unknown variant %q (have %s)", pl.Variant, strings.Join(Variants(), ", "))
+	case !slices.Contains(v.apps, pl.App):
+		return refuse("Variant", "%s is not a variant of %s", pl.Variant, pl.App)
+	case pl.Shards > 0:
+		return refuse("Variant", "sharded plans run the BSP kernels, which have no variants")
+	case pl.Incremental:
+		return refuse("Variant", "incremental plans run the incremental kernels, which have no variants")
+	case pl.Variant == "sparse-wl" && !pl.Profile.SparseWorklists:
+		return lacks("sparse worklists")
+	case pl.Variant == "labelprop-sc" && !pl.Profile.NonVertexPrograms:
+		return lacks("non-vertex programs")
+	case pl.Variant == "delta-step" && !pl.Profile.BucketedWorklists:
+		return lacks("bucketed worklists")
+	case pl.Variant == "dir-opt" && !pl.Opts.BothDirections:
+		return refuse("Opts.BothDirections", "dir-opt pulls over the transpose")
+	}
+	return nil
+}
+
+// RunBSP is the app→kernel switch of a shard engine: Plan.Run's sharded
+// dispatch, and the one the cluster experiments call on their
+// shard.ClusterConfig engines. Validate has refused tc, the one app
+// without a BSP kernel.
+func RunBSP(e *shard.Engine, app string, params Params) *analytics.Result {
 	switch app {
 	case "bfs":
 		return e.BFS(params.Source)

@@ -180,6 +180,14 @@ func TestPlanValidateNamesTheField(t *testing.T) {
 		{"csr source past the end", "csr", func(pl *Plan) { pl.Params.Source = past }, "Params.Source"},
 		{"overlay source past the end", "overlay", func(pl *Plan) { pl.Params.Source = past }, "Params.Source"},
 		{"sharded source past the end", "sharded", func(pl *Plan) { pl.Params.Source = past }, "Params.Source"},
+		{"unknown variant", "csr", func(pl *Plan) { pl.Variant = "hybrid-wl" }, "Variant"},
+		{"variant of another app", "csr", func(pl *Plan) { pl.Variant = "dense-wl" }, "Variant"},
+		{"sparse-wl without sparse worklists", "csr", func(pl *Plan) { pl.Profile, pl.App, pl.Variant = GAP, "bfs", "sparse-wl" }, "Variant"},
+		{"labelprop-sc without non-vertex programs", "csr", func(pl *Plan) { pl.Profile, pl.App, pl.Variant = GBBS, "cc", "labelprop-sc" }, "Variant"},
+		{"delta-step without buckets", "csr", func(pl *Plan) { pl.Profile, pl.App, pl.Variant = GraphIt, "sssp", "delta-step" }, "Variant"},
+		{"dir-opt without the transpose", "csr", func(pl *Plan) { pl.App, pl.Variant, pl.Opts.BothDirections = "bfs", "dir-opt", false }, "Opts.BothDirections"},
+		{"sharded variant", "sharded", func(pl *Plan) { pl.App, pl.Variant = "bfs", "dense-wl" }, "Variant"},
+		{"incremental variant", "csr", func(pl *Plan) { pl.App, pl.Variant, pl.Incremental = "cc", "labelprop-sc", true }, "Variant"},
 	} {
 		pl := validPlan(f, tc.view)
 		tc.mutate(&pl)

@@ -5,6 +5,7 @@ import (
 
 	"pmemgraph/internal/analytics"
 	"pmemgraph/internal/core"
+	"pmemgraph/internal/engine"
 	"pmemgraph/internal/gen"
 	"pmemgraph/internal/graph"
 	"pmemgraph/internal/memsim"
@@ -173,7 +174,7 @@ func TestOOCSlowerThanMemoryMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	mm := analytics.BFSSparse(r, src)
+	mm := analytics.BFS(r, engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush}, src)
 
 	// At full scale (Table 5) the gap is far larger; at this tiny test
 	// scale we only require a clear multiple.

@@ -5,6 +5,7 @@ import (
 
 	"pmemgraph/internal/analytics"
 	"pmemgraph/internal/core"
+	"pmemgraph/internal/engine"
 	"pmemgraph/internal/gen"
 	"pmemgraph/internal/graph"
 	"pmemgraph/internal/memsim"
@@ -71,7 +72,7 @@ func TestShardBFSMatchesSingleMachine(t *testing.T) {
 		src, _ := g.MaxOutDegreeNode()
 		e := testEngine(t, g, shards)
 		res := e.BFS(src)
-		want := analytics.BFSSparse(galoisRuntime(t, g, false, false), src)
+		want := analytics.BFS(galoisRuntime(t, g, false, false), engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush}, src)
 		for v := range want.Dist {
 			if res.Dist[v] != want.Dist[v] {
 				t.Fatalf("shards=%d: dist[%d] = %d, want %d", shards, v, res.Dist[v], want.Dist[v])
@@ -162,7 +163,7 @@ func TestShardBCMatchesSingleMachine(t *testing.T) {
 	src := graph.Node(0)
 	e := testEngine(t, g, 3)
 	res := e.BC(src)
-	want := analytics.BC(galoisRuntime(t, g, false, false), src, analytics.BCOptions{})
+	want := analytics.Brandes(galoisRuntime(t, g, false, false), engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush}, src)
 	for v := range want.Centrality {
 		if diff := res.Centrality[v] - want.Centrality[v]; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("bc[%d] = %g, want %g", v, res.Centrality[v], want.Centrality[v])

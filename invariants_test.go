@@ -13,9 +13,12 @@ import (
 )
 
 // archRule forbids calls of the named functions or methods in the root
-// module's non-test code outside the allowed sites. A site is a package
-// directory relative to the module root ("internal/graph") or one function
-// in it ("internal/frameworks.Seal").
+// module's non-test code outside the allowed sites. A bare call name
+// ("BuildIn") matches a selector call on any receiver; a package-qualified
+// one ("core.New") matches only a selector on that package identifier, so
+// it leaves engine.New alone. A site is a package directory relative to the
+// module root ("internal/graph") or one function in it
+// ("internal/frameworks.Seal").
 type archRule struct {
 	name    string
 	calls   []string
@@ -29,6 +32,12 @@ var archRules = []archRule{
 		calls:   []string{"BuildIn", "AddRandomWeights"},
 		allowed: []string{"internal/graph", "internal/frameworks.Seal", "cmd/graphgen"},
 		why:     "inputs are sealed once where they are born (frameworks.Seal); a run that seals its graph makes later runs depend on it",
+	},
+	{
+		name:    "plan-is-the-dispatch",
+		calls:   []string{"core.New", "core.MustNew", "core.NewOverlay"},
+		allowed: []string{"internal/frameworks", "internal/shard", "internal/bench.FigCompress"},
+		why:     "every execution is a frameworks.Plan (Plan.Variant picks a §5 variant); only Plan.Run, the shard workers and FigCompress's per-array read counts build a runtime",
 	},
 }
 
@@ -83,9 +92,14 @@ func archViolations(fset *token.FileSet, dir string, f *ast.File) []string {
 			if !ok {
 				return true
 			}
+			name := sel.Sel.Name
+			if pkg, ok := sel.X.(*ast.Ident); ok {
+				name = pkg.Name + "." + name
+			}
 			for _, r := range archRules {
-				if slices.Contains(r.calls, sel.Sel.Name) && !slices.Contains(r.allowed, dir) && !slices.Contains(r.allowed, site) {
-					out = append(out, fmt.Sprintf("%s: %s: call of %s (%s)", r.name, fset.Position(call.Pos()), sel.Sel.Name, r.why))
+				if (slices.Contains(r.calls, sel.Sel.Name) || slices.Contains(r.calls, name)) &&
+					!slices.Contains(r.allowed, dir) && !slices.Contains(r.allowed, site) {
+					out = append(out, fmt.Sprintf("%s: %s: call of %s (%s)", r.name, fset.Position(call.Pos()), name, r.why))
 				}
 			}
 			return true
