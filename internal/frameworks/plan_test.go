@@ -67,11 +67,12 @@ func newPlanFixture(t *testing.T, sealed bool) *planFixture {
 }
 
 // planCell is one point of the execution matrix: profile × app × view ×
-// full/incremental.
+// full/incremental × algorithm variant ("" is the profile's own choice).
 type planCell struct {
 	profile   Profile
 	app, view string
 	inc       bool
+	variant   string
 }
 
 func (c planCell) String() string {
@@ -79,7 +80,11 @@ func (c planCell) String() string {
 	if c.inc {
 		mode = "inc"
 	}
-	return fmt.Sprintf("%s/%s/%s/%s", c.profile.Name, c.app, c.view, mode)
+	s := fmt.Sprintf("%s/%s/%s/%s", c.profile.Name, c.app, c.view, mode)
+	if c.variant != "" {
+		s += "/" + c.variant
+	}
+	return s
 }
 
 func planCells() []planCell {
@@ -88,7 +93,9 @@ func planCells() []planCell {
 		for _, app := range Apps() {
 			for _, view := range []string{"csr", "overlay", "sharded"} {
 				for _, inc := range []bool{false, true} {
-					cells = append(cells, planCell{p, app, view, inc})
+					for _, variant := range append([]string{""}, Variants()...) {
+						cells = append(cells, planCell{p, app, view, inc, variant})
+					}
 				}
 			}
 		}
@@ -97,9 +104,13 @@ func planCells() []planCell {
 }
 
 // plan builds the cell's plan over the fixture's next epoch with the
-// profile's options and the graph's default parameters.
+// profile's options (plus the transpose a dir-opt plan pulls over) and the
+// graph's default parameters.
 func (f *planFixture) plan(c planCell) Plan {
-	pl := Plan{Profile: c.profile, App: c.app, Opts: c.profile.Options(c.app, 8), Params: DefaultParams(f.next)}
+	pl := Plan{Profile: c.profile, App: c.app, Variant: c.variant, Opts: c.profile.Options(c.app, 8), Params: DefaultParams(f.next)}
+	if c.variant == "dir-opt" {
+		pl.Opts.BothDirections = true
+	}
 	switch c.view {
 	case "csr":
 		pl.Graph = f.next
@@ -250,14 +261,14 @@ func TestOutOfRangeSourceIsAnError(t *testing.T) {
 
 // TestValidatedPlansNeverPanic is the proof that the kernels' panic
 // assertions guard only callers that bypass a plan: over every cell of the
-// execution matrix, with the profile's options and with each precondition
-// knocked out (weights, transpose, an in-range source), on sealed and
-// unsealed graphs, a plan is either refused by Validate or runs without
-// panicking.
+// execution matrix (algorithm variants included), with the profile's
+// options and with each precondition knocked out (weights, transpose, an
+// in-range source), on sealed and unsealed graphs, a plan is either
+// refused by Validate or runs without panicking.
 func TestValidatedPlansNeverPanic(t *testing.T) {
 	sealed := newPlanFixture(t, true)
 	probe := newPlanFixture(t, false)
-	variants := map[string]func(*Plan){
+	knockouts := map[string]func(*Plan){
 		"options":       func(*Plan) {},
 		"unweighted":    func(pl *Plan) { pl.Opts.Weighted = false },
 		"one-direction": func(pl *Plan) { pl.Opts.BothDirections = false },
@@ -265,7 +276,7 @@ func TestValidatedPlansNeverPanic(t *testing.T) {
 	}
 	accepted, refused := 0, 0
 	for _, c := range planCells() {
-		for vname, mutate := range variants {
+		for kname, mutate := range knockouts {
 			for _, isSealed := range []bool{true, false} {
 				f := sealed
 				if !isSealed {
@@ -278,8 +289,8 @@ func TestValidatedPlansNeverPanic(t *testing.T) {
 					continue
 				}
 				accepted++
-				if _, err := runCell(t, fmt.Sprintf("%s/%s/sealed=%v", c, vname, isSealed), pl); err != nil {
-					t.Errorf("%s/%s/sealed=%v: accepted plan failed: %v", c, vname, isSealed, err)
+				if _, err := runCell(t, fmt.Sprintf("%s/%s/sealed=%v", c, kname, isSealed), pl); err != nil {
+					t.Errorf("%s/%s/sealed=%v: accepted plan failed: %v", c, kname, isSealed, err)
 				}
 			}
 		}
