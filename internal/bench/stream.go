@@ -47,8 +47,8 @@ func FigStream(opt Options) error {
 		{"MemoryMode", optaneMachine(opt.Scale)},
 	}
 	const threads = 96
-	// plan is a Galois plan with interleaved placement for both apps (Galois
-	// would block pr's arrays) and the bounded pr run.
+	// plan is the full Galois run: labelprop-sc cc, the bounded pr, and
+	// interleaved placement for both (Galois would block pr's arrays).
 	plan := func(g *graph.Graph, app string) frameworks.Plan {
 		params := frameworks.DefaultParams(g)
 		params.Tol, params.Rounds = figStreamPRTol, figStreamPRRounds
@@ -92,6 +92,7 @@ func FigStream(opt Options) error {
 					if err != nil {
 						return err
 					}
+					// The incremental kernels take no variant.
 					pl.Variant, pl.Incremental, pl.Seed, pl.Delta = "", true, seeds[app], &delta
 					inc, _, err := pl.Run(memsim.NewMachine(mc.cfg))
 					if err != nil {

@@ -369,8 +369,8 @@ var variants = map[string]struct {
 	"delta-step":   {[]string{"sssp"}, kernel{deltaStep: true}},
 }
 
-// Variants returns the algorithm variant names a plan may set, sorted.
-func Variants() []string {
+// variantNames returns the names Plan.Variant may hold, sorted.
+func variantNames() []string {
 	return slices.Sorted(maps.Keys(variants))
 }
 

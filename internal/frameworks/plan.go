@@ -25,9 +25,9 @@ import (
 type Plan struct {
 	Profile Profile
 	App     string
-	// Variant names one of the paper's §5 algorithm variants (Variants:
-	// "dense-wl", "sparse-wl", "dir-opt", "labelprop-sc", "delta-step")
-	// to run instead of the profile's own choice; "" keeps the profile's.
+	// Variant names one of the paper's §5 algorithm variants ("dense-wl",
+	// "sparse-wl", "dir-opt", "labelprop-sc", "delta-step") to run instead
+	// of the profile's own choice; "" keeps the profile's.
 	Variant string
 	// Opts configures the runtime of an unsharded run; a sharded run reads
 	// only Threads (per shard worker) and Backend.
@@ -192,7 +192,7 @@ func (pl Plan) validateVariant() error {
 	}
 	switch {
 	case !ok:
-		return refuse("Variant", "unknown variant %q (have %s)", pl.Variant, strings.Join(Variants(), ", "))
+		return refuse("Variant", "unknown variant %q (have %s)", pl.Variant, strings.Join(variantNames(), ", "))
 	case !slices.Contains(v.apps, pl.App):
 		return refuse("Variant", "%s is not a variant of %s", pl.Variant, pl.App)
 	case pl.Shards > 0:

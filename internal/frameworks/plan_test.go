@@ -93,7 +93,7 @@ func planCells() []planCell {
 		for _, app := range Apps() {
 			for _, view := range []string{"csr", "overlay", "sharded"} {
 				for _, inc := range []bool{false, true} {
-					for _, variant := range append([]string{""}, Variants()...) {
+					for _, variant := range append([]string{""}, variantNames()...) {
 						cells = append(cells, planCell{p, app, view, inc, variant})
 					}
 				}
@@ -299,10 +299,11 @@ func TestValidatedPlansNeverPanic(t *testing.T) {
 }
 
 // TestPlanIsAFunctionOfItsFields: a plan's bytes depend on its fields, not
-// on what ran on its graph before it. Every profile × supported app × backend
-// runs once on a fresh sealed input and again on one shared input after
-// every plan has run on it; the canonical Result bytes (Seconds and
-// Algorithm included) must be equal.
+// on what ran on its graph before it. Every plan over profile × app ×
+// algorithm variant × backend that Validate accepts runs once on a fresh
+// sealed input and again on one shared input after every plan has run on
+// it; the canonical Result bytes (Seconds and Algorithm included) must be
+// equal.
 func TestPlanIsAFunctionOfItsFields(t *testing.T) {
 	input := func() *graph.Graph {
 		g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 7, false)
@@ -312,22 +313,35 @@ func TestPlanIsAFunctionOfItsFields(t *testing.T) {
 	type cell struct {
 		profile Profile
 		app     string
+		variant string
 		backend core.Backend
 	}
+	plan := func(c cell, g *graph.Graph) Plan {
+		pl := c.profile.Plan(g, c.app, 8, DefaultParams(g))
+		pl.Variant = c.variant
+		pl.Opts.Backend = c.backend
+		if c.variant == "dir-opt" {
+			pl.Opts.BothDirections = true
+		}
+		return pl
+	}
+	shared := input()
 	var cells []cell
 	for _, p := range All() {
 		for _, app := range Apps() {
-			if p.Supports(app) {
-				cells = append(cells, cell{p, app, core.BackendRaw}, cell{p, app, core.BackendCompressed})
+			for _, variant := range append([]string{""}, variantNames()...) {
+				for _, b := range []core.Backend{core.BackendRaw, core.BackendCompressed} {
+					if c := (cell{p, app, variant, b}); plan(c, shared).Validate() == nil {
+						cells = append(cells, c)
+					}
+				}
 			}
 		}
 	}
 	run := func(c cell, g *graph.Graph) (*analytics.Result, []byte) {
-		pl := c.profile.Plan(g, c.app, 8, DefaultParams(g))
-		pl.Opts.Backend = c.backend
-		res, _, err := pl.Run(testMachine())
+		res, _, err := plan(c, g).Run(testMachine())
 		if err != nil {
-			t.Fatalf("%s/%s/%v: %v", c.profile.Name, c.app, c.backend, err)
+			t.Fatalf("%s/%s/%s/%v: %v", c.profile.Name, c.app, c.variant, c.backend, err)
 		}
 		data, err := analytics.MarshalResult(res)
 		if err != nil {
@@ -335,7 +349,6 @@ func TestPlanIsAFunctionOfItsFields(t *testing.T) {
 		}
 		return res, data
 	}
-	shared := input()
 	for _, c := range cells {
 		run(c, shared)
 	}
@@ -343,8 +356,8 @@ func TestPlanIsAFunctionOfItsFields(t *testing.T) {
 		fresh, freshBytes := run(c, input())
 		after, afterBytes := run(c, shared)
 		if !bytes.Equal(freshBytes, afterBytes) {
-			t.Errorf("%s/%s/%v: fresh %s %.6gs, after the other plans %s %.6gs",
-				c.profile.Name, c.app, c.backend, fresh.Algorithm, fresh.Seconds, after.Algorithm, after.Seconds)
+			t.Errorf("%s/%s/%s/%v: fresh %s %.6gs, after the other plans %s %.6gs",
+				c.profile.Name, c.app, c.variant, c.backend, fresh.Algorithm, fresh.Seconds, after.Algorithm, after.Seconds)
 		}
 	}
 }
