@@ -36,14 +36,21 @@ func Brandes(r *core.Runtime, cfg engine.Config, src graph.Node) *Result {
 		lvl := uint32(len(levels))
 		f = e.EdgeMap(f, engine.EdgeMapArgs{
 			// The CAS claims each newly reached d exactly once (the
-			// sorted merge erases which thread won). sigma accumulates
-			// once per DAG edge — each edge has one owning thread, the
-			// level test is deterministic (dist[d] only transitions
-			// Infinity -> lvl within the round), and u's sigma is
-			// frozen (u is one level up).
+			// sorted merge erases which thread won); it runs only when
+			// a plain load still sees d unvisited, so the edges into
+			// already-visited vertices — most of them — skip the
+			// locked instruction. sigma accumulates once per DAG edge
+			// — each edge has one owning thread, the level test is
+			// deterministic (dist[d] only transitions Infinity -> lvl
+			// within the round, so after the CAS it is lvl whoever
+			// won), and u's sigma is frozen (u is one level up).
 			Push: func(u, d graph.Node, ei int64) bool {
-				found := dist[d].CompareAndSwap(Infinity, lvl)
-				if dist[d].Load() == lvl {
+				dd, found := dist[d].Load(), false
+				if dd == Infinity {
+					found = dist[d].CompareAndSwap(Infinity, lvl)
+					dd = lvl
+				}
+				if dd == lvl {
 					sigma[d].Add(sigma[u].Load())
 				}
 				return found

@@ -192,6 +192,14 @@ func ccShortcut(r *core.Runtime, e *engine.Engine) *Result {
 	}
 }
 
+// raise sets f. It loads f first, so once f is set the threads that would
+// set it again only read the shared line instead of writing it.
+func raise(f *atomic.Bool) {
+	if !f.Load() {
+		f.Store(true)
+	}
+}
+
 // CCPointerJump is the union-find / pointer-jumping cc used by GAP and
 // GBBS (Shiloach-Vishkin family): hook every edge, then jump pointers to
 // full compression. Topology-driven (no frontier); the hook phase is an
@@ -226,11 +234,10 @@ func CCPointerJump(r *core.Runtime) *Result {
 	rounds := 0
 	for {
 		rounds++
-		var changed atomic.Int64
+		var changed atomic.Bool
 		// Hook: for every edge (u,v), point the larger snapshot root at
-		// the smaller snapshot label. The change count claims against
-		// the snapshot (each edge is visited by exactly one owner), so
-		// it is interleaving-independent.
+		// the smaller snapshot label. Whether anything changed is judged
+		// against the snapshot, so it is interleaving-independent.
 		full := e.FullFrontier()
 		e.EdgeMap(full, engine.EdgeMapArgs{
 			Push: func(u, d graph.Node, ei int64) bool {
@@ -238,28 +245,28 @@ func CCPointerJump(r *core.Runtime) *Result {
 				switch {
 				case lu < ld:
 					relaxMin(next, graph.Node(ld), lu)
-					changed.Add(1)
+					raise(&changed)
 				case ld < lu:
 					relaxMin(next, graph.Node(lu), ld)
-					changed.Add(1)
+					raise(&changed)
 				}
 				return false // hooking relinks roots, not the frontier
 			},
 			PerEdge: []engine.Access{{Arr: labArr, Write: false}, {Arr: nextArr, Write: true}},
 		})
-		if changed.Load() == 0 {
+		if !changed.Load() {
 			break
 		}
 		publish()
 		// Jump: compress pointer chains until every label is a root.
 		for {
-			var jumped atomic.Int64
+			var jumped atomic.Bool
 			e.VertexMap(engine.VertexMapArgs{
 				Fn: func(v graph.Node) {
 					l := cur[v]
 					if ll := cur[l]; ll < l {
 						l = ll
-						jumped.Add(1)
+						raise(&jumped)
 					}
 					next[v].Store(l)
 				},
@@ -268,7 +275,7 @@ func CCPointerJump(r *core.Runtime) *Result {
 				PerVertex: []engine.Access{{Arr: labArr, Write: false}},
 				Ops:       true,
 			})
-			if jumped.Load() == 0 {
+			if !jumped.Load() {
 				break
 			}
 			publish()

@@ -78,6 +78,9 @@ func SSSPDeltaStep(r *core.Runtime, src graph.Node, delta uint32) *Result {
 	buckets := map[int][]graph.Node{0: {src}}
 	dist[src].Store(0)
 	intents := make([][]relaxIntent, r.RegionThreads())
+	// Per-thread scratch for merged overlay rows and their weights.
+	rows := make([][]graph.Node, r.RegionThreads())
+	wtRows := make([][]uint32, r.RegionThreads())
 	epochs := 0
 	for {
 		// Lowest non-empty priority.
@@ -110,16 +113,15 @@ func SSSPDeltaStep(r *core.Runtime, src graph.Node, delta uint32) *Result {
 					}
 					out.Offsets.ReadN(t, int64(v), 2)
 					out.ChargeScan(t, v, true)
-					deg := out.Adj.Degree(v)
-					distArr.RandomN(t, deg, true)
-					t.Op(int(deg))
-					c := out.Adj.Cursor(v)
-					for {
-						d, ok := c.Next()
-						if !ok {
-							break
-						}
-						nd := dv + r.OutWeightAt(c.EI())
+					row, wts, raw := r.OutRow(rows[t.ID], wtRows[t.ID], v)
+					if !raw {
+						rows[t.ID], wtRows[t.ID] = row, wts
+					}
+					distArr.RandomN(t, int64(len(row)), true)
+					t.Op(len(row))
+					wts = wts[:len(row)]
+					for k, d := range row {
+						nd := dv + wts[k]
 						if nd < dv { // overflow guard
 							continue
 						}

@@ -15,12 +15,13 @@
 // provides the parallel-execution and access-charging primitives the
 // engine and kernels build on — the layer between them and
 // graph/memsim. AdjView is the one way to walk adjacency: neighbors come
-// from its graph.Cursor (a raw row — also under the compressed backend,
-// which never decodes on the host — or an overlay merge behind one
-// iterator) and every charge from its Charge* methods, so traversal code
-// is backend-agnostic and only the charged shape (element ranges vs block
-// bytes plus decode) differs. There is no slice-returning scan API beside
-// it. Parallel loops use static chunk ownership (chunk i -> thread i mod
+// from its graph.Adjacency — Row, the graph's own row as a slice (also
+// under the compressed backend, which never decodes on the host) or an
+// overlay merge in scratch, and a Cursor where a merged row's edge indices
+// or an early-exit prefix count are needed — and every charge from its
+// Charge* methods, so traversal code is backend-agnostic and only the
+// charged shape (element ranges vs block bytes plus decode) differs.
+// Parallel loops use static chunk ownership (chunk i -> thread i mod
 // T), which is what makes charge attribution — and with it every
 // simulated number — a pure function of (n, threads), independent of
 // GOMAXPROCS and goroutine interleaving.
@@ -472,6 +473,14 @@ func (r *Runtime) InView() AdjView { return r.inView }
 // Valid reports whether the view's direction is allocated.
 func (av AdjView) Valid() bool { return av.Adj != nil }
 
+// Merged reports whether v's row is an overlay merge: a vertex the delta
+// touches, whose Adjacency.Row is not raw. A loop that needs edge indices
+// asks first and walks a Cursor for a merged row, rather than having Row
+// merge it only to merge it again.
+func (av *AdjView) Merged(v graph.Node) bool {
+	return av.Ov != nil && av.Ov.Touched(v)
+}
+
 // ChargeScan charges streaming v's whole adjacency block: the raw edge
 // (and, if weighted, weight) elements, or the compressed bytes plus the
 // per-edge decode cost. Offsets are charged by the caller (gathered per
@@ -603,6 +612,28 @@ func (r *Runtime) OutWeightAt(ei int64) uint32 {
 		return r.Ov.OutWeight(ei)
 	}
 	return r.G.OutWeights[ei]
+}
+
+// OutRow returns v's out-row and its weights, wts[k] being row[k]'s
+// (OutWeightAt of a Cursor's EI there). A raw row is Adjacency.Row's and
+// its weights the graph's own OutWeights[Base(v) : Base(v)+len(row)]. A
+// merged overlay row and its weights are filled into scratch[:0] and
+// wscratch[:0] by one Cursor walk, and raw is false.
+func (r *Runtime) OutRow(scratch []graph.Node, wscratch []uint32, v graph.Node) (row []graph.Node, wts []uint32, raw bool) {
+	av := &r.outView
+	if av.Merged(v) {
+		row, wts = scratch[:0], wscratch[:0]
+		c := av.Adj.Cursor(v)
+		for d, ok := c.Next(); ok; d, ok = c.Next() {
+			row = append(row, d)
+			wts = append(wts, r.OutWeightAt(c.EI()))
+		}
+		return row, wts, false
+	}
+	row, _ = av.Adj.Row(nil, v)
+	lo := av.Adj.Base(v)
+	hi := lo + int64(len(row))
+	return row, r.G.OutWeights[lo:hi:hi], true
 }
 
 // InWeightAt is OutWeightAt for the transpose direction.

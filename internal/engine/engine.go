@@ -81,10 +81,10 @@ type Engine struct {
 	cfg Config
 
 	// out/in are the runtime's adjacency views: all neighborhood
-	// iteration goes through their graph.Adjacency (raw rows on either
-	// backend, walked by a zero-allocation Cursor) and all
-	// edge-traffic charging through their arrays, so the engine is
-	// storage-backend agnostic.
+	// iteration goes through their graph.Adjacency (the graph's own rows
+	// on either backend, ranged over as slices; a Cursor only for merged
+	// overlay rows) and all edge-traffic charging through their arrays,
+	// so the engine is storage-backend agnostic.
 	out, in core.AdjView
 
 	bits     *memsim.Array // current dense frontier bits
@@ -102,9 +102,10 @@ type Engine struct {
 	// engine drains the buffers (retaining capacity) at the merge.
 	claims [][]graph.Node
 
-	// rows holds one in-row scratch slice per virtual thread, indexed by
-	// Thread.ID, that Gather rounds decode each vertex's row into; like
-	// claims it keeps its capacity across rounds.
+	// rows holds one row scratch slice per virtual thread, indexed by
+	// Thread.ID, that a Gather round's Adjacency.Row merges an
+	// overlay-touched vertex's in-row into; like claims it keeps its
+	// capacity across rounds.
 	rows [][]graph.Node
 
 	rounds int
@@ -244,11 +245,13 @@ type EdgeMapArgs struct {
 	// edge reads in contiguous per-chunk blocks.
 	PullCond func(v graph.Node) bool
 	// Gather replaces Pull for whole-neighborhood reductions: it runs once
-	// per vertex with v's entire in-row, decoded into a per-thread scratch
-	// slice it must not retain. A Gather round is a pull round over every
-	// vertex that activates nothing (it returns an empty frontier) and
-	// charges like a whole-row Pull plus one operator application per
-	// vertex. It excludes Pull, Push, PullCond and Symmetric.
+	// per vertex with v's entire in-row, as Adjacency.Row returns it (the
+	// graph's own storage, or a per-thread scratch slice for a merged
+	// overlay row), which it must neither modify nor retain. A Gather
+	// round is a pull round over every vertex that activates nothing (it
+	// returns an empty frontier) and charges like a whole-row Pull plus
+	// one operator application per vertex. It excludes Pull, Push,
+	// PullCond and Symmetric.
 	Gather func(v graph.Node, in []graph.Node)
 	// OnPullChunk runs once per scheduler chunk after its vertices are
 	// processed, on the owning thread, for contention-free chunk
@@ -445,10 +448,11 @@ func (e *Engine) pushSparse(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Fron
 		e.wl.ReadRange(t, lo, hi)
 		var chunkVerts, chunkEdges int64
 		buf := e.claims[t.ID]
-		claim := func(d graph.Node) { buf = append(buf, d) }
 		for _, u := range f.sparse[lo:hi] {
 			chunkVerts++
-			chunkEdges += e.scanPush(t, u, args, claim)
+			var k int64
+			buf, k = e.scanPush(t, u, args, buf, true)
+			chunkEdges += k
 		}
 		e.claims[t.ID] = buf
 		e.chargePushChunk(t, args, chunkVerts, chunkEdges, true)
@@ -481,11 +485,12 @@ func (e *Engine) pushDense(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 		}
 		var chunkVerts, chunkEdges int64
 		buf := e.claims[t.ID]
-		claim := func(d graph.Node) { buf = append(buf, d) }
 		perVertexEdges := f.count < n
 		f.dense.ForEachInRange(lo, hi, func(u graph.Node) {
 			chunkVerts++
-			chunkEdges += e.scanPushCharged(t, u, args, claim, perVertexEdges)
+			var k int64
+			buf, k = e.scanPush(t, u, args, buf, perVertexEdges)
+			chunkEdges += k
 		})
 		e.claims[t.ID] = buf
 		e.chargePushChunk(t, args, chunkVerts, chunkEdges, false)
@@ -494,47 +499,52 @@ func (e *Engine) pushDense(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 	return e.finishPush(e.mergeClaims(), rs)
 }
 
-// scanPush visits u's out- (and with Symmetric, in-) neighborhood, charging
-// edge reads per vertex, and returns the number of edges visited.
-func (e *Engine) scanPush(t *memsim.Thread, u graph.Node, args *EdgeMapArgs, activate func(graph.Node)) int64 {
-	return e.scanPushCharged(t, u, args, activate, true)
-}
-
-func (e *Engine) scanPushCharged(t *memsim.Thread, u graph.Node, args *EdgeMapArgs, activate func(graph.Node), chargeEdges bool) int64 {
+// scanPush visits u's out- (and with Symmetric, in-) neighborhood,
+// charging edge reads per vertex when chargeEdges is set, appends every
+// target Push claims to claims, and returns it with the number of edges
+// visited.
+func (e *Engine) scanPush(t *memsim.Thread, u graph.Node, args *EdgeMapArgs, claims []graph.Node, chargeEdges bool) ([]graph.Node, int64) {
 	if chargeEdges {
 		e.out.ChargeScan(t, u, args.Weighted)
 	}
-	cur := e.out.Adj.Cursor(u)
-	edges := int64(0)
-	for {
-		d, ok := cur.Next()
-		if !ok {
-			break
-		}
-		if args.Push(u, d, cur.EI()) {
-			activate(d)
-		}
-		edges++
-	}
+	claims, edges := pushRow(&e.out, u, args.Push, claims)
 	if args.Symmetric {
 		if chargeEdges {
 			e.in.ChargeScan(t, u, false)
 		}
-		icur := e.in.Adj.Cursor(u)
-		k := int64(0)
-		for {
-			d, ok := icur.Next()
-			if !ok {
-				break
-			}
-			if args.Push(u, d, icur.EI()) {
-				activate(d)
-			}
-			k++
-		}
+		var k int64
+		claims, k = pushRow(&e.in, u, args.Push, claims)
 		edges += k
 	}
-	return edges
+	return claims, edges
+}
+
+// pushRow calls push on every edge of u's row in av, in row order,
+// appends each target it claims to claims, and returns it with the row's
+// length. A raw row is ranged over directly, edge indices counting up from
+// Base(u); a merged overlay row is walked through a Cursor for its edge
+// indices.
+func pushRow(av *core.AdjView, u graph.Node, push func(u, d graph.Node, ei int64) bool, claims []graph.Node) ([]graph.Node, int64) {
+	if av.Merged(u) {
+		n := int64(0)
+		c := av.Adj.Cursor(u)
+		for d, ok := c.Next(); ok; d, ok = c.Next() {
+			if push(u, d, c.EI()) {
+				claims = append(claims, d)
+			}
+			n++
+		}
+		return claims, n
+	}
+	row, _ := av.Adj.Row(nil, u)
+	ei := av.Adj.Base(u)
+	for _, d := range row {
+		if push(u, d, ei) {
+			claims = append(claims, d)
+		}
+		ei++
+	}
+	return claims, int64(len(row))
 }
 
 // chargePushChunk issues the batched per-chunk charges of a push round:
@@ -595,13 +605,16 @@ func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 		}
 		var chunkVerts, chunkScanned, activated, nextOut int64
 		if gather {
-			row := e.rows[t.ID]
+			scratch := e.rows[t.ID]
 			for v := lo; v < hi; v++ {
-				row = e.in.Adj.AppendRow(row[:0], v)
+				row, raw := e.in.Adj.Row(scratch, v)
+				if !raw {
+					scratch = row
+				}
 				args.Gather(v, row)
 				chunkScanned += int64(len(row))
 			}
-			e.rows[t.ID] = row
+			e.rows[t.ID] = scratch
 			chunkVerts = int64(hi - lo)
 		} else {
 			for v := lo; v < hi; v++ {
@@ -609,46 +622,19 @@ func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 					continue
 				}
 				chunkVerts++
-				active := false
-				stopped := false
-				icur := e.in.Adj.Cursor(v)
-				scanned := int64(0)
-				for {
-					u, ok := icur.Next()
-					if !ok {
-						break
-					}
-					a, stop := args.Pull(v, u, icur.EI())
-					scanned++
-					active = active || a
-					if stop {
-						stopped = true
-						break
-					}
-				}
+				in := pullRow(&e.in, v, args.Pull)
 				if !whole {
-					e.in.ChargePrefix(t, v, icur.Consumed(), icur.DeltaConsumed(), scanned)
+					e.in.ChargePrefix(t, v, in.consumed, in.deltaConsumed, in.scanned)
 				}
-				chunkScanned += scanned
-				if args.Symmetric && !stopped {
-					ocur := e.out.Adj.Cursor(v)
-					oscanned := int64(0)
-					for {
-						u, ok := ocur.Next()
-						if !ok {
-							break
-						}
-						a, stop := args.Pull(v, u, ocur.EI())
-						oscanned++
-						active = active || a
-						if stop {
-							break
-						}
-					}
+				chunkScanned += in.scanned
+				active := in.active
+				if args.Symmetric && !in.stopped {
+					out := pullRow(&e.out, v, args.Pull)
 					if !whole {
-						e.out.ChargePrefix(t, v, ocur.Consumed(), ocur.DeltaConsumed(), oscanned)
+						e.out.ChargePrefix(t, v, out.consumed, out.deltaConsumed, out.scanned)
 					}
-					chunkScanned += oscanned
+					chunkScanned += out.scanned
+					active = active || out.active
 				}
 				if active && nextSet.Set(v) {
 					activated++
@@ -683,6 +669,52 @@ func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 		return &Frontier{n: f.n}
 	}
 	return &Frontier{n: f.n, dense: nextSet, isDense: true, count: cnt.Load(), outEdges: outEdges.Load()}
+}
+
+// pullScan is what one pull scan of a row did: whether an edge activated
+// the vertex, whether the operator stopped the scan early, the edges it
+// scanned, and the base edges and overlay delta entries it consumed (what
+// AdjView.ChargePrefix charges).
+type pullScan struct {
+	active, stopped                  bool
+	scanned, consumed, deltaConsumed int64
+}
+
+// pullRow calls pull on the edges of v's row in av, in row order, until it
+// asks to stop. A raw row is ranged over directly: edge indices count up
+// from Base(v), and the base edges consumed are the edges scanned. A merged
+// overlay row is walked through a Cursor, which counts both.
+func pullRow(av *core.AdjView, v graph.Node, pull func(v, u graph.Node, ei int64) (bool, bool)) pullScan {
+	var s pullScan
+	if av.Merged(v) {
+		c := av.Adj.Cursor(v)
+		for !s.stopped {
+			u, ok := c.Next()
+			if !ok {
+				break
+			}
+			var a bool
+			a, s.stopped = pull(v, u, c.EI())
+			s.scanned++
+			s.active = s.active || a
+		}
+		s.consumed, s.deltaConsumed = c.Consumed(), c.DeltaConsumed()
+		return s
+	}
+	row, _ := av.Adj.Row(nil, v)
+	ei := av.Adj.Base(v)
+	for _, u := range row {
+		var a bool
+		a, s.stopped = pull(v, u, ei)
+		s.scanned++
+		s.active = s.active || a
+		if s.stopped {
+			break
+		}
+		ei++
+	}
+	s.consumed = s.scanned
+	return s
 }
 
 // toDense converts f to the dense representation in place (pull rounds

@@ -34,9 +34,10 @@ import (
 // implemented by the raw CSR slices (RawAdjacency), the compressed form
 // (CompressedCSR, which walks the same raw rows and differs only in its
 // backing extents) and the delta overlay (OverlayAdj). The operator engine
-// traverses through this interface; per-edge iteration goes through the
-// concrete Cursor type so the hot loop stays free of interface calls and
-// allocations.
+// traverses through this interface: whole-row scans range over the slice
+// Row returns, so the hot loop is a plain range with no interface call or
+// iterator step per edge; the concrete Cursor type serves the overlay
+// merge where a caller needs each neighbor's edge index or a prefix count.
 type Adjacency interface {
 	NumNodes() int
 	NumEdges() int64
@@ -54,10 +55,13 @@ type Adjacency interface {
 	// Cursor returns a zero-allocation iterator over v's neighbors, for
 	// scans that may stop early or need each neighbor's edge index.
 	Cursor(v Node) Cursor
-	// AppendRow appends v's neighbors to dst in Cursor order and returns
-	// the extended slice, for scans that consume the whole row. The result
-	// never aliases graph storage, so callers may reuse it as scratch.
-	AppendRow(dst []Node, v Node) []Node
+	// Row returns v's neighbors in Cursor order. A raw row (raw true: the
+	// raw and compressed forms, and overlay vertices the delta does not
+	// touch) is a read-only subslice of graph storage whose k-th neighbor
+	// has edge index Base(v)+k. A touched overlay vertex's merged row is
+	// appended to scratch[:0] (raw false); its edge indices are not
+	// contiguous, so callers that need them walk a Cursor instead.
+	Row(scratch []Node, v Node) (row []Node, raw bool)
 }
 
 // Cursor iterates one vertex's neighbors without allocating; it is
@@ -192,13 +196,17 @@ func (a RawAdjacency) ExtentRange(lo, hi Node) (int64, int64) {
 func (a RawAdjacency) Cursor(v Node) Cursor {
 	return Cursor{nbrs: a.Edges[a.Offsets[v]:a.Offsets[v+1]], base: a.Offsets[v]}
 }
-func (a RawAdjacency) AppendRow(dst []Node, v Node) []Node {
-	return append(dst, a.Edges[a.Offsets[v]:a.Offsets[v+1]]...)
+
+// Row returns v's row of Edges itself, capped so an append cannot write
+// into the next row.
+func (a RawAdjacency) Row(_ []Node, v Node) ([]Node, bool) {
+	hi := a.Offsets[v+1]
+	return a.Edges[a.Offsets[v]:hi:hi], true
 }
 
 // CompressedCSR is one direction's adjacency in delta+varint block form.
 // It keeps the raw rows it encodes (aliasing the graph's own slices), and
-// every traversal method — Degree, Base, Cursor, AppendRow — is the raw
+// every traversal method — Degree, Base, Cursor, Row — is the raw
 // one: the blocks are never decoded on the host. The simulated storage the
 // backend models is ByteOffsets plus Data (see Bytes), so Extent and
 // ExtentRange report byte ranges and PrefixBytes sizes early-exited scans.

@@ -3,6 +3,7 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -32,6 +33,9 @@ import (
 // count of base slots those deletions remove.
 type ovSide struct {
 	srcs []Node
+	// touched is srcs as a bitset over [0, max(srcs)], so asking about an
+	// untouched vertex costs one bit test instead of a binary search.
+	touched []uint64
 	// insOff/delOff have len(srcs)+1; touched vertex i's inserts are
 	// insDst[insOff[i]:insOff[i+1]] (sorted, stable within equal dst) with
 	// parallel weights insW, and its deleted pair values are
@@ -54,12 +58,19 @@ type ovSide struct {
 	edges int64
 }
 
+// has reports whether v is touched.
+func (s *ovSide) has(v Node) bool {
+	w := int(v / 64)
+	return w < len(s.touched) && s.touched[w]&(1<<(v%64)) != 0
+}
+
 // find returns the index of v in srcs, or -1 if v is untouched.
 func (s *ovSide) find(v Node) int {
-	if i, ok := slices.BinarySearch(s.srcs, v); ok {
-		return i
+	if !s.has(v) {
+		return -1
 	}
-	return -1
+	i, _ := slices.BinarySearch(s.srcs, v)
+	return i
 }
 
 // Entries returns the side's total delta entries (inserts + delete pairs).
@@ -199,6 +210,12 @@ func (s *ovSide) merge(ops []sideOp, baseEdges int64, weighted bool, baseCopies 
 		slots += int64(rowSlots)
 	}
 	n.edges = baseEdges + int64(len(n.insDst)) - slots
+	if k := len(n.srcs); k > 0 {
+		n.touched = make([]uint64, n.srcs[k-1]/64+1)
+		for _, v := range n.srcs {
+			n.touched[v/64] |= 1 << (v % 64)
+		}
+	}
 	return n, changed
 }
 
@@ -484,6 +501,10 @@ func (a *OverlayAdj) ExtentRange(lo, hi Node) (int64, int64) {
 	return a.base.ExtentRange(lo, hi)
 }
 
+// Touched reports whether the delta touches v, i.e. whether Row merges v's
+// row instead of returning the base row raw. It is one bit test.
+func (a *OverlayAdj) Touched(v Node) bool { return a.side.has(v) }
+
 // BaseDegree returns v's degree in the base alone (the decode charge of a
 // compressed base block).
 func (a *OverlayAdj) BaseDegree(v Node) int64 { return a.base.Degree(v) }
@@ -517,8 +538,12 @@ func (a *OverlayAdj) DeltaEntries() int64 { return a.side.Entries() }
 // ties. EI tracks the overlay ei contract edge index of the last yielded
 // neighbor.
 func (a *OverlayAdj) Cursor(v Node) Cursor {
+	return a.cursor(v, a.side.find(v))
+}
+
+// cursor is Cursor for v at touched index i (negative when untouched).
+func (a *OverlayAdj) cursor(v Node, i int) Cursor {
 	c := a.base.Cursor(v)
-	i := a.side.find(v)
 	if i < 0 {
 		return c
 	}
@@ -529,19 +554,21 @@ func (a *OverlayAdj) Cursor(v Node) Cursor {
 	return c
 }
 
-// AppendRow appends v's merged row: the base row directly for an untouched
-// vertex, the merged Cursor's sequence otherwise.
-func (a *OverlayAdj) AppendRow(dst []Node, v Node) []Node {
-	if a.side.find(v) < 0 {
-		return a.base.AppendRow(dst, v)
+// Row returns the base row itself (raw) for an untouched vertex, and the
+// merged Cursor's sequence appended to scratch[:0] otherwise.
+func (a *OverlayAdj) Row(scratch []Node, v Node) ([]Node, bool) {
+	i := a.side.find(v)
+	if i < 0 {
+		return a.base.Row(scratch, v)
 	}
-	c := a.Cursor(v)
+	row := scratch[:0]
+	c := a.cursor(v, i)
 	for {
 		d, ok := c.Next()
 		if !ok {
-			return dst
+			return row, false
 		}
-		dst = append(dst, d)
+		row = append(row, d)
 	}
 }
 
@@ -555,9 +582,19 @@ func (ov *Overlay) Validate() error {
 			return fmt.Errorf("graph: overlay %s side: inconsistent offset lengths", name)
 		}
 		var slots int64
+		set := 0
+		for _, w := range s.touched {
+			set += bits.OnesCount64(w)
+		}
+		if set != k {
+			return fmt.Errorf("graph: overlay %s side: touched bitset holds %d vertices, list %d", name, set, k)
+		}
 		for i := 0; i < k; i++ {
 			if i > 0 && s.srcs[i] <= s.srcs[i-1] {
 				return fmt.Errorf("graph: overlay %s side: touched vertices not strictly sorted", name)
+			}
+			if !s.has(s.srcs[i]) {
+				return fmt.Errorf("graph: overlay %s side: touched vertex %d missing from the bitset", name, s.srcs[i])
 			}
 			slots += int64(s.delSlots[i])
 		}

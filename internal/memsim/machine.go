@@ -707,10 +707,7 @@ func (m *Machine) streamCost(a *Array, socket int, local, isWrite bool, bytes in
 // compiler's inlining budget: as a call it costs ~1.5 ns per RandomN.
 func expectedMisses(t *Thread, a *Array, pageSize int64, thpResidue bool, fn float64) float64 {
 	reach := float64(len(t.tlb.class(pageSize).pages)) * float64(pageSize)
-	missFrac := 1 - reach/float64(a.bytes)
-	if missFrac < 0 {
-		missFrac = 0
-	}
+	missFrac := max(1-reach/float64(a.bytes), 0)
 	if thpResidue {
 		missFrac = missFrac*(1-thpSmallFraction) + thpSmallFraction
 	}

@@ -14,8 +14,9 @@
 // label touches per edge, an emit judged against round-start state and a
 // sequential coordinator apply; a gatherProgram names a row fold and an
 // owner-only done. apps.go holds the table. Both drivers decode each walked
-// block of an active vertex once, with Adjacency.AppendRow into per-thread
-// scratch, and hand the program the whole row: a program callback runs once
+// block of an active vertex once, with Adjacency.Row, and hand the program
+// the whole row — the scatter driver the graph's own row, the gather driver
+// a per-thread copy its program may rewrite: a program callback runs once
 // per (active vertex, walked direction), never per edge. Adjacency is walked
 // only through core.AdjView, the frontier through engine.Dense, and every
 // claim list — per-worker fragment and cross-shard alike — goes through
@@ -201,8 +202,9 @@ type worker struct {
 	dst    [][]graph.Node
 	val    [][]uint64
 	remote []int64
-	// rows is the per-thread row scratch both drivers decode each walked
-	// block into, reused across supersteps.
+	// rows is the per-thread row scratch the gather driver copies each
+	// walked row into (its programs may rewrite the row), reused across
+	// supersteps.
 	rows [][]graph.Node
 }
 
@@ -392,7 +394,8 @@ type scatterProgram struct {
 	// emit judges one walked row of v on a worker thread and appends a
 	// claim (d, operand) to dst/val for every neighbor d it claims, in row
 	// order. wts is the row's out-edge weights (wts[k] belongs to row[k])
-	// when the scan is weighted and the row is an out-row, else nil. It
+	// when the scan is weighted and the row is an out-row, else nil. Both
+	// may be the graph's own storage, so emit must not write them. It
 	// may read only round-start state, so the claim SET is a pure function
 	// of the round's input, not of interleaving.
 	emit func(v graph.Node, row []graph.Node, wts []uint32, dst []graph.Node, val []uint64) ([]graph.Node, []uint64)
@@ -440,17 +443,6 @@ func (w *worker) charge(t *memsim.Thread, lv graph.Node, s *scan, write bool, ex
 	t.Op(int(deg) + extraOps)
 }
 
-// weightRow returns the out-edge weights of local vertex lv's row of n
-// neighbors: wts[k] is the weight of the k-th neighbor a Cursor over lv
-// yields, i.e. OutWeightAt(Cursor.EI()). It reads Base(lv)+k directly,
-// which holds because a shard-local graph is a plain CSR, never an overlay
-// (Plan.Validate refuses Shards × Overlay); sharding an overlay must
-// revisit it, since overlay edge indices are not contiguous per row.
-func (w *worker) weightRow(lv graph.Node, n int) []uint32 {
-	b := w.views[0].Adj.Base(lv)
-	return w.rt.G.OutWeights[b : b+int64(n)]
-}
-
 // scatter runs one superstep of p over frontier and returns the next
 // frontier (reusing frontier's storage). Workers charge and walk their
 // share of the frontier, decoding each walked row once and buffering its
@@ -464,7 +456,7 @@ func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node 
 		if p.streamLabels {
 			w.labels.ReadRange(t, int64(lo), int64(hi))
 		}
-		dst, val, row := w.dst[t.ID], w.val[t.ID], w.rows[t.ID]
+		dst, val := w.dst[t.ID], w.val[t.ID]
 		active.ForEachInRange(lo, hi, func(v graph.Node) {
 			lv := v - w.lo
 			w.charge(t, lv, &p.scan, true, 0)
@@ -472,15 +464,19 @@ func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node 
 				if !p.walk[i] {
 					continue
 				}
-				row = w.views[i].Adj.AppendRow(row[:0], lv)
+				// A shard-local graph is a plain CSR, so every row is
+				// raw: the graph's own storage, needing no scratch.
+				var row []graph.Node
 				var wts []uint32
 				if p.weighted && i == 0 {
-					wts = w.weightRow(lv, len(row))
+					row, wts, _ = w.rt.OutRow(nil, nil, lv)
+				} else {
+					row, _ = w.views[i].Adj.Row(nil, lv)
 				}
 				dst, val = p.emit(v, row, wts, dst, val)
 			}
 		})
-		w.dst[t.ID], w.val[t.ID], w.rows[t.ID] = dst, val, row
+		w.dst[t.ID], w.val[t.ID] = dst, val
 	})
 	e.deactivate(frontier)
 	send, fragD, fragV := e.send, e.fragD, e.fragV
@@ -537,7 +533,10 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 				if !p.walk[i] {
 					continue
 				}
-				row = w.views[i].Adj.AppendRow(row[:0], v-w.lo)
+				// A copy, not graph storage: programs may compact the
+				// row in place (bc backward does).
+				r, _ := w.views[i].Adj.Row(row, v-w.lo)
+				row = append(row[:0], r...)
 				var from []graph.Node
 				sum, from = p.row(v, row, sum)
 				if !p.everyMaster {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"testing"
 
 	"pmemgraph/internal/analytics"
@@ -240,8 +241,9 @@ func TestPerShardSecondsAdvance(t *testing.T) {
 
 // TestShardWeightRowMatchesCursor checks the contract the scatter driver's
 // weighted rows rest on: for every vertex of every shard, under both
-// backends, weightRow's wts[k] is the weight OutWeightAt(Cursor.EI()) reads
-// at the k-th neighbor, and AppendRow yields the Cursor's neighbors.
+// backends, OutRow yields the Cursor's neighbors as a raw row, and its
+// wts[k] is the weight OutWeightAt(Cursor.EI()) reads at the k-th
+// neighbor.
 func TestShardWeightRowMatchesCursor(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		gen.RMAT(10, 16, 0.57, 0.19, 0.19, 3, false),
@@ -260,10 +262,11 @@ func TestShardWeightRowMatchesCursor(t *testing.T) {
 			}
 			edges := 0
 			for s, w := range e.workers {
-				var row []graph.Node
 				for lv := graph.Node(0); lv < w.hi-w.lo; lv++ {
-					row = w.views[0].Adj.AppendRow(row[:0], lv)
-					wts := w.weightRow(lv, len(row))
+					row, wts, raw := w.rt.OutRow(nil, nil, lv)
+					if !raw {
+						t.Fatalf("%v shard %d vertex %d: a shard-local row is not raw", backend, s, lv)
+					}
 					c := w.views[0].Adj.Cursor(lv)
 					k := 0
 					for d, ok := c.Next(); ok; d, ok = c.Next() {
@@ -285,6 +288,24 @@ func TestShardWeightRowMatchesCursor(t *testing.T) {
 			if int64(edges) != g.NumEdges() {
 				t.Fatalf("%v: walked %d edges, graph has %d", backend, edges, g.NumEdges())
 			}
+		}
+	}
+}
+
+// TestGatherProgramGetsAScratchRow: the gather driver hands its programs a
+// copy of each row, never the graph's own storage, because bc backward
+// compacts the contributing neighbors into the row it is given. Sharded bc
+// from several sources must leave the source graph's edges as they were.
+func TestGatherProgramGetsAScratchRow(t *testing.T) {
+	g := gen.RMAT(10, 16, 0.57, 0.19, 0.19, 3, false)
+	g.BuildIn()
+	out, in := slices.Clone(g.OutEdges), slices.Clone(g.InEdges)
+	e := testEngine(t, g, 3)
+	hub, _ := g.MaxOutDegreeNode()
+	for _, src := range []graph.Node{hub, 0, 517} {
+		e.BC(src)
+		if !slices.Equal(g.OutEdges, out) || !slices.Equal(g.InEdges, in) {
+			t.Fatalf("bc from %d rewrote the graph's edge storage", src)
 		}
 	}
 }
