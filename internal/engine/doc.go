@@ -19,8 +19,8 @@
 // Beside them sits MergeClaims, the one sorted-dedup claim merge in the
 // repository: push rounds and VertexFilter drain their per-thread buffers
 // through it, and internal/shard reuses it — with a min or sum reduction
-// operand per claim — for per-worker fragment collapse and the
-// coordinator's cross-shard merge.
+// operand per claim — for each shard's merge of the claims on its owner
+// range.
 //
 // # Charging contract
 //

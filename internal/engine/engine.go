@@ -101,6 +101,9 @@ type Engine struct {
 	// Thread.ID. Threads append claims race-free during a push round; the
 	// engine drains the buffers (retaining capacity) at the merge.
 	claims [][]graph.Node
+	// merged is the claim merge's output scratch (MergeClaims' outD),
+	// reused across rounds.
+	merged []graph.Node
 
 	// rows holds one row scratch slice per virtual thread, indexed by
 	// Thread.ID, that a Gather round's Adjacency.Row merges an
@@ -348,14 +351,15 @@ func checkGather(args *EdgeMapArgs) {
 	panic("engine: EdgeMapArgs.Gather excludes EdgeMapArgs." + field)
 }
 
-// MergeClaims is the one sorted-dedup claim merge: the sequential barrier
-// phase that turns claim buffers — one per virtual thread of a region, or
-// one per shard fragment of a superstep — into an ID-sorted, duplicate-free
-// destination list. It drains the buffers in index order (truncating them,
-// capacity retained), deduplicates against seen, sorts the survivors, and
-// clears seen again in O(|merged|), so thousands of tiny-frontier rounds on
-// a high-diameter graph never pay an O(|V|) zeroing. seen must be empty on
-// entry and span the destination ID space.
+// MergeClaims is the one sorted-dedup claim merge: the barrier phase that
+// turns claim buffers — one per virtual thread of a region, or one per
+// thread of every source shard for one owner range of a superstep — into
+// an ID-sorted, duplicate-free destination list. It drains the buffers in
+// index order (truncating them, capacity retained), deduplicates against
+// seen, sorts the survivors, and clears seen again in O(|merged|), so
+// thousands of tiny-frontier rounds on a high-diameter graph never pay an
+// O(|V|) zeroing. seen must be empty (at least at the destinations merged)
+// on entry and span the destination ID space.
 //
 // Sorting makes the result independent of claim attribution — which buffer
 // held a claim, how often, in what order — so operators whose claims race to
@@ -367,8 +371,14 @@ func checkGather(args *EdgeMapArgs) {
 // through reduce into acc, |V|-sized scratch, and the second result holds
 // the reduced operand of every merged destination. reduce must be
 // commutative and associative (min, sum) for the same independence to hold.
-func MergeClaims(seen *Dense, dsts [][]graph.Node, vals [][]uint64, acc []uint64, reduce func(a, b uint64) uint64) ([]graph.Node, []uint64) {
-	var merged []graph.Node
+//
+// The results are built in outD's and outV's storage (truncated first; nil
+// allocates), so a caller that passes its previous results back merges
+// without allocating once their capacity suffices. seen and acc are only
+// touched at the merged destinations: merges whose destination sets are
+// disjoint (shard owner ranges) may share them concurrently.
+func MergeClaims(seen *Dense, dsts [][]graph.Node, vals [][]uint64, acc []uint64, reduce func(a, b uint64) uint64, outD []graph.Node, outV []uint64) ([]graph.Node, []uint64) {
+	merged := outD[:0]
 	if vals == nil {
 		for i, buf := range dsts {
 			for _, d := range buf {
@@ -395,7 +405,7 @@ func MergeClaims(seen *Dense, dsts [][]graph.Node, vals [][]uint64, acc []uint64
 	slices.Sort(merged)
 	var reduced []uint64
 	if vals != nil {
-		reduced = make([]uint64, len(merged))
+		reduced = slices.Grow(outV[:0], len(merged))[:len(merged)]
 	}
 	for i, d := range merged {
 		seen.Unset(d)
@@ -407,13 +417,15 @@ func MergeClaims(seen *Dense, dsts [][]graph.Node, vals [][]uint64, acc []uint64
 }
 
 // mergeClaims drains the per-thread claim buffers into the next frontier
-// (sparse; callers convert per policy).
+// (sparse; callers convert per policy). The frontier's list is the engine's
+// merge scratch until finishPush gives it its own storage or drops it.
 func (e *Engine) mergeClaims() *Frontier {
 	n := e.R.NumNodes()
 	if e.dedup == nil {
 		e.dedup = NewDense(n)
 	}
-	vs, _ := MergeClaims(e.dedup, e.claims, nil, nil, nil)
+	e.merged, _ = MergeClaims(e.dedup, e.claims, nil, nil, nil, e.merged, nil)
+	vs := e.merged
 	return &Frontier{n: n, sparse: vs, count: int64(len(vs)), outEdges: sumOutDegrees(e.R, vs)}
 }
 
@@ -424,6 +436,7 @@ func (e *Engine) mergeClaims() *Frontier {
 // activation counts there would depend on claim attribution).
 func (e *Engine) finishPush(next *Frontier, rs *RoundStat) *Frontier {
 	if next.count == 0 {
+		next.sparse = nil
 		return next
 	}
 	if e.wantDense(next.count, next.outEdges) {
@@ -434,6 +447,9 @@ func (e *Engine) finishPush(next *Frontier, rs *RoundStat) *Frontier {
 			e.nextBits.RandomN(t, hi-lo, true)
 		}))
 	} else {
+		// The caller owns a sparse frontier's list (kernels keep levels),
+		// so it leaves the merge scratch as an exact-size copy.
+		next.sparse = slices.Clone(next.sparse)
 		addStats(&rs.Stats, e.R.ParallelItems(next.count, func(t *memsim.Thread, lo, hi int64) {
 			e.wl.WriteRange(t, lo, hi)
 		}))

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"pmemgraph/internal/gen"
@@ -195,9 +197,13 @@ func TestFrontierPropertyMergeClaims(t *testing.T) {
 // TestMergeClaimsPropertyValued extends the permutation property to valued
 // claims under both reductions: the merged (destination, operand) list is
 // the per-destination reduction of the claim multiset in ascending ID order,
-// invariant under how claims are permuted across thread buffers and under
-// how they are split across shards (threads merged per shard first, the
-// fragments merged again by the coordinator).
+// invariant under how claims are permuted across thread buffers, under how
+// they are split across shards (threads merged per shard first, the
+// fragments merged again), and under the shard barrier's owner split:
+// every shard's claims routed to contiguous destination ranges, each range
+// merged over all shards' buffers for it — concurrently, sharing seen and
+// acc, into output buffers reused from the previous iteration — and the
+// range lists joined in range order.
 func TestMergeClaimsPropertyValued(t *testing.T) {
 	const n = 300
 	reductions := map[string]func(a, b uint64) uint64{
@@ -210,6 +216,7 @@ func TestMergeClaimsPropertyValued(t *testing.T) {
 	}
 	seen := NewDense(n)
 	acc := make([]uint64, n)
+	var owned []ownerState
 	// scatter deals claims (in a random order) across a random number of
 	// buffers.
 	scatter := func(rng *rand.Rand, claims []claim) ([][]graph.Node, [][]uint64) {
@@ -259,7 +266,7 @@ func TestMergeClaimsPropertyValued(t *testing.T) {
 
 			// One level: any permutation across thread buffers.
 			dsts, vals := scatter(rng, claims)
-			ds, vs := MergeClaims(seen, dsts, vals, acc, reduce)
+			ds, vs := MergeClaims(seen, dsts, vals, acc, reduce, nil, nil)
 			check("threads", ds, vs)
 			for i := range dsts {
 				if len(dsts[i]) != 0 || len(vals[i]) != 0 {
@@ -279,10 +286,52 @@ func TestMergeClaimsPropertyValued(t *testing.T) {
 			fragV := make([][]uint64, shards)
 			for s := range perShard {
 				dsts, vals := scatter(rng, perShard[s])
-				fragD[s], fragV[s] = MergeClaims(seen, dsts, vals, acc, reduce)
+				fragD[s], fragV[s] = MergeClaims(seen, dsts, vals, acc, reduce, nil, nil)
 			}
-			ds, vs = MergeClaims(seen, fragD, fragV, acc, reduce)
+			ds, vs = MergeClaims(seen, fragD, fragV, acc, reduce, nil, nil)
 			check("shards", ds, vs)
+
+			// Owner ranges: cut [0, n) at random points; each owner merges
+			// every shard's claims on its range on its own goroutine.
+			cuts := []graph.Node{0, n}
+			for range rng.Intn(4) {
+				cuts = append(cuts, graph.Node(rng.Intn(n)))
+			}
+			slices.Sort(cuts)
+			owners := len(cuts) - 1
+			for len(owned) < owners {
+				owned = append(owned, ownerState{})
+			}
+			var wg sync.WaitGroup
+			for o := range owners {
+				wg.Add(1)
+				go func(o int, st *ownerState) {
+					defer wg.Done()
+					lo, hi := cuts[o], cuts[o+1]
+					dsts := make([][]graph.Node, shards)
+					vals := make([][]uint64, shards)
+					for s, cs := range perShard {
+						for _, c := range cs {
+							if c.d >= lo && c.d < hi {
+								dsts[s], vals[s] = append(dsts[s], c.d), append(vals[s], c.val)
+							}
+						}
+					}
+					st.ds, st.vs = MergeClaims(seen, dsts, vals, acc, reduce, st.ds, st.vs)
+				}(o, &owned[o])
+			}
+			wg.Wait()
+			ds, vs = nil, nil
+			for _, st := range owned[:owners] {
+				ds, vs = append(ds, st.ds...), append(vs, st.vs...)
+			}
+			check("owners", ds, vs)
 		}
 	}
+}
+
+// ownerState is one owner range's merge output, reused across iterations.
+type ownerState struct {
+	ds []graph.Node
+	vs []uint64
 }

@@ -73,9 +73,10 @@ type Array struct {
 	length   int64
 	bytes    int64
 
-	pageSize int64
-	numPages int64
-	baseAddr uint64 // global virtual base address
+	pageSize  int64
+	pageShift uint // log2(pageSize): page sizes are powers of two
+	numPages  int64
+	baseAddr  uint64 // global virtual base address
 
 	opts AllocOpts
 
@@ -105,15 +106,26 @@ type Array struct {
 	// cost. Both depend on the page size, fixed by Alloc.
 	migProb, migNs float64
 
+	// Values the charge paths would otherwise rederive on every access,
+	// resolved by the machine at the start of each region (see
+	// Machine.resolve): streamDen[(s*2+write)*2+remote] is the per-thread
+	// streaming bandwidth bw/share of socket s, randLat[s*2+write] the
+	// expected latency of one RandomN access from a thread on socket s, and
+	// hitProb the footprint-weighted near-memory hit probability RandomN
+	// counts with.
+	streamDen []float64
+	randLat   []float64
+	hitProb   float64
+
 	freed bool
 
-	// id indexes the machine's live arrays and each thread's traffic
-	// cells. Free returns it for reuse, so ids stay dense.
+	// id indexes the machine's live arrays and each thread's cells. Free
+	// returns it for reuse, so ids stay dense.
 	id int
 
 	// readBytes/writeBytes total the simulated traffic charged against
 	// this allocation by finished regions. Region threads count into
-	// their own cells (Thread.traffic); the machine adds the cells here at
+	// their own cells (Thread.cells); the machine adds the cells here at
 	// the region barrier, in thread-index order, so nothing writes these
 	// fields while a region runs.
 	readBytes, writeBytes uint64
@@ -140,15 +152,25 @@ func (a *Array) Len() int64 { return a.length }
 // Bytes returns the allocation size in bytes.
 func (a *Array) Bytes() int64 { return a.bytes }
 
-// pageOf returns the page index containing element i.
+// pageOf returns the page index containing element i (i*elemSize/pageSize
+// for the non-negative indices the charge paths pass).
 func (a *Array) pageOf(i int64) int64 {
-	return i * a.elemSize / a.pageSize
+	return i * a.elemSize >> a.pageShift
+}
+
+// pageID returns the translation-page number of a's page p under pages of
+// 1<<shift bytes: (baseAddr + p*pageSize) / (1<<shift).
+func (a *Array) pageID(p int64, shift uint) uint64 {
+	return (a.baseAddr + uint64(p)<<a.pageShift) >> shift
 }
 
 // socketOf returns the socket that page p resides on.
 func (a *Array) socketOf(p int64) int {
 	switch a.opts.Policy {
 	case Interleaved:
+		if mask := a.m.sockMask; mask >= 0 {
+			return int(p & mask)
+		}
 		return int(p % int64(a.m.cfg.Sockets))
 	case Blocked:
 		threads := a.opts.BlockThreads

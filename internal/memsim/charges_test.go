@@ -222,6 +222,12 @@ func BenchmarkCharge(b *testing.B) {
 	}{{"mm", OptaneMachine()}, {"dram", DRAMMachine()}} {
 		m := NewMachine(Scaled(mc.cfg, 32))
 		a := m.MustAlloc("bench", n, 4, AllocOpts{Policy: Interleaved})
+		// A node array (offsets, labels) beside the edge array a, both on
+		// huge pages, for the per-vertex charge sequence of a shard worker:
+		// the offset pair, the row's block, the row's label touches.
+		huge := AllocOpts{Policy: Interleaved, PageSize: PageHuge}
+		nodes := m.MustAlloc("bench.nodes", n/16, 8, huge)
+		edges := m.MustAlloc("bench.edges", n, 4, huge)
 		for _, op := range []struct {
 			name string
 			run  func(t *Thread, i int64)
@@ -235,6 +241,12 @@ func BenchmarkCharge(b *testing.B) {
 			}},
 			{"RandomN64", func(t *Thread, i int64) { a.RandomN(t, 64, false) }},
 			{"RandomBatch64", func(t *Thread, i int64) { a.RandomBatch(t, 64, false) }},
+			{"VertexScan16", func(t *Thread, i int64) {
+				v := i % (n/16 - 1)
+				nodes.ReadN(t, v, 2)
+				edges.ReadRange(t, v*16, v*16+16)
+				nodes.RandomN(t, 16, false)
+			}},
 		} {
 			b.Run(mc.name+"/"+op.name, func(b *testing.B) {
 				m.Sequential(func(t *Thread) {

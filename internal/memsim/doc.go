@@ -36,4 +36,27 @@
 // at the table serving it, along with its migration probability and cost.
 // The charge paths only index those tables, so each calibration constant
 // is selected at one site.
+//
+// Values a charge depends on but that change only with the footprint are
+// resolved ahead of the access that uses them, each by the expression, in
+// the order of operations, the access once evaluated itself, so every
+// simulated bit is what per-access evaluation gives:
+//
+//   - at Alloc: an array's page shift. Page sizes are validated powers of
+//     two, so page and translation-page indices are shifts, equal to the
+//     divisions for the non-negative indices charges pass;
+//   - whenever place or Free changes a socket's footprint: the socket's
+//     near-memory hit probability and resident fraction;
+//   - at region start: each live array's streaming denominators (bandwidth
+//     over the region's thread share, per socket, direction and locality),
+//     its expected RandomN latency per thread socket and direction, and its
+//     footprint-weighted hit probability. They depend on the footprint,
+//     the placement and the region's thread count, all fixed while the
+//     region runs: Alloc and Free panic inside a region.
+//
+// A thread also keeps, per array, the TLB slot that last held one of the
+// array's pages and probes it before the LRU scan. A valid page ID occupies
+// at most one slot of a class, so a hint hit is the slot the scan would find
+// and updates the same stamp: hit/miss sequences and LRU state are the
+// scan's.
 package memsim

@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -36,12 +37,20 @@ type Machine struct {
 	// adBytes tracks app-direct placements.
 	volatileBytes []int64
 	adBytes       []int64
+	// sockMask is Sockets-1 when the socket count is a power of two (an
+	// interleaved page's socket is then p&sockMask, which equals p%Sockets
+	// for the non-negative page indices), else -1.
+	sockMask int64
+	// hitProb[s] and resident[s] are nearMemHitProb(s) and residentFrac(s)
+	// of the current footprint, recomputed whenever place or Free changes
+	// it (footprintChanged) rather than on every charged access.
+	hitProb, resident []float64
 
 	nextAddr uint64
 	allocs   map[string]*Array
 
 	// arrays holds the live allocations by Array.id; freeIDs are the ids
-	// Free returned, which Alloc reuses, so a thread's traffic cells are
+	// Free returned, which Alloc reuses, so a thread's cells are
 	// bounded by the live arrays rather than by every allocation made.
 	arrays  []*Array
 	freeIDs []int
@@ -81,8 +90,15 @@ func NewMachine(cfg MachineConfig) *Machine {
 		tiers:         newTiers(&c),
 		volatileBytes: make([]int64, cfg.Sockets),
 		adBytes:       make([]int64, cfg.Sockets),
+		hitProb:       make([]float64, cfg.Sockets),
+		resident:      make([]float64, cfg.Sockets),
 		allocs:        make(map[string]*Array),
+		sockMask:      -1,
 	}
+	if cfg.Sockets&(cfg.Sockets-1) == 0 {
+		m.sockMask = int64(cfg.Sockets - 1)
+	}
+	m.footprintChanged()
 	if cfg.Mode == MemoryMode {
 		m.walkNs, m.faultNs, m.bookNs = c.PageWalkOptane, c.MinorFaultOptane, c.MigrationBookkeepOptane
 	}
@@ -173,8 +189,11 @@ func (m *Machine) AdvanceWall(ns float64) {
 	m.counters.UserNs += ns
 }
 
-// Alloc creates a simulated allocation of n elements of elemSize bytes.
+// Alloc creates a simulated allocation of n elements of elemSize bytes. It
+// panics while a region runs: the region resolved its charge tables from
+// the footprint it started with (see resolve).
 func (m *Machine) Alloc(name string, n int64, elemSize int64, opts AllocOpts) (*Array, error) {
+	m.checkIdle("Alloc", name)
 	if n < 0 || elemSize <= 0 {
 		return nil, fmt.Errorf("memsim: alloc %q: invalid shape n=%d elem=%d", name, n, elemSize)
 	}
@@ -204,17 +223,20 @@ func (m *Machine) Alloc(name string, n int64, elemSize int64, opts AllocOpts) (*
 		numPages = 1
 	}
 	a := &Array{
-		m:        m,
-		name:     name,
-		elemSize: elemSize,
-		length:   n,
-		bytes:    bytes,
-		pageSize: pageSize,
-		numPages: numPages,
-		baseAddr: m.nextAddr,
-		opts:     opts,
-		touched:  make([]atomic.Uint64, (numPages+63)/64),
+		m:         m,
+		name:      name,
+		elemSize:  elemSize,
+		length:    n,
+		bytes:     bytes,
+		pageSize:  pageSize,
+		pageShift: uint(bits.TrailingZeros64(uint64(pageSize))),
+		numPages:  numPages,
+		baseAddr:  m.nextAddr,
+		opts:      opts,
+		touched:   make([]atomic.Uint64, (numPages+63)/64),
 	}
+	tables := make([]float64, 6*m.cfg.Sockets)
+	a.streamDen, a.randLat = tables[:4*m.cfg.Sockets], tables[4*m.cfg.Sockets:]
 	// Advance the virtual address cursor, giant-page aligned so arrays
 	// never share a translation page of any size class.
 	m.nextAddr += (uint64(bytes)/PageGiant + 1) * PageGiant
@@ -222,6 +244,7 @@ func (m *Machine) Alloc(name string, n int64, elemSize int64, opts AllocOpts) (*
 	if err := m.place(a); err != nil {
 		return nil, err
 	}
+	m.footprintChanged()
 	a.frac = make([]float64, m.cfg.Sockets)
 	for s := range a.frac {
 		a.frac[s] = a.placedFrac(s)
@@ -342,11 +365,13 @@ func (m *Machine) place(a *Array) error {
 	return nil
 }
 
-// Free releases an allocation's footprint.
+// Free releases an allocation's footprint. Like Alloc, it panics while a
+// region runs.
 func (m *Machine) Free(a *Array) {
 	if a == nil || a.freed {
 		return
 	}
+	m.checkIdle("Free", a.name)
 	a.freed = true
 	delete(m.allocs, a.name)
 	m.arrays[a.id] = nil
@@ -354,6 +379,23 @@ func (m *Machine) Free(a *Array) {
 	pool := m.pool(a)
 	for s, bytes := range a.placed {
 		pool[s] -= bytes
+	}
+	m.footprintChanged()
+}
+
+// checkIdle panics, naming op and the array, when a region is running.
+func (m *Machine) checkIdle(op, name string) {
+	if m.running.Load() {
+		panic(fmt.Sprintf("memsim: %s of %q while a region runs: the footprint must stay fixed within a region", op, name))
+	}
+}
+
+// footprintChanged recomputes the per-socket near-memory probabilities from
+// the current footprint.
+func (m *Machine) footprintChanged() {
+	for s := range m.hitProb {
+		m.hitProb[s] = m.nearMemHitProb(s)
+		m.resident[s] = m.residentFrac(s)
 	}
 }
 
@@ -429,6 +471,7 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 	}
 	threads = threadCount(m, threads)
 	m.regionThreads = threads
+	m.resolve()
 	cores := m.cfg.Sockets * m.cfg.CoresPerSocket
 	if pinSocket >= 0 {
 		cores = m.cfg.CoresPerSocket
@@ -499,12 +542,12 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 			}
 		}
 		clear(t.touches)
-		for id, c := range t.traffic {
-			if c != [2]uint64{} {
+		for id := range t.cells {
+			if c := &t.cells[id].traffic; *c != [2]uint64{} {
 				a := m.arrays[id]
 				a.readBytes += c[0]
 				a.writeBytes += c[1]
-				t.traffic[id] = [2]uint64{}
+				*c = [2]uint64{}
 			}
 		}
 	}
@@ -552,10 +595,10 @@ func (m *Machine) Sequential(fn func(t *Thread)) RegionStats {
 // countAccess records n accesses moving bytes against t's traffic cell for a
 // and t's counters.
 func countAccess(t *Thread, a *Array, n, bytes int64, isWrite bool) {
-	if a.id >= len(t.traffic) {
-		t.growTraffic(a.id)
+	if a.id >= len(t.cells) {
+		t.growCells(a.id)
 	}
-	t.traffic[a.id][bit(isWrite)] += uint64(bytes)
+	t.cells[a.id].traffic[bit(isWrite)] += uint64(bytes)
 	if isWrite {
 		t.C.Writes += uint64(n)
 		t.C.BytesWritten += uint64(bytes)
@@ -585,12 +628,21 @@ func (m *Machine) access(t *Thread, a *Array, i, n int64, isWrite, seq bool) {
 	lastPage := a.pageOf(i + n - 1)
 	socket := a.socketOf(firstPage)
 
-	// Address translation and fault service, per page touched.
+	// Address translation and fault service, per page touched. The slot
+	// that last held a page of a is probed before the LRU scan.
 	pageSize := a.effectivePageSize(t)
 	cls := t.tlb.class(pageSize)
+	shift := uint(bits.TrailingZeros64(uint64(pageSize)))
+	slot := &t.cells[a.id].slot
 	for p := firstPage; p <= lastPage; p++ {
-		pid := (a.baseAddr + uint64(p)*uint64(a.pageSize)) / uint64(pageSize)
-		if cls.lookup(pid) {
+		pid := a.pageID(p, shift)
+		hit := cls.holds(int(*slot), pid)
+		if !hit {
+			var k int
+			k, hit = cls.lookup(pid)
+			*slot = int32(k)
+		}
+		if hit {
 			t.C.TLBHits++
 		} else {
 			t.C.TLBMisses++
@@ -655,7 +707,7 @@ func (m *Machine) access(t *Thread, a *Array, i, n int64, isWrite, seq bool) {
 func (m *Machine) randomCost(t *Thread, a *Array, socket int, local, isWrite bool) float64 {
 	r := bit(!local)
 	if a.tier.cached {
-		if !t.chance(m.nearMemHitProb(socket)) {
+		if !t.chance(m.hitProb[socket]) {
 			t.C.NearMemMisses++
 			lat := a.tier.missLat[r]
 			if isWrite {
@@ -682,22 +734,74 @@ func (m *Machine) share(a *Array, socket int) float64 {
 }
 
 // streamCost returns the cost of streaming bytes sequentially, charged at
-// the per-thread share of the serving socket's bandwidth.
+// the per-thread share of the serving socket's bandwidth (streamDen).
 func (m *Machine) streamCost(a *Array, socket int, local, isWrite bool, bytes int64) float64 {
 	if bytes <= 0 {
 		return 0
 	}
-	w := bit(isWrite)
-	bw := a.tier.seqBW[w][bit(!local)]
-	if a.tier.cached {
-		// Streams beyond near-memory capacity spill to the Optane
-		// media at its sustained rate.
-		rf := m.residentFrac(socket)
-		if rf < 1 {
-			bw = 1 / (rf/bw + (1-rf)/a.tier.spillBW[w])
+	return float64(bytes) / a.streamDen[(socket*2+bit(isWrite))*2+bit(!local)]
+}
+
+// resolve fills, for the region about to start, each live array's charge
+// tables (streamDen, randLat, hitProb). Every entry is a function of the
+// footprint, the array's placement and the region's thread count, none of
+// which changes while the region runs (Alloc and Free panic then), and is
+// computed by the same expression, in the same order, as the per-access
+// charge once computed it — so every charge is bit-for-bit what it was.
+func (m *Machine) resolve() {
+	for _, a := range m.arrays {
+		if a == nil {
+			continue
+		}
+		a.hitProb = 0
+		if a.tier.cached {
+			// Footprint-weighted hit probability across sockets.
+			for s, frac := range a.frac {
+				if frac > 0 {
+					a.hitProb += frac * m.hitProb[s]
+				}
+			}
+		}
+		for s := range a.frac {
+			share := m.share(a, s)
+			for w := range 2 {
+				for r := range 2 {
+					bw := a.tier.seqBW[w][r]
+					if a.tier.cached {
+						// Streams beyond near-memory capacity spill to
+						// the Optane media at its sustained rate.
+						rf := m.resident[s]
+						if rf < 1 {
+							bw = 1 / (rf/bw + (1-rf)/a.tier.spillBW[w])
+						}
+					}
+					a.streamDen[(s*2+w)*2+r] = bw / share
+				}
+				a.randLat[s*2+w] = m.randomNLatency(a, s, w == 1)
+			}
 		}
 	}
-	return float64(bytes) / (bw / m.share(a, socket))
+}
+
+// randomNLatency is the expected latency of one of RandomN's accesses to a
+// from a thread on socket ts: the device latency weighted by the share of a
+// placed on ts, blended with near-memory misses on the cached tier and with
+// on-chip hits for small arrays.
+func (m *Machine) randomNLatency(a *Array, ts int, isWrite bool) float64 {
+	fl := a.fracOnSocket(ts)
+	lat := fl*a.tier.lat[0] + (1-fl)*a.tier.lat[1]
+	if a.tier.cached {
+		hp := a.hitProb
+		missLat := fl*a.tier.missLat[0] + (1-fl)*a.tier.missLat[1]
+		if isWrite {
+			missLat *= 1.3
+		}
+		lat = hp*lat + (1-hp)*missLat
+	}
+	if a.l3Prob > 0 {
+		lat = a.l3Prob*m.cost.L3HitLatency + (1-a.l3Prob)*lat
+	}
+	return lat
 }
 
 // expectedMisses charges the TLB hits and misses expected of fn accesses
@@ -744,7 +848,7 @@ func (m *Machine) randomBatch(t *Thread, a *Array, n int64, isWrite bool) {
 	bw := a.tier.randBW[w][bit(!local)]
 	if a.tier.cached {
 		// Mix in media-speed accesses for the non-resident share.
-		hp := m.nearMemHitProb(socket)
+		hp := m.hitProb[socket]
 		if hp < 1 {
 			bw = 1 / (hp/bw + (1-hp)/a.tier.mediaRandBW[w])
 		}
@@ -775,29 +879,12 @@ func (m *Machine) randomN(t *Thread, a *Array, n int64, isWrite bool) {
 	t.C.LocalAccesses += uint64(fl * fn)
 	t.C.RemoteAccesses += uint64((1 - fl) * fn)
 
-	// Expected device latency.
-	lat := fl*a.tier.lat[0] + (1-fl)*a.tier.lat[1]
+	// Expected device latency, resolved at region start.
+	lat := a.randLat[t.Socket*2+bit(isWrite)]
 	if a.tier.cached {
-		// Footprint-weighted hit probability across sockets.
-		var hp float64
-		for s := 0; s < m.cfg.Sockets; s++ {
-			frac := a.fracOnSocket(s)
-			if frac > 0 {
-				hp += frac * m.nearMemHitProb(s)
-			}
-		}
-		missLat := fl*a.tier.missLat[0] + (1-fl)*a.tier.missLat[1]
-		if isWrite {
-			missLat *= 1.3
-		}
-		lat = hp*lat + (1-hp)*missLat
+		hp := a.hitProb
 		t.C.NearMemHits += uint64(hp * fn)
 		t.C.NearMemMisses += uint64((1 - hp) * fn)
-	}
-
-	// On-chip cache short-circuit for small arrays.
-	if a.l3Prob > 0 {
-		lat = a.l3Prob*m.cost.L3HitLatency + (1-a.l3Prob)*lat
 	}
 
 	// Migration daemon in expectation.

@@ -43,11 +43,9 @@ type Thread struct {
 	// the thread's own access sequence, never on sibling timing.
 	touches map[*Array][]uint64
 
-	// traffic[id] is the [read, written] bytes this thread charged during
-	// the region against the live array with that id (see Array.id). The
-	// machine folds the cells into the arrays' totals at the barrier, in
-	// thread-index order, and zeroes them.
-	traffic [][2]uint64
+	// cells[id] is this thread's private state for the live array with
+	// that id (see Array.id and arrayCell).
+	cells []arrayCell
 
 	// Last-touched line memo: consecutive accesses to the same 64-byte
 	// line of the same array hit in L1 and cost almost nothing.
@@ -64,7 +62,7 @@ func newThread(m *Machine, id int) *Thread {
 // reset readies t for a region on socket with the region's SMT scale: a
 // zero clock and counters, the thread's fixed RNG seed, an empty TLB and no
 // line memo. The barrier of the previous region has already emptied the
-// touch overlay and the traffic cells.
+// touch overlay and zeroed the traffic cells.
 func (t *Thread) reset(socket int, smtScale float64) {
 	t.Socket = socket
 	t.Clock = 0
@@ -76,9 +74,20 @@ func (t *Thread) reset(socket int, smtScale float64) {
 	t.tlb.reset()
 }
 
-// growTraffic extends t's traffic cells to cover array id.
-func (t *Thread) growTraffic(id int) {
-	t.traffic = append(t.traffic, make([][2]uint64, id+1-len(t.traffic))...)
+// arrayCell is one thread's private state for one live array. traffic is
+// the [read, written] bytes the thread charged against the array during the
+// region; the machine folds it into the array's totals at the barrier, in
+// thread-index order, and zeroes it. slot is the TLB slot that last held a
+// page of the array, which access probes before lookup's LRU scan (see
+// tlbClass.holds); it is only a hint, so it outlives reset and Free.
+type arrayCell struct {
+	traffic [2]uint64
+	slot    int32
+}
+
+// growCells extends t's cells to cover array id.
+func (t *Thread) growCells(id int) {
+	t.cells = append(t.cells, make([]arrayCell, id+1-len(t.cells))...)
 }
 
 // threadSocket maps virtual thread IDs to sockets using compact pinning.

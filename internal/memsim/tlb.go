@@ -61,15 +61,15 @@ func (t *tlb) class(pageSize int64) *tlbClass {
 	}
 }
 
-// lookup probes the TLB for pageID, installing it on a miss. It reports
-// whether the probe hit.
-func (c *tlbClass) lookup(pageID uint64) bool {
+// lookup probes the TLB for pageID, installing it on a miss. It returns the
+// slot that holds pageID afterwards and whether the probe hit.
+func (c *tlbClass) lookup(pageID uint64) (int, bool) {
 	c.clock++
 	victim, oldest := 0, ^uint64(0)
 	for i, p := range c.pages {
 		if p == pageID {
 			c.stamps[i] = c.clock
-			return true
+			return i, true
 		}
 		if c.stamps[i] < oldest {
 			oldest = c.stamps[i]
@@ -78,7 +78,23 @@ func (c *tlbClass) lookup(pageID uint64) bool {
 	}
 	c.pages[victim] = pageID
 	c.stamps[victim] = c.clock
-	return false
+	return victim, false
+}
+
+// holds is lookup's hit path tried at one slot first: when slot i holds
+// pageID it refreshes the slot's stamp exactly as lookup's hit would and
+// reports true; otherwise it changes nothing. A valid page ID occupies at
+// most one slot (lookup installs only IDs its scan did not find; reset and
+// flushRandom only invalidate), so a hit here is the slot lookup's scan
+// would have found, and the LRU state stays the scan's. i may be any
+// non-negative hint, including one taken from another class.
+func (c *tlbClass) holds(i int, pageID uint64) bool {
+	if i >= len(c.pages) || c.pages[i] != pageID {
+		return false
+	}
+	c.clock++
+	c.stamps[i] = c.clock
+	return true
 }
 
 // flushRandom invalidates the slot selected by r, used to model the

@@ -15,20 +15,20 @@ import (
 // run — deliberately NOT the more efficient asynchronous/non-vertex
 // algorithms, which BSP systems cannot express (§6.3).
 //
-//	kernel       driver   reduce  directions  label touches  emit / row, per row of v (round-start state)       apply (coordinator)
+//	kernel       driver   reduce  directions  label touches  emit / row, per row of v (round-start state)       apply (owner of d)
 //	bfs          scatter  min     out         1 write        claim dist[v]+1 for each d it improves             lower dist[d]; activate if lowered
 //	sssp         scatter  min     out +wts    1 write        claim dist[v]+wts[k] for each row[k] it improves   lower dist[d]; activate if lowered
 //	cc           scatter  min     out + in    1 write        claim label[v] for each d it improves              lower label[d]; activate if lowered
 //	kcore        scatter  sum     out + in    1 write        claim 1 for every d of a peeled v                  deg[d] -= n; peel d once below k
 //	bc forward   scatter  sum     out         2 writes       claim sigma[v] for each unvisited d                dist[d] = level; sigma[d] += n; activate
-//	bc backward  gather   sum     out         3 reads        sum the dependencies of its successors, kept       delta[v] = sum (owner-only)
+//	bc backward  gather   sum     out         3 reads        sum the dependencies of its successors, listed     delta[v] = sum (owner-only)
 //	pr           gather   sum     in          1 read         sum contrib[u] over the row                        next/contrib/resid[v] (owner-only), then swap
 //
 // Each Engine method below is initial state, a program, the superstep loop
 // and the Result. Shared label state is plain (non-atomic) memory that
 // workers only read during a superstep (gather programs write owner-only
-// slots) — apply is the only other writer, and the superstep barrier orders
-// the two.
+// slots) — apply is the only other writer, the superstep barrier orders the
+// two, and each owner's apply writes only the slots of its own range.
 
 // newDist returns an all-Infinity distance array with src at zero.
 func newDist(n int, src graph.Node) []uint32 {
@@ -152,12 +152,12 @@ func (e *Engine) PR(tol float64, maxRounds int) *analytics.Result {
 	prog := &gatherProgram{
 		scan:        scan{walk: inEdges, touches: 1},
 		everyMaster: true,
-		row: func(v graph.Node, row []graph.Node, sum float64) (float64, []graph.Node) {
+		row: func(v graph.Node, row []graph.Node, sum float64, from []graph.Node) (float64, []graph.Node) {
 			c := contrib
 			for _, u := range row {
 				sum += c[u]
 			}
-			return sum, row
+			return sum, from
 		},
 		done: func(v graph.Node, sum float64) {
 			nv := base + 0.85*sum
@@ -278,21 +278,19 @@ func (e *Engine) BC(src graph.Node) *analytics.Result {
 
 	backward := &gatherProgram{
 		scan: scan{walk: outEdges, touches: 3},
-		// Only successors on a shortest path contribute; they are compacted
-		// to the front of row for the driver's remote count.
-		row: func(v graph.Node, row []graph.Node, sum float64) (float64, []graph.Node) {
+		// Only successors on a shortest path contribute; they are listed
+		// in from for the driver's remote count.
+		row: func(v graph.Node, row []graph.Node, sum float64, from []graph.Node) (float64, []graph.Node) {
 			next, sv := dist[v]+1, float64(sigma[v])
-			k := 0
 			for _, d := range row {
 				sd := float64(sigma[d])
 				if dist[d] != next || sd == 0 {
 					continue
 				}
 				sum += sv / sd * (1 + delta[d])
-				row[k] = d
-				k++
+				from = append(from, d)
 			}
-			return sum, row[:k]
+			return sum, from
 		},
 		done: func(v graph.Node, sum float64) { delta[v] = sum },
 	}

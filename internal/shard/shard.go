@@ -3,25 +3,32 @@
 // worker owns one contiguous vertex range of a graph.Partition, its own
 // memsim.Machine, and its own core.Runtime (raw or compressed backend)
 // over the shard-local CSR; a superstep coordinator runs the workers
-// concurrently, exchanges their frontier fragments, and folds compute and
-// communication into the simulated clocks.
+// concurrently, has each owner merge and apply the claims on its own range,
+// and folds compute and communication into the simulated clocks.
 //
 // A kernel is a declaration, not a loop. The superstep sequence — frontier
-// scan, charge, claim, fragment collapse, cross-shard count, endRound,
-// merge, apply — exists once per driver: scatter (bfs, sssp, cc, kcore,
-// bc forward) and its claim-free counterpart gather (pr, bc backward). A
-// scatterProgram names a reduction (min | sum), the directions walked, the
-// label touches per edge, an emit judged against round-start state and a
-// sequential coordinator apply; a gatherProgram names a row fold and an
-// owner-only done. apps.go holds the table. Both drivers decode each walked
-// block of an active vertex once, with Adjacency.Row, and hand the program
-// the whole row — the scatter driver the graph's own row, the gather driver
-// a per-thread copy its program may rewrite: a program callback runs once
-// per (active vertex, walked direction), never per edge. Adjacency is walked
+// scan, charge, claim routed by owner, cross-shard count, endRound, owner
+// merge, apply — exists once per driver:
+// scatter (bfs, sssp, cc, kcore, bc forward) and its claim-free counterpart
+// gather (pr, bc backward). A scatterProgram names a reduction (min | sum),
+// the directions walked, the label touches per edge, an emit judged against
+// round-start state and an owner apply; a gatherProgram names a row fold
+// and an owner-only done. apps.go holds the table. Both drivers decode each
+// walked block of an active vertex once, with Adjacency.Row, and hand the
+// program the graph's own row, read-only: a program callback runs once per
+// (active vertex, walked direction), never per edge. Adjacency is walked
 // only through core.AdjView, the frontier through engine.Dense, and every
-// claim list — per-worker fragment and cross-shard alike — goes through
-// engine.MergeClaims, the same merge the single-machine engine's push rounds
-// use.
+// owner's claim list goes through engine.MergeClaims, the same merge the
+// single-machine engine's push rounds use.
+//
+// No barrier work runs on the coordinator goroutine but the clock fold and
+// the join of the owners' lists. Each worker's threads route every claim
+// into a buffer for the shard owning its destination, and the worker counts
+// its cross-shard bytes on its own goroutine once its region ends. After
+// endRound every worker, as the owner of its range, merges all sources'
+// buffers for the range and applies the merged list in destination order.
+// The next frontier is the owners' lists joined in shard order — ascending,
+// since ranges are.
 //
 // The package absorbs internal/distsim, which modeled the paper's §6.3
 // D-Galois cluster as a closed benchmark: the same vertex programs run
@@ -42,20 +49,22 @@
 //     cross-thread atomic in the kernels;
 //   - claims are judged against round-start snapshots, so the claim SET is
 //     a pure function of the round's input, not of interleaving;
-//   - each worker's thread buffers merge in thread-index order into a
-//     sorted, per-destination-reduced fragment (min for shortest-path
-//     reductions, sum for commutative adds), and the coordinator merges
-//     fragments in shard-index order and applies them sequentially; both
-//     reductions are commutative and associative, so the merged list is a
-//     pure function of the claim multiset.
+//   - each owner merges the claim buffers for its range (shard-index, then
+//     thread-index order) into a sorted, per-destination-reduced list (min
+//     for shortest-path reductions, sum for commutative adds) and applies
+//     it in destination order; both reductions are commutative and
+//     associative, so each owner's list is a pure function of the claim
+//     multiset on its range, and owners share the merge scratch
+//     (engine.MergeClaims' seen and acc) only at the disjoint destinations
+//     they own.
 //
 // # Charging model
 //
 // Per-superstep compute is each worker's ParallelItems region on its own
 // machine (static chunk ownership, so the charge is a pure function of the
-// shard). Cross-shard traffic is 8 bytes per fragment entry whose
-// destination is owned by another shard — the dirty-mirror volume a
-// Gluon-style runtime would sync. The round's wall cost is
+// shard). Cross-shard traffic is 8 bytes per distinct destination a shard
+// claims that another shard owns — the dirty-mirror volume a Gluon-style
+// runtime would sync. The round's wall cost is
 //
 //	max_s(compute_s) + Interconnect.ExchangeNs(shards, max_s(bytes_s), policyFactor)
 //
@@ -164,20 +173,18 @@ type Engine struct {
 	part    *graph.Partition
 	workers []*worker
 
-	// Coordinator-side scratch of the claim merge (engine.MergeClaims):
-	// the dedup set and reduction accumulators over the global ID space.
+	// Scratch of the owners' claim merges (engine.MergeClaims): the dedup
+	// set and reduction accumulators over the global ID space, each owner
+	// touching only its own range.
 	seen *engine.Dense
 	acc  []uint64
 
 	// Per-superstep scratch, reused across supersteps: the active set a
-	// superstep walks (cleared by its own vertices afterwards), each
-	// shard's compute time and cross-shard bytes, and each worker's claim
-	// fragment.
+	// superstep walks (cleared by its own vertices afterwards) and each
+	// shard's compute time and cross-shard bytes.
 	active  *engine.Dense
 	compute []float64
 	send    []int64
-	fragD   [][]graph.Node
-	fragV   [][]uint64
 
 	wallNs  float64
 	commNs  float64
@@ -190,22 +197,38 @@ type Engine struct {
 // replicated label array (masters plus proxies, as D-Galois/Gluon
 // replicates).
 type worker struct {
+	id     int // shard index
 	lo, hi graph.Node
 	m      *memsim.Machine
 	rt     *core.Runtime
 	views  [2]core.AdjView // out, in
 	labels *memsim.Array
 
-	// Per-thread claim buffers (destination and reduction operand, in
-	// parallel) and remote-read counters, indexed by virtual thread ID
-	// within one superstep region.
-	dst    [][]graph.Node
-	val    [][]uint64
+	// Per-thread state of a superstep region, indexed by virtual thread ID
+	// and reused across supersteps: the claim buffers, one per owner shard
+	// of the destinations (out[t][o]), the remote-read counter, and the
+	// gather driver's list of contributing neighbors.
+	out    [][]claims
 	remote []int64
-	// rows is the per-thread row scratch the gather driver copies each
-	// walked row into (its programs may rewrite the row), reused across
-	// supersteps.
-	rows [][]graph.Node
+	from   [][]graph.Node
+
+	// marks is a bitset over the global ID space in which the worker
+	// counts the distinct destinations its claims ship to other shards; it
+	// is empty between supersteps.
+	marks []uint64
+	// The barrier's owner phase, for the claims on this worker's range:
+	// every source thread's buffer for the range (inD/inV, in shard then
+	// thread order) and the merged, applied list (own).
+	inD [][]graph.Node
+	inV [][]uint64
+	own claims
+}
+
+// claims is a claim list: destinations and their reduction operands, in
+// parallel.
+type claims struct {
+	dst []graph.Node
+	val []uint64
 }
 
 // New builds the shard fleet over a partition. The partition's source
@@ -235,19 +258,21 @@ func New(part *graph.Partition, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		r := part.RangeOf(i)
-		w := &worker{lo: r.Lo, hi: r.Hi, m: m, rt: rt, views: [2]core.AdjView{rt.OutView(), rt.InView()}}
+		w := &worker{id: i, lo: r.Lo, hi: r.Hi, m: m, rt: rt, views: [2]core.AdjView{rt.OutView(), rt.InView()}}
 		w.labels = rt.ScratchArray("shard.labels", max(n, 1), 8)
 		w.labels.Warm()
 		threads := rt.RegionThreads()
-		w.dst = make([][]graph.Node, threads)
-		w.val = make([][]uint64, threads)
+		w.out = make([][]claims, threads)
+		for t := range w.out {
+			w.out[t] = make([]claims, part.Shards())
+		}
 		w.remote = make([]int64, threads)
-		w.rows = make([][]graph.Node, threads)
+		w.from = make([][]graph.Node, threads)
+		w.marks = make([]uint64, (n+63)/64)
 		e.workers = append(e.workers, w)
 	}
 	shards := len(e.workers)
 	e.compute, e.send = make([]float64, shards), make([]int64, shards)
-	e.fragD, e.fragV = make([][]graph.Node, shards), make([][]uint64, shards)
 	return e, nil
 }
 
@@ -306,27 +331,37 @@ func (e *Engine) commFactor() float64 {
 }
 
 // superstep runs fn concurrently on every worker over its owned range
-// (global vertex bounds, statically chunked by the worker's runtime) and
-// returns per-shard compute nanoseconds (e.compute, valid until the next
-// superstep). Workers share no mutable state during the region, so running
-// them on real goroutines is race-free and the per-shard charges stay pure
-// functions of each shard.
-func (e *Engine) superstep(fn func(w *worker, t *memsim.Thread, lo, hi graph.Node)) []float64 {
+// (global vertex bounds, statically chunked by the worker's runtime), then
+// after, if not nil, on the worker's goroutine, and returns per-shard
+// compute nanoseconds (e.compute, valid until the next superstep). Workers
+// share no mutable state during the region, so running them on real
+// goroutines is race-free and the per-shard charges stay pure functions of
+// each shard.
+func (e *Engine) superstep(fn func(w *worker, t *memsim.Thread, lo, hi graph.Node), after func(i int, w *worker)) []float64 {
 	compute := e.compute
+	e.eachWorker(func(i int, w *worker) {
+		stats := w.rt.ParallelItems(int64(w.hi-w.lo), func(t *memsim.Thread, lo, hi int64) {
+			fn(w, t, w.lo+graph.Node(lo), w.lo+graph.Node(hi))
+		})
+		compute[i] = stats.ElapsedNs
+		if after != nil {
+			after(i, w)
+		}
+	})
+	return compute
+}
+
+// eachWorker runs fn concurrently, one goroutine per worker, and waits.
+func (e *Engine) eachWorker(fn func(i int, w *worker)) {
 	var wg sync.WaitGroup
-	for i := range e.workers {
-		w := e.workers[i]
+	for i, w := range e.workers {
 		wg.Add(1)
-		go func(i int, w *worker) {
+		go func() {
 			defer wg.Done()
-			stats := w.rt.ParallelItems(int64(w.hi-w.lo), func(t *memsim.Thread, lo, hi int64) {
-				fn(w, t, w.lo+graph.Node(lo), w.lo+graph.Node(hi))
-			})
-			compute[i] = stats.ElapsedNs
-		}(i, w)
+			fn(i, w)
+		}()
 	}
 	wg.Wait()
-	return compute
 }
 
 // endRound folds one superstep into the clocks: the slowest shard's
@@ -382,8 +417,8 @@ var (
 
 // scatterProgram declares a push-style kernel: active vertices scatter
 // claims (destination, operand) along their rows, claims for one
-// destination fold through reduce, and the coordinator applies the merged
-// list between supersteps.
+// destination fold through reduce, and each shard applies the merged claims
+// on its own range between supersteps.
 type scatterProgram struct {
 	scan
 	// reduce is reduceMin or reduceSum.
@@ -399,8 +434,10 @@ type scatterProgram struct {
 	// may read only round-start state, so the claim SET is a pure function
 	// of the round's input, not of interleaving.
 	emit func(v graph.Node, row []graph.Node, wts []uint32, dst []graph.Node, val []uint64) ([]graph.Node, []uint64)
-	// apply lands one merged claim on the coordinator (sequential, in
-	// destination order) and reports whether d joins the next frontier.
+	// apply lands one merged claim and reports whether d joins the next
+	// frontier. It runs on the goroutine of the shard owning d, in
+	// destination order within that shard's range, concurrently with the
+	// other owners, so it may write only d's own slots of shared state.
 	apply func(d graph.Node, val uint64) bool
 }
 
@@ -416,11 +453,13 @@ type gatherProgram struct {
 	// entry per remote neighbor that contributed instead.
 	everyMaster bool
 	// row adds the contributions of one walked row of v to sum, in row
-	// order, reading state the superstep does not write. It returns the new
-	// sum and the neighbors that contributed: row itself, or a prefix of
-	// row it compacted them into (row is the driver's scratch, never graph
-	// storage), which the driver counts remote entries of.
-	row func(v graph.Node, row []graph.Node, sum float64) (float64, []graph.Node)
+	// order, reading state the superstep does not write. row may be the
+	// graph's own storage, so row must not write it. A frontier-driven
+	// program appends the neighbors that contributed to from (the driver's
+	// per-thread scratch, handed over empty), which the driver counts
+	// remote entries of; an everyMaster program appends none. It returns
+	// the new sum and from.
+	row func(v graph.Node, row []graph.Node, sum float64, from []graph.Node) (float64, []graph.Node)
 	// done publishes v's gathered sum.
 	done func(v graph.Node, sum float64)
 }
@@ -445,18 +484,21 @@ func (w *worker) charge(t *memsim.Thread, lv graph.Node, s *scan, write bool, ex
 
 // scatter runs one superstep of p over frontier and returns the next
 // frontier (reusing frontier's storage). Workers charge and walk their
-// share of the frontier, decoding each walked row once and buffering its
-// claims per thread; then each worker's buffers collapse into its fragment
-// (thread-index order), cross-shard bytes are charged (8 per fragment entry
-// owned elsewhere), the round is folded into the clocks, and the fragments
-// merge (shard-index order) into the list apply consumes.
+// share of the frontier, decoding each walked row once, and route its claims
+// per thread into the buffer of the shard owning each destination; then
+// each worker counts its cross-shard bytes (8 per distinct destination it
+// claims on another shard) on its own goroutine. The round is folded into
+// the clocks, every worker merges and applies the claims on its own range
+// (see own), and the owners' lists are joined in shard order into the next
+// frontier.
 func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node {
 	active := e.activate(frontier)
 	compute := e.superstep(func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
 		if p.streamLabels {
 			w.labels.ReadRange(t, int64(lo), int64(hi))
 		}
-		dst, val := w.dst[t.ID], w.val[t.ID]
+		out := w.out[t.ID]
+		local := &out[w.id]
 		active.ForEachInRange(lo, hi, func(v graph.Node) {
 			lv := v - w.lo
 			w.charge(t, lv, &p.scan, true, 0)
@@ -473,31 +515,91 @@ func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node 
 				} else {
 					row, _ = w.views[i].Adj.Row(nil, lv)
 				}
-				dst, val = p.emit(v, row, wts, dst, val)
+				// emit appends to the local buffer; claims owned elsewhere
+				// move to their owner's buffer, local ones close up.
+				k := len(local.dst)
+				dst, val := p.emit(v, row, wts, local.dst, local.val)
+				for j := k; j < len(dst); j++ {
+					if o := e.part.Owner(dst[j]); o != w.id {
+						c := &out[o]
+						c.dst, c.val = append(c.dst, dst[j]), append(c.val, val[j])
+					} else {
+						dst[k], val[k] = dst[j], val[j]
+						k++
+					}
+				}
+				local.dst, local.val = dst[:k], val[:k]
 			}
 		})
-		w.dst[t.ID], w.val[t.ID] = dst, val
-	})
+	}, func(i int, w *worker) { e.send[i] = w.crossBytes() })
 	e.deactivate(frontier)
-	send, fragD, fragV := e.send, e.fragD, e.fragV
-	for i, w := range e.workers {
-		fragD[i], fragV[i] = engine.MergeClaims(e.seen, w.dst, w.val, e.acc, p.reduce)
-		send[i] = 0
-		for _, d := range fragD[i] {
-			if d < w.lo || d >= w.hi {
-				send[i] += 8
+	e.endRound(compute, e.send)
+	e.eachWorker(func(o int, w *worker) { e.own(p, o, w) })
+	next := frontier[:0]
+	for _, w := range e.workers {
+		next = append(next, w.own.dst...)
+	}
+	return next
+}
+
+// crossBytes returns the bytes w's claims ship to other shards: 8 per
+// distinct destination outside its range, however many of its threads
+// claimed it. It marks each such destination once in w.marks, then clears
+// the marks by walking the same claims again.
+func (w *worker) crossBytes() int64 {
+	n := int64(0)
+	for _, out := range w.out {
+		for o := range out {
+			if o == w.id {
+				continue
+			}
+			for _, d := range out[o].dst {
+				word, bit := &w.marks[d>>6], uint64(1)<<(d&63)
+				if *word&bit == 0 {
+					*word |= bit
+					n++
+				}
 			}
 		}
 	}
-	e.endRound(compute, send)
-	dsts, vals := engine.MergeClaims(e.seen, fragD, fragV, e.acc, p.reduce)
-	next := frontier[:0]
-	for i, d := range dsts {
-		if p.apply(d, vals[i]) {
+	for _, out := range w.out {
+		for o := range out {
+			if o == w.id {
+				continue
+			}
+			for _, d := range out[o].dst {
+				w.marks[d>>6] = 0
+			}
+		}
+	}
+	return 8 * n
+}
+
+// own is the barrier's owner phase of worker o: it merges every source
+// shard's claims on o's range (shard-index, then thread-index order, through
+// engine.MergeClaims) and applies the merged list in destination order,
+// keeping in w.own.dst the destinations that join the next frontier. Owners
+// run concurrently: each reads and truncates only its own column
+// (out[t][o]) of the sources' buffers and touches the shared seen/acc only
+// inside its range.
+func (e *Engine) own(p *scatterProgram, o int, w *worker) {
+	w.inD, w.inV = w.inD[:0], w.inV[:0]
+	for _, src := range e.workers {
+		for t := range src.out {
+			c := &src.out[t][o]
+			w.inD, w.inV = append(w.inD, c.dst), append(w.inV, c.val)
+			c.dst, c.val = c.dst[:0], c.val[:0]
+		}
+	}
+	own := &w.own
+	own.dst, own.val = engine.MergeClaims(e.seen, w.inD, w.inV, e.acc, p.reduce, own.dst, own.val)
+	next := own.dst[:0]
+	for i, d := range own.dst {
+		if p.apply(d, own.val[i]) {
 			next = append(next, d)
 		}
 	}
-	return next
+	own.dst = next
 }
 
 // activate returns the engine's reusable active set holding exactly vs;
@@ -525,7 +627,7 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 			t.Op(int(hi - lo))
 			finalizeOps = 1
 		}
-		row := w.rows[t.ID]
+		from := w.from[t.ID]
 		active.ForEachInRange(lo, hi, func(v graph.Node) {
 			w.charge(t, v-w.lo, &p.scan, false, finalizeOps)
 			sum := 0.0
@@ -533,24 +635,18 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 				if !p.walk[i] {
 					continue
 				}
-				// A copy, not graph storage: programs may compact the
-				// row in place (bc backward does).
-				r, _ := w.views[i].Adj.Row(row, v-w.lo)
-				row = append(row[:0], r...)
-				var from []graph.Node
-				sum, from = p.row(v, row, sum)
-				if !p.everyMaster {
-					for _, u := range from {
-						if u < w.lo || u >= w.hi {
-							w.remote[t.ID]++
-						}
+				row, _ := w.views[i].Adj.Row(nil, v-w.lo)
+				sum, from = p.row(v, row, sum, from[:0])
+				for _, u := range from {
+					if u < w.lo || u >= w.hi {
+						w.remote[t.ID]++
 					}
 				}
 			}
 			p.done(v, sum)
 		})
-		w.rows[t.ID] = row
-	})
+		w.from[t.ID] = from
+	}, nil)
 	send := e.send
 	for i, w := range e.workers {
 		send[i] = 0

@@ -292,10 +292,12 @@ func TestShardWeightRowMatchesCursor(t *testing.T) {
 	}
 }
 
-// TestGatherProgramGetsAScratchRow: the gather driver hands its programs a
-// copy of each row, never the graph's own storage, because bc backward
-// compacts the contributing neighbors into the row it is given. Sharded bc
-// from several sources must leave the source graph's edges as they were.
+// TestGatherProgramGetsAScratchRow: the gather driver hands its programs
+// the graph's own rows, read-only; a program lists the neighbors that
+// contributed in the driver's per-thread scratch, never in the row (bc
+// backward once compacted them into the row it was given, when the driver
+// copied every row). Sharded bc from several sources must leave the source
+// graph's edges as they were.
 func TestGatherProgramGetsAScratchRow(t *testing.T) {
 	g := gen.RMAT(10, 16, 0.57, 0.19, 0.19, 3, false)
 	g.BuildIn()
