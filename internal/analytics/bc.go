@@ -43,17 +43,23 @@ func Brandes(r *core.Runtime, cfg engine.Config, src graph.Node) *Result {
 			// — each edge has one owning thread, the level test is
 			// deterministic (dist[d] only transitions Infinity -> lvl
 			// within the round, so after the CAS it is lvl whoever
-			// won), and u's sigma is frozen (u is one level up).
-			Push: func(u, d graph.Node, ei int64) bool {
-				dd, found := dist[d].Load(), false
-				if dd == Infinity {
-					found = dist[d].CompareAndSwap(Infinity, lvl)
-					dd = lvl
+			// won), and u's sigma is frozen (u is one level up), so it
+			// is read once per row.
+			PushRow: func(u graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+				su := sigma[u].Load()
+				for _, d := range row {
+					dd := dist[d].Load()
+					if dd == Infinity {
+						if dist[d].CompareAndSwap(Infinity, lvl) {
+							claims = append(claims, d)
+						}
+						dd = lvl
+					}
+					if dd == lvl {
+						sigma[d].Add(su)
+					}
 				}
-				if dd == lvl {
-					sigma[d].Add(sigma[u].Load())
-				}
-				return found
+				return claims
 			},
 			PerEdge: []engine.Access{
 				{Arr: distArr, Write: true},
@@ -69,16 +75,24 @@ func Brandes(r *core.Runtime, cfg engine.Config, src graph.Node) *Result {
 	// first, replaying the recorded frontiers as sparse worklists (both
 	// the Galois and the dense-framework implementations walk explicit
 	// level lists here). Within one level no two vertices share a
-	// successor relation, so delta writes race-free per vertex.
+	// successor relation, so delta writes race-free per vertex: v's row
+	// folds its dependency in a register, adding the terms in row order as
+	// per-edge updates would, and stores it once.
 	for l := len(levels) - 1; l >= 0; l-- {
 		e.EdgeMap(e.SparseFrontier(levels[l]), engine.EdgeMapArgs{
-			Push: func(v, d graph.Node, ei int64) bool {
-				if dist[d].Load() == dist[v].Load()+1 {
-					if sd := float64(sigma[d].Load()); sd > 0 {
-						delta[v] += float64(sigma[v].Load()) / sd * (1 + delta[d])
+			PushRow: func(v graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+				next := dist[v].Load() + 1
+				sv := float64(sigma[v].Load())
+				acc := delta[v]
+				for _, d := range row {
+					if dist[d].Load() == next {
+						if sd := float64(sigma[d].Load()); sd > 0 {
+							acc += sv / sd * (1 + delta[d])
+						}
 					}
 				}
-				return false
+				delta[v] = acc
+				return claims
 			},
 			PerEdge: []engine.Access{
 				{Arr: distArr, Write: false},

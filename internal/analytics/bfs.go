@@ -47,20 +47,29 @@ func BFS(r *core.Runtime, cfg engine.Config, src graph.Node) *Result {
 			// The CAS has exactly one winner per newly reached d, so
 			// the claimed SET is the same under every interleaving;
 			// which thread claims varies, but the engine's sorted merge
-			// erases attribution.
-			Push: func(u, d graph.Node, ei int64) bool {
-				return dist[d].CompareAndSwap(Infinity, level)
+			// erases attribution. A plain load first keeps the edges
+			// into visited vertices — most of them — off the locked
+			// instruction.
+			PushRow: func(_ graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+				for _, d := range row {
+					if dist[d].Load() == Infinity && dist[d].CompareAndSwap(Infinity, level) {
+						claims = append(claims, d)
+					}
+				}
+				return claims
 			},
 			PerEdge: []engine.Access{{Arr: distArr, Write: true}},
 		}
 		if e.CanPull() {
 			cur := f
-			args.Pull = func(v, u graph.Node, ei int64) (bool, bool) {
-				if cur.Has(u) {
-					dist[v].Store(level)
-					return true, true
+			args.PullRow = func(v graph.Node, row []graph.Node, _ []uint32) (bool, bool, int) {
+				for k, u := range row {
+					if cur.Has(u) {
+						dist[v].Store(level)
+						return true, true, k + 1
+					}
 				}
-				return false, false
+				return false, false, len(row)
 			}
 			args.PullCond = func(v graph.Node) bool { return dist[v].Load() == Infinity }
 			args.PullSeqRead = []*memsim.Array{distArr}

@@ -51,10 +51,7 @@ func ccSnapshot(r *core.Runtime, e *engine.Engine) *Result {
 	labArr := r.NodeArray("cc.labels", 4)
 	nextArr := r.NodeArray("cc.labels.next", 4)
 	e.VertexMap(engine.VertexMapArgs{
-		Fn: func(v graph.Node) {
-			cur[v] = uint32(v)
-			next[v].Store(uint32(v))
-		},
+		Range:    func(lo, hi graph.Node) { initLabels(cur, next, lo, hi) },
 		SeqWrite: []*memsim.Array{labArr, nextArr},
 	})
 
@@ -65,23 +62,29 @@ func ccSnapshot(r *core.Runtime, e *engine.Engine) *Result {
 		cf := f
 		f = e.EdgeMap(f, engine.EdgeMapArgs{
 			Symmetric: true,
-			// Push: scatter v's snapshot label to its neighbors. The
+			// Push: scatter u's snapshot label to its neighbors. The
 			// SET of vertices whose next label drops is the same under
 			// every interleaving (relaxMin is a commutative min over
 			// snapshot labels, and some call returns true for each
 			// dropped vertex); the sorted merge erases which thread's
 			// call it was.
-			Push: func(u, d graph.Node, ei int64) bool {
-				return relaxMin(next, d, cur[u])
+			PushRow: func(u graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+				lu := cur[u]
+				for _, d := range row {
+					if relaxMin(next, d, lu) {
+						claims = append(claims, d)
+					}
+				}
+				return claims
 			},
 			// Pull: gather the minimum snapshot label of v's active
 			// neighbors (the direction-optimized form; no early exit —
-			// a min-reduction must see the whole neighborhood).
-			Pull: func(v, u graph.Node, ei int64) (bool, bool) {
-				if cf.Has(u) {
-					return relaxMin(next, v, cur[u]), false
-				}
-				return false, false
+			// a min-reduction must see the whole neighborhood). Only
+			// v's owner lowers next[v] in a pull round, so one relaxMin
+			// of the row's minimum leaves next[v], and reports a drop,
+			// exactly as one per edge would.
+			PullRow: func(v graph.Node, row []graph.Node, _ []uint32) (bool, bool, int) {
+				return relaxMin(next, v, minActiveLabel(cf, cur, row)), false, len(row)
 			},
 			PerEdge: []engine.Access{{Arr: nextArr, Write: true}},
 			// Pull gathers the neighbor's snapshot label per edge and
@@ -90,7 +93,7 @@ func ccSnapshot(r *core.Runtime, e *engine.Engine) *Result {
 		})
 		// Publish the round: snapshot next into cur.
 		e.VertexMap(engine.VertexMapArgs{
-			Fn:       func(v graph.Node) { cur[v] = next[v].Load() },
+			Range:    func(lo, hi graph.Node) { publishLabels(cur, next, lo, hi) },
 			SeqRead:  []*memsim.Array{nextArr},
 			SeqWrite: []*memsim.Array{labArr},
 		})
@@ -119,10 +122,7 @@ func ccShortcut(r *core.Runtime, e *engine.Engine) *Result {
 	labArr := r.NodeArray("cc.labels", 4)
 	nextArr := r.NodeArray("cc.labels.next", 4)
 	e.VertexMap(engine.VertexMapArgs{
-		Fn: func(v graph.Node) {
-			cur[v] = uint32(v)
-			next[v].Store(uint32(v))
-		},
+		Range:    func(lo, hi graph.Node) { initLabels(cur, next, lo, hi) },
 		SeqWrite: []*memsim.Array{labArr, nextArr},
 	})
 
@@ -137,17 +137,18 @@ func ccShortcut(r *core.Runtime, e *engine.Engine) *Result {
 		// frontier that gets discarded.
 		e.EdgeMap(f, engine.EdgeMapArgs{
 			Symmetric: true,
-			Push: func(u, d graph.Node, ei int64) bool {
-				if l := cur[u]; l < cur[d] {
-					relaxMin(next, d, l)
+			PushRow: func(u graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+				lu := cur[u]
+				for _, d := range row {
+					if lu < cur[d] {
+						relaxMin(next, d, lu)
+					}
 				}
-				return false
+				return claims
 			},
-			Pull: func(v, u graph.Node, ei int64) (bool, bool) {
-				if cf.Has(u) {
-					relaxMin(next, v, cur[u])
-				}
-				return false, false
+			PullRow: func(v graph.Node, row []graph.Node, _ []uint32) (bool, bool, int) {
+				relaxMin(next, v, minActiveLabel(cf, cur, row))
+				return false, false, len(row)
 			},
 			PerEdge: []engine.Access{{Arr: labArr, Write: false}, {Arr: nextArr, Write: true}},
 			// Pull gathers the neighbor's snapshot label per edge and
@@ -178,7 +179,11 @@ func ccShortcut(r *core.Runtime, e *engine.Engine) *Result {
 		})
 		// Resync next with the shortcutted labels for the coming round.
 		e.VertexMap(engine.VertexMapArgs{
-			Fn:       func(v graph.Node) { next[v].Store(cur[v]) },
+			Range: func(lo, hi graph.Node) {
+				for v := lo; v < hi; v++ {
+					next[v].Store(cur[v])
+				}
+			},
 			SeqRead:  []*memsim.Array{labArr},
 			SeqWrite: []*memsim.Array{nextArr},
 		})
@@ -190,6 +195,34 @@ func ccShortcut(r *core.Runtime, e *engine.Engine) *Result {
 		Labels:    append([]uint32(nil), cur...),
 		Trace:     e.Trace(),
 	}
+}
+
+// initLabels gives every vertex of [lo, hi) its own ID as its label in cur
+// and next.
+func initLabels(cur []uint32, next []atomic.Uint32, lo, hi graph.Node) {
+	for v := lo; v < hi; v++ {
+		cur[v] = uint32(v)
+		next[v].Store(uint32(v))
+	}
+}
+
+// publishLabels snapshots next into cur over [lo, hi).
+func publishLabels(cur []uint32, next []atomic.Uint32, lo, hi graph.Node) {
+	for v := lo; v < hi; v++ {
+		cur[v] = next[v].Load()
+	}
+}
+
+// minActiveLabel returns the smallest snapshot label of row's vertices
+// active in f, or Infinity (above every label) when none is.
+func minActiveLabel(f *engine.Frontier, cur []uint32, row []graph.Node) uint32 {
+	low := uint32(Infinity)
+	for _, u := range row {
+		if f.Has(u) {
+			low = min(low, cur[u])
+		}
+	}
+	return low
 }
 
 // raise sets f. It loads f first, so once f is set the threads that would
@@ -216,16 +249,13 @@ func CCPointerJump(r *core.Runtime) *Result {
 	labArr := r.NodeArray("cc.parent", 4)
 	nextArr := r.NodeArray("cc.parent.next", 4)
 	e.VertexMap(engine.VertexMapArgs{
-		Fn: func(v graph.Node) {
-			cur[v] = uint32(v)
-			next[v].Store(uint32(v))
-		},
+		Range:    func(lo, hi graph.Node) { initLabels(cur, next, lo, hi) },
 		SeqWrite: []*memsim.Array{labArr, nextArr},
 	})
 	// publish snapshots next into cur after a hook or jump pass.
 	publish := func() {
 		e.VertexMap(engine.VertexMapArgs{
-			Fn:       func(v graph.Node) { cur[v] = next[v].Load() },
+			Range:    func(lo, hi graph.Node) { publishLabels(cur, next, lo, hi) },
 			SeqRead:  []*memsim.Array{nextArr},
 			SeqWrite: []*memsim.Array{labArr},
 		})
@@ -235,22 +265,33 @@ func CCPointerJump(r *core.Runtime) *Result {
 	for {
 		rounds++
 		var changed atomic.Bool
-		// Hook: for every edge (u,v), point the larger snapshot root at
+		// Hook: for every edge (u,d), point the larger snapshot root at
 		// the smaller snapshot label. Whether anything changed is judged
-		// against the snapshot, so it is interleaving-independent.
+		// against the snapshot, so it is interleaving-independent. The
+		// hooks of u's own root fold into one relaxMin of the row's
+		// smallest label: next holds the same minima either way.
 		full := e.FullFrontier()
 		e.EdgeMap(full, engine.EdgeMapArgs{
-			Push: func(u, d graph.Node, ei int64) bool {
-				lu, ld := cur[u], cur[d]
-				switch {
-				case lu < ld:
-					relaxMin(next, graph.Node(ld), lu)
-					raise(&changed)
-				case ld < lu:
-					relaxMin(next, graph.Node(lu), ld)
+			PushRow: func(u graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+				lu := cur[u]
+				low, hooked := lu, false
+				for _, d := range row {
+					switch ld := cur[d]; {
+					case lu < ld:
+						relaxMin(next, graph.Node(ld), lu)
+						hooked = true
+					case ld < lu:
+						low = min(low, ld)
+						hooked = true
+					}
+				}
+				if low < lu {
+					relaxMin(next, graph.Node(lu), low)
+				}
+				if hooked {
 					raise(&changed)
 				}
-				return false // hooking relinks roots, not the frontier
+				return claims // hooking relinks roots, not the frontier
 			},
 			PerEdge: []engine.Access{{Arr: labArr, Write: false}, {Arr: nextArr, Write: true}},
 		})
@@ -262,13 +303,19 @@ func CCPointerJump(r *core.Runtime) *Result {
 		for {
 			var jumped atomic.Bool
 			e.VertexMap(engine.VertexMapArgs{
-				Fn: func(v graph.Node) {
-					l := cur[v]
-					if ll := cur[l]; ll < l {
-						l = ll
+				Range: func(lo, hi graph.Node) {
+					jump := false
+					for v := lo; v < hi; v++ {
+						l := cur[v]
+						if ll := cur[l]; ll < l {
+							l = ll
+							jump = true
+						}
+						next[v].Store(l)
+					}
+					if jump {
 						raise(&jumped)
 					}
-					next[v].Store(l)
 				},
 				SeqRead:   []*memsim.Array{labArr},
 				SeqWrite:  []*memsim.Array{nextArr},

@@ -102,9 +102,7 @@ func PageRankIncremental(r *core.Runtime, seed *PRSeed, delta *graph.Delta, tol 
 	// a source whose degree (contribution divisor) moved.
 	S := delta.Dsts
 	if len(delta.DegChanged) > 0 {
-		f := te.EdgeMap(te.SparseFrontier(delta.DegChanged), engine.EdgeMapArgs{
-			Push: func(u, d graph.Node, ei int64) bool { return true },
-		})
+		f := te.EdgeMap(te.SparseFrontier(delta.DegChanged), engine.EdgeMapArgs{PushRow: claimRow})
 		S = unionSorted(S, f.Vertices())
 	}
 	T := S
@@ -140,9 +138,11 @@ func PageRankIncremental(r *core.Runtime, seed *PRSeed, delta *graph.Delta, tol 
 			// Copy pass: untainted vertices take the recorded value —
 			// bitwise the gather result, at streaming cost.
 			s.e.VertexMap(engine.VertexMapArgs{
-				Fn: func(v graph.Node) {
-					if !tainted[v] {
-						s.next[v] = old[v]
+				Range: func(lo, hi graph.Node) {
+					for v := lo; v < hi; v++ {
+						if !tainted[v] {
+							s.next[v] = old[v]
+						}
 					}
 				},
 				SeqRead:  []*memsim.Array{seedArr, taintArr},
@@ -162,9 +162,7 @@ func PageRankIncremental(r *core.Runtime, seed *PRSeed, delta *graph.Delta, tol 
 		if !fullMode && rounds < maxRounds && rounds < len(seed.Ranks) {
 			// Advance the taint region one hop for the next round:
 			// T' = S ∪ out-neighbors(T) on the new graph.
-			f := te.EdgeMap(te.SparseFrontier(T), engine.EdgeMapArgs{
-				Push: func(u, d graph.Node, ei int64) bool { return true },
-			})
+			f := te.EdgeMap(te.SparseFrontier(T), engine.EdgeMapArgs{PushRow: claimRow})
 			next := unionSorted(S, f.Vertices())
 			for _, v := range T {
 				tainted[v] = false
@@ -184,6 +182,11 @@ func PageRankIncremental(r *core.Runtime, seed *PRSeed, delta *graph.Delta, tol 
 	}), rec
 }
 
+// claimRow is the taint pushes' row program: it claims every out-neighbor.
+func claimRow(_ graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+	return append(claims, row...)
+}
+
 // gatherTainted re-gathers the whole in-row of every tainted vertex through
 // the gather fullPullRound runs, so the recomputed values are what a full
 // round would produce by construction.
@@ -195,7 +198,7 @@ func (s *prState) gatherTainted(T []graph.Node) {
 		for _, v := range T[lo:hi] {
 			in.Offsets.ReadN(t, int64(v), 2)
 			in.ChargeScan(t, v, false)
-			row, raw := in.Adj.Row(scratch, v)
+			row, raw := in.Row(scratch, v)
 			if !raw {
 				scratch = row
 			}

@@ -23,7 +23,11 @@ func kcoreDegrees(r *core.Runtime, e *engine.Engine) ([]atomic.Int64, *memsim.Ar
 	deg := make([]atomic.Int64, r.G.NumNodes())
 	arr := r.NodeArray("kcore.deg", 8)
 	e.VertexMap(engine.VertexMapArgs{
-		Fn:       func(v graph.Node) { deg[v].Store(r.OutDegree(v) + r.InDegree(v)) },
+		Range: func(lo, hi graph.Node) {
+			for v := lo; v < hi; v++ {
+				deg[v].Store(r.OutDegree(v) + r.InDegree(v))
+			}
+		},
 		SeqRead:  []*memsim.Array{r.Offsets, r.InOffsets},
 		SeqWrite: []*memsim.Array{arr},
 		Ops:      true,
@@ -67,12 +71,22 @@ func KCore(r *core.Runtime, cfg engine.Config, k int64) *Result {
 		f = e.EdgeMap(f, engine.EdgeMapArgs{
 			Symmetric: true,
 			// Peel u: decrement every undirected neighbor; the single
-			// decrement that crosses k-1 activates (and removes) it.
-			Push: func(u, d graph.Node, ei int64) bool {
-				if deg[d].Add(-1) == k-1 {
-					return !removed[d].Swap(true)
+			// decrement that crosses k-1 activates (and removes) it. A
+			// neighbor already peeled is skipped: its degree is below k
+			// for good, and only deg >= k is read back (kcoreResult), so
+			// the decrement could change nothing. A vertex is marked
+			// peeled only after its crossing decrement, so that one is
+			// never skipped. The per-edge deg charges are unchanged.
+			PushRow: func(_ graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+				for _, d := range row {
+					if removed[d].Load() {
+						continue
+					}
+					if deg[d].Add(-1) == k-1 && !removed[d].Swap(true) {
+						claims = append(claims, d)
+					}
 				}
-				return false
+				return claims
 			},
 			PerEdge: []engine.Access{{Arr: degArr, Write: true}},
 		})

@@ -63,7 +63,11 @@ func newPRState(r *core.Runtime) *prState {
 	}
 	init := 1.0 / float64(n)
 	e.VertexMap(engine.VertexMapArgs{
-		Fn:       func(v graph.Node) { s.rank[v] = init },
+		Range: func(lo, hi graph.Node) {
+			for v := lo; v < hi; v++ {
+				s.rank[v] = init
+			}
+		},
 		SeqWrite: []*memsim.Array{s.rankArr},
 	})
 	s.full = e.FullFrontier()
@@ -71,14 +75,24 @@ func newPRState(r *core.Runtime) *prState {
 }
 
 // publishContrib streams contributions (rank[v] / outDegree(v)) for the
-// coming gather round.
+// coming gather round. The degrees come from the raw offsets, which every
+// form walks; only an overlay's merged degrees take the dispatch.
 func (s *prState) publishContrib() {
+	off := s.r.OutView().Rows.Offsets
+	ov := s.r.Ov
 	s.e.VertexMap(engine.VertexMapArgs{
-		Fn: func(v graph.Node) {
-			if d := s.r.OutDegree(v); d > 0 {
-				s.contrib[v] = s.rank[v] / float64(d)
-			} else {
-				s.contrib[v] = 0
+		Range: func(lo, hi graph.Node) {
+			rank, contrib := s.rank, s.contrib
+			for v := lo; v < hi; v++ {
+				d := off[v+1] - off[v]
+				if ov != nil {
+					d = ov.OutDegree(v)
+				}
+				if d > 0 {
+					contrib[v] = rank[v] / float64(d)
+				} else {
+					contrib[v] = 0
+				}
 			}
 		},
 		SeqRead:  []*memsim.Array{s.rankArr, s.r.Offsets},
@@ -89,8 +103,8 @@ func (s *prState) publishContrib() {
 
 // gather sets v's next rank from its whole in-row, summing the
 // contributions in row order. It is the one definition of a pagerank
-// gather: full pull rounds and incremental re-gathers both call it, so
-// their float results agree bit for bit.
+// gather: full pull rounds (gatherRange) and incremental re-gathers both
+// call it, so their float results agree bit for bit.
 func (s *prState) gather(v graph.Node, row []graph.Node) {
 	contrib := s.contrib
 	acc := 0.0
@@ -100,6 +114,13 @@ func (s *prState) gather(v graph.Node, row []graph.Node) {
 	s.next[v] = s.base + prDamping*acc
 }
 
+// gatherRange is a full pull round's range program: gather over [lo, hi).
+func (s *prState) gatherRange(lo, hi graph.Node, in engine.Rows) {
+	for v := lo; v < hi; v++ {
+		s.gather(v, in.Row(v))
+	}
+}
+
 // fullPullRound gathers in-neighbor contributions for every vertex and
 // accumulates the residual per chunk into the owning thread's shard.
 func (s *prState) fullPullRound() {
@@ -107,7 +128,7 @@ func (s *prState) fullPullRound() {
 		s.resid[i] = 0
 	}
 	s.e.EdgeMap(s.full, engine.EdgeMapArgs{
-		Gather: s.gather,
+		Gather: s.gatherRange,
 		OnPullChunk: func(t *memsim.Thread, lo, hi graph.Node) {
 			local := 0.0
 			for v := lo; v < hi; v++ {

@@ -170,9 +170,11 @@ func SSSPBellmanFord(r *core.Runtime, cfg engine.Config, src graph.Node) *Result
 	distArr := r.NodeArray("sssp.dist", 4)
 	nextArr := r.NodeArray("sssp.dist.next", 4)
 	e.VertexMap(engine.VertexMapArgs{
-		Fn: func(v graph.Node) {
-			cur[v] = Infinity
-			next[v].Store(Infinity)
+		Range: func(lo, hi graph.Node) {
+			for v := lo; v < hi; v++ {
+				cur[v] = Infinity
+				next[v].Store(Infinity)
+			}
 		},
 		SeqWrite: []*memsim.Array{distArr, nextArr},
 	})
@@ -189,34 +191,44 @@ func SSSPBellmanFord(r *core.Runtime, cfg engine.Config, src graph.Node) *Result
 			// tentative distance drops this round (inputs come from the
 			// frozen cur snapshot; the min is commutative; the sorted
 			// merge erases claim attribution).
-			Push: func(u, d graph.Node, ei int64) bool {
+			PushRow: func(u graph.Node, row []graph.Node, wts []uint32, claims []graph.Node) []graph.Node {
 				du := cur[u]
 				if du == Infinity {
-					return false
+					return claims
 				}
-				nd := du + r.OutWeightAt(ei)
-				if nd < du { // overflow guard
-					return false
+				wts = wts[:len(row)]
+				for k, d := range row {
+					nd := du + wts[k]
+					if nd < du { // overflow guard
+						continue
+					}
+					if relaxMin(next, d, nd) {
+						claims = append(claims, d)
+					}
 				}
-				return relaxMin(next, d, nd)
+				return claims
 			},
 			PerEdge: []engine.Access{{Arr: nextArr, Write: true}},
 		}
 		if e.CanPull() && r.InWeighted() {
 			cf := f
-			args.Pull = func(v, u graph.Node, ei int64) (bool, bool) {
-				if !cf.Has(u) {
-					return false, false
+			// The pull folds v's candidate distances in a register and
+			// lowers next[v] once: only v's owner lowers it in a pull
+			// round, so the result, and whether it dropped, are what a
+			// relaxMin per edge gives.
+			args.PullRow = func(v graph.Node, row []graph.Node, wts []uint32) (bool, bool, int) {
+				wts = wts[:len(row)]
+				low := uint32(Infinity)
+				for k, u := range row {
+					du := cur[u]
+					if !cf.Has(u) || du == Infinity {
+						continue
+					}
+					if nd := du + wts[k]; nd >= du { // overflow guard
+						low = min(low, nd)
+					}
 				}
-				du := cur[u]
-				if du == Infinity {
-					return false, false
-				}
-				nd := du + r.InWeightAt(ei)
-				if nd < du {
-					return false, false
-				}
-				return relaxMin(next, v, nd), false
+				return relaxMin(next, v, low), false, len(row)
 			}
 			args.PullSeqRead = []*memsim.Array{distArr}
 			// Pull gathers the neighbor's tentative distance per edge
@@ -226,7 +238,7 @@ func SSSPBellmanFord(r *core.Runtime, cfg engine.Config, src graph.Node) *Result
 		f = e.EdgeMap(f, args)
 		// Publish the round.
 		e.VertexMap(engine.VertexMapArgs{
-			Fn:       func(v graph.Node) { cur[v] = next[v].Load() },
+			Range:    func(lo, hi graph.Node) { publishLabels(cur, next, lo, hi) },
 			SeqRead:  []*memsim.Array{nextArr},
 			SeqWrite: []*memsim.Array{distArr},
 		})

@@ -428,6 +428,13 @@ type AdjView struct {
 	// byte prefix an early-exited scan streamed (PrefixBytes).
 	Z *graph.CompressedCSR
 
+	// Rows are the host rows every form walks — the graph's own CSR
+	// slices, the base's under an overlay — and RowWeights their edge
+	// weights (nil when the graph has none). Row ranges over them with no
+	// interface call; only an overlay-touched row needs the merge.
+	Rows       graph.RawAdjacency
+	RowWeights []uint32
+
 	// Ov/Delta are set on overlay runtimes: Ov is Adj's concrete overlay
 	// adapter (for base-vs-delta extent splits) and Delta the simulated
 	// array its entries charge against. Base traversal charges are
@@ -441,7 +448,8 @@ type AdjView struct {
 // and ZOut/ZIn are nil where the backend has none.
 func (r *Runtime) buildViews() {
 	z := r.opts.Backend == BackendCompressed
-	r.outView = AdjView{Adj: r.G.RawOut(), Offsets: r.Offsets, Edges: r.Edges, Weights: r.Weights, Z: r.ZOut}
+	r.outView = AdjView{Adj: r.G.RawOut(), Offsets: r.Offsets, Edges: r.Edges, Weights: r.Weights, Z: r.ZOut,
+		Rows: r.G.RawOut(), RowWeights: r.G.OutWeights}
 	if z {
 		r.outView.Adj = r.ZOut
 	}
@@ -453,7 +461,8 @@ func (r *Runtime) buildViews() {
 	if r.InOffsets == nil {
 		return
 	}
-	r.inView = AdjView{Adj: r.G.RawIn(), Offsets: r.InOffsets, Edges: r.InEdges, Weights: r.InWeights, Z: r.ZIn}
+	r.inView = AdjView{Adj: r.G.RawIn(), Offsets: r.InOffsets, Edges: r.InEdges, Weights: r.InWeights, Z: r.ZIn,
+		Rows: r.G.RawIn(), RowWeights: r.G.InWeights}
 	if z {
 		r.inView.Adj = r.ZIn
 	}
@@ -481,11 +490,31 @@ func (av *AdjView) Merged(v graph.Node) bool {
 	return av.Ov != nil && av.Ov.Touched(v)
 }
 
+// Row returns v's row as Adjacency.Row does: a raw row is a read-only,
+// capped subslice of Rows.Edges (raw true), taken without an interface
+// call; a merged overlay row is appended to scratch[:0] (raw false).
+func (av *AdjView) Row(scratch []graph.Node, v graph.Node) (row []graph.Node, raw bool) {
+	if av.Merged(v) {
+		return av.Ov.Row(scratch, v)
+	}
+	hi := av.Rows.Offsets[v+1]
+	return av.Rows.Edges[av.Rows.Offsets[v]:hi:hi], true
+}
+
+// DegreeRange returns the edge count of the rows of [lo, hi), merged ones
+// included: what walking each of them whole yields.
+func (av *AdjView) DegreeRange(lo, hi graph.Node) int64 {
+	if av.Ov != nil {
+		return av.Ov.DegreeRange(lo, hi)
+	}
+	return av.Rows.Offsets[hi] - av.Rows.Offsets[lo]
+}
+
 // ChargeScan charges streaming v's whole adjacency block: the raw edge
 // (and, if weighted, weight) elements, or the compressed bytes plus the
 // per-edge decode cost. Offsets are charged by the caller (gathered per
 // chunk or streamed per shard).
-func (av AdjView) ChargeScan(t *memsim.Thread, v graph.Node, weighted bool) {
+func (av *AdjView) ChargeScan(t *memsim.Thread, v graph.Node, weighted bool) {
 	lo, hi := av.Adj.Extent(v)
 	av.Edges.ReadRange(t, lo, hi)
 	if av.Z != nil {
@@ -502,7 +531,7 @@ func (av AdjView) ChargeScan(t *memsim.Thread, v graph.Node, weighted bool) {
 
 // chargeDelta streams v's overlay delta entries (no-op off overlays and
 // for untouched vertices).
-func (av AdjView) chargeDelta(t *memsim.Thread, v graph.Node) {
+func (av *AdjView) chargeDelta(t *memsim.Thread, v graph.Node) {
 	if av.Ov == nil {
 		return
 	}
@@ -516,7 +545,7 @@ func (av AdjView) chargeDelta(t *memsim.Thread, v graph.Node) {
 // Cursor's Consumed and DeltaConsumed values) covering k edges: that many
 // edge elements on the raw backend, their block prefix's bytes plus the
 // decode of k edges on the compressed one.
-func (av AdjView) ChargePrefix(t *memsim.Thread, v graph.Node, consumed, deltaConsumed, k int64) {
+func (av *AdjView) ChargePrefix(t *memsim.Thread, v graph.Node, consumed, deltaConsumed, k int64) {
 	lo, _ := av.Adj.Extent(v)
 	if av.Z == nil {
 		av.Edges.ReadRange(t, lo, lo+consumed)
@@ -533,7 +562,7 @@ func (av AdjView) ChargePrefix(t *memsim.Thread, v graph.Node, consumed, deltaCo
 // ChargeBlock charges one batched scan of the offsets plus every
 // adjacency block of the contiguous vertex range [lo, hi): the chunked
 // equivalent of ChargeScan per vertex, in two sequential range reads.
-func (av AdjView) ChargeBlock(t *memsim.Thread, lo, hi graph.Node, weighted bool) {
+func (av *AdjView) ChargeBlock(t *memsim.Thread, lo, hi graph.Node, weighted bool) {
 	if hi <= lo {
 		return
 	}

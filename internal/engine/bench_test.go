@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"pmemgraph/internal/core"
@@ -32,9 +33,9 @@ func reportPerEdge(b *testing.B, edgesPerRound int64) {
 }
 
 // BenchmarkPushSparseRound times one Galois sparse push round over the raw
-// backend: every 64th vertex of RMAT16 scatters along its out-row, claiming
-// about one neighbor in 16 by a fixed label test, then the claims merge
-// into the next frontier. The frontier and labels never change, so
+// backend: every 64th vertex of RMAT16 runs a row program over its out-row,
+// claiming about one neighbor in 16 by a fixed label test, then the claims
+// merge into the next frontier. The frontier and labels never change, so
 // every iteration does the same work.
 func BenchmarkPushSparseRound(b *testing.B) {
 	e := benchEngine(b, core.BackendRaw, engine.Config{Rep: engine.RepSparse, Dir: engine.DirPush})
@@ -52,7 +53,15 @@ func BenchmarkPushSparseRound(b *testing.B) {
 	f := e.SparseFrontier(vs)
 	labels := e.R.NodeArray("bench.label", 4)
 	args := engine.EdgeMapArgs{
-		Push:    func(u, d graph.Node, ei int64) bool { return (label[d]^label[u])&15 == 0 },
+		PushRow: func(u graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+			lu := label[u]
+			for _, d := range row {
+				if (label[d]^lu)&15 == 0 {
+					claims = append(claims, d)
+				}
+			}
+			return claims
+		},
 		PerEdge: []engine.Access{{Arr: labels, Write: true}},
 	}
 	e.EdgeMap(f, args)
@@ -76,12 +85,14 @@ func BenchmarkGatherRound(b *testing.B) {
 	sum := make([]float64, n)
 	contribArr := e.R.NodeArray("bench.contrib", 8)
 	args := engine.EdgeMapArgs{
-		Gather: func(v graph.Node, in []graph.Node) {
-			acc := 0.0
-			for _, u := range in {
-				acc += contrib[u]
+		Gather: func(lo, hi graph.Node, in engine.Rows) {
+			for v := lo; v < hi; v++ {
+				acc := 0.0
+				for _, u := range in.Row(v) {
+					acc += contrib[u]
+				}
+				sum[v] = acc
 			}
-			sum[v] = acc
 		},
 		PerEdge: []engine.Access{{Arr: contribArr}},
 	}
@@ -92,4 +103,66 @@ func BenchmarkGatherRound(b *testing.B) {
 		e.EdgeMap(full, args)
 	}
 	reportPerEdge(b, e.R.NumEdges())
+}
+
+// BenchmarkSmallFrontierBFS times a whole Galois bfs (sparse worklists,
+// direction-optimizing) on a small high-diameter web crawl, in host ns per
+// round: hundreds of rounds with a handful of vertices each, so the fixed
+// cost of a round and of its memsim regions dominates, as on crawl_sparse.
+func BenchmarkSmallFrontierBFS(b *testing.B) {
+	g := gen.WebCrawl(1<<14, 8, 260, 12)
+	g.BuildIn()
+	opts := core.GaloisDefaults(96)
+	opts.BothDirections = true
+	r, err := core.New(memsim.NewMachine(memsim.Scaled(memsim.OptaneMachine(), 32)), g, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(r.Close)
+	e := engine.New(r, engine.Config{Rep: engine.RepSparse, Dir: engine.DirAuto})
+	dist := make([]atomic.Uint32, g.NumNodes())
+	distArr := r.NodeArray("bench.dist", 4)
+	const unseen = ^uint32(0)
+	bfs := func() int {
+		for v := range dist {
+			dist[v].Store(unseen)
+		}
+		dist[0].Store(0)
+		rounds := 0
+		for f := e.NewFrontier(0); !f.Empty(); {
+			rounds++
+			level, cur := uint32(rounds), f
+			f = e.EdgeMap(f, engine.EdgeMapArgs{
+				PushRow: func(_ graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+					for _, d := range row {
+						if dist[d].Load() == unseen && dist[d].CompareAndSwap(unseen, level) {
+							claims = append(claims, d)
+						}
+					}
+					return claims
+				},
+				PullRow: func(v graph.Node, row []graph.Node, _ []uint32) (bool, bool, int) {
+					for k, u := range row {
+						if cur.Has(u) {
+							dist[v].Store(level)
+							return true, true, k + 1
+						}
+					}
+					return false, false, len(row)
+				},
+				PullCond:    func(v graph.Node) bool { return dist[v].Load() == unseen },
+				PerEdge:     []engine.Access{{Arr: distArr, Write: true}},
+				PullSeqRead: []*memsim.Array{distArr},
+				PullPerEdge: []engine.Access{},
+			})
+		}
+		return rounds
+	}
+	bfs()
+	b.ReportAllocs()
+	rounds := 0
+	for b.Loop() {
+		rounds += bfs()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
 }

@@ -6,12 +6,18 @@
 // choices subsumes the per-framework kernel zoo; this package embodies
 // that claim as three primitives:
 //
-//   - EdgeMap: apply a per-edge operator to the out- (push), in- (pull) or
+//   - EdgeMap: run a row program over the out- (push), in- (pull) or
 //     engine-chosen (direction-optimizing) neighborhoods of a frontier,
-//     returning the next frontier. Pull rounds support early exit, charged
-//     via prefix scans.
-//   - VertexMap / VertexFilter: streaming per-vertex passes (initializers,
-//     snapshot publishes, pointer jumps, peel-set selection).
+//     returning the next frontier. A PushRow or PullRow is called once per
+//     visited row with the whole row (and its weights), in the shape of
+//     internal/shard's emit, so a kernel hoists what is fixed per row and
+//     folds reductions in a register. Pull rounds support early exit,
+//     charged via prefix scans. A Gather is a range program: one call per
+//     scheduler chunk, reading each vertex's in-row through Rows.
+//   - VertexMap / VertexFilter: streaming passes (initializers, snapshot
+//     publishes, pointer jumps, peel-set selection) whose work is a range
+//     program over each chunk; VertexFilter asks its keep predicate per
+//     vertex.
 //   - Frontier: the active-vertex set, auto-converting between sparse
 //     (vertex slice) and dense (bit-vector) representations at a
 //     configurable |frontier|+out-edges threshold.

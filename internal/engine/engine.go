@@ -81,10 +81,10 @@ type Engine struct {
 	cfg Config
 
 	// out/in are the runtime's adjacency views: all neighborhood
-	// iteration goes through their graph.Adjacency (the graph's own rows
-	// on either backend, ranged over as slices; a Cursor only for merged
-	// overlay rows) and all edge-traffic charging through their arrays,
-	// so the engine is storage-backend agnostic.
+	// iteration goes through their host rows (the graph's own CSR slices
+	// on either backend, handed to programs as slices; a Cursor walk only
+	// to merge an overlay-touched row) and all edge-traffic charging
+	// through their arrays, so the engine is storage-backend agnostic.
 	out, in core.AdjView
 
 	bits     *memsim.Array // current dense frontier bits
@@ -105,11 +105,14 @@ type Engine struct {
 	// reused across rounds.
 	merged []graph.Node
 
-	// rows holds one row scratch slice per virtual thread, indexed by
-	// Thread.ID, that a Gather round's Adjacency.Row merges an
-	// overlay-touched vertex's in-row into; like claims it keeps its
-	// capacity across rounds.
-	rows [][]graph.Node
+	// progs is the running round's row programs, kept here so a round
+	// does not allocate them.
+	progs progs
+
+	// bufs holds one merged-row buffer per virtual thread, indexed by
+	// Thread.ID, that an overlay-touched vertex's row is merged into once
+	// per visit; like claims it keeps its capacity across rounds.
+	bufs []rowBuf
 
 	rounds int
 	trace  []RoundStat
@@ -147,7 +150,7 @@ func New(r *core.Runtime, cfg Config) *Engine {
 		nextBits: r.ScratchArray("engine.next.bits", words, 8),
 		wl:       r.ScratchArray("engine.wl", n, 4),
 		claims:   make([][]graph.Node, r.RegionThreads()),
-		rows:     make([][]graph.Node, r.RegionThreads()),
+		bufs:     make([]rowBuf, r.RegionThreads()),
 	}
 }
 
@@ -223,39 +226,59 @@ func (e *Engine) FullFrontier() *Frontier {
 	return f
 }
 
+// PushRow is a push row program: it judges u's whole row at once, row[k]
+// being u's k-th neighbor and wts[k] that edge's weight (wts is nil unless
+// the round is Weighted), and appends every neighbor it claims to claims,
+// returning the extended slice. It is the shape of internal/shard's emit.
+// row and wts may be the graph's own storage or a per-thread scratch copy
+// of a merged overlay row: the program must neither modify nor retain them.
+// Work fixed for the row (u's own value) is done once, before the loop.
+type PushRow func(u graph.Node, row []graph.Node, wts []uint32, claims []graph.Node) []graph.Node
+
+// PullRow is a pull row program: it scans v's row in order (row and wts as
+// for PushRow) until it may stop, and reports whether v became active,
+// whether it stopped early, and how many edges it scanned — len(row) unless
+// it stopped. An early-exit pull round charges exactly that prefix. A
+// reduction over the row folds it in a register and publishes once.
+type PullRow func(v graph.Node, row []graph.Node, wts []uint32) (active, stopped bool, scanned int)
+
 // EdgeMapArgs declares one edge-operator application.
 type EdgeMapArgs struct {
-	// Push is invoked for every edge (u, d) leaving an active vertex u
-	// when traversing in the push direction; ei indexes the edge arrays
-	// of the direction being scanned. It returns whether d's value
-	// improved (the engine activates d in the next frontier, deduped and
-	// ID-sorted at the round barrier). For deterministic simulation the
-	// SET of activated vertices must not depend on thread interleaving —
-	// which thread claims, how often, and in what order all wash out in
-	// the merge. CAS transitions (one winner per vertex) and min-CAS
-	// improvements over round-start snapshots both qualify; reading
-	// mutable shared state into the claim decision does not. Shared
-	// writes inside Push must themselves be commutative and idempotent
-	// (CAS min-reductions, atomic adds).
+	// PushRow is the push program, run once per active vertex u and
+	// direction scanned, on u's out-row (and with Symmetric, its in-row).
+	// The engine activates every vertex it claims in the next frontier,
+	// deduped and ID-sorted at the round barrier. For deterministic
+	// simulation the SET of claimed vertices must not depend on thread
+	// interleaving — which thread claims, how often, and in what order all
+	// wash out in the merge. CAS transitions (one winner per vertex) and
+	// min-CAS improvements over round-start snapshots both qualify;
+	// reading mutable shared state into the claim decision does not.
+	// Shared writes must themselves be commutative and idempotent (CAS
+	// min-reductions, atomic adds).
+	PushRow PushRow
+	// PullRow is the pull program, run once per candidate vertex v on its
+	// in-row (and with Symmetric, unless the in-row stopped, its out-row).
+	// Early exits are charged as prefix scans via the runtime's
+	// in-direction arrays.
+	PullRow PullRow
+	// Push and Pull are the per-edge forms of PushRow and PullRow, kept
+	// for callers written against them: the engine runs each as a row
+	// program that calls it once per edge with the edge's index ei in the
+	// direction scanned. A field excludes its row form.
 	Push func(u, d graph.Node, ei int64) bool
-	// Pull is invoked for every in-edge (u, v) of a candidate vertex v
-	// when traversing in the pull direction. It returns whether v became
-	// active and whether v's scan can stop early (charged as a prefix
-	// scan via the runtime's in-direction arrays).
 	Pull func(v, u graph.Node, ei int64) (active, stop bool)
 	// PullCond gates which vertices scan in pull rounds (nil = all).
 	// When nil the engine assumes whole-neighborhood scans and charges
 	// edge reads in contiguous per-chunk blocks.
 	PullCond func(v graph.Node) bool
-	// Gather replaces Pull for whole-neighborhood reductions: it runs once
-	// per vertex with v's entire in-row, as Adjacency.Row returns it (the
-	// graph's own storage, or a per-thread scratch slice for a merged
-	// overlay row), which it must neither modify nor retain. A Gather
-	// round is a pull round over every vertex that activates nothing (it
-	// returns an empty frontier) and charges like a whole-row Pull plus
-	// one operator application per vertex. It excludes Pull, Push,
+	// Gather replaces the pull program for whole-neighborhood reductions:
+	// a range program, run once per scheduler chunk [lo, hi) with the
+	// in-rows (Rows.Row) of every vertex in it. A Gather round is a pull
+	// round over every vertex that activates nothing (it returns an empty
+	// frontier) and charges like a whole-row pull plus one operator
+	// application per vertex. It excludes the push and pull programs,
 	// PullCond and Symmetric.
-	Gather func(v graph.Node, in []graph.Node)
+	Gather func(lo, hi graph.Node, in Rows)
 	// OnPullChunk runs once per scheduler chunk after its vertices are
 	// processed, on the owning thread, for contention-free chunk
 	// reductions: accumulate locally over [lo, hi), then publish into a
@@ -266,7 +289,8 @@ type EdgeMapArgs struct {
 	// Symmetric also traverses the transpose in push mode and the
 	// out-direction in pull mode: undirected propagation (cc, kcore).
 	Symmetric bool
-	// Weighted charges edge-weight reads alongside edge scans.
+	// Weighted charges edge-weight reads alongside edge scans and hands
+	// the programs each row's weights.
 	Weighted bool
 	// PerEdge are arrays randomly accessed once per visited edge (label
 	// gathers and scatters), charged per chunk.
@@ -292,14 +316,15 @@ type EdgeMapArgs struct {
 // traversal traffic, records a RoundStat, and returns the next frontier
 // (auto-converted to the policy's representation).
 func (e *Engine) EdgeMap(f *Frontier, args EdgeMapArgs) *Frontier {
+	e.progs = e.programs(&args)
+	p := &e.progs
 	pull := false
 	switch {
 	case args.Gather != nil:
-		checkGather(&args)
 		pull = true
-	case args.Pull == nil || !e.CanPull():
+	case p.pullIn == nil || !e.CanPull():
 		// push only
-	case args.Push == nil, e.cfg.Dir == DirPull:
+	case p.pushOut == nil, e.cfg.Dir == DirPull:
 		pull = true
 	case e.cfg.Dir == DirPush:
 		// push only
@@ -315,7 +340,7 @@ func (e *Engine) EdgeMap(f *Frontier, args EdgeMapArgs) *Frontier {
 	case pull:
 		conv := e.toDense(f)
 		rs.Dense = true
-		next = e.pullRound(f, &args, &rs)
+		next = e.pullRound(f, &args, p, &rs)
 		addStats(&rs.Stats, conv)
 		// Representation maintenance: pull rounds produce a dense
 		// frontier natively; convert if policy wants sparse.
@@ -324,31 +349,12 @@ func (e *Engine) EdgeMap(f *Frontier, args EdgeMapArgs) *Frontier {
 		}
 	case f.isDense:
 		rs.Dense = true
-		next = e.pushDense(f, &args, &rs)
+		next = e.pushDense(f, &args, p, &rs)
 	default:
-		next = e.pushSparse(f, &args, &rs)
+		next = e.pushSparse(f, &args, p, &rs)
 	}
 	e.trace = append(e.trace, rs)
 	return next
-}
-
-// checkGather panics, naming the field, when a Gather round is combined
-// with a field it excludes: a kernel bug no validated plan reaches.
-func checkGather(args *EdgeMapArgs) {
-	var field string
-	switch {
-	case args.Pull != nil:
-		field = "Pull"
-	case args.Push != nil:
-		field = "Push"
-	case args.PullCond != nil:
-		field = "PullCond"
-	case args.Symmetric:
-		field = "Symmetric"
-	default:
-		return
-	}
-	panic("engine: EdgeMapArgs.Gather excludes EdgeMapArgs." + field)
 }
 
 // MergeClaims is the one sorted-dedup claim merge: the barrier phase that
@@ -459,19 +465,18 @@ func (e *Engine) finishPush(next *Frontier, rs *RoundStat) *Frontier {
 
 // pushSparse scatters from an explicit vertex list: the Galois sparse
 // worklist round. Only the frontier's own vertices and edges are charged.
-func (e *Engine) pushSparse(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Frontier {
+func (e *Engine) pushSparse(f *Frontier, args *EdgeMapArgs, p *progs, rs *RoundStat) *Frontier {
 	stats := e.R.ParallelItems(int64(len(f.sparse)), func(t *memsim.Thread, lo, hi int64) {
 		e.wl.ReadRange(t, lo, hi)
-		var chunkVerts, chunkEdges int64
+		var chunkEdges int64
 		buf := e.claims[t.ID]
 		for _, u := range f.sparse[lo:hi] {
-			chunkVerts++
 			var k int64
-			buf, k = e.scanPush(t, u, args, buf, true)
+			buf, k = e.scanPush(t, u, args, p, buf, true)
 			chunkEdges += k
 		}
 		e.claims[t.ID] = buf
-		e.chargePushChunk(t, args, chunkVerts, chunkEdges, true)
+		e.chargePushChunk(t, args, hi-lo, chunkEdges, true)
 	})
 	rs.Stats = stats
 	return e.finishPush(e.mergeClaims(), rs)
@@ -480,7 +485,7 @@ func (e *Engine) pushSparse(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Fron
 // pushDense scatters from the bit-vector representation: every round scans
 // the whole frontier bit-vector and offsets array (the §5.2 dense-worklist
 // penalty), visiting edges only for active vertices.
-func (e *Engine) pushDense(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Frontier {
+func (e *Engine) pushDense(f *Frontier, args *EdgeMapArgs, p *progs, rs *RoundStat) *Frontier {
 	n := int64(f.n)
 	stats := e.R.ParallelVerts(func(t *memsim.Thread, lo, hi graph.Node) {
 		if f.count < n {
@@ -505,7 +510,7 @@ func (e *Engine) pushDense(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 		f.dense.ForEachInRange(lo, hi, func(u graph.Node) {
 			chunkVerts++
 			var k int64
-			buf, k = e.scanPush(t, u, args, buf, perVertexEdges)
+			buf, k = e.scanPush(t, u, args, p, buf, perVertexEdges)
 			chunkEdges += k
 		})
 		e.claims[t.ID] = buf
@@ -515,52 +520,27 @@ func (e *Engine) pushDense(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 	return e.finishPush(e.mergeClaims(), rs)
 }
 
-// scanPush visits u's out- (and with Symmetric, in-) neighborhood,
-// charging edge reads per vertex when chargeEdges is set, appends every
-// target Push claims to claims, and returns it with the number of edges
+// scanPush runs the push program on u's out-row (and with Symmetric, its
+// in-row), charging edge reads per vertex when chargeEdges is set, and
+// returns claims extended by what it claimed, with the number of edges
 // visited.
-func (e *Engine) scanPush(t *memsim.Thread, u graph.Node, args *EdgeMapArgs, claims []graph.Node, chargeEdges bool) ([]graph.Node, int64) {
+func (e *Engine) scanPush(t *memsim.Thread, u graph.Node, args *EdgeMapArgs, p *progs, claims []graph.Node, chargeEdges bool) ([]graph.Node, int64) {
 	if chargeEdges {
 		e.out.ChargeScan(t, u, args.Weighted)
 	}
-	claims, edges := pushRow(&e.out, u, args.Push, claims)
+	b := &e.bufs[t.ID]
+	row, wts := b.rowOf(&e.out, u, p.wOut, false)
+	claims = p.pushOut(u, row, wts, claims)
+	edges := int64(len(row))
 	if args.Symmetric {
 		if chargeEdges {
 			e.in.ChargeScan(t, u, false)
 		}
-		var k int64
-		claims, k = pushRow(&e.in, u, args.Push, claims)
-		edges += k
+		row, wts = b.rowOf(&e.in, u, p.wIn, false)
+		claims = p.pushIn(u, row, wts, claims)
+		edges += int64(len(row))
 	}
 	return claims, edges
-}
-
-// pushRow calls push on every edge of u's row in av, in row order,
-// appends each target it claims to claims, and returns it with the row's
-// length. A raw row is ranged over directly, edge indices counting up from
-// Base(u); a merged overlay row is walked through a Cursor for its edge
-// indices.
-func pushRow(av *core.AdjView, u graph.Node, push func(u, d graph.Node, ei int64) bool, claims []graph.Node) ([]graph.Node, int64) {
-	if av.Merged(u) {
-		n := int64(0)
-		c := av.Adj.Cursor(u)
-		for d, ok := c.Next(); ok; d, ok = c.Next() {
-			if push(u, d, c.EI()) {
-				claims = append(claims, d)
-			}
-			n++
-		}
-		return claims, n
-	}
-	row, _ := av.Adj.Row(nil, u)
-	ei := av.Adj.Base(u)
-	for _, d := range row {
-		if push(u, d, ei) {
-			claims = append(claims, d)
-		}
-		ei++
-	}
-	return claims, int64(len(row))
 }
 
 // chargePushChunk issues the batched per-chunk charges of a push round:
@@ -584,12 +564,12 @@ func (e *Engine) chargePushChunk(t *memsim.Thread, args *EdgeMapArgs, verts, edg
 }
 
 // pullRound gathers along in-edges: every vertex passing PullCond scans
-// its in-neighborhood, stopping early if the operator says so. Whole
+// its in-neighborhood, stopping early if the program says so. Whole
 // scans (PullCond == nil) are charged as contiguous blocks; early-exit
-// scans as per-vertex prefixes. A Gather round hands each vertex's whole
-// row to the operator instead of calling Pull per edge, and charges the
-// same.
-func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Frontier {
+// scans as per-vertex prefixes. A Gather round hands each chunk to the
+// range program instead of calling the pull program per vertex, and
+// charges the same.
+func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, p *progs, rs *RoundStat) *Frontier {
 	n := int64(f.n)
 	gather := args.Gather != nil
 	var nextSet *Dense
@@ -620,37 +600,25 @@ func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 			}
 		}
 		var chunkVerts, chunkScanned, activated, nextOut int64
+		b := &e.bufs[t.ID]
 		if gather {
-			scratch := e.rows[t.ID]
-			for v := lo; v < hi; v++ {
-				row, raw := e.in.Adj.Row(scratch, v)
-				if !raw {
-					scratch = row
-				}
-				args.Gather(v, row)
-				chunkScanned += int64(len(row))
-			}
-			e.rows[t.ID] = scratch
+			args.Gather(lo, hi, Rows{av: &e.in, buf: b})
 			chunkVerts = int64(hi - lo)
+			// A Gather round reads every in-row of the chunk whole.
+			chunkScanned = e.in.DegreeRange(lo, hi)
 		} else {
 			for v := lo; v < hi; v++ {
 				if !whole && !args.PullCond(v) {
 					continue
 				}
 				chunkVerts++
-				in := pullRow(&e.in, v, args.Pull)
-				if !whole {
-					e.in.ChargePrefix(t, v, in.consumed, in.deltaConsumed, in.scanned)
-				}
-				chunkScanned += in.scanned
-				active := in.active
-				if args.Symmetric && !in.stopped {
-					out := pullRow(&e.out, v, args.Pull)
-					if !whole {
-						e.out.ChargePrefix(t, v, out.consumed, out.deltaConsumed, out.scanned)
-					}
-					chunkScanned += out.scanned
-					active = active || out.active
+				active, stopped, k := e.pullScan(t, &e.in, b, v, p.pullIn, p.wIn, !whole)
+				chunkScanned += int64(k)
+				if args.Symmetric && !stopped {
+					var a bool
+					a, _, k = e.pullScan(t, &e.out, b, v, p.pullOut, p.wOut, !whole)
+					chunkScanned += int64(k)
+					active = active || a
 				}
 				if active && nextSet.Set(v) {
 					activated++
@@ -687,50 +655,21 @@ func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, rs *RoundStat) *Front
 	return &Frontier{n: f.n, dense: nextSet, isDense: true, count: cnt.Load(), outEdges: outEdges.Load()}
 }
 
-// pullScan is what one pull scan of a row did: whether an edge activated
-// the vertex, whether the operator stopped the scan early, the edges it
-// scanned, and the base edges and overlay delta entries it consumed (what
-// AdjView.ChargePrefix charges).
-type pullScan struct {
-	active, stopped                  bool
-	scanned, consumed, deltaConsumed int64
-}
-
-// pullRow calls pull on the edges of v's row in av, in row order, until it
-// asks to stop. A raw row is ranged over directly: edge indices count up
-// from Base(v), and the base edges consumed are the edges scanned. A merged
-// overlay row is walked through a Cursor, which counts both.
-func pullRow(av *core.AdjView, v graph.Node, pull func(v, u graph.Node, ei int64) (bool, bool)) pullScan {
-	var s pullScan
-	if av.Merged(v) {
-		c := av.Adj.Cursor(v)
-		for !s.stopped {
-			u, ok := c.Next()
-			if !ok {
-				break
-			}
-			var a bool
-			a, s.stopped = pull(v, u, c.EI())
-			s.scanned++
-			s.active = s.active || a
+// pullScan runs the pull program on v's row in av and, when prefix is set,
+// charges the prefix it scanned: that many base edges of a raw row, and of
+// a merged overlay row the base edges and delta entries its one Cursor walk
+// had consumed there. It returns the program's results.
+func (e *Engine) pullScan(t *memsim.Thread, av *core.AdjView, b *rowBuf, v graph.Node, prog PullRow, weighted, prefix bool) (active, stopped bool, k int) {
+	row, wts := b.rowOf(av, v, weighted, prefix)
+	active, stopped, k = prog(v, row, wts)
+	if prefix {
+		consumed, delta := int64(k), int64(0)
+		if av.Merged(v) {
+			consumed, delta = b.prefix(k, stopped)
 		}
-		s.consumed, s.deltaConsumed = c.Consumed(), c.DeltaConsumed()
-		return s
+		av.ChargePrefix(t, v, consumed, delta, int64(k))
 	}
-	row, _ := av.Adj.Row(nil, v)
-	ei := av.Adj.Base(v)
-	for _, u := range row {
-		var a bool
-		a, s.stopped = pull(v, u, ei)
-		s.scanned++
-		s.active = s.active || a
-		if s.stopped {
-			break
-		}
-		ei++
-	}
-	s.consumed = s.scanned
-	return s
+	return active, stopped, k
 }
 
 // toDense converts f to the dense representation in place (pull rounds
@@ -775,7 +714,12 @@ func (e *Engine) convert(f *Frontier, rs *RoundStat) {
 
 // VertexMapArgs declares one streaming per-vertex pass.
 type VertexMapArgs struct {
-	// Fn runs once per vertex on the owning thread.
+	// Range is the pass's range program: it runs once per scheduler
+	// chunk [lo, hi) on the owning thread.
+	Range func(lo, hi graph.Node)
+	// Fn is the per-vertex form of Range, kept for callers written
+	// against it: the engine runs it as a range program that calls it
+	// once per vertex. It excludes Range.
 	Fn func(v graph.Node)
 	// SeqRead/SeqWrite are node arrays streamed per chunk.
 	SeqRead  []*memsim.Array
@@ -787,32 +731,49 @@ type VertexMapArgs struct {
 	Ops bool
 }
 
+// program returns the pass's range program (nil when it has none).
+func (a *VertexMapArgs) program() func(lo, hi graph.Node) {
+	if a.Fn == nil {
+		return a.Range
+	}
+	if a.Range != nil {
+		panic("engine: VertexMapArgs.Fn excludes VertexMapArgs.Range")
+	}
+	fn := a.Fn
+	return func(lo, hi graph.Node) {
+		for v := lo; v < hi; v++ {
+			fn(v)
+		}
+	}
+}
+
 // VertexMap applies the pass to every vertex, charging sequential accesses
 // per chunk.
 func (e *Engine) VertexMap(a VertexMapArgs) memsim.RegionStats {
+	run := a.program()
 	return e.R.ParallelVerts(func(t *memsim.Thread, lo, hi graph.Node) {
 		e.chargeVertexChunk(t, &a, lo, hi)
-		if a.Fn != nil {
-			for v := lo; v < hi; v++ {
-				a.Fn(v)
-			}
+		if run != nil {
+			run(lo, hi)
 		}
 	})
 }
 
 // VertexFilter is VertexMap plus a predicate: it returns the frontier of
-// vertices for which keep is true, charging the worklist writes. Each
-// thread buffers the vertices it keeps (every vertex has one owner, so the
-// kept set is deterministic) and the claim merge orders them by ID.
+// vertices for which keep is true, charging the worklist writes. The range
+// program, if any, runs on a chunk before keep is asked about its vertices.
+// Each thread buffers the vertices it keeps (every vertex has one owner, so
+// the kept set is deterministic) and the claim merge orders them by ID.
 func (e *Engine) VertexFilter(a VertexMapArgs, keep func(v graph.Node) bool) *Frontier {
+	run := a.program()
 	e.R.ParallelVerts(func(t *memsim.Thread, lo, hi graph.Node) {
 		e.chargeVertexChunk(t, &a, lo, hi)
+		if run != nil {
+			run(lo, hi)
+		}
 		buf := e.claims[t.ID]
 		var kept int64
 		for v := lo; v < hi; v++ {
-			if a.Fn != nil {
-				a.Fn(v)
-			}
 			if keep(v) {
 				buf = append(buf, v)
 				kept++

@@ -77,9 +77,9 @@ func TestFrontierHasAndVertices(t *testing.T) {
 	}
 }
 
-// bfsWith runs a BFS over the engine with the given config and returns the
-// levels.
-func bfsWith(t *testing.T, g *graph.Graph, cfg Config, bothDirs bool) []uint32 {
+// bfsWith runs a BFS over the engine with the given config, as row programs
+// or (perEdge) as their per-edge forms, and returns the levels.
+func bfsWith(t *testing.T, g *graph.Graph, cfg Config, bothDirs, perEdge bool) []uint32 {
 	e := testEngine(t, g, cfg, bothDirs)
 	n := g.NumNodes()
 	dist := make([]atomic.Uint32, n)
@@ -92,19 +92,40 @@ func bfsWith(t *testing.T, g *graph.Graph, cfg Config, bothDirs bool) []uint32 {
 		level++
 		lvl := level
 		cur := f
-		f = e.EdgeMap(f, EdgeMapArgs{
-			Push: func(u, d graph.Node, ei int64) bool {
+		args := EdgeMapArgs{
+			PullCond: func(v graph.Node) bool { return dist[v].Load() == ^uint32(0) },
+		}
+		if perEdge {
+			args.Push = func(u, d graph.Node, ei int64) bool {
 				return dist[d].CompareAndSwap(^uint32(0), lvl)
-			},
-			Pull: func(v, u graph.Node, ei int64) (bool, bool) {
+			}
+			args.Pull = func(v, u graph.Node, ei int64) (bool, bool) {
 				if cur.Has(u) {
 					dist[v].Store(lvl)
 					return true, true
 				}
 				return false, false
-			},
-			PullCond: func(v graph.Node) bool { return dist[v].Load() == ^uint32(0) },
-		})
+			}
+		} else {
+			args.PushRow = func(u graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+				for _, d := range row {
+					if dist[d].CompareAndSwap(^uint32(0), lvl) {
+						claims = append(claims, d)
+					}
+				}
+				return claims
+			}
+			args.PullRow = func(v graph.Node, row []graph.Node, _ []uint32) (bool, bool, int) {
+				for k, u := range row {
+					if cur.Has(u) {
+						dist[v].Store(lvl)
+						return true, true, k + 1
+					}
+				}
+				return false, false, len(row)
+			}
+		}
+		f = e.EdgeMap(f, args)
 	}
 	out := make([]uint32, n)
 	for i := range out {
@@ -116,17 +137,20 @@ func bfsWith(t *testing.T, g *graph.Graph, cfg Config, bothDirs bool) []uint32 {
 func TestEdgeMapDirectionsAgree(t *testing.T) {
 	g := testGraph(300)
 	g.BuildIn()
-	ref := bfsWith(t, g, Config{Rep: RepSparse, Dir: DirPush}, false)
+	ref := bfsWith(t, g, Config{Rep: RepSparse, Dir: DirPush}, false, false)
 	for name, cfg := range map[string]Config{
-		"dense-push": {Rep: RepDense, Dir: DirPush},
-		"dir-opt":    {Rep: RepDense, Dir: DirAuto},
-		"pull-only":  {Rep: RepDense, Dir: DirPull},
-		"hybrid":     {Rep: RepAuto, Dir: DirAuto},
+		"sparse-push": {Rep: RepSparse, Dir: DirPush},
+		"dense-push":  {Rep: RepDense, Dir: DirPush},
+		"dir-opt":     {Rep: RepDense, Dir: DirAuto},
+		"pull-only":   {Rep: RepDense, Dir: DirPull},
+		"hybrid":      {Rep: RepAuto, Dir: DirAuto},
 	} {
-		got := bfsWith(t, g, cfg, true)
-		for v := range ref {
-			if got[v] != ref[v] {
-				t.Fatalf("%s: dist[%d] = %d, want %d", name, v, got[v], ref[v])
+		for _, perEdge := range []bool{false, true} {
+			got := bfsWith(t, g, cfg, true, perEdge)
+			for v := range ref {
+				if got[v] != ref[v] {
+					t.Fatalf("%s (per-edge %v): dist[%d] = %d, want %d", name, perEdge, v, got[v], ref[v])
+				}
 			}
 		}
 	}
@@ -144,8 +168,13 @@ func TestEdgeMapAutoConvertsRepresentation(t *testing.T) {
 	sawDense := false
 	for !f.Empty() {
 		f = e.EdgeMap(f, EdgeMapArgs{
-			Push: func(u, d graph.Node, ei int64) bool {
-				return !visited[d].Swap(true)
+			PushRow: func(_ graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+				for _, d := range row {
+					if !visited[d].Swap(true) {
+						claims = append(claims, d)
+					}
+				}
+				return claims
 			},
 		})
 		sawDense = sawDense || f.IsDense()
@@ -181,8 +210,13 @@ func TestEdgeMapSymmetricReachesPredecessors(t *testing.T) {
 	f := e.NewFrontier(1)
 	f = e.EdgeMap(f, EdgeMapArgs{
 		Symmetric: true,
-		Push: func(u, d graph.Node, ei int64) bool {
-			return !hit[d].Swap(true)
+		PushRow: func(_ graph.Node, row []graph.Node, _ []uint32, claims []graph.Node) []graph.Node {
+			for _, d := range row {
+				if !hit[d].Swap(true) {
+					claims = append(claims, d)
+				}
+			}
+			return claims
 		},
 	})
 	if !hit[0].Load() || !hit[2].Load() {
@@ -199,9 +233,21 @@ func TestVertexFilterAndMap(t *testing.T) {
 	e := testEngine(t, g, Config{Rep: RepSparse}, false)
 	vals := make([]int64, g.NumNodes())
 	e.VertexMap(VertexMapArgs{
-		Fn:  func(v graph.Node) { vals[v] = int64(v) * 2 },
+		Range: func(lo, hi graph.Node) {
+			for v := lo; v < hi; v++ {
+				vals[v] = int64(v) * 2
+			}
+		},
 		Ops: true,
 	})
+	// The per-vertex form covers every vertex once too.
+	calls := make([]int, g.NumNodes())
+	e.VertexMap(VertexMapArgs{Fn: func(v graph.Node) { calls[v]++ }})
+	for v, c := range calls {
+		if c != 1 {
+			t.Fatalf("Fn ran %d times on vertex %d", c, v)
+		}
+	}
 	f := e.VertexFilter(VertexMapArgs{}, func(v graph.Node) bool { return vals[v]%4 == 0 })
 	if f.Count() != 64 {
 		t.Errorf("filter kept %d vertices, want 64", f.Count())

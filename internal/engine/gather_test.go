@@ -50,9 +50,9 @@ func gatherEngines(t *testing.T) map[string]*Engine {
 	}
 }
 
-// TestGatherRoundHandsEachVertexItsInRow: a Gather round calls the
-// operator once per vertex with exactly the in-row a Cursor walks, and
-// returns an empty frontier.
+// TestGatherRoundHandsEachVertexItsInRow: a Gather round hands the range
+// program every vertex once, each with exactly the in-row a Cursor walks,
+// and returns an empty frontier.
 func TestGatherRoundHandsEachVertexItsInRow(t *testing.T) {
 	for name, e := range gatherEngines(t) {
 		t.Run(name, func(t *testing.T) {
@@ -60,9 +60,11 @@ func TestGatherRoundHandsEachVertexItsInRow(t *testing.T) {
 			rows := make([][]graph.Node, n)
 			calls := make([]int, n)
 			next := e.EdgeMap(e.FullFrontier(), EdgeMapArgs{
-				Gather: func(v graph.Node, in []graph.Node) {
-					calls[v]++
-					rows[v] = slices.Clone(in)
+				Gather: func(lo, hi graph.Node, in Rows) {
+					for v := lo; v < hi; v++ {
+						calls[v]++
+						rows[v] = slices.Clone(in.Row(v))
+					}
 				},
 			})
 			if !next.Empty() {
@@ -86,14 +88,17 @@ func TestGatherRoundHandsEachVertexItsInRow(t *testing.T) {
 	}
 }
 
-// TestGatherExcludesPerEdgeFields: setting Gather beside a field it
-// replaces or cannot honour is a kernel bug, and the panic names the field.
+// TestGatherExcludesPerEdgeFields: setting Gather beside a program it
+// replaces or a field it cannot honour is a kernel bug, and the panic names
+// the field.
 func TestGatherExcludesPerEdgeFields(t *testing.T) {
 	e := gatherEngines(t)["raw"]
-	gather := func(graph.Node, []graph.Node) {}
+	gather := func(graph.Node, graph.Node, Rows) {}
 	for field, args := range map[string]EdgeMapArgs{
 		"Pull":      {Gather: gather, Pull: func(v, u graph.Node, ei int64) (bool, bool) { return false, false }},
 		"Push":      {Gather: gather, Push: func(u, d graph.Node, ei int64) bool { return false }},
+		"PullRow":   {Gather: gather, PullRow: func(graph.Node, []graph.Node, []uint32) (bool, bool, int) { return false, false, 0 }},
+		"PushRow":   {Gather: gather, PushRow: func(_ graph.Node, _ []graph.Node, _ []uint32, c []graph.Node) []graph.Node { return c }},
 		"PullCond":  {Gather: gather, PullCond: func(graph.Node) bool { return true }},
 		"Symmetric": {Gather: gather, Symmetric: true},
 	} {
@@ -109,30 +114,35 @@ func TestGatherExcludesPerEdgeFields(t *testing.T) {
 	}
 }
 
-// TestGatherRoundAllocatesNoMoreThanPull: the per-thread row scratch is
+// TestGatherRoundAllocatesNoMoreThanPull: the per-thread row buffers are
 // reused across rounds, so a warmed Gather round over compressed adjacency
-// allocates no more than the per-edge Pull round with the same charges —
-// nothing per chunk or per vertex.
+// allocates no more than the pull round with the same charges — nothing
+// per chunk or per vertex.
 func TestGatherRoundAllocatesNoMoreThanPull(t *testing.T) {
 	e := gatherEngines(t)["compressed"]
 	full := e.FullFrontier()
 	sums := make([]float64, e.R.NumNodes())
-	gatherArgs := EdgeMapArgs{Gather: func(v graph.Node, in []graph.Node) {
+	sum := func(row []graph.Node) float64 {
 		acc := 0.0
-		for _, u := range in {
+		for _, u := range row {
 			acc += float64(u)
 		}
-		sums[v] = acc
+		return acc
+	}
+	gatherArgs := EdgeMapArgs{Gather: func(lo, hi graph.Node, in Rows) {
+		for v := lo; v < hi; v++ {
+			sums[v] = sum(in.Row(v))
+		}
 	}}
-	pullArgs := EdgeMapArgs{Pull: func(v, u graph.Node, ei int64) (bool, bool) {
-		sums[v] += float64(u)
-		return false, false
+	pullArgs := EdgeMapArgs{PullRow: func(v graph.Node, row []graph.Node, _ []uint32) (bool, bool, int) {
+		sums[v] = sum(row)
+		return false, false, len(row)
 	}}
 	e.EdgeMap(full, gatherArgs)
 	gather := testing.AllocsPerRun(20, func() { e.EdgeMap(full, gatherArgs) })
 	pull := testing.AllocsPerRun(20, func() { e.EdgeMap(full, pullArgs) })
-	t.Logf("allocations per round: Gather %.1f, per-edge Pull %.1f", gather, pull)
+	t.Logf("allocations per round: Gather %.1f, pull %.1f", gather, pull)
 	if gather > pull {
-		t.Fatalf("Gather round allocates %.1f times, per-edge Pull round %.1f", gather, pull)
+		t.Fatalf("Gather round allocates %.1f times, pull round %.1f", gather, pull)
 	}
 }

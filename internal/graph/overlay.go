@@ -465,7 +465,8 @@ type OverlayAdj struct {
 	ov        *Overlay
 	side      *ovSide
 	base      Adjacency
-	baseEdges int64 // the side's base edge count: ei base for inserts
+	baseEdges int64    // the side's base edge count: ei base for inserts
+	baseW     []uint32 // the base's weights in this direction
 }
 
 // OutAdj returns the out-direction Adjacency over the raw or compressed
@@ -475,7 +476,7 @@ func (ov *Overlay) OutAdj(compressed bool) *OverlayAdj {
 	if compressed {
 		base = ov.base.CompressOut()
 	}
-	return &OverlayAdj{ov: ov, side: &ov.out, base: base, baseEdges: ov.base.NumEdges()}
+	return &OverlayAdj{ov: ov, side: &ov.out, base: base, baseEdges: ov.base.NumEdges(), baseW: ov.base.OutWeights}
 }
 
 // InAdj is OutAdj for the transpose; the base must have it built.
@@ -487,7 +488,7 @@ func (ov *Overlay) InAdj(compressed bool) *OverlayAdj {
 	if compressed {
 		base = ov.base.CompressIn()
 	}
-	return &OverlayAdj{ov: ov, side: &ov.in, base: base, baseEdges: int64(len(ov.base.InEdges))}
+	return &OverlayAdj{ov: ov, side: &ov.in, base: base, baseEdges: int64(len(ov.base.InEdges)), baseW: ov.base.InWeights}
 }
 
 func (a *OverlayAdj) NumNodes() int   { return a.base.NumNodes() }
@@ -499,6 +500,15 @@ func (a *OverlayAdj) Base(v Node) int64            { return a.base.Base(v) }
 func (a *OverlayAdj) Extent(v Node) (int64, int64) { return a.base.Extent(v) }
 func (a *OverlayAdj) ExtentRange(lo, hi Node) (int64, int64) {
 	return a.base.ExtentRange(lo, hi)
+}
+
+// Weight returns the weight of the edge a Cursor reports as ei: Overlay's
+// OutWeight or InWeight, for this adapter's direction.
+func (a *OverlayAdj) Weight(ei int64) uint32 {
+	if ei >= a.baseEdges {
+		return a.side.insW[ei-a.baseEdges]
+	}
+	return a.baseW[ei]
 }
 
 // Touched reports whether the delta touches v, i.e. whether Row merges v's
@@ -526,6 +536,20 @@ func (a *OverlayAdj) DeltaExtentRange(lo, hi Node) (int64, int64) {
 	i, _ := slices.BinarySearch(s.srcs, lo)
 	j, _ := slices.BinarySearch(s.srcs, hi)
 	return s.entOff[i], s.entOff[j]
+}
+
+// DegreeRange returns the merged edge count of the vertex range [lo, hi):
+// the base's, plus the inserts of every touched vertex in it, less its
+// deleted base slots.
+func (a *OverlayAdj) DegreeRange(lo, hi Node) int64 {
+	s := a.side
+	i, _ := slices.BinarySearch(s.srcs, lo)
+	j, _ := slices.BinarySearch(s.srcs, hi)
+	n := a.base.Base(hi) - a.base.Base(lo) + int64(s.insOff[j]-s.insOff[i])
+	for _, d := range s.delSlots[i:j] {
+		n -= int64(d)
+	}
+	return n
 }
 
 // DeltaEntries returns the side's total delta entries (the length of the

@@ -52,7 +52,22 @@
 //     its expected RandomN latency per thread socket and direction, and its
 //     footprint-weighted hit probability. They depend on the footprint,
 //     the placement and the region's thread count, all fixed while the
-//     region runs: Alloc and Free panic inside a region.
+//     region runs: Alloc and Free panic inside a region. So a region
+//     resolves them only when Alloc or Free changed the footprint since
+//     the last resolve, or when its thread count differs from the last
+//     region's; otherwise the tables hold what resolving again would
+//     compute.
+//
+// A region's fixed cost is what its threads touch. Each virtual thread is
+// reset by the worker goroutine that takes it, just before running it:
+// its clock, counters, RNG seed, line memo and TLB. A TLB class fills its
+// slots in index order after a reset (an invalid slot has stamp 0, below
+// every live stamp, and ties go to the lowest slot), so every slot above
+// the highest one installed since the reset is invalid with stamp 0. The
+// class keeps that high-water mark: reset invalidates only the slots below
+// it, and lookup scans only up to the first slot past it, which gives the
+// hits, victims and stamps a full scan and a full reset give. A new class
+// starts with every slot invalid, as a reset one does.
 //
 // A thread also keeps, per array, the TLB slot that last held one of the
 // array's pages and probes it before the LRU scan. A valid page ID occupies

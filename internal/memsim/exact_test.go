@@ -53,8 +53,126 @@ func TestTLBSlotHintIsExact(t *testing.T) {
 					t.Fatalf("%d entries, seed %d, step %d: hinted probe of %#x hit=%v, scan hit=%v", entries, seed, step, pid, hit, want)
 				}
 			}
-			if !slices.Equal(hinted.pages, plain.pages) || !slices.Equal(hinted.stamps, plain.stamps) || hinted.clock != plain.clock {
-				t.Fatalf("%d entries, seed %d: hinted class ended as %v / %v, scan as %v / %v", entries, seed, hinted.pages, hinted.stamps, plain.pages, plain.stamps)
+			if !slices.Equal(hinted.slots, plain.slots) || hinted.clock != plain.clock {
+				t.Fatalf("%d entries, seed %d: hinted class ended as %v, scan as %v", entries, seed, hinted.slots, plain.slots)
+			}
+		}
+	}
+}
+
+// eagerClass is a TLB class that invalidates every slot on reset and
+// scans every slot on lookup: the reference tlbClass's high-water mark must
+// agree with.
+type eagerClass struct {
+	pages, stamps []uint64
+	clock         uint64
+}
+
+func newEagerClass(entries int) *eagerClass {
+	c := &eagerClass{pages: make([]uint64, entries), stamps: make([]uint64, entries)}
+	c.reset()
+	return c
+}
+
+func (c *eagerClass) reset() {
+	for i := range c.pages {
+		c.pages[i] = ^uint64(0)
+	}
+	clear(c.stamps)
+	c.clock = 0
+}
+
+func (c *eagerClass) lookup(pageID uint64) (int, bool) {
+	c.clock++
+	victim, oldest := 0, ^uint64(0)
+	for i, p := range c.pages {
+		if p == pageID {
+			c.stamps[i] = c.clock
+			return i, true
+		}
+		if c.stamps[i] < oldest {
+			oldest = c.stamps[i]
+			victim = i
+		}
+	}
+	c.pages[victim] = pageID
+	c.stamps[victim] = c.clock
+	return victim, false
+}
+
+func (c *eagerClass) holds(i int, pageID uint64) bool {
+	if i >= len(c.pages) || c.pages[i] != pageID {
+		return false
+	}
+	c.clock++
+	c.stamps[i] = c.clock
+	return true
+}
+
+func (c *eagerClass) flushRandom(r uint64) {
+	i := int(r % uint64(len(c.pages)))
+	c.pages[i] = ^uint64(0)
+	c.stamps[i] = 0
+}
+
+// sameState reports whether c holds exactly e's pages, stamps and clock.
+func (c *tlbClass) sameState(e *eagerClass) bool {
+	for i, s := range c.slots {
+		if s.page != e.pages[i] || s.stamp != e.stamps[i] {
+			return false
+		}
+	}
+	return len(c.slots) == len(e.pages) && c.clock == e.clock
+}
+
+// TestTLBHighWaterMarkIsExact drives seeded lookup, holds, flushRandom and
+// reset sequences through a tlbClass, which resets and scans only up to its
+// high-water mark, and through an eagerClass, on 64-, 32- and 4-entry
+// classes. Every lookup must hit or miss alike in the same slot, every holds
+// must agree, and the classes must hold the same pages, stamps and clock
+// after every reset and at the end. Each sequence starts on a class as
+// newTLBClass builds it, probed at page 0 through hint slot 0: a class whose
+// slots started as zero page IDs would hit there.
+func TestTLBHighWaterMarkIsExact(t *testing.T) {
+	for _, entries := range []int{64, 32, 4} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(entries)))
+			lazy, eager := newTLBClass(entries), newEagerClass(entries)
+			if got, want := lazy.holds(0, 0), eager.holds(0, 0); got || want {
+				t.Fatalf("%d entries: a new class holds page 0 in slot 0 (lazy %v, eager %v)", entries, got, want)
+			}
+			for step := range 20000 {
+				switch r := rng.Intn(1000); {
+				case r < 5:
+					lazy.reset()
+					eager.reset()
+					if !lazy.sameState(eager) {
+						t.Fatalf("%d entries, seed %d, step %d: after reset %v, eager %v / %v", entries, seed, step, lazy.slots, eager.pages, eager.stamps)
+					}
+					continue
+				case r < 25:
+					x := rng.Uint64()
+					lazy.flushRandom(x)
+					eager.flushRandom(x)
+					continue
+				case r < 300:
+					i, pid := rng.Intn(entries+1), uint64(rng.Intn(entries+entries/2+2))
+					if got, want := lazy.holds(i, pid), eager.holds(i, pid); got != want {
+						t.Fatalf("%d entries, seed %d, step %d: holds(%d, %d) = %v, eager %v", entries, seed, step, i, pid, got, want)
+					}
+					continue
+				}
+				// Page IDs from a universe a little larger than the class,
+				// page 0 included, so slots both fill and get evicted.
+				pid := uint64(rng.Intn(entries + entries/2 + 2))
+				k, hit := lazy.lookup(pid)
+				wk, whit := eager.lookup(pid)
+				if k != wk || hit != whit {
+					t.Fatalf("%d entries, seed %d, step %d: lookup(%d) = slot %d hit %v, eager slot %d hit %v", entries, seed, step, pid, k, hit, wk, whit)
+				}
+			}
+			if !lazy.sameState(eager) {
+				t.Fatalf("%d entries, seed %d: class ended as %v, eager as %v / %v", entries, seed, lazy.slots, eager.pages, eager.stamps)
 			}
 		}
 	}

@@ -62,8 +62,14 @@ type Machine struct {
 	// overlapping or nested region silently share them.
 	running atomic.Bool
 
-	// regionThreads is the thread count of the running Parallel region.
+	// regionThreads is the thread count of the running Parallel region,
+	// or of the last one.
 	regionThreads int
+	// resolved reports that the arrays' charge tables are resolve's for
+	// the current footprint and regionThreads: a region recomputes them
+	// only when Alloc or Free changed the footprint since, or when its
+	// thread count differs.
+	resolved bool
 }
 
 // thpSmallFraction is the fraction of translations on THP-backed
@@ -393,6 +399,7 @@ func (m *Machine) checkIdle(op, name string) {
 // footprintChanged recomputes the per-socket near-memory probabilities from
 // the current footprint.
 func (m *Machine) footprintChanged() {
+	m.resolved = false
 	for s := range m.hitProb {
 		m.hitProb[s] = m.nearMemHitProb(s)
 		m.resident[s] = m.residentFrac(s)
@@ -470,8 +477,11 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 		panic("memsim: Parallel on a Machine whose region is still running: regions on one Machine must not overlap or nest")
 	}
 	threads = threadCount(m, threads)
-	m.regionThreads = threads
-	m.resolve()
+	if !m.resolved || threads != m.regionThreads {
+		m.regionThreads = threads
+		m.resolve()
+		m.resolved = true
+	}
 	cores := m.cfg.Sockets * m.cfg.CoresPerSocket
 	if pinSocket >= 0 {
 		cores = m.cfg.CoresPerSocket
@@ -486,13 +496,6 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 		m.threads = append(m.threads, newThread(m, len(m.threads)))
 	}
 	ts := m.threads[:threads]
-	for i, t := range ts {
-		s := threadSocket(&m.cfg, i)
-		if pinSocket >= 0 {
-			s = pinSocket
-		}
-		t.reset(s, smtScale)
-	}
 
 	// Execute the virtual threads on at most GOMAXPROCS goroutines, which
 	// take thread indices from a shared counter. Each Thread accumulates
@@ -501,7 +504,8 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 	// totals, per-array traffic) is only read during the region and
 	// updated from recorded intents at the barrier below, so the merged
 	// result is byte-identical for every goroutine interleaving and
-	// GOMAXPROCS setting.
+	// GOMAXPROCS setting. A worker resets each thread it takes before
+	// running it, so the resets run in parallel too.
 	workers := min(threads, runtime.GOMAXPROCS(0))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -512,7 +516,13 @@ func (m *Machine) parallel(threads, pinSocket int, fn func(t *Thread)) RegionSta
 			if i >= threads {
 				return
 			}
-			fn(ts[i])
+			t := ts[i]
+			s := pinSocket
+			if s < 0 {
+				s = t.home
+			}
+			t.reset(s, smtScale)
+			fn(t)
 		}
 	}
 	wg.Add(workers)
@@ -810,7 +820,7 @@ func (m *Machine) randomNLatency(a *Array, ts int, isWrite bool) float64 {
 // misses almost always under random access. It is kept within the
 // compiler's inlining budget: as a call it costs ~1.5 ns per RandomN.
 func expectedMisses(t *Thread, a *Array, pageSize int64, thpResidue bool, fn float64) float64 {
-	reach := float64(len(t.tlb.class(pageSize).pages)) * float64(pageSize)
+	reach := float64(len(t.tlb.class(pageSize).slots)) * float64(pageSize)
 	missFrac := max(1-reach/float64(a.bytes), 0)
 	if thpResidue {
 		missFrac = missFrac*(1-thpSmallFraction) + thpSmallFraction

@@ -15,6 +15,9 @@ type Thread struct {
 	// then wrap for SMT siblings — matching the paper's observation that
 	// runs with <= 24 threads keep all threads on one socket.
 	Socket int
+	// home is the socket compact pinning gives ID, where an unpinned
+	// region runs the thread.
+	home int
 
 	// Clock is the thread's simulated time in nanoseconds since the
 	// start of the enclosing Parallel region.
@@ -56,7 +59,7 @@ type Thread struct {
 // newThread builds virtual thread id of m's pool, allocating its TLB once.
 // Its start-of-region state comes from reset, as a reused thread's does.
 func newThread(m *Machine, id int) *Thread {
-	return &Thread{m: m, ID: id, tlb: newTLB(m.cfg.TLB)}
+	return &Thread{m: m, ID: id, home: threadSocket(&m.cfg, id), tlb: newTLB(m.cfg.TLB)}
 }
 
 // reset readies t for a region on socket with the region's SMT scale: a

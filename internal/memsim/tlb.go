@@ -4,17 +4,36 @@ package memsim
 // fully associative LRU array, implemented as a ring of (pageID, stamp)
 // pairs. Entry counts are tiny (4-64), so linear scans beat any fancier
 // structure and allocate nothing. The class slices are allocated once, with
-// the thread; reset invalidates them in place at the start of each region.
+// the thread; reset invalidates them in place at the start of each region,
+// and only as far as the last region filled them (tlbClass.scan).
 type tlb struct {
 	small tlbClass
 	huge  tlbClass
 	giant tlbClass
 }
 
+// tlbClass is one page-size class: a fully associative LRU array of slots,
+// each a page ID (^0 when invalid) and the class clock at its last use (0
+// when invalid).
+//
+// Slots fill in index order after a reset: a miss takes the least recently
+// stamped slot, the lowest on ties, and an invalid slot's stamp 0 is below
+// every live one. So every slot above the highest one installed since the
+// last reset is invalid with stamp 0, and lookup scans only up to the first
+// of them: no slot past it could be the hit or the victim. reset
+// invalidates only the slots lookup scanned. Both give exactly what
+// scanning and invalidating every slot gives.
 type tlbClass struct {
-	pages  []uint64
-	stamps []uint64
-	clock  uint64
+	slots []tlbSlot
+	clock uint64
+	// scan is the number of slots lookup scans: the high-water mark of
+	// the slots installed since the last reset, plus the invalid slot
+	// above it when the class has one.
+	scan int
+}
+
+type tlbSlot struct {
+	page, stamp uint64
 }
 
 func newTLB(cfg TLBConfig) tlb {
@@ -25,14 +44,15 @@ func newTLB(cfg TLBConfig) tlb {
 	}
 }
 
+// newTLBClass returns an invalid class of entries slots. Its slots start
+// invalid, as a reset leaves them: a zero page ID is a real page, which
+// holds would otherwise find in every slot.
 func newTLBClass(entries int) tlbClass {
-	if entries <= 0 {
-		entries = 1
+	c := tlbClass{slots: make([]tlbSlot, max(entries, 1))}
+	for i := range c.slots {
+		c.slots[i].page = ^uint64(0)
 	}
-	return tlbClass{
-		pages:  make([]uint64, entries),
-		stamps: make([]uint64, entries),
-	}
+	return c
 }
 
 // reset invalidates every entry of every class.
@@ -42,12 +62,12 @@ func (t *tlb) reset() {
 	t.giant.reset()
 }
 
+// reset invalidates the class: the slots past scan already are invalid.
 func (c *tlbClass) reset() {
-	for i := range c.pages {
-		c.pages[i] = ^uint64(0) // invalid
+	for i := range c.scan {
+		c.slots[i] = tlbSlot{page: ^uint64(0)}
 	}
-	clear(c.stamps)
-	c.clock = 0
+	c.clock, c.scan = 0, 0
 }
 
 func (t *tlb) class(pageSize int64) *tlbClass {
@@ -62,22 +82,23 @@ func (t *tlb) class(pageSize int64) *tlbClass {
 }
 
 // lookup probes the TLB for pageID, installing it on a miss. It returns the
-// slot that holds pageID afterwards and whether the probe hit.
+// slot that holds pageID afterwards and whether the probe hit. The victim is
+// the least recently stamped of the slots scanned, the lowest on ties; the
+// scan then covers one slot past it, if the class has one.
 func (c *tlbClass) lookup(pageID uint64) (int, bool) {
 	c.clock++
 	victim, oldest := 0, ^uint64(0)
-	for i, p := range c.pages {
-		if p == pageID {
-			c.stamps[i] = c.clock
+	for i, s := range c.slots[:c.scan] {
+		if s.page == pageID {
+			c.slots[i].stamp = c.clock
 			return i, true
 		}
-		if c.stamps[i] < oldest {
-			oldest = c.stamps[i]
-			victim = i
+		if s.stamp < oldest {
+			oldest, victim = s.stamp, i
 		}
 	}
-	c.pages[victim] = pageID
-	c.stamps[victim] = c.clock
+	c.scan = min(max(c.scan, victim+2), len(c.slots))
+	c.slots[victim] = tlbSlot{pageID, c.clock}
 	return victim, false
 }
 
@@ -89,18 +110,16 @@ func (c *tlbClass) lookup(pageID uint64) (int, bool) {
 // would have found, and the LRU state stays the scan's. i may be any
 // non-negative hint, including one taken from another class.
 func (c *tlbClass) holds(i int, pageID uint64) bool {
-	if i >= len(c.pages) || c.pages[i] != pageID {
+	if i >= len(c.slots) || c.slots[i].page != pageID {
 		return false
 	}
 	c.clock++
-	c.stamps[i] = c.clock
+	c.slots[i].stamp = c.clock
 	return true
 }
 
 // flushRandom invalidates the slot selected by r, used to model the
 // shootdowns triggered by other threads' migrations without sharing state.
 func (c *tlbClass) flushRandom(r uint64) {
-	i := int(r % uint64(len(c.pages)))
-	c.pages[i] = ^uint64(0)
-	c.stamps[i] = 0
+	c.slots[r%uint64(len(c.slots))] = tlbSlot{page: ^uint64(0)}
 }
