@@ -30,6 +30,12 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
+// shardWidths are the shard counts both goldens sweep. At 64 shards the
+// 1,200-vertex crawl gives each owner ~19 vertices, so neighboring owners
+// share words of the engine's bit-vectors; under -race that covers their
+// concurrent updates of shared words.
+var shardWidths = []int{1, 2, 8, 64}
+
 // conformanceGraph is sealed for every sharded app: weights for sssp, the
 // transpose for cc/pr/kcore — both BEFORE partitioning, since shard-local
 // graphs alias the source arrays.
@@ -97,7 +103,7 @@ func TestShardedConformance(t *testing.T) {
 	machine := memsim.Scaled(memsim.OptaneMachine(), 32)
 
 	parts := map[int]*graph.Partition{}
-	for _, shards := range []int{1, 2, 8} {
+	for _, shards := range shardWidths {
 		p, err := graph.NewPartition(g, shards)
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +142,7 @@ func TestShardedConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := resultBytes(t, ref)
-			for _, shards := range []int{1, 2, 8} {
+			for _, shards := range shardWidths {
 				for _, backend := range []core.Backend{core.BackendRaw, core.BackendCompressed} {
 					wantClocks := ""
 					for _, procs := range []int{1, 3, 8} {
@@ -275,7 +281,7 @@ func outputsSweep(t *testing.T, inputs []outputsInput) []byte {
 	for _, in := range inputs {
 		params := frameworks.DefaultParams(in.g)
 		for _, app := range []string{"bc", "bfs", "cc", "kcore", "pr", "sssp"} {
-			for _, shards := range []int{1, 2, 8} {
+			for _, shards := range shardWidths {
 				for _, backend := range []core.Backend{core.BackendRaw, core.BackendCompressed} {
 					e, err := shard.New(in.parts[shards], shard.ServingConfig(machine, 4, backend))
 					if err != nil {
@@ -302,7 +308,7 @@ type outputsInput struct {
 func newOutputsInput(t *testing.T, name string, g *graph.Graph) outputsInput {
 	t.Helper()
 	in := outputsInput{name: name, g: g, parts: map[int]*graph.Partition{}}
-	for _, shards := range []int{1, 2, 8} {
+	for _, shards := range shardWidths {
 		p, err := graph.NewPartition(g, shards)
 		if err != nil {
 			t.Fatal(err)
