@@ -143,10 +143,7 @@ func TestUnsetClearsOnlyTargetBit(t *testing.T) {
 func TestMergeClaimsAcrossFragments(t *testing.T) {
 	seen := NewDense(12)
 	merge := func(frags ...[]graph.Node) []graph.Node {
-		got, vals := MergeClaims(seen, frags, nil, nil, nil, nil, nil)
-		if vals != nil {
-			t.Fatalf("bare merge returned values %v", vals)
-		}
+		got := MergeClaims(seen, frags, nil)
 		if seen.Count() != 0 {
 			t.Fatal("merge left the dedup set dirty")
 		}
@@ -174,38 +171,24 @@ func TestMergeClaimsAcrossFragments(t *testing.T) {
 	}
 }
 
-// TestMergeClaimsReusesBuffers: a merge handed its previous results back as
-// output buffers allocates nothing once their capacity suffices, bare or
-// valued.
+// TestMergeClaimsReusesBuffers: a merge handed its previous result back as
+// its output buffer allocates nothing once its capacity suffices.
 func TestMergeClaimsReusesBuffers(t *testing.T) {
 	seen := NewDense(64)
-	acc := make([]uint64, 64)
-	sum := func(a, b uint64) uint64 { return a + b }
 	dsts := [][]graph.Node{make([]graph.Node, 0, 8), make([]graph.Node, 0, 8)}
-	vals := [][]uint64{make([]uint64, 0, 8), make([]uint64, 0, 8)}
-	var outD []graph.Node
-	var outV []uint64
 	fill := func() {
 		dsts[0] = append(dsts[0], 40, 3, 17)
 		dsts[1] = append(dsts[1], 17, 63, 3)
-		vals[0] = append(vals[0], 1, 2, 3)
-		vals[1] = append(vals[1], 4, 5, 6)
 	}
 	fill()
-	outD, outV = MergeClaims(seen, dsts, vals, acc, sum, outD, outV)
+	out := MergeClaims(seen, dsts, nil)
 	if allocs := testing.AllocsPerRun(20, func() {
 		fill()
-		outD, outV = MergeClaims(seen, dsts, vals, acc, sum, outD, outV)
+		out = MergeClaims(seen, dsts, out)
 	}); allocs != 0 {
-		t.Errorf("valued merge into reused buffers allocated %v times per run", allocs)
+		t.Errorf("merge into a reused buffer allocated %v times per run", allocs)
 	}
-	if !slices.Equal(outD, []graph.Node{3, 17, 40, 63}) || !slices.Equal(outV, []uint64{8, 7, 1, 5}) {
-		t.Errorf("merged %v / %v", outD, outV)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		dsts[0] = append(dsts[0], 9, 2, 9)
-		outD, _ = MergeClaims(seen, dsts, nil, nil, nil, outD, nil)
-	}); allocs != 0 {
-		t.Errorf("bare merge into a reused buffer allocated %v times per run", allocs)
+	if !slices.Equal(out, []graph.Node{3, 17, 40, 63}) {
+		t.Errorf("merged %v", out)
 	}
 }

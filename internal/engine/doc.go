@@ -24,9 +24,10 @@
 //
 // Beside them sits MergeClaims, the one sorted-dedup claim merge in the
 // repository: push rounds and VertexFilter drain their per-thread buffers
-// through it, and internal/shard reuses it — with a min or sum reduction
-// operand per claim — for each shard's merge of the claims on its owner
-// range.
+// through it. internal/shard needs no merge: its claims carry a min or sum
+// operand and fold atomically into per-destination accumulators as they
+// are emitted, and each owner reads its claimed destinations, already
+// ascending, off a Dense.
 //
 // # Charging contract
 //

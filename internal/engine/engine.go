@@ -101,7 +101,7 @@ type Engine struct {
 	// Thread.ID. Threads append claims race-free during a push round; the
 	// engine drains the buffers (retaining capacity) at the merge.
 	claims [][]graph.Node
-	// merged is the claim merge's output scratch (MergeClaims' outD),
+	// merged is the claim merge's output scratch (MergeClaims' out),
 	// reused across rounds.
 	merged []graph.Node
 
@@ -358,68 +358,36 @@ func (e *Engine) EdgeMap(f *Frontier, args EdgeMapArgs) *Frontier {
 }
 
 // MergeClaims is the one sorted-dedup claim merge: the barrier phase that
-// turns claim buffers — one per virtual thread of a region, or one per
-// thread of every source shard for one owner range of a superstep — into
-// an ID-sorted, duplicate-free destination list. It drains the buffers in
+// turns claim buffers, one per virtual thread of a region, into an
+// ID-sorted, duplicate-free destination list. It drains the buffers in
 // index order (truncating them, capacity retained), deduplicates against
 // seen, sorts the survivors, and clears seen again in O(|merged|), so
 // thousands of tiny-frontier rounds on a high-diameter graph never pay an
-// O(|V|) zeroing. seen must be empty (at least at the destinations merged)
-// on entry and span the destination ID space.
+// O(|V|) zeroing. seen must be empty on entry and span the destination ID
+// space.
 //
 // Sorting makes the result independent of claim attribution — which buffer
 // held a claim, how often, in what order — so operators whose claims race to
 // a unique winner are as deterministic as snapshot-judged ones.
 //
-// Bare activations pass vals == nil (acc and reduce are unused) and get a
-// nil value list back. Valued claims carry one reduction operand each
-// (vals[i][k] belongs to dsts[i][k]); duplicates of a destination fold
-// through reduce into acc, |V|-sized scratch, and the second result holds
-// the reduced operand of every merged destination. reduce must be
-// commutative and associative (min, sum) for the same independence to hold.
-//
-// The results are built in outD's and outV's storage (truncated first; nil
-// allocates), so a caller that passes its previous results back merges
-// without allocating once their capacity suffices. seen and acc are only
-// touched at the merged destinations: merges whose destination sets are
-// disjoint (shard owner ranges) may share them concurrently.
-func MergeClaims(seen *Dense, dsts [][]graph.Node, vals [][]uint64, acc []uint64, reduce func(a, b uint64) uint64, outD []graph.Node, outV []uint64) ([]graph.Node, []uint64) {
-	merged := outD[:0]
-	if vals == nil {
-		for i, buf := range dsts {
-			for _, d := range buf {
-				if seen.Set(d) {
-					merged = append(merged, d)
-				}
+// The result is built in out's storage (truncated first; nil allocates), so
+// a caller that passes its previous result back merges without allocating
+// once its capacity suffices.
+func MergeClaims(seen *Dense, dsts [][]graph.Node, out []graph.Node) []graph.Node {
+	merged := out[:0]
+	for i, buf := range dsts {
+		for _, d := range buf {
+			if seen.Set(d) {
+				merged = append(merged, d)
 			}
-			dsts[i] = buf[:0]
 		}
-	} else {
-		for i, buf := range dsts {
-			operands := vals[i]
-			for k, d := range buf {
-				if seen.Set(d) {
-					merged = append(merged, d)
-					acc[d] = operands[k]
-				} else {
-					acc[d] = reduce(acc[d], operands[k])
-				}
-			}
-			dsts[i], vals[i] = buf[:0], operands[:0]
-		}
+		dsts[i] = buf[:0]
 	}
 	slices.Sort(merged)
-	var reduced []uint64
-	if vals != nil {
-		reduced = slices.Grow(outV[:0], len(merged))[:len(merged)]
-	}
-	for i, d := range merged {
+	for _, d := range merged {
 		seen.Unset(d)
-		if reduced != nil {
-			reduced[i] = acc[d]
-		}
 	}
-	return merged, reduced
+	return merged
 }
 
 // mergeClaims drains the per-thread claim buffers into the next frontier
@@ -430,7 +398,7 @@ func (e *Engine) mergeClaims() *Frontier {
 	if e.dedup == nil {
 		e.dedup = NewDense(n)
 	}
-	e.merged, _ = MergeClaims(e.dedup, e.claims, nil, nil, nil, e.merged, nil)
+	e.merged = MergeClaims(e.dedup, e.claims, e.merged)
 	vs := e.merged
 	return &Frontier{n: n, sparse: vs, count: int64(len(vs)), outEdges: sumOutDegrees(e.R, vs)}
 }

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"slices"
-	"sync"
 	"testing"
 
 	"pmemgraph/internal/gen"
@@ -192,146 +190,4 @@ func TestFrontierPropertyMergeClaims(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestMergeClaimsPropertyValued extends the permutation property to valued
-// claims under both reductions: the merged (destination, operand) list is
-// the per-destination reduction of the claim multiset in ascending ID order,
-// invariant under how claims are permuted across thread buffers, under how
-// they are split across shards (threads merged per shard first, the
-// fragments merged again), and under the shard barrier's owner split:
-// every shard's claims routed to contiguous destination ranges, each range
-// merged over all shards' buffers for it — concurrently, sharing seen and
-// acc, into output buffers reused from the previous iteration — and the
-// range lists joined in range order.
-func TestMergeClaimsPropertyValued(t *testing.T) {
-	const n = 300
-	reductions := map[string]func(a, b uint64) uint64{
-		"min": func(a, b uint64) uint64 { return min(a, b) },
-		"sum": func(a, b uint64) uint64 { return a + b },
-	}
-	type claim struct {
-		d   graph.Node
-		val uint64
-	}
-	seen := NewDense(n)
-	acc := make([]uint64, n)
-	var owned []ownerState
-	// scatter deals claims (in a random order) across a random number of
-	// buffers.
-	scatter := func(rng *rand.Rand, claims []claim) ([][]graph.Node, [][]uint64) {
-		bufs := 1 + rng.Intn(6)
-		dsts := make([][]graph.Node, bufs)
-		vals := make([][]uint64, bufs)
-		for _, k := range rng.Perm(len(claims)) {
-			b := rng.Intn(bufs)
-			dsts[b] = append(dsts[b], claims[k].d)
-			vals[b] = append(vals[b], claims[k].val)
-		}
-		return dsts, vals
-	}
-	for name, reduce := range reductions {
-		rng := rand.New(rand.NewSource(91))
-		for iter := 0; iter < 60; iter++ {
-			var claims []claim
-			want := map[graph.Node]uint64{}
-			for _, d := range randomVertexSet(rng, n) {
-				for c := 0; c < 1+rng.Intn(4); c++ {
-					val := uint64(rng.Intn(1000))
-					claims = append(claims, claim{d, val})
-					if old, ok := want[d]; ok {
-						want[d] = reduce(old, val)
-					} else {
-						want[d] = val
-					}
-				}
-			}
-			check := func(context string, ds []graph.Node, vs []uint64) {
-				t.Helper()
-				if len(ds) != len(want) || len(vs) != len(ds) {
-					t.Fatalf("%s iter %d %s: %d destinations / %d values, want %d", name, iter, context, len(ds), len(vs), len(want))
-				}
-				for i, d := range ds {
-					if i > 0 && ds[i-1] >= d {
-						t.Fatalf("%s iter %d %s: not strictly ascending at %d", name, iter, context, i)
-					}
-					if vs[i] != want[d] {
-						t.Fatalf("%s iter %d %s: value[%d] = %d, want %d", name, iter, context, d, vs[i], want[d])
-					}
-				}
-				if seen.Count() != 0 {
-					t.Fatalf("%s iter %d %s: dedup set left dirty", name, iter, context)
-				}
-			}
-
-			// One level: any permutation across thread buffers.
-			dsts, vals := scatter(rng, claims)
-			ds, vs := MergeClaims(seen, dsts, vals, acc, reduce, nil, nil)
-			check("threads", ds, vs)
-			for i := range dsts {
-				if len(dsts[i]) != 0 || len(vals[i]) != 0 {
-					t.Fatalf("%s iter %d: buffer %d not drained", name, iter, i)
-				}
-			}
-
-			// Two levels: claims split across shards, each shard's thread
-			// buffers collapsed to a fragment, fragments merged again.
-			shards := 1 + rng.Intn(5)
-			perShard := make([][]claim, shards)
-			for _, c := range claims {
-				s := rng.Intn(shards)
-				perShard[s] = append(perShard[s], c)
-			}
-			fragD := make([][]graph.Node, shards)
-			fragV := make([][]uint64, shards)
-			for s := range perShard {
-				dsts, vals := scatter(rng, perShard[s])
-				fragD[s], fragV[s] = MergeClaims(seen, dsts, vals, acc, reduce, nil, nil)
-			}
-			ds, vs = MergeClaims(seen, fragD, fragV, acc, reduce, nil, nil)
-			check("shards", ds, vs)
-
-			// Owner ranges: cut [0, n) at random points; each owner merges
-			// every shard's claims on its range on its own goroutine.
-			cuts := []graph.Node{0, n}
-			for range rng.Intn(4) {
-				cuts = append(cuts, graph.Node(rng.Intn(n)))
-			}
-			slices.Sort(cuts)
-			owners := len(cuts) - 1
-			for len(owned) < owners {
-				owned = append(owned, ownerState{})
-			}
-			var wg sync.WaitGroup
-			for o := range owners {
-				wg.Add(1)
-				go func(o int, st *ownerState) {
-					defer wg.Done()
-					lo, hi := cuts[o], cuts[o+1]
-					dsts := make([][]graph.Node, shards)
-					vals := make([][]uint64, shards)
-					for s, cs := range perShard {
-						for _, c := range cs {
-							if c.d >= lo && c.d < hi {
-								dsts[s], vals[s] = append(dsts[s], c.d), append(vals[s], c.val)
-							}
-						}
-					}
-					st.ds, st.vs = MergeClaims(seen, dsts, vals, acc, reduce, st.ds, st.vs)
-				}(o, &owned[o])
-			}
-			wg.Wait()
-			ds, vs = nil, nil
-			for _, st := range owned[:owners] {
-				ds, vs = append(ds, st.ds...), append(vs, st.vs...)
-			}
-			check("owners", ds, vs)
-		}
-	}
-}
-
-// ownerState is one owner range's merge output, reused across iterations.
-type ownerState struct {
-	ds []graph.Node
-	vs []uint64
 }

@@ -15,7 +15,7 @@ import (
 // run — deliberately NOT the more efficient asynchronous/non-vertex
 // algorithms, which BSP systems cannot express (§6.3).
 //
-//	kernel       driver   reduce  directions  label touches  emit / row, per row of v (round-start state)       apply (owner of d)
+//	kernel       driver   fold    directions  label touches  emit / row, per row of v (round-start state)       apply (owner of d)
 //	bfs          scatter  min     out         1 write        claim dist[v]+1 for each d it improves             lower dist[d]; activate if lowered
 //	sssp         scatter  min     out +wts    1 write        claim dist[v]+wts[k] for each row[k] it improves   lower dist[d]; activate if lowered
 //	cc           scatter  min     out + in    1 write        claim label[v] for each d it improves              lower label[d]; activate if lowered
@@ -52,8 +52,7 @@ func (e *Engine) result(res *analytics.Result) *analytics.Result {
 // minimum — so a vertex is activated exactly when its label drops.
 func relax(label []uint32, s scan, step uint32) *scatterProgram {
 	return &scatterProgram{
-		scan:   s,
-		reduce: reduceMin,
+		scan: s,
 		emit: func(v graph.Node, row []graph.Node, wts []uint32, dst []graph.Node, val []uint64) ([]graph.Node, []uint64) {
 			lv := label[v]
 			for k, d := range row {
@@ -206,7 +205,7 @@ func (e *Engine) KCore(k int64) *analytics.Result {
 	}
 	prog := &scatterProgram{
 		scan:         scan{walk: bothEdges, touches: 1},
-		reduce:       reduceSum,
+		sum:          true,
 		streamLabels: true,
 		emit: func(_ graph.Node, row []graph.Node, _ []uint32, dst []graph.Node, val []uint64) ([]graph.Node, []uint64) {
 			for _, d := range row {
@@ -251,8 +250,8 @@ func (e *Engine) BC(src graph.Node) *analytics.Result {
 
 	level := uint32(0)
 	forward := &scatterProgram{
-		scan:   scan{walk: outEdges, touches: 2},
-		reduce: reduceSum,
+		scan: scan{walk: outEdges, touches: 2},
+		sum:  true,
 		// d joins the next level iff it was unvisited at round start.
 		emit: func(v graph.Node, row []graph.Node, _ []uint32, dst []graph.Node, val []uint64) ([]graph.Node, []uint64) {
 			sv := sigma[v]

@@ -3,32 +3,33 @@
 // worker owns one contiguous vertex range of a graph.Partition, its own
 // memsim.Machine, and its own core.Runtime (raw or compressed backend)
 // over the shard-local CSR; a superstep coordinator runs the workers
-// concurrently, has each owner merge and apply the claims on its own range,
+// concurrently, has each owner apply the claims folded on its own range,
 // and folds compute and communication into the simulated clocks.
 //
 // A kernel is a declaration, not a loop. The superstep sequence — frontier
-// scan, charge, claim routed by owner, cross-shard count, endRound, owner
-// merge, apply — exists once per driver:
+// scan, charge, claim folded where it lands, cross-shard count, endRound,
+// owner apply — exists once per driver:
 // scatter (bfs, sssp, cc, kcore, bc forward) and its claim-free counterpart
-// gather (pr, bc backward). A scatterProgram names a reduction (min | sum),
+// gather (pr, bc backward). A scatterProgram names a fold (min | sum),
 // the directions walked, the label touches per edge, an emit judged against
 // round-start state and an owner apply; a gatherProgram names a row fold
 // and an owner-only done. apps.go holds the table. Both drivers decode each
 // walked block of an active vertex once, with Adjacency.Row, and hand the
 // program the graph's own row, read-only: a program callback runs once per
 // (active vertex, walked direction), never per edge. Adjacency is walked
-// only through core.AdjView, the frontier through engine.Dense, and every
-// owner's claim list goes through engine.MergeClaims, the same merge the
-// single-machine engine's push rounds use.
+// only through core.AdjView, and the frontier and claimed sets through
+// engine.Dense.
 //
 // No barrier work runs on the coordinator goroutine but the clock fold and
-// the join of the owners' lists. Each worker's threads route every claim
-// into a buffer for the shard owning its destination, and the worker counts
-// its cross-shard bytes on its own goroutine once its region ends. After
-// endRound every worker, as the owner of its range, merges all sources'
-// buffers for the range and applies the merged list in destination order.
-// The next frontier is the owners' lists joined in shard order — ascending,
-// since ranges are.
+// the join of the owners' activations. A claim is never stored or routed:
+// the emitting thread folds it at once into its destination's accumulator,
+// and the worker counts its cross-shard bytes on its own goroutine once its
+// region ends. After endRound every worker, as the owner of its range,
+// walks the claimed destinations of the range in ascending order, takes
+// each one's folded operand and applies it. The next frontier is the
+// owners' activations joined in shard order — ascending, since ranges
+// are. A superstep's barrier costs O(claims + shards) plus one bit-vector
+// scan of |V|/64 words, whatever the thread count.
 //
 // The package absorbs internal/distsim, which modeled the paper's §6.3
 // D-Galois cluster as a closed benchmark: the same vertex programs run
@@ -44,19 +45,18 @@
 // makes this structural rather than incidental:
 //
 //   - workers only READ shared round-start state (label arrays, the
-//     frontier bit-vector) and WRITE per-thread claim buffers or
-//     owner-only slices of per-vertex arrays — there is not a single
-//     cross-thread atomic in the kernels;
+//     frontier bit-vector) and WRITE per-thread scratch, owner-only slices
+//     of per-vertex arrays, and the claim accumulators;
 //   - claims are judged against round-start snapshots, so the claim SET is
 //     a pure function of the round's input, not of interleaving;
-//   - each owner merges the claim buffers for its range (shard-index, then
-//     thread-index order) into a sorted, per-destination-reduced list (min
-//     for shortest-path reductions, sum for commutative adds) and applies
-//     it in destination order; both reductions are commutative and
-//     associative, so each owner's list is a pure function of the claim
-//     multiset on its range, and owners share the merge scratch
-//     (engine.MergeClaims' seen and acc) only at the disjoint destinations
-//     they own.
+//   - claims land in the accumulators only through commutative,
+//     associative atomic folds (add for sums, max of the complement for
+//     minima), so once the region ends every destination's folded operand,
+//     like the set of claimed destinations, is a pure function of the claim
+//     multiset — never of which thread or shard emitted a claim, or when;
+//   - apply reads the accumulators only after the barrier, on the
+//     goroutine of the destination's owner, in destination order, and
+//     writes only that destination's slots.
 //
 // # Charging model
 //
@@ -77,6 +77,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"pmemgraph/internal/core"
 	"pmemgraph/internal/engine"
@@ -173,11 +174,12 @@ type Engine struct {
 	part    *graph.Partition
 	workers []*worker
 
-	// Scratch of the owners' claim merges (engine.MergeClaims): the dedup
-	// set and reduction accumulators over the global ID space, each owner
-	// touching only its own range.
+	// The scatter barrier's fold targets over the global ID space: the set
+	// of destinations claimed this superstep and each one's folded operand.
+	// Threads of every worker fold into them atomically as they emit; each
+	// owner takes its range back to empty and the identity (see fold).
 	seen *engine.Dense
-	acc  []uint64
+	acc  []atomic.Uint64
 
 	// Per-superstep scratch, reused across supersteps: the active set a
 	// superstep walks (cleared by its own vertices afterwards) and each
@@ -197,7 +199,6 @@ type Engine struct {
 // replicated label array (masters plus proxies, as D-Galois/Gluon
 // replicates).
 type worker struct {
-	id     int // shard index
 	lo, hi graph.Node
 	m      *memsim.Machine
 	rt     *core.Runtime
@@ -205,30 +206,22 @@ type worker struct {
 	labels *memsim.Array
 
 	// Per-thread state of a superstep region, indexed by virtual thread ID
-	// and reused across supersteps: the claim buffers, one per owner shard
-	// of the destinations (out[t][o]), the remote-read counter, and the
-	// gather driver's list of contributing neighbors.
-	out    [][]claims
-	remote []int64
-	from   [][]graph.Node
+	// and reused across supersteps: the node list a program appends a row's
+	// claimed destinations (scatter) or contributing neighbors (gather) to,
+	// the claims' operands (folded as soon as emit returns), the foreign
+	// destinations the thread marked first, and the remote-read counter.
+	nodes   [][]graph.Node
+	val     [][]uint64
+	foreign [][]graph.Node
+	remote  []int64
 
-	// marks is a bitset over the global ID space in which the worker
-	// counts the distinct destinations its claims ship to other shards; it
-	// is empty between supersteps.
-	marks []uint64
-	// The barrier's owner phase, for the claims on this worker's range:
-	// every source thread's buffer for the range (inD/inV, in shard then
-	// thread order) and the merged, applied list (own).
-	inD [][]graph.Node
-	inV [][]uint64
-	own claims
-}
-
-// claims is a claim list: destinations and their reduction operands, in
-// parallel.
-type claims struct {
-	dst []graph.Node
-	val []uint64
+	// marks is the set of destinations outside the worker's range that its
+	// claims ship to other shards this superstep; it is empty between
+	// supersteps.
+	marks *engine.Dense
+	// next holds the destinations on this worker's range that its owner
+	// phase activated: its share of the next frontier.
+	next []graph.Node
 }
 
 // New builds the shard fleet over a partition. The partition's source
@@ -243,7 +236,7 @@ func New(part *graph.Partition, cfg Config) (*Engine, error) {
 		cfg.Threads = 1
 	}
 	n := int64(part.NumNodes())
-	e := &Engine{cfg: cfg, part: part, seen: engine.NewDense(int(n)), acc: make([]uint64, n),
+	e := &Engine{cfg: cfg, part: part, seen: engine.NewDense(int(n)), acc: make([]atomic.Uint64, n),
 		active: engine.NewDense(int(n))}
 	for i := 0; i < part.Shards(); i++ {
 		local := part.Local(i)
@@ -258,17 +251,13 @@ func New(part *graph.Partition, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		r := part.RangeOf(i)
-		w := &worker{id: i, lo: r.Lo, hi: r.Hi, m: m, rt: rt, views: [2]core.AdjView{rt.OutView(), rt.InView()}}
+		w := &worker{lo: r.Lo, hi: r.Hi, m: m, rt: rt, views: [2]core.AdjView{rt.OutView(), rt.InView()}}
 		w.labels = rt.ScratchArray("shard.labels", max(n, 1), 8)
 		w.labels.Warm()
 		threads := rt.RegionThreads()
-		w.out = make([][]claims, threads)
-		for t := range w.out {
-			w.out[t] = make([]claims, part.Shards())
-		}
+		w.nodes, w.val, w.foreign = make([][]graph.Node, threads), make([][]uint64, threads), make([][]graph.Node, threads)
 		w.remote = make([]int64, threads)
-		w.from = make([][]graph.Node, threads)
-		w.marks = make([]uint64, (n+63)/64)
+		w.marks = engine.NewDense(int(n))
 		e.workers = append(e.workers, w)
 	}
 	shards := len(e.workers)
@@ -390,12 +379,6 @@ func (e *Engine) endRound(computeNs []float64, sendBytes []int64) {
 	}
 }
 
-// Reductions a scatterProgram folds duplicate claims with. Both are
-// commutative and associative, so a merged claim list is a pure function of
-// the claim multiset — never of which thread or shard held a claim.
-func reduceMin(a, b uint64) uint64 { return min(a, b) }
-func reduceSum(a, b uint64) uint64 { return a + b }
-
 // scan is the part of a program both drivers share: which blocks of an
 // active vertex are walked and what the walk charges.
 type scan struct {
@@ -417,12 +400,12 @@ var (
 
 // scatterProgram declares a push-style kernel: active vertices scatter
 // claims (destination, operand) along their rows, claims for one
-// destination fold through reduce, and each shard applies the merged claims
+// destination fold by min or sum, and each shard applies the folded claims
 // on its own range between supersteps.
 type scatterProgram struct {
 	scan
-	// reduce is reduceMin or reduceSum.
-	reduce func(a, b uint64) uint64
+	// sum folds a destination's operands by addition; otherwise by minimum.
+	sum bool
 	// streamLabels streams each chunk's label range before its vertices
 	// scan (a per-master test such as kcore's degree check).
 	streamLabels bool
@@ -434,7 +417,7 @@ type scatterProgram struct {
 	// may read only round-start state, so the claim SET is a pure function
 	// of the round's input, not of interleaving.
 	emit func(v graph.Node, row []graph.Node, wts []uint32, dst []graph.Node, val []uint64) ([]graph.Node, []uint64)
-	// apply lands one merged claim and reports whether d joins the next
+	// apply lands one folded claim and reports whether d joins the next
 	// frontier. It runs on the goroutine of the shard owning d, in
 	// destination order within that shard's range, concurrently with the
 	// other owners, so it may write only d's own slots of shared state.
@@ -484,21 +467,21 @@ func (w *worker) charge(t *memsim.Thread, lv graph.Node, s *scan, write bool, ex
 
 // scatter runs one superstep of p over frontier and returns the next
 // frontier (reusing frontier's storage). Workers charge and walk their
-// share of the frontier, decoding each walked row once, and route its claims
-// per thread into the buffer of the shard owning each destination; then
-// each worker counts its cross-shard bytes (8 per distinct destination it
-// claims on another shard) on its own goroutine. The round is folded into
-// the clocks, every worker merges and applies the claims on its own range
-// (see own), and the owners' lists are joined in shard order into the next
-// frontier.
+// share of the frontier, decoding each walked row once, and fold every
+// claim of a row into the engine's accumulators as soon as emit returns
+// (see fold); a claim outside the worker's range is also marked once per
+// worker, and the worker counts 8 cross-shard bytes per destination it
+// marked on its own goroutine. The round is folded into the clocks, every
+// owner takes and applies the claims on its own range in destination
+// order, and the owners' activations are joined in shard order into the
+// next frontier.
 func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node {
 	active := e.activate(frontier)
 	compute := e.superstep(func(w *worker, t *memsim.Thread, lo, hi graph.Node) {
 		if p.streamLabels {
 			w.labels.ReadRange(t, int64(lo), int64(hi))
 		}
-		out := w.out[t.ID]
-		local := &out[w.id]
+		dst, val, foreign := w.nodes[t.ID], w.val[t.ID], w.foreign[t.ID]
 		active.ForEachInRange(lo, hi, func(v graph.Node) {
 			lv := v - w.lo
 			w.charge(t, lv, &p.scan, true, 0)
@@ -515,91 +498,76 @@ func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node 
 				} else {
 					row, _ = w.views[i].Adj.Row(nil, lv)
 				}
-				// emit appends to the local buffer; claims owned elsewhere
-				// move to their owner's buffer, local ones close up.
-				k := len(local.dst)
-				dst, val := p.emit(v, row, wts, local.dst, local.val)
-				for j := k; j < len(dst); j++ {
-					if o := e.part.Owner(dst[j]); o != w.id {
-						c := &out[o]
-						c.dst, c.val = append(c.dst, dst[j]), append(c.val, val[j])
-					} else {
-						dst[k], val[k] = dst[j], val[j]
-						k++
+				dst, val = p.emit(v, row, wts, dst[:0], val[:0])
+				for k, d := range dst {
+					e.fold(d, val[k], p.sum)
+					if (d < w.lo || d >= w.hi) && w.marks.Set(d) {
+						foreign = append(foreign, d)
 					}
 				}
-				local.dst, local.val = dst[:k], val[:k]
 			}
 		})
-	}, func(i int, w *worker) { e.send[i] = w.crossBytes() })
+		w.nodes[t.ID], w.val[t.ID], w.foreign[t.ID] = dst, val, foreign
+	}, func(i int, w *worker) {
+		// 8 bytes per distinct destination w ships to another shard,
+		// however many of its threads claimed it.
+		e.send[i] = 0
+		for t, foreign := range w.foreign {
+			e.send[i] += 8 * int64(len(foreign))
+			for _, d := range foreign {
+				w.marks.Unset(d)
+			}
+			w.foreign[t] = foreign[:0]
+		}
+	})
 	e.deactivate(frontier)
 	e.endRound(compute, e.send)
-	e.eachWorker(func(o int, w *worker) { e.own(p, o, w) })
+	e.eachWorker(func(_ int, w *worker) {
+		next := w.next[:0]
+		e.seen.ForEachInRange(w.lo, w.hi, func(d graph.Node) {
+			e.seen.Unset(d)
+			if p.apply(d, e.take(d, p.sum)) {
+				next = append(next, d)
+			}
+		})
+		w.next = next
+	})
 	next := frontier[:0]
 	for _, w := range e.workers {
-		next = append(next, w.own.dst...)
+		next = append(next, w.next...)
 	}
 	return next
 }
 
-// crossBytes returns the bytes w's claims ship to other shards: 8 per
-// distinct destination outside its range, however many of its threads
-// claimed it. It marks each such destination once in w.marks, then clears
-// the marks by walking the same claims again.
-func (w *worker) crossBytes() int64 {
-	n := int64(0)
-	for _, out := range w.out {
-		for o := range out {
-			if o == w.id {
-				continue
-			}
-			for _, d := range out[o].dst {
-				word, bit := &w.marks[d>>6], uint64(1)<<(d&63)
-				if *word&bit == 0 {
-					*word |= bit
-					n++
-				}
+// fold lands the claim (d, val) in d's accumulator and marks d claimed. A
+// resting accumulator holds 0, the identity of both folds: a sum adds val,
+// and a min keeps the largest complement ^val, so no claim has to
+// initialize one. Both folds are commutative atomic updates, so the folded
+// value is a pure function of the claim multiset, whichever threads and
+// shards emitted it in whatever order.
+func (e *Engine) fold(d graph.Node, val uint64, sum bool) {
+	a := &e.acc[d]
+	if sum {
+		a.Add(val)
+	} else {
+		for c := ^val; ; {
+			old := a.Load()
+			if old >= c || a.CompareAndSwap(old, c) {
+				break
 			}
 		}
 	}
-	for _, out := range w.out {
-		for o := range out {
-			if o == w.id {
-				continue
-			}
-			for _, d := range out[o].dst {
-				w.marks[d>>6] = 0
-			}
-		}
-	}
-	return 8 * n
+	e.seen.Set(d)
 }
 
-// own is the barrier's owner phase of worker o: it merges every source
-// shard's claims on o's range (shard-index, then thread-index order, through
-// engine.MergeClaims) and applies the merged list in destination order,
-// keeping in w.own.dst the destinations that join the next frontier. Owners
-// run concurrently: each reads and truncates only its own column
-// (out[t][o]) of the sources' buffers and touches the shared seen/acc only
-// inside its range.
-func (e *Engine) own(p *scatterProgram, o int, w *worker) {
-	w.inD, w.inV = w.inD[:0], w.inV[:0]
-	for _, src := range e.workers {
-		for t := range src.out {
-			c := &src.out[t][o]
-			w.inD, w.inV = append(w.inD, c.dst), append(w.inV, c.val)
-			c.dst, c.val = c.dst[:0], c.val[:0]
-		}
+// take returns d's folded operand and puts its accumulator back at the
+// identity.
+func (e *Engine) take(d graph.Node, sum bool) uint64 {
+	x := e.acc[d].Swap(0)
+	if !sum {
+		x = ^x
 	}
-	own := &w.own
-	own.dst, own.val = engine.MergeClaims(e.seen, w.inD, w.inV, e.acc, p.reduce, own.dst, own.val)
-	next := own.dst[:0]
-	for i, d := range own.dst {
-		if p.apply(d, own.val[i]) {
-			next = append(next, d)
-		}
-	}
-	own.dst = next
+	return x
 }
 
 // activate returns the engine's reusable active set holding exactly vs;
@@ -627,7 +595,7 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 			t.Op(int(hi - lo))
 			finalizeOps = 1
 		}
-		from := w.from[t.ID]
+		from := w.nodes[t.ID]
 		active.ForEachInRange(lo, hi, func(v graph.Node) {
 			w.charge(t, v-w.lo, &p.scan, false, finalizeOps)
 			sum := 0.0
@@ -645,7 +613,7 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 			}
 			p.done(v, sum)
 		})
-		w.from[t.ID] = from
+		w.nodes[t.ID] = from
 	}, nil)
 	send := e.send
 	for i, w := range e.workers {
