@@ -85,7 +85,6 @@ func TestFoldProperty(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					e.seen.ForEachInRange(cuts[o], cuts[o+1], func(d graph.Node) {
-						e.seen.Unset(d)
 						gotD[o] = append(gotD[o], d)
 						gotV[o] = append(gotV[o], e.take(d, sum))
 					})

@@ -525,7 +525,6 @@ func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node 
 	e.eachWorker(func(_ int, w *worker) {
 		next := w.next[:0]
 		e.seen.ForEachInRange(w.lo, w.hi, func(d graph.Node) {
-			e.seen.Unset(d)
 			if p.apply(d, e.take(d, p.sum)) {
 				next = append(next, d)
 			}
@@ -560,9 +559,10 @@ func (e *Engine) fold(d graph.Node, val uint64, sum bool) {
 	e.seen.Set(d)
 }
 
-// take returns d's folded operand and puts its accumulator back at the
-// identity.
+// take returns d's folded operand, puts its accumulator back at the
+// identity and unmarks d.
 func (e *Engine) take(d graph.Node, sum bool) uint64 {
+	e.seen.Unset(d)
 	x := e.acc[d].Swap(0)
 	if !sum {
 		x = ^x
