@@ -29,6 +29,25 @@ func graphDigest(t *testing.T, g *graph.Graph) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// sealedDigest seals g the way a served input is sealed — random weights,
+// the transpose, both compressed encodings — and returns the sha256 of
+// every array that adds, little endian, in that order: OutWeights, then
+// InOffsets/InEdges/InWeights, then ByteOffsets and Data of CompressOut
+// and of CompressIn.
+func sealedDigest(t *testing.T, g *graph.Graph) string {
+	t.Helper()
+	g.AddRandomWeights(64, 0xC0FFEE)
+	g.BuildIn()
+	zo, zi := g.CompressOut(), g.CompressIn()
+	h := sha256.New()
+	for _, arr := range []any{g.OutWeights, g.InOffsets, g.InEdges, g.InWeights, zo.ByteOffsets, zo.Data, zi.ByteOffsets, zi.Data} {
+		if err := binary.Write(h, binary.LittleEndian, arr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 // streamDigest is the sha256 of an update stream, batch by batch.
 func streamDigest(t *testing.T, stream [][]graph.EdgeUpdate) string {
 	t.Helper()
@@ -60,6 +79,10 @@ func generatorDigests(t *testing.T) string {
 		{"rmat/scale=14", func() *graph.Graph { return RMAT(14, 8, 0.57, 0.19, 0.19, 32, false) }},
 		{"rmat/scale=14/sym", func() *graph.Graph { return RMAT(14, 8, 0.57, 0.19, 0.19, 32, true) }},
 		{"rmat/scale=3", func() *graph.Graph { return RMAT(3, 2, 0.57, 0.19, 0.19, 5, false) }},
+		{"rmat/scale=12/uniform", func() *graph.Graph { return RMAT(12, 8, 0.25, 0.25, 0.25, 41, false) }},
+		{"rmat/scale=12/skew", func() *graph.Graph { return RMAT(12, 8, 0.45, 0.15, 0.15, 42, false) }},
+		{"rmat/scale=12/corner", func() *graph.Graph { return RMAT(12, 8, 1, 0, 0, 43, false) }},
+		{"rmat/scale=12/noupperleft", func() *graph.Graph { return RMAT(12, 8, 0, 0.5, 0.5, 44, false) }},
 		{"kron/scale=12", func() *graph.Graph { return Kron(12, 16, 30) }},
 		{"protein/n=3000", func() *graph.Graph { return Protein(3000, 40, 30, 100) }},
 		{"erdosrenyi/n=500", func() *graph.Graph { return ErdosRenyi(500, 3000, 7) }},
@@ -68,6 +91,12 @@ func generatorDigests(t *testing.T) string {
 	}
 	for _, c := range graphs {
 		fmt.Fprintf(&b, "%s %s\n", c.name, graphDigest(t, c.build()))
+	}
+	for _, c := range graphs {
+		switch c.name {
+		case "rmat/scale=14", "kron/scale=12", "webcrawl/n=20000", "protein/n=3000":
+			fmt.Fprintf(&b, "sealed/%s %s\n", c.name, sealedDigest(t, c.build()))
+		}
 	}
 
 	base := Kron(10, 8, 3)
