@@ -24,13 +24,20 @@
 // output from a fixed range of the random stream. RMAT does so — edge i
 // takes draws [i·scale, (i+1)·scale), and splitmix64 jumps to any draw in
 // O(1) (newRNGAt) — so its workers fill contiguous ranges of one edge list
-// that is the same slice, in the same order, as a sequential loop's.
+// that is the same slice, in the same order, as a sequential loop's. RMAT
+// picks each bit's quadrant without a float or a branch: rng.float is
+// exactly (x>>11)·2⁻⁵³, so comparing it with a threshold t is comparing
+// the integer x>>11 with ⌈t·2⁵³⌉, and the quadrant is the count of the
+// three thresholds reached (quadrants). FromEdges, which seals every
+// generator's list, splits across workers the same way (see its doc).
 // testdata/generators.golden pins every generator's bytes at GOMAXPROCS
-// 1, 3 and 8.
+// 1, 3 and 8, and the sealed bytes (weights, transpose, both compressed
+// encodings) of the larger ones.
 package gen
 
 import (
 	"cmp"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -74,7 +81,9 @@ func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 // given probabilities (the paper uses the graph500 weights 0.57, 0.19,
 // 0.19, 0.05 for both rmat and kron inputs). Edge i consumes exactly draws
 // [i·scale, (i+1)·scale) of the seed's stream, so workers fill disjoint
-// index ranges of the edge list from jumped-ahead generators.
+// index ranges of the edge list from jumped-ahead generators. Each draw
+// picks its quadrant by integer compares against thresholds fixed once
+// per call (see quadrants), with no data-dependent branch.
 func RMAT(scale int, edgeFactor int, a, b, c float64, seed uint64, symmetrize bool) *graph.Graph {
 	n := 1 << scale
 	m := n * edgeFactor
@@ -83,24 +92,16 @@ func RMAT(scale int, edgeFactor int, a, b, c float64, seed uint64, symmetrize bo
 		m /= 2
 		per = 2
 	}
+	q := newQuadrants(a, b, c)
 	edges := make([]graph.Edge, m*per)
 	parallelRange(m, func(lo, hi int) {
 		r := newRNGAt(seed, uint64(lo)*uint64(scale))
 		for i := lo; i < hi; i++ {
-			src, dst := 0, 0
+			var src, dst uint64
 			for bit := scale - 1; bit >= 0; bit-- {
-				p := r.float()
-				switch {
-				case p < a:
-					// upper-left: nothing set
-				case p < a+b:
-					dst |= 1 << bit
-				case p < a+b+c:
-					src |= 1 << bit
-				default:
-					src |= 1 << bit
-					dst |= 1 << bit
-				}
+				k := q.pick(r.next())
+				src |= (k >> 1) << bit
+				dst |= (k & 1) << bit
 			}
 			edges[i*per] = graph.Edge{Src: graph.Node(src), Dst: graph.Node(dst)}
 			if symmetrize {
@@ -109,6 +110,43 @@ func RMAT(scale int, edgeFactor int, a, b, c float64, seed uint64, symmetrize bo
 		}
 	})
 	return graph.MustFromEdges(n, edges, false, false)
+}
+
+// quadrants holds RMAT's quadrant thresholds on the raw draw, each less one
+// (mod 2^64). A draw x is the float p = (x>>11)·2⁻⁵³ (rng.float), and for
+// an integer k = x>>11, p < t holds exactly when k < ⌈t·2⁵³⌉: scaling by a
+// power of two is exact. So the quadrant a float compare against a, a+b and
+// a+b+c picks is the number of those three thresholds k has reached.
+type quadrants struct{ t1, t2, t3 uint64 }
+
+// newQuadrants fixes the thresholds from the same float sums the compare
+// forms. Each is clamped to [0, 2⁵³] (a NaN reads 0, as p < NaN is false)
+// and raised to the one before it, since a compare that fails against a
+// lower threshold never reaches a higher one.
+func newQuadrants(a, b, c float64) quadrants {
+	t1 := threshold(a)
+	t2 := max(threshold(a+b), t1)
+	t3 := max(threshold(a+b+c), t2)
+	return quadrants{t1 - 1, t2 - 1, t3 - 1}
+}
+
+// threshold is ⌈t·2⁵³⌉ clamped to [0, 2⁵³]: the number of 53-bit draws k
+// with k·2⁻⁵³ < t.
+func threshold(t float64) uint64 {
+	x := math.Ceil(t * (1 << 53))
+	if !(x > 0) {
+		return 0
+	}
+	return uint64(min(x, 1<<53))
+}
+
+// pick returns the quadrant of draw x: 0 upper-left, 1 upper-right (dst
+// bit), 2 lower-left (src bit), 3 lower-right (both). For k < 2⁵³ and a
+// threshold t ≤ 2⁵³, t-1-k has its top bit set exactly when k ≥ t, t = 0
+// included.
+func (q quadrants) pick(x uint64) uint64 {
+	k := x >> 11
+	return (q.t1-k)>>63 + (q.t2-k)>>63 + (q.t3-k)>>63
 }
 
 // parallelRange splits [0, m) into one contiguous range per GOMAXPROCS

@@ -31,6 +31,42 @@ func BenchmarkFromEdges(b *testing.B) {
 	b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Medges/s")
 }
 
+// weightedRMAT16 is the sealed input BenchmarkBuildIn and BenchmarkCompress
+// start from: RMAT16 with the frameworks' default random weights.
+func weightedRMAT16() *graph.Graph {
+	g := gen.RMAT(16, 16, 0.57, 0.19, 0.19, 32, false)
+	g.AddRandomWeights(64, 0xC0FFEE)
+	return g
+}
+
+// BenchmarkBuildIn times the weighted transpose of RMAT16, rebuilt each
+// iteration on a fresh graph over the same out-direction arrays.
+func BenchmarkBuildIn(b *testing.B) {
+	g := weightedRMAT16()
+	b.ReportAllocs()
+	for b.Loop() {
+		h := &graph.Graph{OutOffsets: g.OutOffsets, OutEdges: g.OutEdges, OutWeights: g.OutWeights}
+		h.BuildIn()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+}
+
+// BenchmarkCompress times both weighted compressed encodings of RMAT16
+// (out and in), what sealing a compressed input encodes; ns/edge is per
+// encoded edge of either direction.
+func BenchmarkCompress(b *testing.B) {
+	g := weightedRMAT16()
+	g.BuildIn()
+	b.ReportAllocs()
+	for b.Loop() {
+		h := &graph.Graph{OutOffsets: g.OutOffsets, OutEdges: g.OutEdges, OutWeights: g.OutWeights,
+			InOffsets: g.InOffsets, InEdges: g.InEdges, InWeights: g.InWeights}
+		h.CompressOut()
+		h.CompressIn()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*g.NumEdges()), "ns/edge")
+}
+
 // rowForms returns an RMAT16 graph's in-direction in every adjacency form
 // (raw, compressed, and an overlay over the compressed base), with the
 // compressed base each form charges against (nil for raw).

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -262,32 +263,63 @@ func (z *CompressedCSR) PrefixBytes(v Node, k int64) int64 {
 func zigzag(d int64) uint64   { return uint64((d << 1) ^ (d >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// compressAdjacency encodes one direction. weights may be nil.
+// compressAdjacency encodes one direction (weights may be nil) in two
+// passes, each split across buildWorkers workers over row ranges of about
+// equal edge count (splitRows). The first sizes every block by counting
+// varint lengths; a prefix sum turns the sizes into ByteOffsets; the
+// second encodes each block in place. Data is allocated at its exact size,
+// and a block's bytes depend only on its row, so the split never shows in
+// the output.
 func compressAdjacency(n int, offsets []int64, edges []Node, weights []uint32) *CompressedCSR {
-	// Typical blocks: 1 degree byte + ~1-2 bytes per sorted delta.
-	buf := make([]byte, 0, int64(n)+2*int64(len(edges)))
+	workers := buildWorkers(n, int64(len(edges)))
+	bounds := splitRows(offsets, workers)
 	byteOffs := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		lo, hi := offsets[v], offsets[v+1]
-		buf = binary.AppendUvarint(buf, uint64(hi-lo))
-		prev := int64(v)
-		for i := lo; i < hi; i++ {
-			d := int64(edges[i])
-			buf = binary.AppendUvarint(buf, zigzag(d-prev))
-			prev = d
-			if weights != nil {
-				buf = binary.AppendUvarint(buf, uint64(weights[i]))
+	parallel(workers, func(w int) {
+		for v := bounds[w]; v < bounds[w+1]; v++ {
+			lo, hi := offsets[v], offsets[v+1]
+			size := uvarintLen(uint64(hi - lo))
+			prev := int64(v)
+			for i := lo; i < hi; i++ {
+				d := int64(edges[i])
+				size += uvarintLen(zigzag(d - prev))
+				prev = d
+				if weights != nil {
+					size += uvarintLen(uint64(weights[i]))
+				}
+			}
+			byteOffs[v+1] = size
+		}
+	})
+	for v := range n {
+		byteOffs[v+1] += byteOffs[v]
+	}
+	data := make([]byte, byteOffs[n])
+	parallel(workers, func(w int) {
+		for v := bounds[w]; v < bounds[w+1]; v++ {
+			lo, hi := offsets[v], offsets[v+1]
+			buf := data[byteOffs[v]:byteOffs[v+1]]
+			k := binary.PutUvarint(buf, uint64(hi-lo))
+			prev := int64(v)
+			for i := lo; i < hi; i++ {
+				d := int64(edges[i])
+				k += binary.PutUvarint(buf[k:], zigzag(d-prev))
+				prev = d
+				if weights != nil {
+					k += binary.PutUvarint(buf[k:], uint64(weights[i]))
+				}
 			}
 		}
-		byteOffs[v+1] = int64(len(buf))
-	}
+	})
 	return &CompressedCSR{
 		RawAdjacency: RawAdjacency{Offsets: offsets, Edges: edges},
 		weighted:     weights != nil,
 		ByteOffsets:  byteOffs,
-		Data:         buf,
+		Data:         data,
 	}
 }
+
+// uvarintLen is the length of x's unsigned LEB128 encoding.
+func uvarintLen(x uint64) int64 { return int64(bits.Len64(x|1)+6) / 7 }
 
 // CompressOut returns the out-direction's compressed form, encoding it on
 // first use and caching it on the graph (invalidated by AddRandomWeights).

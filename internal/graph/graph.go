@@ -151,39 +151,50 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// BuildIn constructs the transpose (in-edges) with counting sort. It is
-// idempotent.
+// BuildIn constructs the transpose (in-edges) with a counting sort split
+// across buildWorkers workers, each over a source-vertex range of about
+// equal edge count (splitRows). Each worker counts its range's
+// destinations into its own histogram; prefixHistograms turns those into
+// the in-offsets and per-worker cursors, so worker k's slots in an in-row
+// follow every earlier worker's. Each worker then scatters its range in
+// source order, so every in-row lists its sources ascending — the bytes a
+// single sequential pass writes, at any GOMAXPROCS. It is idempotent.
 func (g *Graph) BuildIn() {
 	if g.HasIn() {
 		return
 	}
-	n := g.NumNodes()
-	inOff := make([]int64, n+1)
-	for _, d := range g.OutEdges {
-		inOff[d+1]++
-	}
-	for v := 0; v < n; v++ {
-		inOff[v+1] += inOff[v]
-	}
-	inEdges := make([]Node, len(g.OutEdges))
+	n, m := g.NumNodes(), g.NumEdges()
+	workers := buildWorkers(n, m)
+	bounds := splitRows(g.OutOffsets, workers)
+	hist := make([][]int64, workers)
+	parallel(workers, func(w int) {
+		h := make([]int64, n)
+		for _, d := range g.OutEdges[g.OutOffsets[bounds[w]]:g.OutOffsets[bounds[w+1]]] {
+			h[d]++
+		}
+		hist[w] = h
+	})
+	inOff := prefixHistograms(hist, n)
+	inEdges := make([]Node, m)
 	var inWeights []uint32
 	if g.OutWeights != nil {
-		inWeights = make([]uint32, len(g.OutEdges))
+		inWeights = make([]uint32, m)
 	}
-	cursor := make([]int64, n)
-	copy(cursor, inOff[:n])
-	for v := 0; v < n; v++ {
-		lo, hi := g.OutOffsets[v], g.OutOffsets[v+1]
-		for i := lo; i < hi; i++ {
-			d := g.OutEdges[i]
-			c := cursor[d]
-			inEdges[c] = Node(v)
-			if inWeights != nil {
-				inWeights[c] = g.OutWeights[i]
+	parallel(workers, func(w int) {
+		cursor := hist[w]
+		for v := bounds[w]; v < bounds[w+1]; v++ {
+			lo, hi := g.OutOffsets[v], g.OutOffsets[v+1]
+			for i := lo; i < hi; i++ {
+				d := g.OutEdges[i]
+				c := cursor[d]
+				inEdges[c] = Node(v)
+				if inWeights != nil {
+					inWeights[c] = g.OutWeights[i]
+				}
+				cursor[d] = c + 1
 			}
-			cursor[d] = c + 1
 		}
-	}
+	})
 	g.InOffsets = inOff
 	g.InEdges = inEdges
 	g.InWeights = inWeights
@@ -208,46 +219,68 @@ type Edge struct {
 // sort by source (count out-degrees, prefix-sum them, scatter each
 // destination into its row) followed by a typed sort of each row by
 // destination, so construction is O(V + E·log d) with no comparison sort
-// over the edge list. Parallel copies of a (Src, Dst) pair keep their input
-// order, which makes their weights' order deterministic on weighted graphs.
-// The caller's slice is read, never reordered. Parallel edges and
+// over the edge list. The count and the scatter split the list into one
+// contiguous slice per buildWorkers worker. Each worker counts its slice
+// into its own histogram; prefixHistograms turns those into the offsets
+// and per-worker cursors, so worker k's slots in a row follow every earlier
+// worker's, and each worker scatters its slice in input order. Parallel
+// copies of a (Src, Dst) pair therefore keep their input order at any
+// GOMAXPROCS, which makes their weights' order deterministic on weighted
+// graphs. The caller's slice is read, never reordered. Parallel edges and
 // self-loops are kept unless dedupe is set (triangle counting requires
 // deduplicated, loop-free input); dedupe keeps the first copy of each pair.
 // Every endpoint must lie in [0, n) — Node's unsignedness already excludes
-// negatives, and anything >= n is rejected here instead of corrupting (or
-// panicking over) the offset arrays.
+// negatives, and anything >= n is rejected here, naming the lowest
+// offending index, instead of corrupting (or panicking over) the offset
+// arrays.
 func FromEdges(n int, edges []Edge, weighted, dedupe bool) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
 	}
-	for i, e := range edges {
-		if int64(e.Src) >= int64(n) || int64(e.Dst) >= int64(n) {
+	workers := buildWorkers(n, int64(len(edges)))
+	slice := func(w int) (int, []Edge) {
+		lo := len(edges) * w / workers
+		return lo, edges[lo : len(edges)*(w+1)/workers]
+	}
+	hist := make([][]int64, workers)
+	bad := make([]int, workers) // each slice's first out-of-range index, or -1
+	parallel(workers, func(w int) {
+		lo, part := slice(w)
+		h := make([]int64, n)
+		hist[w], bad[w] = h, -1
+		for i, e := range part {
+			if int64(e.Src) >= int64(n) || int64(e.Dst) >= int64(n) {
+				bad[w] = lo + i
+				return
+			}
+			h[e.Src]++
+		}
+	})
+	for _, i := range bad {
+		if i >= 0 {
+			e := edges[i]
 			return nil, fmt.Errorf("graph: edge %d (%d -> %d) endpoint out of range [0, %d)", i, e.Src, e.Dst, n)
 		}
 	}
 	g := &Graph{
-		OutOffsets: make([]int64, n+1),
+		OutOffsets: prefixHistograms(hist, n),
 		OutEdges:   make([]Node, len(edges)),
 	}
 	if weighted {
 		g.OutWeights = make([]uint32, len(edges))
 	}
-	for _, e := range edges {
-		g.OutOffsets[e.Src+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.OutOffsets[v+1] += g.OutOffsets[v]
-	}
-	cursor := make([]int64, n)
-	copy(cursor, g.OutOffsets[:n])
-	for _, e := range edges {
-		c := cursor[e.Src]
-		g.OutEdges[c] = e.Dst
-		if weighted {
-			g.OutWeights[c] = e.Weight
+	parallel(workers, func(w int) {
+		_, part := slice(w)
+		cursor := hist[w]
+		for _, e := range part {
+			c := cursor[e.Src]
+			g.OutEdges[c] = e.Dst
+			if weighted {
+				g.OutWeights[c] = e.Weight
+			}
+			cursor[e.Src] = c + 1
 		}
-		cursor[e.Src] = c + 1
-	}
+	})
 	g.sortRows()
 	if dedupe {
 		g.compactRows()
@@ -255,31 +288,77 @@ func FromEdges(n int, edges []Edge, weighted, dedupe bool) (*Graph, error) {
 	return g, nil
 }
 
-// sortRows sorts every out-row by destination; on weighted graphs the sort
-// is stable, so parallel copies keep the order the scatter gave them. Rows
-// are disjoint, so GOMAXPROCS workers each take a contiguous vertex range
-// of about equal edge count and the result does not depend on the split.
-func (g *Graph) sortRows() {
-	n, m := g.NumNodes(), g.NumEdges()
-	workers := runtime.GOMAXPROCS(0)
-	if m < 1<<16 {
-		workers = 1
+// buildWorkers is the worker count of a construction pass that fills m
+// slots of n rows: one per GOMAXPROCS, but each worker gets at least 2^14
+// items, and there are few enough that their n-entry int64 histograms hold
+// at most m/2 entries in all — no more bytes than the 4-byte slot array the
+// pass fills. It is at least 1.
+func buildWorkers(n int, m int64) int {
+	w := min(int64(runtime.GOMAXPROCS(0)), m>>14)
+	if n > 0 {
+		w = min(w, m/(2*int64(n)))
+	}
+	return int(max(w, 1))
+}
+
+// splitRows cuts vertices [0, n) into workers contiguous ranges of about
+// equal edge count under offsets (length n+1): worker w takes
+// [bounds[w], bounds[w+1]).
+func splitRows(offsets []int64, workers int) (bounds []int) {
+	n := len(offsets) - 1
+	bounds = make([]int, workers+1)
+	for w := 1; w < workers; w++ {
+		target := offsets[n] * int64(w) / int64(workers)
+		bounds[w] = sort.Search(n, func(v int) bool { return offsets[v] >= target })
+	}
+	bounds[workers] = n
+	return bounds
+}
+
+// parallel runs fn(w) for every w in [0, workers) and waits for all of
+// them. One worker runs inline on the caller's goroutine.
+func parallel(workers int, fn func(w int)) {
+	if workers == 1 {
+		fn(0)
+		return
 	}
 	var wg sync.WaitGroup
-	from := 0
-	for w := 1; w <= workers; w++ {
-		to := sort.Search(n, func(v int) bool { return g.OutOffsets[v] >= m*int64(w)/int64(workers) })
-		if w == workers {
-			to = n
-		}
+	for w := range workers {
 		wg.Add(1)
-		go func(from, to int) {
+		go func() {
 			defer wg.Done()
-			g.sortRowRange(from, to)
-		}(from, to)
-		from = to
+			fn(w)
+		}()
 	}
 	wg.Wait()
+}
+
+// prefixHistograms turns per-worker row counts (hist[w][v]: worker w's
+// items in row v, for n rows) into CSR offsets, which it returns, and
+// rewrites each count in place into that worker's first slot in the row.
+// Worker k's slots in a row follow every earlier worker's, so workers that
+// each scatter their own range of the input in order fill every row in
+// input order.
+func prefixHistograms(hist [][]int64, n int) []int64 {
+	offsets := make([]int64, n+1)
+	var next int64
+	for v := range n {
+		for _, h := range hist {
+			next, h[v] = next+h[v], next
+		}
+		offsets[v+1] = next
+	}
+	return offsets
+}
+
+// sortRows sorts every out-row by destination; on weighted graphs the sort
+// is stable, so parallel copies keep the order the scatter gave them. Rows
+// are disjoint, so the workers each take a range of splitRows and the
+// result does not depend on the split.
+func (g *Graph) sortRows() {
+	workers := buildWorkers(g.NumNodes(), g.NumEdges())
+	bounds := splitRows(g.OutOffsets, workers)
+	parallel(workers, func(w int) { g.sortRowRange(bounds[w], bounds[w+1]) })
 }
 
 // sortRowRange is sortRows over the rows of vertices [from, to).

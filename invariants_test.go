@@ -6,7 +6,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -106,4 +108,55 @@ func archViolations(fset *token.FileSet, dir string, f *ast.File) []string {
 		})
 	}
 	return out
+}
+
+// inlineRule requires the compiler to inline each listed function of the
+// package in directory pkg: `go build -gcflags=-m=2` must report "can
+// inline" for it. The names are as the compiler prints them, with the
+// receiver ("(*tlbClass).lookup", "quadrants.pick").
+type inlineRule struct {
+	pkg   string
+	funcs []string
+	why   string
+}
+
+var inlineRules = []inlineRule{
+	{
+		pkg:   "internal/memsim",
+		funcs: []string{"(*tlbClass).lookup", "expectedMisses", "(*Array).ReadN", "(*tlbClass).holds", "(*Thread).chance"},
+		why:   "every simulated charge runs them; lookup sits one node under Go's inline budget of 80, expectedMisses and ReadN four",
+	},
+	{
+		pkg:   "internal/gen",
+		funcs: []string{"quadrants.pick"},
+		why:   "RMAT picks a quadrant per bit of every edge",
+	},
+}
+
+// TestInlineContract builds every inlineRules package once with the
+// compiler's inlining report and fails, naming the function and the cost
+// the compiler gave it, for each listed function it does not inline.
+func TestInlineContract(t *testing.T) {
+	args := []string{"build", "-gcflags=-m=2"}
+	for _, r := range inlineRules {
+		args = append(args, "./"+r.pkg)
+	}
+	out, err := exec.Command("go", args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	report := string(out)
+	for _, r := range inlineRules {
+		for _, fn := range r.funcs {
+			at := regexp.QuoteMeta(r.pkg+"/") + `[^:]+\.go:\d+:\d+: `
+			if regexp.MustCompile(`(?m)^` + at + `can inline ` + regexp.QuoteMeta(fn) + ` with cost \d+`).MatchString(report) {
+				continue
+			}
+			why := "no inlining report for it (renamed or removed?)"
+			if m := regexp.MustCompile(`(?m)^` + at + `cannot inline ` + regexp.QuoteMeta(fn) + `: (.*)$`).FindStringSubmatch(report); m != nil {
+				why = m[1]
+			}
+			t.Errorf("inline contract: %s.%s is not inlined: %s (%s)", r.pkg, fn, why, r.why)
+		}
+	}
 }
