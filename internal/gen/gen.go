@@ -330,7 +330,7 @@ func powerLawDegree(r *rng, avg int) int {
 	}
 	// Pareto with alpha=2.1, xm chosen so mean = avg: mean = xm*a/(a-1).
 	xm := float64(avg) * 1.1 / 2.1
-	d := int(xm / pow(u, 1/2.1))
+	d := int(xm / math.Pow(u, 1/2.1))
 	if d < 1 {
 		d = 1
 	}
@@ -351,14 +351,12 @@ func hubPick(r *rng, n int) int {
 	if u < 1e-12 {
 		u = 1e-12
 	}
-	i := int(-logf(u) * float64(n) / 6)
+	i := int(-math.Log(u) * float64(n) / 6)
 	if i >= n {
 		i = n - 1
 	}
 	return i
 }
-
-func logf(x float64) float64 { return mathLog(x) }
 
 // zipfPick picks an index in [0,n) with probability ~ 1/(i+1).
 func zipfPick(r *rng, n int) int {
@@ -367,7 +365,7 @@ func zipfPick(r *rng, n int) int {
 	}
 	// Inverse-CDF approximation for Zipf(1): i ~ n^u - 1.
 	u := r.float()
-	i := int(pow(float64(n), u)) - 1
+	i := int(math.Pow(float64(n), u)) - 1
 	if i < 0 {
 		i = 0
 	}
@@ -375,12 +373,6 @@ func zipfPick(r *rng, n int) int {
 		i = n - 1
 	}
 	return i
-}
-
-func pow(x, y float64) float64 {
-	// math.Pow wrapper kept local so generator files import no math in
-	// hot loops elsewhere.
-	return mathPow(x, y)
 }
 
 func isqrt(n int) int {

@@ -2,14 +2,9 @@ package gen
 
 import (
 	"fmt"
-	"math"
 
 	"pmemgraph/internal/graph"
 )
-
-func mathPow(x, y float64) float64 { return math.Pow(x, y) }
-
-func mathLog(x float64) float64 { return math.Log(x) }
 
 // PaperRow records the Table 3 row for one of the paper's inputs, used by
 // the harness to print paper-vs-reproduction property tables.

@@ -122,9 +122,15 @@ type inlineRule struct {
 
 var inlineRules = []inlineRule{
 	{
-		pkg:   "internal/memsim",
-		funcs: []string{"(*tlbClass).lookup", "expectedMisses", "(*Array).ReadN", "(*tlbClass).holds", "(*Thread).chance"},
-		why:   "every simulated charge runs them; lookup sits one node under Go's inline budget of 80, expectedMisses and ReadN four",
+		pkg: "internal/memsim",
+		funcs: []string{"(*tlbClass).lookup", "expectedMisses", "(*Array).ReadN", "(*tlbClass).holds", "(*tlbClass).reset",
+			"(*Thread).chance", "(*Array).Read", "(*Array).Write", "(*Array).ReadRange", "(*Array).RandomN"},
+		why: "every simulated charge runs them; lookup sits one node under Go's inline budget of 80, expectedMisses and ReadN four",
+	},
+	{
+		pkg:   "internal/graph",
+		funcs: []string{"(*Cursor).baseNext"},
+		why:   "an overlay Cursor steps its base row through it per edge",
 	},
 	{
 		pkg:   "internal/gen",
