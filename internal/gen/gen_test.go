@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -184,6 +185,61 @@ func TestWebCrawlTinyReturns(t *testing.T) {
 			}
 		case <-time.After(2 * time.Second):
 			t.Fatalf("WebCrawl(%d, 4, 10, 1) did not return within 2s", n)
+		}
+	}
+}
+
+// floatQuadrant is RMAT's quadrant pick as float compares of the draw
+// against the cumulative probabilities, the definition quadrants.pick must
+// match on every draw.
+func floatQuadrant(x uint64, a, b, c float64) uint64 {
+	switch p := float64(x>>11) / (1 << 53); {
+	case p < a:
+		return 0
+	case p < a+b:
+		return 1
+	case p < a+b+c:
+		return 2
+	default:
+		return 3
+	}
+}
+
+// TestQuadrantPickMatchesFloatCompare checks the integer pick against the
+// float compares on the draws either side of every threshold, where an
+// off-by-one would show, and on random draws, for probability sets that
+// clamp at 0 and 2⁵³, are not monotone, or hold a NaN.
+func TestQuadrantPickMatchesFloatCompare(t *testing.T) {
+	nan := math.NaN()
+	sets := [][3]float64{
+		{0.57, 0.19, 0.19}, {0.25, 0.25, 0.25}, {0.45, 0.15, 0.15}, {1, 0, 0}, {0, 0.5, 0.5},
+		{0, 0, 0}, {0.3, -0.1, 0.5}, {0.6, 0.6, -0.5}, {1.5, 0, 0}, {-0.2, 0.1, 0.1},
+		{1e-300, 1e-300, 1e-300}, {nan, 0.2, 0.2}, {0.2, nan, 0.2}, {0.2, 0.2, nan},
+	}
+	r := newRNG(48)
+	for _, s := range sets {
+		a, b, c := s[0], s[1], s[2]
+		q := newQuadrants(a, b, c)
+		var ks []uint64
+		for _, p := range []float64{a, a + b, a + b + c} {
+			th := threshold(p)
+			for _, k := range []uint64{th - 2, th - 1, th, th + 1} {
+				if k < 1<<53 {
+					ks = append(ks, k)
+				}
+			}
+		}
+		ks = append(ks, 0, 1<<53-1)
+		for range 10_000 {
+			ks = append(ks, r.next()>>11)
+		}
+		for _, k := range ks {
+			for _, low := range []uint64{0, 1<<11 - 1} {
+				x := k<<11 | low
+				if got, want := q.pick(x), floatQuadrant(x, a, b, c); got != want {
+					t.Fatalf("(%v, %v, %v): draw %#x picks quadrant %d, float compare %d", a, b, c, x, got, want)
+				}
+			}
 		}
 	}
 }
