@@ -194,18 +194,13 @@ func (s *prState) gatherTainted(T []graph.Node) {
 	in := s.r.InView()
 	s.r.ParallelItems(int64(len(T)), func(t *memsim.Thread, lo, hi int64) {
 		var edges int64
-		scratch := s.rows[t.ID]
+		b := s.r.RowBuf(t)
 		for _, v := range T[lo:hi] {
-			in.Offsets.ReadN(t, int64(v), 2)
-			in.ChargeScan(t, v, false)
-			row, raw := in.Row(scratch, v)
-			if !raw {
-				scratch = row
-			}
+			in.ChargeVisit(t, v, false)
+			row, _ := in.ReadRow(b, v, false)
 			s.gather(v, row)
 			edges += int64(len(row))
 		}
-		s.rows[t.ID] = scratch
 		s.contribArr.RandomN(t, edges, false)
 		s.nextArr.RandomN(t, hi-lo, true)
 		t.Op(int(edges + (hi - lo)))

@@ -37,9 +37,6 @@ type prState struct {
 	// accumulator would add in arrival order and make the last round a
 	// race.
 	resid []float64
-	// rows is gatherTainted's per-thread in-row scratch, indexed by
-	// Thread.ID and reused across rounds.
-	rows [][]graph.Node
 }
 
 // newPRState allocates the iteration state. The allocation order (engine
@@ -59,7 +56,6 @@ func newPRState(r *core.Runtime) *prState {
 		contribArr: r.NodeArray("pr.contrib", 8),
 		base:       (1 - prDamping) / float64(n),
 		resid:      make([]float64, r.RegionThreads()),
-		rows:       make([][]graph.Node, r.RegionThreads()),
 	}
 	init := 1.0 / float64(n)
 	e.VertexMap(engine.VertexMapArgs{

@@ -78,9 +78,6 @@ func SSSPDeltaStep(r *core.Runtime, src graph.Node, delta uint32) *Result {
 	buckets := map[int][]graph.Node{0: {src}}
 	dist[src].Store(0)
 	intents := make([][]relaxIntent, r.RegionThreads())
-	// Per-thread scratch for merged overlay rows and their weights.
-	rows := make([][]graph.Node, r.RegionThreads())
-	wtRows := make([][]uint32, r.RegionThreads())
 	epochs := 0
 	for {
 		// Lowest non-empty priority.
@@ -111,12 +108,8 @@ func SSSPDeltaStep(r *core.Runtime, src graph.Node, delta uint32) *Result {
 					if int(dv/delta) < p {
 						continue // stale entry, already settled
 					}
-					out.Offsets.ReadN(t, int64(v), 2)
-					out.ChargeScan(t, v, true)
-					row, wts, raw := r.OutRow(rows[t.ID], wtRows[t.ID], v)
-					if !raw {
-						rows[t.ID], wtRows[t.ID] = row, wts
-					}
+					out.ChargeVisit(t, v, true)
+					row, wts := out.ReadRow(r.RowBuf(t), v, true)
 					distArr.RandomN(t, int64(len(row)), true)
 					t.Op(len(row))
 					wts = wts[:len(row)]

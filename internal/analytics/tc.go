@@ -44,14 +44,11 @@ func TC(r *core.Runtime) *Result {
 	// higher rank, sorted by rank.
 	outView := r.OutView()
 	dagOff := make([]int64, n+1)
+	var buf core.RowBuf
 	for v := 0; v < n; v++ {
 		cnt := int64(0)
-		c := outView.Adj.Cursor(graph.Node(v))
-		for {
-			d, ok := c.Next()
-			if !ok {
-				break
-			}
+		row, _ := outView.ReadRow(&buf, graph.Node(v), false)
+		for _, d := range row {
 			if rank[d] > rank[v] {
 				cnt++
 			}
@@ -69,12 +66,8 @@ func TC(r *core.Runtime) *Result {
 			rankArr.RandomN(t, r.OutDegree(v), false)
 			t.Op(int(r.OutDegree(v)))
 			end := dagOff[v]
-			c := outView.Adj.Cursor(v)
-			for {
-				d, ok := c.Next()
-				if !ok {
-					break
-				}
+			row, _ := outView.ReadRow(r.RowBuf(t), v, false)
+			for _, d := range row {
 				if rank[d] > rank[v] {
 					dagEdges[end] = d
 					end++

@@ -14,13 +14,13 @@
 // graph's CSR arrays on the machine (raw or compressed backend) and
 // provides the parallel-execution and access-charging primitives the
 // engine and kernels build on — the layer between them and
-// graph/memsim. AdjView is the one way to walk adjacency: neighbors come
-// from its graph.Adjacency — Row, the graph's own row as a slice (also
-// under the compressed backend, which never decodes on the host) or an
-// overlay merge in scratch, and a Cursor where a merged row's edge indices
-// or an early-exit prefix count are needed — and every charge from its
-// Charge* methods, so traversal code is backend-agnostic and only the
-// charged shape (element ranges vs block bytes plus decode) differs.
+// graph/memsim. AdjView is the one way to walk adjacency: every visited
+// row comes from ReadRow — the graph's own row as a slice (also under the
+// compressed backend, which never decodes on the host), or an overlay
+// merge in the thread's RowBuf — and every charge from its Charge*
+// methods, ChargeVisit being the one per-vertex visit charge, so traversal
+// code is backend-agnostic and only the charged shape (element ranges vs
+// block bytes plus decode) differs.
 // Parallel loops use static chunk ownership (chunk i -> thread i mod
 // T), which is what makes charge attribution — and with it every
 // simulated number — a pure function of (n, threads), independent of
@@ -150,6 +150,10 @@ type Runtime struct {
 	// loops, and constructing a view there would box the adjacency
 	// interface on every call.
 	outView, inView AdjView
+
+	// bufs holds one row buffer per region thread, indexed by Thread.ID
+	// (see RowBuf); each keeps its capacity across regions.
+	bufs []RowBuf
 }
 
 // New builds a Runtime: it allocates (and warms) the graph's topology
@@ -182,6 +186,7 @@ func newRuntime(m *memsim.Machine, g *graph.Graph, ov *graph.Overlay, opts Optio
 		return nil, fmt.Errorf("core: Options.BothDirections over a view without the transpose")
 	}
 	r := &Runtime{M: m, G: g, Ov: ov, opts: opts}
+	r.bufs = make([]RowBuf, clampThreads(r))
 	n := int64(g.NumNodes())
 	e := g.NumEdges()
 
@@ -396,6 +401,10 @@ func (r *Runtime) Parallel(fn func(t *memsim.Thread)) memsim.RegionStats {
 	return r.M.Parallel(clampThreads(r), fn)
 }
 
+// RowBuf returns thread t's buffer for ReadRow. A row merged into it stays
+// valid until t's next ReadRow with it.
+func (r *Runtime) RowBuf(t *memsim.Thread) *RowBuf { return &r.bufs[t.ID] }
+
 // RegionThreads returns the thread count parallel regions actually run with
 // (the configured count clamped to the machine), which callers use to size
 // per-thread shards indexed by Thread.ID.
@@ -430,7 +439,7 @@ type AdjView struct {
 
 	// Rows are the host rows every form walks — the graph's own CSR
 	// slices, the base's under an overlay — and RowWeights their edge
-	// weights (nil when the graph has none). Row ranges over them with no
+	// weights (nil when the graph has none). ReadRow slices them with no
 	// interface call; only an overlay-touched row needs the merge.
 	Rows       graph.RawAdjacency
 	RowWeights []uint32
@@ -483,22 +492,75 @@ func (r *Runtime) InView() AdjView { return r.inView }
 func (av AdjView) Valid() bool { return av.Adj != nil }
 
 // Merged reports whether v's row is an overlay merge: a vertex the delta
-// touches, whose Adjacency.Row is not raw. A loop that needs edge indices
-// asks first and walks a Cursor for a merged row, rather than having Row
-// merge it only to merge it again.
+// touches, whose ReadRow is a Cursor walk into the caller's RowBuf rather
+// than the graph's own storage.
 func (av *AdjView) Merged(v graph.Node) bool {
 	return av.Ov != nil && av.Ov.Touched(v)
 }
 
-// Row returns v's row as Adjacency.Row does: a raw row is a read-only,
-// capped subslice of Rows.Edges (raw true), taken without an interface
-// call; a merged overlay row is appended to scratch[:0] (raw false).
-func (av *AdjView) Row(scratch []graph.Node, v graph.Node) (row []graph.Node, raw bool) {
+// RowBuf is one thread's storage for merged overlay rows. An
+// overlay-touched row is merged into it once per visit, by one Cursor
+// walk; every other row is the graph's own storage.
+type RowBuf struct {
+	row []graph.Node
+	wts []uint32
+	// start is the merging Cursor as it stood before its first step, from
+	// which Prefix replays what the walk consumed.
+	start graph.Cursor
+}
+
+// ReadRow is the one row reader: it returns v's row in Cursor order and,
+// when weighted, its weights, wts[k] being the weight of the edge the
+// Cursor reports at row[k] (nil otherwise). A raw or compressed row, and
+// an overlay row the delta does not touch, is a read-only subslice of the
+// graph's own storage capped at the row's end, with its weights the same
+// range of RowWeights. An overlay-touched row is merged into b by one
+// Cursor walk, valid until b's next merge. Neither may be modified or
+// retained. weighted needs RowWeights.
+func (av *AdjView) ReadRow(b *RowBuf, v graph.Node, weighted bool) ([]graph.Node, []uint32) {
 	if av.Merged(v) {
-		return av.Ov.Row(scratch, v)
+		return b.merge(av.Ov, v, weighted)
 	}
-	hi := av.Rows.Offsets[v+1]
-	return av.Rows.Edges[av.Rows.Offsets[v]:hi:hi], true
+	lo, hi := av.Rows.Offsets[v], av.Rows.Offsets[v+1]
+	if weighted {
+		return av.Rows.Edges[lo:hi:hi], av.RowWeights[lo:hi:hi]
+	}
+	return av.Rows.Edges[lo:hi:hi], nil
+}
+
+// merge fills b with v's merged row in ov by one Cursor walk.
+func (b *RowBuf) merge(ov *graph.OverlayAdj, v graph.Node, weighted bool) ([]graph.Node, []uint32) {
+	row, wts := b.row[:0], b.wts[:0]
+	c := ov.Cursor(v)
+	b.start = c
+	for d, ok := c.Next(); ok; d, ok = c.Next() {
+		row = append(row, d)
+		if weighted {
+			wts = append(wts, ov.Weight(c.EI()))
+		}
+	}
+	b.row, b.wts = row, wts
+	if !weighted {
+		wts = nil
+	}
+	return row, wts
+}
+
+// Prefix returns the base edges and delta entries the walk of the row b
+// last merged had consumed where a scan of k edges ended: just after the
+// k-th edge if the scan stopped there, after the terminating step if it
+// ran off the row's end. ChargePrefix takes them.
+func (b *RowBuf) Prefix(k int, stopped bool) (base, delta int64) {
+	c := b.start
+	if stopped {
+		for range k {
+			c.Next()
+		}
+	} else {
+		for _, ok := c.Next(); ok; _, ok = c.Next() {
+		}
+	}
+	return c.Consumed(), c.DeltaConsumed()
 }
 
 // DegreeRange returns the edge count of the rows of [lo, hi), merged ones
@@ -512,8 +574,8 @@ func (av *AdjView) DegreeRange(lo, hi graph.Node) int64 {
 
 // ChargeScan charges streaming v's whole adjacency block: the raw edge
 // (and, if weighted, weight) elements, or the compressed bytes plus the
-// per-edge decode cost. Offsets are charged by the caller (gathered per
-// chunk or streamed per shard).
+// per-edge decode cost. Offsets are charged by the caller: ChargeVisit
+// reads v's pair, chunked rounds gather or stream them per chunk.
 func (av *AdjView) ChargeScan(t *memsim.Thread, v graph.Node, weighted bool) {
 	lo, hi := av.Adj.Extent(v)
 	av.Edges.ReadRange(t, lo, hi)
@@ -527,6 +589,14 @@ func (av *AdjView) ChargeScan(t *memsim.Thread, v graph.Node, weighted bool) {
 		av.Weights.ReadRange(t, lo, hi)
 	}
 	av.chargeDelta(t, v)
+}
+
+// ChargeVisit is the one per-vertex visit charge: v's offset pair, then
+// its whole block (ChargeScan). Rounds that visit whole chunks charge
+// their offsets per chunk instead (ChargeBlock, or a gather per chunk).
+func (av *AdjView) ChargeVisit(t *memsim.Thread, v graph.Node, weighted bool) {
+	av.Offsets.ReadN(t, int64(v), 2)
+	av.ChargeScan(t, v, weighted)
 }
 
 // chargeDelta streams v's overlay delta entries (no-op off overlays and
@@ -632,45 +702,6 @@ func (r *Runtime) InDegree(v graph.Node) int64 {
 		return r.Ov.InDegree(v)
 	}
 	return r.G.InDegree(v)
-}
-
-// OutWeightAt dispatches the weight of out-edge index ei (a Cursor.EI
-// value: base CSR index, or |E_base|+i for the i-th overlay insert).
-func (r *Runtime) OutWeightAt(ei int64) uint32 {
-	if r.Ov != nil {
-		return r.Ov.OutWeight(ei)
-	}
-	return r.G.OutWeights[ei]
-}
-
-// OutRow returns v's out-row and its weights, wts[k] being row[k]'s
-// (OutWeightAt of a Cursor's EI there). A raw row is Adjacency.Row's and
-// its weights the graph's own OutWeights[Base(v) : Base(v)+len(row)]. A
-// merged overlay row and its weights are filled into scratch[:0] and
-// wscratch[:0] by one Cursor walk, and raw is false.
-func (r *Runtime) OutRow(scratch []graph.Node, wscratch []uint32, v graph.Node) (row []graph.Node, wts []uint32, raw bool) {
-	av := &r.outView
-	if av.Merged(v) {
-		row, wts = scratch[:0], wscratch[:0]
-		c := av.Adj.Cursor(v)
-		for d, ok := c.Next(); ok; d, ok = c.Next() {
-			row = append(row, d)
-			wts = append(wts, r.OutWeightAt(c.EI()))
-		}
-		return row, wts, false
-	}
-	row, _ = av.Adj.Row(nil, v)
-	lo := av.Adj.Base(v)
-	hi := lo + int64(len(row))
-	return row, r.G.OutWeights[lo:hi:hi], true
-}
-
-// InWeightAt is OutWeightAt for the transpose direction.
-func (r *Runtime) InWeightAt(ei int64) uint32 {
-	if r.Ov != nil {
-		return r.Ov.InWeight(ei)
-	}
-	return r.G.InWeights[ei]
 }
 
 // TopologyReadBytes returns the simulated bytes read so far from the

@@ -81,10 +81,11 @@ type Engine struct {
 	cfg Config
 
 	// out/in are the runtime's adjacency views: all neighborhood
-	// iteration goes through their host rows (the graph's own CSR slices
-	// on either backend, handed to programs as slices; a Cursor walk only
-	// to merge an overlay-touched row) and all edge-traffic charging
-	// through their arrays, so the engine is storage-backend agnostic.
+	// iteration goes through their ReadRow (the graph's own CSR slices
+	// on either backend, handed to programs as slices; an overlay-touched
+	// row merged into the thread's core.RowBuf) and all edge-traffic
+	// charging through their arrays, so the engine is storage-backend
+	// agnostic.
 	out, in core.AdjView
 
 	bits     *memsim.Array // current dense frontier bits
@@ -108,11 +109,6 @@ type Engine struct {
 	// progs is the running round's row programs, kept here so a round
 	// does not allocate them.
 	progs progs
-
-	// bufs holds one merged-row buffer per virtual thread, indexed by
-	// Thread.ID, that an overlay-touched vertex's row is merged into once
-	// per visit; like claims it keeps its capacity across rounds.
-	bufs []rowBuf
 
 	rounds int
 	trace  []RoundStat
@@ -150,7 +146,6 @@ func New(r *core.Runtime, cfg Config) *Engine {
 		nextBits: r.ScratchArray("engine.next.bits", words, 8),
 		wl:       r.ScratchArray("engine.wl", n, 4),
 		claims:   make([][]graph.Node, r.RegionThreads()),
-		bufs:     make([]rowBuf, r.RegionThreads()),
 	}
 }
 
@@ -496,15 +491,15 @@ func (e *Engine) scanPush(t *memsim.Thread, u graph.Node, args *EdgeMapArgs, p *
 	if chargeEdges {
 		e.out.ChargeScan(t, u, args.Weighted)
 	}
-	b := &e.bufs[t.ID]
-	row, wts := b.rowOf(&e.out, u, p.wOut, false)
+	b := e.R.RowBuf(t)
+	row, wts := e.out.ReadRow(b, u, p.wOut)
 	claims = p.pushOut(u, row, wts, claims)
 	edges := int64(len(row))
 	if args.Symmetric {
 		if chargeEdges {
 			e.in.ChargeScan(t, u, false)
 		}
-		row, wts = b.rowOf(&e.in, u, p.wIn, false)
+		row, wts = e.in.ReadRow(b, u, p.wIn)
 		claims = p.pushIn(u, row, wts, claims)
 		edges += int64(len(row))
 	}
@@ -568,7 +563,7 @@ func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, p *progs, rs *RoundSt
 			}
 		}
 		var chunkVerts, chunkScanned, activated, nextOut int64
-		b := &e.bufs[t.ID]
+		b := e.R.RowBuf(t)
 		if gather {
 			args.Gather(lo, hi, Rows{av: &e.in, buf: b})
 			chunkVerts = int64(hi - lo)
@@ -627,13 +622,13 @@ func (e *Engine) pullRound(f *Frontier, args *EdgeMapArgs, p *progs, rs *RoundSt
 // charges the prefix it scanned: that many base edges of a raw row, and of
 // a merged overlay row the base edges and delta entries its one Cursor walk
 // had consumed there. It returns the program's results.
-func (e *Engine) pullScan(t *memsim.Thread, av *core.AdjView, b *rowBuf, v graph.Node, prog PullRow, weighted, prefix bool) (active, stopped bool, k int) {
-	row, wts := b.rowOf(av, v, weighted, prefix)
+func (e *Engine) pullScan(t *memsim.Thread, av *core.AdjView, b *core.RowBuf, v graph.Node, prog PullRow, weighted, prefix bool) (active, stopped bool, k int) {
+	row, wts := av.ReadRow(b, v, weighted)
 	active, stopped, k = prog(v, row, wts)
 	if prefix {
 		consumed, delta := int64(k), int64(0)
 		if av.Merged(v) {
-			consumed, delta = b.prefix(k, stopped)
+			consumed, delta = b.Prefix(k, stopped)
 		}
 		av.ChargePrefix(t, v, consumed, delta, int64(k))
 	}

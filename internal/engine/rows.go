@@ -50,87 +50,18 @@ func (e *Engine) programs(args *EdgeMapArgs) progs {
 	return p
 }
 
-// rowBuf is one virtual thread's storage for merged overlay rows. An
-// overlay-touched row is merged into it once per visit, by one Cursor walk;
-// every other row is the graph's own storage.
-type rowBuf struct {
-	row []graph.Node
-	wts []uint32
-	// at[k] is what the merging Cursor had consumed when it yielded
-	// row[k], and at[len(row)] what it had consumed after its terminating
-	// step: the prefix an early-exited pull charges.
-	at []consumed
-}
-
-// consumed is a Cursor's Consumed and DeltaConsumed at one step.
-type consumed struct{ base, delta int64 }
-
-// rowOf returns v's row in av and, when weighted, its weights. A raw row and
-// its weights are the graph's own storage; a merged overlay row is filled
-// into b, recording what its walk consumed at each step when prefix is set.
-func (b *rowBuf) rowOf(av *core.AdjView, v graph.Node, weighted, prefix bool) ([]graph.Node, []uint32) {
-	if av.Merged(v) {
-		return b.merge(av, v, weighted, prefix)
-	}
-	lo, hi := av.Rows.Offsets[v], av.Rows.Offsets[v+1]
-	if weighted {
-		return av.Rows.Edges[lo:hi:hi], av.RowWeights[lo:hi:hi]
-	}
-	return av.Rows.Edges[lo:hi:hi], nil
-}
-
-// merge fills b with v's merged row in av by one Cursor walk.
-func (b *rowBuf) merge(av *core.AdjView, v graph.Node, weighted, prefix bool) ([]graph.Node, []uint32) {
-	row, wts, at := b.row[:0], b.wts[:0], b.at[:0]
-	c := av.Ov.Cursor(v)
-	for d, ok := c.Next(); ok; d, ok = c.Next() {
-		row = append(row, d)
-		if weighted {
-			wts = append(wts, av.Ov.Weight(c.EI()))
-		}
-		if prefix {
-			at = append(at, consumed{c.Consumed(), c.DeltaConsumed()})
-		}
-	}
-	if prefix {
-		at = append(at, consumed{c.Consumed(), c.DeltaConsumed()})
-	}
-	b.row, b.wts, b.at = row, wts, at
-	if !weighted {
-		wts = nil
-	}
-	return row, wts
-}
-
-// prefix returns the base edges and delta entries the walk of the row b
-// last merged (with prefix set) had consumed where a scan of k edges ended:
-// just after the k-th edge if the scan stopped there, after the
-// terminating step if it ran off the row's end.
-func (b *rowBuf) prefix(k int, stopped bool) (base, delta int64) {
-	i := len(b.row)
-	if stopped {
-		if k == 0 {
-			return 0, 0
-		}
-		i = k - 1
-	}
-	return b.at[i].base, b.at[i].delta
-}
-
 // Rows is one direction's rows as a range program reads them.
 type Rows struct {
 	av  *core.AdjView
-	buf *rowBuf
+	buf *core.RowBuf
 }
 
-// Row returns v's row: the graph's own storage, or for an overlay-touched
-// vertex its merged row in the calling thread's buffer, valid until the
-// thread's next Row. It must be neither modified nor retained.
+// Row returns v's row (core.AdjView.ReadRow): the graph's own storage, or
+// for an overlay-touched vertex its merged row in the calling thread's
+// buffer, valid until the thread's next Row. It must be neither modified
+// nor retained.
 func (r Rows) Row(v graph.Node) []graph.Node {
-	row, raw := r.av.Row(r.buf.row, v)
-	if !raw {
-		r.buf.row = row
-	}
+	row, _ := r.av.ReadRow(r.buf, v, false)
 	return row
 }
 

@@ -65,7 +65,7 @@ func TestMergedRowPrefixChargesCursorWalk(t *testing.T) {
 		if !e.in.Merged(0) {
 			t.Fatal("vertex 0's in-row is not merged")
 		}
-		row, _ := e.in.Row(nil, 0)
+		row, _ := e.in.ReadRow(new(core.RowBuf), 0, false)
 		for k := 0; k <= len(row); k++ {
 			stop := k < len(row)
 			// One pull round in which only vertex 0 scans, stopping after
@@ -101,8 +101,8 @@ func TestMergedRowPrefixChargesCursorWalk(t *testing.T) {
 
 // TestRowProgramsSeeEdgeWeights: on a weighted overlay, a push row
 // program's wts[k] is the weight of the edge its per-edge form sees as ei
-// at the same position (OutWeightAt), merged rows included, and both forms
-// walk the same rows.
+// at the same position (the overlay's Weight(ei)), merged rows included,
+// and both forms walk the same rows.
 func TestRowProgramsSeeEdgeWeights(t *testing.T) {
 	g := gen.RMAT(9, 8, 0.57, 0.19, 0.19, 3, false)
 	g.AddRandomWeights(100, 9)
@@ -131,7 +131,7 @@ func TestRowProgramsSeeEdgeWeights(t *testing.T) {
 	e.EdgeMap(e.FullFrontier(), EdgeMapArgs{
 		Weighted: true,
 		Push: func(u, d graph.Node, ei int64) bool {
-			edgeForm[u] = append(edgeForm[u], edge{d, e.R.OutWeightAt(ei)})
+			edgeForm[u] = append(edgeForm[u], edge{d, e.out.Ov.Weight(ei)})
 			return false
 		},
 	})

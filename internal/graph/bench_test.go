@@ -94,38 +94,6 @@ type rowForm struct {
 	z    *graph.CompressedCSR
 }
 
-// BenchmarkRow ranges over every in-row of an RMAT16 graph, per adjacency
-// form: the row walk a Gather round (pagerank's pull) does per vertex. Raw
-// rows are the graph's own storage; merged overlay rows reuse one scratch
-// slice.
-func BenchmarkRow(b *testing.B) {
-	for _, c := range rowForms(b) {
-		b.Run(c.name, func(b *testing.B) {
-			var scratch []graph.Node
-			var edges int64
-			var sink graph.Node
-			b.ReportAllocs()
-			for b.Loop() {
-				for v := range c.adj.NumNodes() {
-					row, raw := c.adj.Row(scratch, graph.Node(v))
-					if !raw {
-						scratch = row
-					}
-					for _, u := range row {
-						sink ^= u
-					}
-					edges += int64(len(row))
-				}
-			}
-			b.ReportMetric(float64(edges)/b.Elapsed().Seconds()/1e6, "Medges/s")
-			rowSink = sink
-		})
-	}
-}
-
-// rowSink keeps BenchmarkRow's range from being optimized away.
-var rowSink graph.Node
-
 // BenchmarkCursorPrefix is the early-exit pull (bfs's dir-opt rounds): per
 // form, each in-row is walked through a Cursor and stopped after v%16
 // edges, and the bytes ChargePrefix would stream for that prefix are

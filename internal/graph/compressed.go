@@ -34,11 +34,11 @@ import (
 // Adjacency is a read-only view over one direction of a graph's adjacency,
 // implemented by the raw CSR slices (RawAdjacency), the compressed form
 // (CompressedCSR, which walks the same raw rows and differs only in its
-// backing extents) and the delta overlay (OverlayAdj). The operator engine
-// traverses through this interface: whole-row scans range over the slice
-// Row returns, so the hot loop is a plain range with no interface call or
-// iterator step per edge; the concrete Cursor type serves the overlay
-// merge where a caller needs each neighbor's edge index or a prefix count.
+// backing extents) and the delta overlay (OverlayAdj). It answers degrees,
+// edge-index bases and the block extents charging reads; its Cursor is the
+// one way to walk a row. Kernels read rows through core.AdjView.ReadRow,
+// which slices a raw row straight from the graph's storage and walks a
+// Cursor only to merge an overlay-touched row.
 type Adjacency interface {
 	NumNodes() int
 	NumEdges() int64
@@ -53,16 +53,11 @@ type Adjacency interface {
 	Extent(v Node) (lo, hi int64)
 	// ExtentRange is Extent over the contiguous vertex range [lo, hi).
 	ExtentRange(lo, hi Node) (int64, int64)
-	// Cursor returns a zero-allocation iterator over v's neighbors, for
-	// scans that may stop early or need each neighbor's edge index.
+	// Cursor returns a zero-allocation iterator over v's neighbors, which
+	// reports each neighbor's edge index and the entries it consumed. On
+	// the raw and compressed forms, and for overlay vertices the delta
+	// does not touch, the k-th neighbor has edge index Base(v)+k.
 	Cursor(v Node) Cursor
-	// Row returns v's neighbors in Cursor order. A raw row (raw true: the
-	// raw and compressed forms, and overlay vertices the delta does not
-	// touch) is a read-only subslice of graph storage whose k-th neighbor
-	// has edge index Base(v)+k. A touched overlay vertex's merged row is
-	// appended to scratch[:0] (raw false); its edge indices are not
-	// contiguous, so callers that need them walk a Cursor instead.
-	Row(scratch []Node, v Node) (row []Node, raw bool)
 }
 
 // Cursor iterates one vertex's neighbors without allocating; it is
@@ -198,16 +193,9 @@ func (a RawAdjacency) Cursor(v Node) Cursor {
 	return Cursor{nbrs: a.Edges[a.Offsets[v]:a.Offsets[v+1]], base: a.Offsets[v]}
 }
 
-// Row returns v's row of Edges itself, capped so an append cannot write
-// into the next row.
-func (a RawAdjacency) Row(_ []Node, v Node) ([]Node, bool) {
-	hi := a.Offsets[v+1]
-	return a.Edges[a.Offsets[v]:hi:hi], true
-}
-
 // CompressedCSR is one direction's adjacency in delta+varint block form.
 // It keeps the raw rows it encodes (aliasing the graph's own slices), and
-// every traversal method — Degree, Base, Cursor, Row — is the raw
+// every traversal method — Degree, Base, Cursor — is the raw
 // one: the blocks are never decoded on the host. The simulated storage the
 // backend models is ByteOffsets plus Data (see Bytes), so Extent and
 // ExtentRange report byte ranges and PrefixBytes sizes early-exited scans.

@@ -320,7 +320,7 @@ func TestPrefixBytesMatchDecoder(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for v := Node(0); int(v) < z.NumNodes(); v++ {
 				deg := z.Degree(v)
-				row, _ := z.Row(nil, v)
+				row := z.Edges[z.Offsets[v]:z.Offsets[v+1]]
 				for k := int64(0); k <= deg; k++ {
 					want, nbrs := refPrefix(t, z, v, k)
 					if got := z.PrefixBytes(v, k); got != want {

@@ -24,7 +24,7 @@ import (
 // Edge-index (ei) contract: base edges keep their base CSR indices
 // (deleted slots are skipped, never re-yielded), and the i-th inserted
 // edge of a direction gets ei = |E_base| + i. Weight lookups by ei
-// dispatch on that split (see Overlay.OutWeight), which keeps ei stable
+// dispatch on that split (see OverlayAdj.Weight), which keeps ei stable
 // across batches without renumbering the base arrays.
 
 // ovSide is one direction's delta: the touched vertices (sorted), and per
@@ -314,25 +314,6 @@ func (ov *Overlay) MaxOutDegreeNode() (Node, int64) {
 	return best, bestDeg
 }
 
-// OutWeight returns the weight of the out-direction edge with index ei
-// under the overlay ei contract: base indices read the base weight array,
-// insert indices the insert-weight array.
-func (ov *Overlay) OutWeight(ei int64) uint32 {
-	if base := ov.base.NumEdges(); ei >= base {
-		return ov.out.insW[ei-base]
-	}
-	return ov.base.OutWeights[ei]
-}
-
-// InWeight is OutWeight for the in-direction (its own index space, like
-// InWeights vs OutWeights on a plain graph).
-func (ov *Overlay) InWeight(ei int64) uint32 {
-	if base := int64(len(ov.base.InEdges)); ei >= base {
-		return ov.in.insW[ei-base]
-	}
-	return ov.base.InWeights[ei]
-}
-
 // Apply validates ups against the merged view and merges it into a NEW
 // overlay over the same base, plus the batch's Delta (relative to the
 // pre-batch merged state, exactly what ApplyUpdates would report). The
@@ -502,8 +483,9 @@ func (a *OverlayAdj) ExtentRange(lo, hi Node) (int64, int64) {
 	return a.base.ExtentRange(lo, hi)
 }
 
-// Weight returns the weight of the edge a Cursor reports as ei: Overlay's
-// OutWeight or InWeight, for this adapter's direction.
+// Weight returns the weight of the edge a Cursor reports as ei, in this
+// adapter's direction: the base's weight for a base edge index, the
+// insert's for |E_base| + its position.
 func (a *OverlayAdj) Weight(ei int64) uint32 {
 	if ei >= a.baseEdges {
 		return a.side.insW[ei-a.baseEdges]
@@ -511,8 +493,8 @@ func (a *OverlayAdj) Weight(ei int64) uint32 {
 	return a.baseW[ei]
 }
 
-// Touched reports whether the delta touches v, i.e. whether Row merges v's
-// row instead of returning the base row raw. It is one bit test.
+// Touched reports whether the delta touches v, i.e. whether v's Cursor
+// merges the delta into the base row. It is one bit test.
 func (a *OverlayAdj) Touched(v Node) bool { return a.side.has(v) }
 
 // BaseDegree returns v's degree in the base alone (the decode charge of a
@@ -576,24 +558,6 @@ func (a *OverlayAdj) cursor(v Node, i int) Cursor {
 	c.ovInsEI = a.baseEdges + int64(a.side.insOff[i])
 	c.ovDel = a.side.delDst[a.side.delOff[i]:a.side.delOff[i+1]]
 	return c
-}
-
-// Row returns the base row itself (raw) for an untouched vertex, and the
-// merged Cursor's sequence appended to scratch[:0] otherwise.
-func (a *OverlayAdj) Row(scratch []Node, v Node) ([]Node, bool) {
-	i := a.side.find(v)
-	if i < 0 {
-		return a.base.Row(scratch, v)
-	}
-	row := scratch[:0]
-	c := a.cursor(v, i)
-	for {
-		d, ok := c.Next()
-		if !ok {
-			return row, false
-		}
-		row = append(row, d)
-	}
 }
 
 // Validate checks overlay structural invariants (sorted touched lists,

@@ -76,7 +76,8 @@ func TestOverlayCursorEIContract(t *testing.T) {
 	if !reflect.DeepEqual(eis, []int64{6, 0, 7}) {
 		t.Fatalf("ei = %v, want [6 0 7]", eis)
 	}
-	if w := []uint32{ov.OutWeight(eis[0]), ov.OutWeight(eis[1]), ov.OutWeight(eis[2])}; !reflect.DeepEqual(w, []uint32{80, 10, 70}) {
+	out := ov.OutAdj(false)
+	if w := []uint32{out.Weight(eis[0]), out.Weight(eis[1]), out.Weight(eis[2])}; !reflect.DeepEqual(w, []uint32{80, 10, 70}) {
 		t.Fatalf("weights by ei = %v, want [80 10 70]", w)
 	}
 }
@@ -367,10 +368,9 @@ func compareOverlay(t *testing.T, ov *Overlay, want *Graph, weighted bool) {
 		wantDeg func(v Node) int64
 		nbrs    func(v Node) []Node
 		wantW   func(v Node) []uint32
-		weight  func(ei int64) uint32
 	}{
-		{"out", ov.OutAdj, ov.OutDegree, want.OutDegree, want.OutNeighbors, want.OutWeightsOf, ov.OutWeight},
-		{"in", ov.InAdj, ov.InDegree, want.InDegree, want.InNeighbors, want.InWeightsOf, ov.InWeight},
+		{"out", ov.OutAdj, ov.OutDegree, want.OutDegree, want.OutNeighbors, want.OutWeightsOf},
+		{"in", ov.InAdj, ov.InDegree, want.InDegree, want.InNeighbors, want.InWeightsOf},
 	}
 	for _, dir := range dirs {
 		for _, compressed := range []bool{false, true} {
@@ -391,7 +391,7 @@ func compareOverlay(t *testing.T, ov *Overlay, want *Graph, weighted bool) {
 				if weighted {
 					wantW := dir.wantW(node)
 					for i, ei := range eis {
-						if got := dir.weight(ei); got != wantW[i] {
+						if got := a.Weight(ei); got != wantW[i] {
 							t.Fatalf("%s weight(%d) edge %d z=%v = %d, want %d", dir.name, v, i, compressed, got, wantW[i])
 						}
 					}

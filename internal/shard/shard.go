@@ -13,12 +13,12 @@
 // gather (pr, bc backward). A scatterProgram names a fold (min | sum),
 // the directions walked, the label touches per edge, an emit judged against
 // round-start state and an owner apply; a gatherProgram names a row fold
-// and an owner-only done. apps.go holds the table. Both drivers decode each
-// walked block of an active vertex once, with Adjacency.Row, and hand the
-// program the graph's own row, read-only: a program callback runs once per
-// (active vertex, walked direction), never per edge. Adjacency is walked
-// only through core.AdjView, and the frontier and claimed sets through
-// engine.Dense.
+// and an owner-only done. apps.go holds the table. Both drivers read each
+// walked row of an active vertex once, with core.AdjView.ReadRow, charge
+// its visit with AdjView.ChargeVisit, and hand the program the graph's own
+// row, read-only: a program callback runs once per (active vertex, walked
+// direction), never per edge. Adjacency is walked only through
+// core.AdjView, and the frontier and claimed sets through engine.Dense.
 //
 // No barrier work runs on the coordinator goroutine but the clock fold and
 // the join of the owners' activations. A claim is never stored or routed:
@@ -448,8 +448,9 @@ type gatherProgram struct {
 }
 
 // charge charges the scan of active local vertex lv to t in the fixed order
-// every simulated clock depends on: per walked direction the offset pair
-// then the block, then the label accesses, then the operator applications.
+// every simulated clock depends on: per walked direction its visit (the
+// offset pair then the block, ChargeVisit), then the label accesses, then
+// the operator applications.
 func (w *worker) charge(t *memsim.Thread, lv graph.Node, s *scan, write bool, extraOps int) {
 	deg := int64(0)
 	for i := range w.views {
@@ -457,8 +458,7 @@ func (w *worker) charge(t *memsim.Thread, lv graph.Node, s *scan, write bool, ex
 			continue
 		}
 		av := &w.views[i]
-		av.Offsets.ReadN(t, int64(lv), 2)
-		av.ChargeScan(t, lv, s.weighted && i == 0)
+		av.ChargeVisit(t, lv, s.weighted && i == 0)
 		deg += av.Adj.Degree(lv)
 	}
 	w.labels.RandomN(t, s.touches*deg, write)
@@ -482,6 +482,7 @@ func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node 
 			w.labels.ReadRange(t, int64(lo), int64(hi))
 		}
 		dst, val, foreign := w.nodes[t.ID], w.val[t.ID], w.foreign[t.ID]
+		b := w.rt.RowBuf(t)
 		active.ForEachInRange(lo, hi, func(v graph.Node) {
 			lv := v - w.lo
 			w.charge(t, lv, &p.scan, true, 0)
@@ -489,15 +490,7 @@ func (e *Engine) scatter(p *scatterProgram, frontier []graph.Node) []graph.Node 
 				if !p.walk[i] {
 					continue
 				}
-				// A shard-local graph is a plain CSR, so every row is
-				// raw: the graph's own storage, needing no scratch.
-				var row []graph.Node
-				var wts []uint32
-				if p.weighted && i == 0 {
-					row, wts, _ = w.rt.OutRow(nil, nil, lv)
-				} else {
-					row, _ = w.views[i].Adj.Row(nil, lv)
-				}
+				row, wts := w.views[i].ReadRow(b, lv, p.weighted && i == 0)
 				dst, val = p.emit(v, row, wts, dst[:0], val[:0])
 				for k, d := range dst {
 					e.fold(d, val[k], p.sum)
@@ -596,6 +589,7 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 			finalizeOps = 1
 		}
 		from := w.nodes[t.ID]
+		b := w.rt.RowBuf(t)
 		active.ForEachInRange(lo, hi, func(v graph.Node) {
 			w.charge(t, v-w.lo, &p.scan, false, finalizeOps)
 			sum := 0.0
@@ -603,7 +597,7 @@ func (e *Engine) gather(p *gatherProgram, active *engine.Dense) {
 				if !p.walk[i] {
 					continue
 				}
-				row, _ := w.views[i].Adj.Row(nil, v-w.lo)
+				row, _ := w.views[i].ReadRow(b, v-w.lo, false)
 				sum, from = p.row(v, row, sum, from[:0])
 				for _, u := range from {
 					if u < w.lo || u >= w.hi {

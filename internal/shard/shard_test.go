@@ -241,9 +241,9 @@ func TestPerShardSecondsAdvance(t *testing.T) {
 
 // TestShardWeightRowMatchesCursor checks the contract the scatter driver's
 // weighted rows rest on: for every vertex of every shard, under both
-// backends, OutRow yields the Cursor's neighbors as a raw row, and its
-// wts[k] is the weight OutWeightAt(Cursor.EI()) reads at the k-th
-// neighbor.
+// backends, ReadRow yields the Cursor's neighbors as the shard-local
+// graph's own row, and its wts[k] is the weight at the Cursor's EI() at
+// the k-th neighbor.
 func TestShardWeightRowMatchesCursor(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		gen.RMAT(10, 16, 0.57, 0.19, 0.19, 3, false),
@@ -263,17 +263,18 @@ func TestShardWeightRowMatchesCursor(t *testing.T) {
 			edges := 0
 			for s, w := range e.workers {
 				for lv := graph.Node(0); lv < w.hi-w.lo; lv++ {
-					row, wts, raw := w.rt.OutRow(nil, nil, lv)
-					if !raw {
-						t.Fatalf("%v shard %d vertex %d: a shard-local row is not raw", backend, s, lv)
+					out := &w.views[0]
+					row, wts := out.ReadRow(new(core.RowBuf), lv, true)
+					if out.Merged(lv) || len(row) > 0 && &row[0] != &out.Rows.Edges[out.Rows.Offsets[lv]] {
+						t.Fatalf("%v shard %d vertex %d: a shard-local row is not the graph's own", backend, s, lv)
 					}
-					c := w.views[0].Adj.Cursor(lv)
+					c := out.Adj.Cursor(lv)
 					k := 0
 					for d, ok := c.Next(); ok; d, ok = c.Next() {
 						if k >= len(row) || row[k] != d {
 							t.Fatalf("%v shard %d vertex %d: row differs from the cursor at %d", backend, s, lv, k)
 						}
-						if want := w.rt.OutWeightAt(c.EI()); wts[k] != want {
+						if want := w.rt.G.OutWeights[c.EI()]; wts[k] != want {
 							t.Fatalf("%v shard %d vertex %d: wts[%d] = %d, cursor weight %d", backend, s, lv, k, wts[k], want)
 						}
 						k++

@@ -19,8 +19,9 @@ import (
 // ("BuildIn") matches a selector call on any receiver; a package-qualified
 // one ("core.New") matches only a selector on that package identifier, so
 // it leaves engine.New alone. A site is a package directory relative to the
-// module root ("internal/graph") or one function in it
-// ("internal/frameworks.Seal").
+// module root ("internal/graph"), one function in it
+// ("internal/frameworks.Seal") or one method, named with its receiver's
+// type ("internal/core.AdjView.ChargeVisit").
 type archRule struct {
 	name    string
 	calls   []string
@@ -40,6 +41,18 @@ var archRules = []archRule{
 		calls:   []string{"core.New", "core.MustNew", "core.NewOverlay"},
 		allowed: []string{"internal/frameworks", "internal/shard", "internal/bench.FigCompress"},
 		why:     "every execution is a frameworks.Plan (Plan.Variant picks a §5 variant); only Plan.Run, the shard workers and FigCompress's per-array read counts build a runtime",
+	},
+	{
+		name:    "one-row-reader",
+		calls:   []string{"Cursor"},
+		allowed: []string{"internal/graph", "internal/gen", "internal/core.RowBuf.merge", "internal/engine.edgePush", "internal/engine.edgePull"},
+		why:     "kernels and drivers read a visited row through core.AdjView.ReadRow; only it walks a Cursor, to merge an overlay row, besides the per-edge adapters that hand out edge indices",
+	},
+	{
+		name:    "one-visit-charge",
+		calls:   []string{"ReadN"},
+		allowed: []string{"internal/memsim", "internal/core.AdjView.ChargeVisit"},
+		why:     "a per-vertex visit is charged by core.AdjView.ChargeVisit alone (offset pair, then block), so a change to that charge edits one body",
 	},
 }
 
@@ -82,8 +95,11 @@ func archViolations(fset *token.FileSet, dir string, f *ast.File) []string {
 	var out []string
 	for _, decl := range f.Decls {
 		site := dir
-		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+		if fn, ok := decl.(*ast.FuncDecl); ok {
 			site = dir + "." + fn.Name.Name
+			if fn.Recv != nil {
+				site = dir + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+			}
 		}
 		ast.Inspect(decl, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -108,6 +124,22 @@ func archViolations(fset *token.FileSet, dir string, f *ast.File) []string {
 		})
 	}
 	return out
+}
+
+// recvName returns the type name of a method receiver, without its
+// pointer or type parameters.
+func recvName(x ast.Expr) string {
+	switch t := x.(type) {
+	case *ast.StarExpr:
+		return recvName(t.X)
+	case *ast.IndexExpr:
+		return recvName(t.X)
+	case *ast.IndexListExpr:
+		return recvName(t.X)
+	case *ast.Ident:
+		return t.Name
+	}
+	return ""
 }
 
 // inlineRule requires the compiler to inline each listed function of the
